@@ -353,7 +353,6 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
             vocab = json.load(fh)
     else:
         vocab = _derive_vocab(records)
-    token_of = {i: tok for i, tok in enumerate(vocab)}
     special_ids = {
         i for i, tok in enumerate(vocab) if tok in graphattn.SPECIAL_TOKENS
     }
@@ -376,6 +375,12 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
                 f"set_id mismatch: file {spath} holds {summary.set_id!r}, "
                 f"expected {record.set_id!r}"
             )
+        bad = [t for t in summary.tokens if not 0 <= t < len(vocab)]
+        if bad:
+            raise CliError(
+                f"set {record.set_id!r}: token id {bad[0]} outside the vocabulary "
+                f"of size {len(vocab)}"
+            )
         tensor = awdmod.read_awd(apath)
         aligned = awdmod.beam_decode_awd(
             tensor, summary.beam_trace, summary.winning_beam, length=len(summary.tokens)
@@ -383,7 +388,7 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
         spans = awdmod.split_summary_sentences(summary.tokens, eoss_id)
         sent_awd = awdmod.aggregate_to_sentences(aligned, spans, method=opts["aggregation"])
         sentences = [
-            [token_of[t] for t in summary.tokens[a:b] if t not in special_ids]
+            [vocab[t] for t in summary.tokens[a:b] if t not in special_ids]
             for a, b in spans
         ]
         metric = origin.reference_metric(sentences, record.unitized)
@@ -440,7 +445,7 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
     for record, summary in zip(records, summaries):
         if record.gold_summary:
             text = " ".join(
-                token_of[t] for t in summary.tokens if t not in special_ids
+                vocab[t] for t in summary.tokens if t not in special_ids
             )
             golds.append(rouge.evaluate_summary(text, record.gold_summary))
     if golds:

@@ -7,8 +7,17 @@ sentence-aggregated attention weights per decoding layer and head;
 head-to-head and layer-to-layer correlation matrices and a
 positional-bias heatmap complete the report.
 
-Batch statistics accumulate through mergeable running moments so that
-summaries can be processed concurrently and merged deterministically.
+Every coefficient comes from one pass over the batch. Each summary's
+(sentence, non-pad unit) cells become the rows of one column array: the
+F1 of each ROUGE variant, the head-averaged attention of each layer,
+then every (layer, head). A ``PearsonAccumulator`` holds the array's
+centered co-moment matrix; per-summary accumulators give the
+per-summary diagnostics and merge exactly into the pooled one (Chan,
+Golub & LeVeque 1979), so summaries could be processed concurrently and
+merged deterministically. Coefficients match a direct computation on
+concatenated vectors to within 1e-12, not bit for bit, since the
+summation order differs. Non-finite attention or metric values are
+rejected, never correlated.
 """
 
 from __future__ import annotations
@@ -19,10 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .awd import SentenceAwd
-from .rouge import RougeTriple, ZERO_SCORE, RougeScore, rouge_triple
+from .rouge import rouge_triple
 from .textunits import UnitizedInput, split_sentences, tokenize
 
 VARIANTS = ("r1", "r2", "rl")
+F1 = 2  # index of F1 in the last axis of OriginMetric.values
 
 
 class MissingDocBoundariesError(ValueError):
@@ -31,38 +41,33 @@ class MissingDocBoundariesError(ValueError):
 
 @dataclass
 class OriginMetric:
-    """ROUGE triples per (generated sentence, input unit) cell.
+    """Mean ROUGE per (generated sentence, input unit) cell.
 
-    Pad-unit columns hold zero scores.
+    ``values`` has shape (S, L, 3, 3): generated sentence, unit, ROUGE
+    variant in ``VARIANTS`` order, then precision/recall/F1. Pad-unit
+    columns hold zeros.
     """
 
-    scores: list[list[RougeTriple]]  # (S, L)
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.ndim != 4 or self.values.shape[2:] != (len(VARIANTS), 3):
+            raise ValueError(f"metric values must be (S, L, 3, 3), got {self.values.shape}")
 
     @property
     def num_sentences(self) -> int:
-        return len(self.scores)
+        return self.values.shape[0]
 
     @property
     def num_units(self) -> int:
-        return len(self.scores[0]) if self.scores else 0
+        return self.values.shape[1]
 
     def f1_matrix(self, variant: str) -> np.ndarray:
         """F1 scores of one ROUGE variant as an (S, L) array."""
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        return np.array(
-            [[getattr(cell, variant).f1 for cell in row] for row in self.scores],
-            dtype=np.float64,
-        )
-
-
-def _mean_score(scores: list[RougeScore]) -> RougeScore:
-    n = len(scores)
-    return RougeScore(
-        precision=sum(s.precision for s in scores) / n,
-        recall=sum(s.recall for s in scores) / n,
-        f1=sum(s.f1 for s in scores) / n,
-    )
+        return self.values[:, :, VARIANTS.index(variant), F1]
 
 
 def reference_metric(
@@ -77,31 +82,18 @@ def reference_metric(
     """
     if inp.num_real_units < 1:
         raise ValueError("input has no non-pad units")
-    unit_sentences: list[list[list[str]]] = []
-    for unit in inp.units:
-        if unit.is_pad:
-            unit_sentences.append([])
-        else:
-            unit_sentences.append([tokenize(s) for s in split_sentences(unit.original_text)])
-
-    zero_triple = RougeTriple(ZERO_SCORE, ZERO_SCORE, ZERO_SCORE)
-    rows: list[list[RougeTriple]] = []
-    for sentence in summary_sentences:
-        row: list[RougeTriple] = []
-        for sents in unit_sentences:
-            if not sents:
-                row.append(zero_triple)
-                continue
-            triples = [rouge_triple(sentence, ref) for ref in sents]
-            row.append(
-                RougeTriple(
-                    r1=_mean_score([t.r1 for t in triples]),
-                    r2=_mean_score([t.r2 for t in triples]),
-                    rl=_mean_score([t.rl for t in triples]),
-                )
-            )
-        rows.append(row)
-    return OriginMetric(scores=rows)
+    unit_sentences = [
+        [] if unit.is_pad else [tokenize(s) for s in split_sentences(unit.original_text)]
+        for unit in inp.units
+    ]
+    values = np.zeros((len(summary_sentences), len(unit_sentences), len(VARIANTS), 3))
+    for i, sentence in enumerate(summary_sentences):
+        for j, refs in enumerate(unit_sentences):
+            for ref in refs:
+                t = rouge_triple(sentence, ref)
+                values[i, j] += [(s.precision, s.recall, s.f1) for s in (t.r1, t.r2, t.rl)]
+    counts = np.array([max(len(refs), 1) for refs in unit_sentences], dtype=np.float64)
+    return OriginMetric(values=values / counts[:, None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -128,68 +120,75 @@ def pearson(x, y) -> float | None:
 
 @dataclass
 class PearsonAccumulator:
-    """Mergeable running moments for a streaming Pearson coefficient.
+    """Mergeable running co-moments of k columns for streaming Pearson
+    coefficients.
 
-    Uses Welford-style centered moments, so constant inputs keep their
-    second moment at exactly zero and merging partial accumulators in
-    any grouping reproduces the single-pass result.
+    ``update(x, y)`` adds paired samples of two columns; ``update(cols)``
+    adds the rows of an (n, k) array. Welford-style centered moments keep
+    a constant column's second moment at exactly zero, and merging
+    partial accumulators in any grouping reproduces the single-pass
+    result up to rounding.
     """
 
     count: int = 0
-    mean_x: float = 0.0
-    mean_y: float = 0.0
-    m2x: float = 0.0
-    m2y: float = 0.0
-    cxy: float = 0.0
+    mean: np.ndarray | None = None  # (k,)
+    comoment: np.ndarray | None = None  # (k, k) centered sums of products
 
-    def update(self, x, y) -> None:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if x.size != y.size:
-            raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-        if x.size == 0:
+    @property
+    def m2x(self) -> float:
+        """Second moment of the first column (``x`` in ``update(x, y)``)."""
+        return 0.0 if self.count == 0 else float(self.comoment[0, 0])
+
+    def update(self, x, y=None) -> None:
+        if y is None:
+            cols = np.asarray(x, dtype=np.float64)
+            if cols.ndim != 2:
+                raise ValueError(f"expected an (n, k) column array, got shape {cols.shape}")
+        else:
+            x = np.asarray(x, dtype=np.float64).ravel()
+            y = np.asarray(y, dtype=np.float64).ravel()
+            if x.size != y.size:
+                raise ValueError(f"length mismatch: {x.size} vs {y.size}")
+            cols = np.column_stack([x, y])
+        if not np.isfinite(cols).all():
+            raise ValueError("non-finite input to Pearson accumulator")
+        if cols.shape[0] == 0:
             return
-        # Constant inputs must yield an exactly-zero second moment so the
-        # coefficient is flagged undefined; a computed mean of identical
+        # Constant columns must yield an exactly-zero second moment so their
+        # coefficients are flagged undefined; a computed mean of identical
         # values is not always exact, so pin it to the shared value.
-        mean_x = float(x[0]) if np.all(x == x[0]) else float(x.mean())
-        mean_y = float(y[0]) if np.all(y == y[0]) else float(y.mean())
-        dx = x - mean_x
-        dy = y - mean_y
-        other = PearsonAccumulator(
-            count=int(x.size),
-            mean_x=mean_x,
-            mean_y=mean_y,
-            m2x=float(dx @ dx),
-            m2y=float(dy @ dy),
-            cxy=float(dx @ dy),
+        first = cols[0]
+        mean = np.where((cols == first).all(axis=0), first, cols.mean(axis=0))
+        centered = cols - mean
+        self.merge(
+            PearsonAccumulator(count=cols.shape[0], mean=mean, comoment=centered.T @ centered)
         )
-        self.merge(other)
 
     def merge(self, other: "PearsonAccumulator") -> None:
         if other.count == 0:
             return
         if self.count == 0:
-            self.count = other.count
-            self.mean_x, self.mean_y = other.mean_x, other.mean_y
-            self.m2x, self.m2y, self.cxy = other.m2x, other.m2y, other.cxy
+            self.count, self.mean, self.comoment = other.count, other.mean, other.comoment
             return
+        if other.mean.shape != self.mean.shape:
+            raise ValueError(f"column count mismatch: {self.mean.size} vs {other.mean.size}")
+        # never in place: merged arrays may be shared with ``other``
         n = self.count + other.count
-        dx = other.mean_x - self.mean_x
-        dy = other.mean_y - self.mean_y
+        delta = other.mean - self.mean
         w = self.count * other.count / n
-        self.m2x += other.m2x + dx * dx * w
-        self.m2y += other.m2y + dy * dy * w
-        self.cxy += other.cxy + dx * dy * w
-        self.mean_x += dx * other.count / n
-        self.mean_y += dy * other.count / n
+        self.comoment = self.comoment + (other.comoment + np.outer(delta, delta) * w)
+        self.mean = self.mean + delta * other.count / n
         self.count = n
 
-    def result(self) -> float | None:
-        """Coefficient over everything seen; None when undefined."""
-        if self.count < 2 or self.m2x == 0.0 or self.m2y == 0.0:
+    def result(self, i: int = 0, j: int = 1) -> float | None:
+        """Coefficient between columns i and j over everything seen; None
+        when undefined."""
+        if self.count < 2:
             return None
-        r = self.cxy / math.sqrt(self.m2x * self.m2y)
+        sxx, syy = float(self.comoment[i, i]), float(self.comoment[j, j])
+        if sxx == 0.0 or syy == 0.0:
+            return None
+        r = float(self.comoment[i, j]) / math.sqrt(sxx * syy)
         return min(1.0, max(-1.0, r))
 
 
@@ -221,6 +220,9 @@ class SummaryAnalysis:
             )
         if self.unit_pad.shape != (L,):
             raise ValueError(f"set {self.set_id!r}: unit_pad shape {self.unit_pad.shape}")
+        for name, values in (("attention", self.sent_awd.values), ("metric", self.origin.values)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"set {self.set_id!r}: non-finite {name} values")
 
 
 def doc_positions_from_boundaries(
@@ -238,110 +240,40 @@ def doc_positions_from_boundaries(
     return positions
 
 
-def _head_mean(analysis: SummaryAnalysis) -> np.ndarray:
-    """(S, dl, L) attention with heads mean-aggregated."""
-    return analysis.sent_awd.values.mean(axis=2)
-
-
 def correlate_awd_origin(
     batch: list[SummaryAnalysis], variant: str
 ) -> tuple[list[float | None], list[list[float | None]]]:
     """Pooled Pearson between attention and the reference metric.
 
-    Cells (sentence, non-pad unit) from every summary are flattened into
-    paired vectors. Returns per-layer coefficients (heads averaged
-    first) and per-(layer, head) coefficients.
+    Cells (sentence, non-pad unit) from every summary are pooled.
+    Returns per-layer coefficients (heads averaged first) and
+    per-(layer, head) coefficients.
     """
-    if not batch:
-        raise ValueError("empty batch")
-    _, dl, mh, _ = batch[0].sent_awd.dims
-    layer_acc = [PearsonAccumulator() for _ in range(dl)]
-    head_acc = [[PearsonAccumulator() for _ in range(mh)] for _ in range(dl)]
-    for analysis in batch:
-        if analysis.sent_awd.dims[0] == 0:
-            continue
-        keep = ~analysis.unit_pad
-        r = analysis.origin.f1_matrix(variant)[:, keep].ravel()
-        mean_layers = _head_mean(analysis)
-        for layer in range(dl):
-            layer_acc[layer].update(mean_layers[:, layer, keep].ravel(), r)
-            for head in range(mh):
-                head_acc[layer][head].update(
-                    analysis.sent_awd.values[:, layer, head, keep].ravel(), r
-                )
-    if layer_acc[0].count == 0:
-        raise ValueError("no usable cells in batch")
-    per_layer = [acc.result() for acc in layer_acc]
-    per_head = [[acc.result() for acc in row] for row in head_acc]
-    return per_layer, per_head
+    report = build_report(batch, variants=(variant,), include_posbias=False)
+    mh = batch[0].sent_awd.dims[2]
+    heads = [row[variant] for row in report.per_head]
+    return [row[variant] for row in report.per_layer], [
+        heads[i : i + mh] for i in range(0, len(heads), mh)
+    ]
 
 
 def summary_correlations(batch: list[SummaryAnalysis], variant: str) -> list[list[float | None]]:
     """Per-summary, per-layer coefficients (heads averaged); diagnostics
     alongside the pooled estimator."""
-    if not batch:
-        raise ValueError("empty batch")
-    _, dl, _, _ = batch[0].sent_awd.dims
-    rows: list[list[float | None]] = []
-    for analysis in batch:
-        if analysis.sent_awd.dims[0] == 0:
-            rows.append([None] * dl)
-            continue
-        keep = ~analysis.unit_pad
-        r = analysis.origin.f1_matrix(variant)[:, keep].ravel()
-        mean_layers = _head_mean(analysis)
-        row: list[float | None] = []
-        for layer in range(dl):
-            acc = PearsonAccumulator()
-            acc.update(mean_layers[:, layer, keep].ravel(), r)
-            row.append(acc.result())
-        rows.append(row)
-    return rows
-
-
-def _pairwise_matrix(vectors: list[np.ndarray]) -> list[list[float | None]]:
-    n = len(vectors)
-    matrix: list[list[float | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = PearsonAccumulator()
-            acc.update(vectors[i], vectors[j])
-            r = acc.result()
-            matrix[i][j] = r
-            matrix[j][i] = r
-    return matrix
+    report = build_report(batch, variants=(variant,), include_posbias=False)
+    dl = len(report.per_layer)
+    rows = [row[variant] for row in report.per_summary]
+    return [rows[i : i + dl] for i in range(0, len(rows), dl)]
 
 
 def head_correlations(batch: list[SummaryAnalysis], layer: int) -> list[list[float | None]]:
     """Pairwise Pearson between the heads of one layer, over batch cells."""
-    if not batch:
-        raise ValueError("empty batch")
-    _, dl, mh, _ = batch[0].sent_awd.dims
-    if not 0 <= layer < dl:
-        raise ValueError(f"layer {layer} outside [0, {dl})")
-    vectors = []
-    for head in range(mh):
-        parts = [
-            a.sent_awd.values[:, layer, head, ~a.unit_pad].ravel()
-            for a in batch
-            if a.sent_awd.dims[0]
-        ]
-        vectors.append(np.concatenate(parts) if parts else np.empty(0))
-    return _pairwise_matrix(vectors)
+    return build_report(batch, layers=[layer], include_posbias=False).head_matrix[0]["matrix"]
 
 
 def layer_correlations(batch: list[SummaryAnalysis]) -> list[list[float | None]]:
     """Pairwise Pearson between head-averaged layers, over batch cells."""
-    if not batch:
-        raise ValueError("empty batch")
-    _, dl, _, _ = batch[0].sent_awd.dims
-    vectors = []
-    for layer in range(dl):
-        parts = [
-            _head_mean(a)[:, layer, ~a.unit_pad].ravel() for a in batch if a.sent_awd.dims[0]
-        ]
-        vectors.append(np.concatenate(parts) if parts else np.empty(0))
-    return _pairwise_matrix(vectors)
+    return build_report(batch, include_posbias=False).layer_matrix
 
 
 def argmax_paragraph(sent_awd: SentenceAwd, layer: int) -> np.ndarray:
@@ -412,6 +344,23 @@ class CorrelationReport:
     per_summary: list[dict] = field(default_factory=list)  # {"set_id", "layer", variants...}
 
 
+def _cell_columns(analysis: SummaryAnalysis) -> np.ndarray:
+    """One row per (sentence, non-pad unit) cell: the F1 of each variant,
+    each layer's head-averaged attention, then each (layer, head) with
+    heads varying fastest."""
+    keep = ~analysis.unit_pad
+    awd = analysis.sent_awd.values[..., keep]
+    s, dl, mh, n = awd.shape
+    return np.concatenate(
+        [
+            analysis.origin.values[..., F1][:, keep].reshape(s * n, len(VARIANTS)),
+            awd.mean(axis=2).transpose(0, 2, 1).reshape(s * n, dl),
+            awd.transpose(0, 3, 1, 2).reshape(s * n, dl * mh),
+        ],
+        axis=1,
+    )
+
+
 def build_report(
     batch: list[SummaryAnalysis],
     variants: tuple[str, ...] = VARIANTS,
@@ -421,6 +370,8 @@ def build_report(
 ) -> CorrelationReport:
     """Assemble the full correlation report for a batch of summaries.
 
+    One pass accumulates each summary's cell co-moments and merges them
+    into the pooled accumulator; every coefficient is read from those.
     ``layers`` filters (0-based) which layers appear; ``posbias_layer``
     picks the layer for the heatmap (default: the last selected layer).
     The heatmap is skipped when any summary lacks document boundaries
@@ -433,50 +384,37 @@ def build_report(
     for layer in selected:
         if not 0 <= layer < dl:
             raise ValueError(f"layer {layer} outside [0, {dl})")
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}")
 
-    by_variant = {}
-    diag_variant = {}
-    for variant in VARIANTS:
-        if variant in variants:
-            by_variant[variant] = correlate_awd_origin(batch, variant)
-            diag_variant[variant] = summary_correlations(batch, variant)
-        else:
-            by_variant[variant] = ([None] * dl, [[None] * mh for _ in range(dl)])
-            diag_variant[variant] = [[None] * dl for _ in batch]
-
-    per_layer = [
-        {
-            "layer": layer + 1,
-            **{v: by_variant[v][0][layer] for v in VARIANTS},
-        }
-        for layer in selected
-    ]
-    per_head = [
-        {
-            "layer": layer + 1,
-            "head": head,
-            **{v: by_variant[v][1][layer][head] for v in VARIANTS},
-        }
-        for layer in selected
-        for head in range(mh)
-    ]
-    head_matrix = [
-        {"layer": layer + 1, "matrix": head_correlations(batch, layer)} for layer in selected
-    ]
-    per_summary = [
-        {
-            "set_id": analysis.set_id,
-            "layer": layer + 1,
-            **{v: diag_variant[v][s][layer] for v in VARIANTS},
-        }
-        for s, analysis in enumerate(batch)
-        for layer in selected
-    ]
-
-    sample_count = 0
+    pooled = PearsonAccumulator()
+    per_set = []
     for analysis in batch:
-        if analysis.sent_awd.dims[0]:
-            sample_count += analysis.sent_awd.dims[0] * int((~analysis.unit_pad).sum())
+        s, set_dl, set_mh, _ = analysis.sent_awd.dims
+        if (set_dl, set_mh) != (dl, mh):
+            raise ValueError(
+                f"set {analysis.set_id!r}: {set_dl} layers x {set_mh} heads, "
+                f"expected {dl} x {mh}"
+            )
+        acc = PearsonAccumulator()
+        if s:
+            acc.update(_cell_columns(analysis))
+        pooled.merge(acc)
+        per_set.append(acc)
+    if pooled.count == 0:
+        raise ValueError("no usable cells in batch")
+
+    # column indices in _cell_columns order
+    layer_col = [len(VARIANTS) + layer for layer in range(dl)]
+    first_head = len(VARIANTS) + dl
+    head_col = [[first_head + layer * mh + head for head in range(mh)] for layer in range(dl)]
+
+    def versus_metric(acc: PearsonAccumulator, col: int) -> dict:
+        return {v: acc.result(c, col) if v in variants else None for c, v in enumerate(VARIANTS)}
+
+    def matrix(cols: list[int]) -> list[list[float | None]]:
+        return [[pooled.result(i, j) for j in cols] for i in cols]
 
     posbias = None
     if include_posbias and all(a.doc_positions is not None for a in batch):
@@ -484,11 +422,24 @@ def build_report(
         posbias = positional_bias(batch, target)
 
     return CorrelationReport(
-        per_layer=per_layer,
-        per_head=per_head,
-        head_matrix=head_matrix,
-        layer_matrix=layer_correlations(batch),
-        sample_count=sample_count,
+        per_layer=[
+            {"layer": layer + 1, **versus_metric(pooled, layer_col[layer])}
+            for layer in selected
+        ],
+        per_head=[
+            {"layer": layer + 1, "head": head, **versus_metric(pooled, head_col[layer][head])}
+            for layer in selected
+            for head in range(mh)
+        ],
+        head_matrix=[
+            {"layer": layer + 1, "matrix": matrix(head_col[layer])} for layer in selected
+        ],
+        layer_matrix=matrix(layer_col),
+        sample_count=pooled.count,
         posbias=posbias,
-        per_summary=per_summary,
+        per_summary=[
+            {"set_id": a.set_id, "layer": layer + 1, **versus_metric(acc, layer_col[layer])}
+            for a, acc in zip(batch, per_set)
+            for layer in selected
+        ],
     )

@@ -3,6 +3,9 @@
 import hashlib
 import json
 
+import numpy as np
+import pytest
+
 import attnorigin as ao
 from attnorigin.cli.main import main
 from attnorigin.graphattn import build_vocab
@@ -191,6 +194,41 @@ def test_analyze_set_id_mismatch(tmp_path, capsys):
                  "--unitized", str(tmp_path / "units.jsonl"), "--out", str(tmp_path / "r2")])
     assert code != 0
     assert "set_id mismatch" in capsys.readouterr().err
+
+
+def analyze_error(tmp_path, capsys):
+    """Run analyze into a fresh directory; return its one stderr line."""
+    capsys.readouterr()
+    rep = tmp_path / "rep_bad"
+    code = main(["analyze", "--awd", str(tmp_path / "gen"), "--summaries", str(tmp_path / "gen"),
+                 "--unitized", str(tmp_path / "units.jsonl"), "--out", str(rep)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert not rep.exists()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_analyze_rejects_non_finite_attention(tmp_path, capsys):
+    run_pipeline(tmp_path)
+    apath = tmp_path / "gen" / "set0.awd"
+    tensor = ao.read_awd(apath)
+    tensor.values[:] = np.nan
+    ao.write_awd(tensor, apath)
+    line = analyze_error(tmp_path, capsys)
+    assert "'set0'" in line and "non-finite attention" in line
+
+
+@pytest.mark.parametrize("token", [999999, -1])
+def test_analyze_rejects_out_of_vocabulary_token(tmp_path, capsys, token):
+    run_pipeline(tmp_path)
+    vocab_size = len(json.loads((tmp_path / "gen" / "vocab.json").read_text()))
+    spath = tmp_path / "gen" / "set1.summary.json"
+    obj = json.loads(spath.read_text())
+    obj["tokens"][0] = token
+    spath.write_text(json.dumps(obj))
+    line = analyze_error(tmp_path, capsys)
+    assert "'set1'" in line and f"token id {token} " in line and f"size {vocab_size}" in line
 
 
 def test_analyze_refuses_posbias_without_boundaries(tmp_path, capsys):

@@ -13,17 +13,13 @@ from attnorigin.origin import (
     SummaryAnalysis,
     doc_positions_from_boundaries,
 )
-from attnorigin.rouge import RougeScore, RougeTriple
 from conftest import make_docset
 
 
-def triple_of(f1):
-    score = RougeScore(precision=f1, recall=f1, f1=f1)
-    return RougeTriple(r1=score, r2=score, rl=score)
-
-
 def metric_from_matrix(matrix):
-    return ao.OriginMetric(scores=[[triple_of(v) for v in row] for row in matrix])
+    """Every variant's precision, recall and F1 equal to the matrix entry."""
+    f1 = np.asarray(matrix, dtype=np.float64).reshape(len(matrix), -1 if len(matrix) else 0)
+    return ao.OriginMetric(values=np.tile(f1[:, :, None, None], (1, 1, 3, 3)))
 
 
 def make_analysis(set_id, awd_values, r_matrix, pad=None, boundaries=None):
@@ -51,15 +47,13 @@ def para_input(paragraphs, L=4, T=16):
 def test_reference_identical_sentence_scores_one():
     inp = para_input(["the cat sat on the mat"])
     metric = ao.reference_metric([ao.tokenize("the cat sat on the mat")], inp)
-    cell = metric.scores[0][0]
-    assert cell.r1.f1 == cell.r2.f1 == cell.rl.f1 == 1.0
+    assert metric.values[0, 0, :, 2].tolist() == [1.0, 1.0, 1.0]
 
 
 def test_reference_disjoint_paragraph_scores_zero():
     inp = para_input(["entirely different words here"])
     metric = ao.reference_metric([["zebra", "quilt"]], inp)
-    cell = metric.scores[0][0]
-    assert cell.r1.f1 == cell.r2.f1 == cell.rl.f1 == 0.0
+    assert metric.values[0, 0, :, 2].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_reference_two_sentence_paragraph_averages():
@@ -67,14 +61,14 @@ def test_reference_two_sentence_paragraph_averages():
     # so the generated sentence scores P=2/3, R=1, F=0.8; the cell is 0.4
     inp = para_input(["Dog bone fetch. The cat"])
     metric = ao.reference_metric([["the", "cat", "sat"]], inp)
-    assert abs(metric.scores[0][0].r1.f1 - 0.4) < 1e-12
+    assert abs(metric.f1_matrix("r1")[0, 0] - 0.4) < 1e-12
 
 
 def test_reference_pad_columns_zero():
     inp = para_input(["alpha beta"], L=3)
     metric = ao.reference_metric([["alpha"]], inp)
-    assert metric.scores[0][1].r1.f1 == 0.0
-    assert metric.scores[0][2].r1.f1 == 0.0
+    assert metric.f1_matrix("r1")[0, 1] == 0.0
+    assert metric.f1_matrix("r1")[0, 2] == 0.0
 
 
 def test_reference_zero_sentences_empty_metric():
@@ -196,6 +190,31 @@ def test_accumulator_merge_equals_single_pass():
     assert merged.count == whole.count
     assert abs(merged.result() - whole.result()) < 1e-12
 
+    # k columns, the last one constant, split and merged in several groupings
+    cols = np.column_stack([rng.normal(size=(30, 4)), np.full(30, 1.0 / 3.0)])
+    for cuts in ([], [15], [1, 2, 3], [7, 8, 20], list(range(1, 30))):
+        bounds = [0, *cuts, 30]
+        parts = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = PearsonAccumulator()
+            part.update(cols[lo:hi])
+            parts.append(part)
+        left, right = PearsonAccumulator(), PearsonAccumulator()
+        for part in parts[: len(parts) // 2]:
+            left.merge(part)
+        for part in reversed(parts[len(parts) // 2 :]):
+            right.merge(part)
+        right.merge(left)
+        assert right.count == 30
+        assert right.comoment[4, 4] == 0.0
+        for i in range(5):
+            for j in range(5):
+                got = right.result(i, j)
+                if 4 in (i, j):
+                    assert got is None
+                else:
+                    assert abs(got - ao.pearson(cols[:, i], cols[:, j])) < 1e-12
+
 
 def test_accumulator_constant_input_undefined():
     acc = PearsonAccumulator()
@@ -203,6 +222,17 @@ def test_accumulator_constant_input_undefined():
     acc.update(np.full(4, 1.0 / 3.0), np.arange(4.0))
     assert acc.m2x == 0.0
     assert acc.result() is None
+
+
+def test_accumulator_rejects_non_finite_input():
+    acc = PearsonAccumulator()
+    acc.update([1.0, 2.0], [3.0, 5.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            acc.update([1.0, bad], [2.0, 3.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            acc.update(np.array([[0.0, 1.0], [bad, 2.0]]))
+    assert acc.count == 2 and acc.result() == 1.0
 
 
 def test_accumulator_too_few_samples_undefined():
@@ -465,6 +495,85 @@ def test_build_report_includes_per_summary():
     assert len(report.per_summary) == 2  # one set x two layers
     assert report.per_summary[0]["set_id"] == "only"
     assert report.per_summary[0]["layer"] == 1
+
+
+def test_build_report_matches_concatenation_oracle():
+    # three sets with pad units: one has no sentences, one has a constant
+    # ROUGE-2 column, and head 0 of layer 2 is constant over every cell
+    rng = np.random.default_rng(26)
+    dl, mh, L = 2, 3, 5
+    batch = []
+    for s, (sentences, pads) in enumerate([(3, 1), (2, 2), (0, 1)]):
+        awd = rng.random((sentences, dl, mh, L))
+        awd[:, 1, 0] = 0.25
+        metric = rng.random((sentences, L, 3, 3))
+        if s == 1:
+            metric[:, :, 1] = 0.0
+        batch.append(SummaryAnalysis(
+            set_id=f"s{s}",
+            sent_awd=SentenceAwd(values=awd),
+            origin=ao.OriginMetric(values=metric),
+            unit_pad=np.arange(L) >= L - pads,
+            doc_positions=None,
+        ))
+    report = ao.build_report(batch)
+
+    def cells(sets, pick):
+        return np.concatenate([pick(a)[:, ~a.unit_pad].ravel() for a in sets])
+
+    def f1(variant):
+        return lambda a: a.origin.f1_matrix(variant)
+
+    def layer_mean(layer):
+        return lambda a: a.sent_awd.values[:, layer].mean(axis=1)
+
+    def head(layer, h):
+        return lambda a: a.sent_awd.values[:, layer, h]
+
+    def check(got, sets, pick_x, pick_y):
+        x, y = cells(sets, pick_x), cells(sets, pick_y)
+        expected = ao.pearson(x, y) if x.size >= 2 else None
+        if expected is None:
+            assert got is None
+        else:
+            assert got is not None and abs(got - expected) < 1e-12
+
+    for row in report.per_layer:
+        for v in ao.origin.VARIANTS:
+            check(row[v], batch, layer_mean(row["layer"] - 1), f1(v))
+    for row in report.per_head:
+        for v in ao.origin.VARIANTS:
+            check(row[v], batch, head(row["layer"] - 1, row["head"]), f1(v))
+    for entry in report.head_matrix:
+        for i in range(mh):
+            for j in range(mh):
+                layer = entry["layer"] - 1
+                check(entry["matrix"][i][j], batch, head(layer, i), head(layer, j))
+    for i in range(dl):
+        for j in range(dl):
+            check(report.layer_matrix[i][j], batch, layer_mean(i), layer_mean(j))
+    assert len(report.per_summary) == len(batch) * dl
+    for row in report.per_summary:
+        sets = [a for a in batch if a.set_id == row["set_id"]]
+        for v in ao.origin.VARIANTS:
+            check(row[v], sets, layer_mean(row["layer"] - 1), f1(v))
+
+    assert report.sample_count == 3 * 4 + 2 * 3
+    # the oracle's zero-variance cases are present and reported as None
+    assert report.per_head[3]["r1"] is None
+    assert report.head_matrix[1]["matrix"][0] == [None, None, None]
+    assert [row["r2"] for row in report.per_summary if row["set_id"] == "s1"] == [None, None]
+    assert all(row["r1"] is None for row in report.per_summary if row["set_id"] == "s2")
+
+
+def test_build_report_rejects_mixed_layer_head_counts():
+    rng = np.random.default_rng(27)
+    batch = [
+        make_analysis("a", rng.random((2, 1, 6, 4)), rng.random((2, 4)).tolist()),
+        make_analysis("b", rng.random((2, 2, 2, 4)), rng.random((2, 4)).tolist()),
+    ]
+    with pytest.raises(ValueError, match="'b': 2 layers x 2 heads, expected 1 x 6"):
+        ao.build_report(batch)
 
 
 def test_build_report_variant_subset():
