@@ -13,7 +13,6 @@ identical inputs and seed produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -100,7 +99,7 @@ OPTIONS: dict[str, list[Option]] = {
                choices=graphattn.SHIFT_FORMS),
         Option("model_max_len", int, default=32, help="position budget for synthetic weights"),
         Option("limit", int, help="process only the first N sets"),
-        Option("workers", int, default=1, help="bounded worker pool size"),
+        Option("workers", int, default=1, choices=(1,), help="sets run serially; only 1"),
     ],
     "analyze": _COMMON + [
         Option("awd", str, required=True, help="directory of attention tensor files"),
@@ -243,9 +242,6 @@ def cmd_generate(opts: dict[str, Any]) -> int:
         records = records[: opts["limit"]]
     if not records:
         raise CliError("no sets to generate for")
-    workers = opts["workers"]
-    if workers < 1:
-        raise CliError("--workers must be >= 1")
 
     if opts["weights"] is not None:
         weights = graphattn.read_weights(opts["weights"])
@@ -286,7 +282,8 @@ def cmd_generate(opts: dict[str, Any]) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     awd_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_one(record: textunits.UnitizedRecord) -> int:
+    tokens = 0
+    for record in records:
         gpath = graph_path(graphs_dir, record.set_id)
         if not gpath.exists():
             raise CliError(f"missing graph file for set {record.set_id!r}: {gpath}")
@@ -302,20 +299,14 @@ def cmd_generate(opts: dict[str, Any]) -> int:
             summary_path(out_dir, record.set_id),
         )
         awdmod.write_awd(result.awd, awd_path(awd_dir, record.set_id))
-        return len(result.tokens)
-
-    if workers == 1:
-        lengths = [run_one(record) for record in records]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            lengths = list(pool.map(run_one, records))
+        tokens += len(result.tokens)
 
     with open(vocab_path(out_dir), "w", encoding="utf-8") as fh:
         json.dump(weights.vocab, fh)
         fh.write("\n")
     print(
         f"generated={len(records)} beam_size={gen.beam_size} "
-        f"tokens={sum(lengths)} out={out_dir}"
+        f"tokens={tokens} out={out_dir}"
     )
     return 0
 

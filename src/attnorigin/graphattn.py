@@ -2,6 +2,8 @@
 
 The decoder attends over encoded textual units with logits shifted by a
 penalty derived from the similarity graph and a predicted central unit.
+``decode_step``'s graph attention is the composition of the exported
+primitives, which take one state or a stack, with all heads as one batch.
 Every decode step records the resulting attention distribution (one
 probability vector over units per layer and head), and beam-search
 generation collects those vectors into a dense tensor indexed
@@ -179,13 +181,6 @@ class DecoderWeights:
 
 
 @dataclass
-class EncodedUnits:
-    """Encoded unit vectors, one d_model row per unit slot."""
-
-    x: np.ndarray  # (L, d_model)
-
-
-@dataclass
 class AwdTensor:
     """Recorded attention distributions, float32.
 
@@ -226,7 +221,7 @@ class DecoderState:
     """Prefix token ids (BOS first) plus the fixed encoded input."""
 
     prefix_ids: list[int]
-    encoded: EncodedUnits
+    encoded: np.ndarray  # (L, d_model)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +258,14 @@ def _graph_shift(g: np.ndarray, sigma: float, shift_form: str) -> np.ndarray:
     raise ValueError(f"shift_form must be one of {SHIFT_FORMS}")
 
 
+def _shifted_softmax(
+    e: np.ndarray, g_rows: np.ndarray, unit_pad: np.ndarray, sigma: float, shift_form: str
+) -> np.ndarray:
+    """Softmax over units of ``e`` shifted by graph rows ``g_rows``; pads get 0."""
+    logits = np.where(unit_pad, -np.inf, e - _graph_shift(g_rows, sigma, shift_form))
+    return _softmax(logits, axis=-1)
+
+
 def _pad_units_of(graph: SimilarityGraph) -> np.ndarray:
     # Pad detection relies on the graph invariant: real units carry a
     # unit diagonal, pad rows are all zero including the diagonal.
@@ -284,12 +287,13 @@ def sinusoidal_positions(rows: int, d_model: int) -> np.ndarray:
 
 def encode_units(
     inp: UnitizedInput, weights: DecoderWeights, graph: SimilarityGraph
-) -> EncodedUnits:
+) -> np.ndarray:
     """One graph-informed self-attention pass over unit embeddings.
 
     Each unit starts as the mean of its token embeddings plus its
     positional encoding; attention logits between units are shifted by
-    the graph penalty. Pad units encode to the zero vector.
+    the graph penalty. Returns the (L, d_model) encoded units; pad
+    units encode to the zero vector.
     """
     cfg = weights.config
     L = inp.L
@@ -302,82 +306,85 @@ def encode_units(
             continue
         ids = [weights.token_id(t) for t in unit.tokens]
         u[i] = weights.embedding[ids].mean(axis=0) + weights.pos_encoding[i]
-    if unit_pad.all():
-        return EncodedUnits(x=np.zeros((L, cfg.d_model), dtype=np.float64))
-    logits = (u @ u.T) / math.sqrt(cfg.d_model)
-    logits = logits - _graph_shift(graph.weights, cfg.sigma, cfg.shift_form)
-    logits[:, unit_pad] = -np.inf
     x = np.zeros((L, cfg.d_model), dtype=np.float64)
     real = ~unit_pad
-    x[real] = _softmax(logits[real], axis=-1) @ u
-    return EncodedUnits(x=x)
+    e = (u @ u.T)[real] / math.sqrt(cfg.d_model)
+    x[real] = _shifted_softmax(e, graph.weights[real], unit_pad, cfg.sigma, cfg.shift_form) @ u
+    return x
 
 
 def unscaled_attention(
-    y: np.ndarray, x: EncodedUnits | np.ndarray, w_q: np.ndarray, w_k: np.ndarray
+    y: np.ndarray, x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray
 ) -> np.ndarray:
-    """Scaled dot-product logits of one query state against all units."""
-    if isinstance(x, EncodedUnits):
-        x = x.x
+    """Scaled dot-product logits of one state (d,) or a stack (p, d) against all units.
+
+    One head's (d, d_head) projections give (L,) or (p, L) logits; every
+    head's (heads, d, d_head) give (heads, L) or (heads, p, L).
+    """
     y = np.asarray(y, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
         raise ValueError("non-finite attention input")
-    d_head = w_q.shape[1]
-    q = y @ w_q
+    q = (y if y.ndim == 2 else y[None]) @ w_q
     k = x @ w_k
-    return (k @ q) / math.sqrt(d_head)
+    e = (q @ np.swapaxes(k, -1, -2)) / math.sqrt(w_q.shape[-1])
+    return e if y.ndim == 2 else e[..., 0, :]
 
 
 def central_paragraph(
     y: np.ndarray, ffn: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], L: int
-) -> int:
-    """Predict the central unit index from one decoder state.
+) -> int | np.ndarray:
+    """Predict the central unit index from a decoder state.
 
     A two-layer feed-forward net maps the state to a scalar; the index
-    is sigmoid(scalar) * (L - 1) rounded half-up.
+    is sigmoid(scalar) * (L - 1) rounded half-up. One state (d,) gives
+    an int; a stack (p, d) gives an int64 array of p indices.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
     w1, b1, w2, b2 = ffn
-    hidden = np.tanh(np.asarray(y, dtype=np.float64) @ w1 + b1)
-    raw = float(np.squeeze(hidden @ w2 + b2))
-    s = int(np.floor(float(_sigmoid(raw)) * (L - 1) + 0.5))
-    return min(max(s, 0), L - 1)
+    y = np.asarray(y, dtype=np.float64)
+    hidden = np.tanh(y @ w1 + b1)
+    s = np.floor(_sigmoid(hidden @ w2 + b2) * (L - 1) + 0.5).astype(np.int64)
+    s = np.clip(s, 0, L - 1)
+    return s if y.ndim == 2 else int(s.reshape(()))
 
 
 def graph_shifted_attention(
     e: np.ndarray,
     graph: SimilarityGraph,
-    s: int,
+    s: int | np.ndarray,
     sigma: float,
     shift_form: str = SHIFT_SIM_SQUARED,
 ) -> np.ndarray:
     """Attention distribution from logits shifted by the graph penalty.
 
-    Pad units (zero graph diagonal) are masked out before the softmax;
-    raises if every unit is padded.
+    ``e`` holds logits over units: (L,) with one central index ``s``,
+    or (..., p, L) with ``s`` holding one index per row p. Pad units
+    (zero graph diagonal) are masked out before the softmax; raises if
+    every unit is padded.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    e = np.asarray(e, dtype=np.float64)
-    if not 0 <= s < graph.size:
-        raise ValueError(f"central index {s} out of range [0, {graph.size})")
+    s = np.asarray(s)
+    if np.any((s < 0) | (s >= graph.size)):
+        raise ValueError(f"central index out of range [0, {graph.size}): {s}")
     unit_pad = _pad_units_of(graph)
     if unit_pad.all():
         raise ValueError("all units are padded; no attention targets")
-    logits = e - _graph_shift(graph.weights[s], sigma, shift_form)
-    logits = np.where(unit_pad, -np.inf, logits)
-    return _softmax(logits)
+    return _shifted_softmax(e, graph.weights[s], unit_pad, sigma, shift_form)
 
 
-def global_context(beta: np.ndarray, x: EncodedUnits | np.ndarray) -> np.ndarray:
-    """Weighted sum of encoded unit vectors; no value projection."""
-    if isinstance(x, EncodedUnits):
-        x = x.x
+def global_context(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Weighted sum of encoded unit vectors; no value projection.
+
+    ``beta`` is one distribution over units (L,) or a stack (..., L);
+    every row must sum to 1.
+    """
     beta = np.asarray(beta, dtype=np.float64)
-    if abs(float(beta.sum()) - 1.0) > 1e-6:
-        raise ValueError(f"attention weights sum to {beta.sum()}, expected 1")
+    off = np.max(np.abs(beta.sum(axis=-1) - 1.0))
+    if not off <= 1e-6:
+        raise ValueError(f"attention weights sum {off:.3g} away from 1")
     return beta @ x
 
 
@@ -399,20 +406,16 @@ def decode_step(
 
     The betas are the graph-shifted attention distributions of the last
     prefix position, shape (num_layers, num_heads, L). Each layer runs
-    causal self-attention, then global graph attention (heads
-    concatenated and projected), then a position-wise feed-forward, all
-    with residual connections.
+    causal self-attention, then global graph attention (the primitives
+    over every position and head, contexts concatenated and projected),
+    then a position-wise feed-forward, all with residual connections.
     """
     cfg = weights.config
     p = len(state.prefix_ids)
     if p - 1 >= cfg.max_len:
         raise ValueError(f"decoded length {p - 1} reached max_len {cfg.max_len}")
-    x = state.encoded.x
+    x = state.encoded
     L = x.shape[0]
-    unit_pad = _pad_units_of(graph)
-    if unit_pad.all():
-        raise ValueError("all units are padded; no attention targets")
-    shift_all = _graph_shift(graph.weights, cfg.sigma, cfg.shift_form)  # (L, L)
 
     h = weights.embedding[state.prefix_ids] + weights.pos_encoding[:p]  # (p, d)
     causal = np.triu(np.full((p, p), -np.inf), k=1)
@@ -426,24 +429,15 @@ def decode_step(
         attn = _softmax(q @ k.T / math.sqrt(cfg.d_model) + causal, axis=-1)
         h = h + (attn @ v) @ weights.sa_wo[layer]
 
-        # Central unit per position, from the current states alone.
-        hidden = np.tanh(h @ weights.cp_w1[layer] + weights.cp_b1[layer])
-        raw = hidden @ weights.cp_w2[layer] + weights.cp_b2[layer]  # (p,)
-        s_idx = np.floor(_sigmoid(raw) * (L - 1) + 0.5).astype(np.int64)
-        s_idx = np.clip(s_idx, 0, L - 1)
-        shift_rows = shift_all[s_idx]  # (p, L)
-
-        # Global graph attention; each head attends the encoded units.
-        contexts = []
-        for head in range(cfg.num_heads):
-            qg = h @ weights.w_q[layer, head]  # (p, d_head)
-            kg = x @ weights.w_k[layer, head]  # (L, d_head)
-            e = qg @ kg.T / math.sqrt(cfg.d_head)  # (p, L)
-            logits = np.where(unit_pad, -np.inf, e - shift_rows)
-            beta = _softmax(logits, axis=-1)
-            betas[layer, head] = beta[-1]
-            contexts.append(beta @ x)
-        h = h + np.concatenate(contexts, axis=1) @ weights.w_g[layer]
+        # Global graph attention: central unit per position, all heads at once.
+        ffn = (weights.cp_w1[layer], weights.cp_b1[layer], weights.cp_w2[layer],
+               weights.cp_b2[layer])
+        s = central_paragraph(h, ffn, L)  # (p,)
+        e = unscaled_attention(h, x, weights.w_q[layer], weights.w_k[layer])  # (mh, p, L)
+        beta = graph_shifted_attention(e, graph, s, cfg.sigma, cfg.shift_form)
+        betas[layer] = beta[:, -1]
+        contexts = global_context(beta, x)  # (mh, p, d)
+        h = h + contexts.transpose(1, 0, 2).reshape(p, -1) @ weights.w_g[layer]
 
         # Position-wise feed-forward.
         inner = np.maximum(h @ weights.ff_w1[layer] + weights.ff_b1[layer], 0.0)

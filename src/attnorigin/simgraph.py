@@ -23,15 +23,28 @@ TfIdfVector = dict[str, float]
 
 @dataclass
 class SimilarityGraph:
+    """Validated similarity matrix: finite, exactly symmetric, entries in
+    [0, 1], diagonal 1 for real units and 0 for pad units, whose rows are
+    all zero."""
+
     size: int
     weights: np.ndarray  # (L, L) float64
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.shape != (self.size, self.size):
-            raise ValueError(
-                f"graph weights shape {self.weights.shape} != ({self.size}, {self.size})"
-            )
+        w = self.weights = np.asarray(self.weights, dtype=np.float64)
+        if w.shape != (self.size, self.size):
+            raise ValueError(f"graph weights shape {w.shape} != ({self.size}, {self.size})")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("graph weights contain non-finite values")
+        if not np.array_equal(w, w.T):
+            raise ValueError("graph weights are not symmetric")
+        if np.any((w < 0.0) | (w > 1.0)):
+            raise ValueError("graph weights outside [0, 1]")
+        diagonal = np.diagonal(w)
+        if np.any((diagonal != 0.0) & (diagonal != 1.0)):
+            raise ValueError("graph diagonal entries must be 0 (pad unit) or 1 (real unit)")
+        if np.any(w[diagonal == 0.0]):
+            raise ValueError("a pad unit (zero diagonal) has a nonzero similarity")
 
 
 def tfidf_vectors(units: Sequence[TextualUnit]) -> list[TfIdfVector]:
@@ -104,9 +117,12 @@ def write_graph(graph: SimilarityGraph, path) -> None:
 
 
 def read_graph(path) -> SimilarityGraph:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    """Read and validate a graph file; errors name the file."""
     try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
         return SimilarityGraph(size=obj["size"], weights=np.array(obj["weights"], dtype=np.float64))
     except KeyError as exc:
-        raise ValueError(f"graph file missing key {exc.args[0]!r}") from None
+        raise ValueError(f"{path}: graph file missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

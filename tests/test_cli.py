@@ -31,20 +31,26 @@ GEN_FLAGS = [
 ]
 
 
-def run_pipeline(root, seed="11"):
-    root.mkdir(parents=True, exist_ok=True)
+def graphs_only(root):
+    """Preprocess and graph the two-set corpus; return the unitized path."""
     corpus = root / "corpus.jsonl"
     write_corpus(corpus)
     units = root / "units.jsonl"
+    assert main(["preprocess", "--corpus", str(corpus), "--out", str(units),
+                 "--units", "6", "--tokens", "10"]) == 0
+    assert main(["graph", "--unitized", str(units), "--out", str(root / "graphs")]) == 0
+    return units
+
+
+def run_pipeline(root, seed="11"):
+    root.mkdir(parents=True, exist_ok=True)
+    units = graphs_only(root)
     graphs = root / "graphs"
     gen = root / "gen"
     rep = root / "rep"
     svg = root / "heat.svg"
     flags = list(GEN_FLAGS)
     flags[1] = seed
-    assert main(["preprocess", "--corpus", str(corpus), "--out", str(units),
-                 "--units", "6", "--tokens", "10"]) == 0
-    assert main(["graph", "--unitized", str(units), "--out", str(graphs)]) == 0
     assert main(["generate", "--unitized", str(units), "--graphs", str(graphs),
                  "--out", str(gen)] + flags) == 0
     assert main(["analyze", "--awd", str(gen), "--summaries", str(gen),
@@ -172,16 +178,40 @@ def test_generate_rejects_both_weights_and_seed(tmp_path, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
-def test_generate_workers_deterministic(tmp_path):
-    run_pipeline(tmp_path)
-    units = tmp_path / "units.jsonl"
-    outs = []
-    for name, workers in (("w1", "1"), ("w2", "3")):
-        gen = tmp_path / name
-        assert main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
-                     "--out", str(gen), "--workers", workers] + GEN_FLAGS) == 0
-        outs.append(tree_digest(gen))
-    assert outs[0] == outs[1]
+def test_generate_workers_accepts_only_one(tmp_path, capsys):
+    units = graphs_only(tmp_path)
+    for workers in ("0", "3"):
+        code = main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
+                     "--out", str(tmp_path / "gen"), "--workers", workers] + GEN_FLAGS)
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "workers" in lines[0]
+    assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("cells, reason", [
+    ({(0, 1): float("nan"), (1, 0): float("nan")}, "non-finite"),
+    ({(0, 1): 0.25, (1, 0): 0.75}, "symmetric"),
+    ({(0, 1): 1.5, (1, 0): 1.5}, "outside [0, 1]"),
+    ({(0, 1): -0.1, (1, 0): -0.1}, "outside [0, 1]"),
+    ({(0, 0): 0.5}, "diagonal"),
+    ({(5, 0): 0.2, (0, 5): 0.2}, "nonzero similarity"),  # unit 5 is a pad slot
+], ids=["nan", "asymmetric", "above-one", "negative", "half-diagonal", "linked-pad"])
+def test_generate_rejects_invalid_graph(tmp_path, capsys, cells, reason):
+    units = graphs_only(tmp_path)
+    gpath = tmp_path / "graphs" / "set0.graph.json"
+    obj = json.loads(gpath.read_text())
+    assert obj["weights"][5] == [0.0] * 6
+    for (i, j), value in cells.items():
+        obj["weights"][i][j] = value
+    gpath.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code = main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
+                 "--out", str(tmp_path / "gen")] + GEN_FLAGS)
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {gpath}: ") and reason in lines[0]
 
 
 def test_analyze_set_id_mismatch(tmp_path, capsys):

@@ -10,14 +10,17 @@ import attnorigin as ao
 from attnorigin.graphattn import (
     EOS_SENT_TOKEN,
     SHIFT_DIFF_SQUARED,
+    SHIFT_FORMS,
     SHIFT_SIM_SQUARED,
     _log_softmax,
+    _sigmoid,
     _softmax,
     decode_step,
     start_state,
 )
 from attnorigin.simgraph import SimilarityGraph
 from conftest import (
+    random_unitized,
     sentinel_paragraphs,
     small_weights,
     unitized_and_graph,
@@ -60,7 +63,7 @@ def test_encode_all_pad_is_zero_matrix():
     weights = small_weights(inp)
     graph = ao.build_graph(inp)
     encoded = ao.encode_units(inp, weights, graph)
-    assert not encoded.x.any()
+    assert not encoded.any()
 
 
 def test_encode_complete_graph_is_unshifted(two_doc_input):
@@ -81,7 +84,7 @@ def test_encode_complete_graph_is_unshifted(two_doc_input):
     expected = np.zeros_like(u)
     real = ~inp.unit_pad
     expected[real] = _softmax(logits[real], axis=-1) @ u
-    assert np.allclose(shifted.x, expected, atol=1e-12)
+    assert np.allclose(shifted, expected, atol=1e-12)
 
 
 def test_encode_single_unit_attends_itself():
@@ -90,7 +93,7 @@ def test_encode_single_unit_attends_itself():
     encoded = ao.encode_units(inp, weights, graph)
     ids = [weights.token_id(t) for t in inp.units[0].tokens]
     u = weights.embedding[ids].mean(axis=0) + weights.pos_encoding[0]
-    assert np.allclose(encoded.x[0], u, atol=1e-12)
+    assert np.allclose(encoded[0], u, atol=1e-12)
 
 
 def test_encode_rejects_graph_size_mismatch(two_doc_input):
@@ -105,7 +108,7 @@ def test_encode_pad_rows_zero(two_doc_input):
     weights = small_weights(inp)
     encoded = ao.encode_units(inp, weights, graph)
     for i in np.flatnonzero(inp.unit_pad):
-        assert not encoded.x[i].any()
+        assert not encoded[i].any()
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +138,19 @@ def test_unscaled_attention_linear_in_query():
         2.0 * ao.unscaled_attention(y, x, wq, wk),
         atol=1e-12,
     )
+    # every head's projections at once, for one state and for a stack
+    heads_q = rng.normal(size=(5, 6, 3))
+    heads_k = rng.normal(size=(5, 6, 3))
+    ys = rng.normal(size=(7, 6))
+    one = ao.unscaled_attention(y, x, heads_q, heads_k)
+    stacked = ao.unscaled_attention(ys, x, heads_q, heads_k)
+    assert one.shape == (5, 4) and stacked.shape == (5, 7, 4)
+    for head in range(5):
+        wq_h, wk_h = heads_q[head], heads_k[head]
+        assert np.allclose(one[head], ao.unscaled_attention(y, x, wq_h, wk_h), atol=1e-12)
+        rows = np.stack([ao.unscaled_attention(row, x, wq_h, wk_h) for row in ys])
+        assert np.allclose(stacked[head], rows, atol=1e-12)
+        assert np.allclose(ao.unscaled_attention(ys, x, wq_h, wk_h), rows, atol=1e-12)
 
 
 def test_unscaled_attention_rejects_nonfinite():
@@ -173,6 +189,13 @@ def test_central_deterministic():
     ffn = (rng.normal(size=(4, 4)), rng.normal(size=4), rng.normal(size=4), rng.normal(size=1))
     y = rng.normal(size=4)
     assert ao.central_paragraph(y, ffn, L=9) == ao.central_paragraph(y, ffn, L=9)
+    assert type(ao.central_paragraph(y, ffn, L=9)) is int
+    # a stack of states gives one index per row, equal to the per-row calls
+    ys = rng.normal(scale=3.0, size=(40, 4))
+    stacked = ao.central_paragraph(ys, ffn, L=9)
+    assert stacked.dtype == np.int64 and stacked.shape == (40,)
+    assert stacked.tolist() == [ao.central_paragraph(row, ffn, L=9) for row in ys]
+    assert len(set(stacked.tolist())) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +239,14 @@ def test_shift_masks_pad_units():
     beta = ao.graph_shifted_attention(np.array([1.0, 2.0, 50.0]), graph, s=0, sigma=1.0)
     assert beta[2] == 0.0
     assert abs(beta.sum() - 1.0) < 1e-12
+    # (heads, rows, L) logits with one central index per row
+    es = np.random.default_rng(7).normal(scale=3.0, size=(2, 4, 3))
+    s = np.array([0, 1, 1, 0])
+    stacked = ao.graph_shifted_attention(es, graph, s, sigma=0.8)
+    assert not stacked[..., 2].any()
+    for head, row in itertools.product(range(2), range(4)):
+        one = ao.graph_shifted_attention(es[head, row], graph, int(s[row]), sigma=0.8)
+        assert np.allclose(stacked[head, row], one, atol=1e-15)
 
 
 def test_shift_all_pad_raises():
@@ -228,8 +259,12 @@ def test_shift_rejects_bad_sigma_and_index():
     graph = identity_graph(2)
     with pytest.raises(ValueError):
         ao.graph_shifted_attention(np.zeros(2), graph, s=0, sigma=0.0)
-    with pytest.raises(ValueError):
-        ao.graph_shifted_attention(np.zeros(2), graph, s=2, sigma=1.0)
+    for s in (2, -1):
+        with pytest.raises(ValueError, match="central index"):
+            ao.graph_shifted_attention(np.zeros(2), graph, s=s, sigma=1.0)
+    for rows in ([0, 2], [-1, 0], [1, 0, 1, 5]):
+        with pytest.raises(ValueError, match="central index"):
+            ao.graph_shifted_attention(np.zeros((len(rows), 2)), graph, np.array(rows), sigma=1.0)
 
 
 def test_shift_forms_agree_on_binary_graphs():
@@ -286,16 +321,71 @@ def test_global_context_hand_value():
     x = np.array([[2.0, 0.0], [0.0, 2.0]])
     got = ao.global_context(np.array([0.5, 0.5]), x)
     assert np.array_equal(got, np.array([1.0, 1.0]))
+    stack = np.array([[[0.5, 0.5], [1.0, 0.0]], [[0.0, 1.0], [0.25, 0.75]]])
+    got = ao.global_context(stack, x)
+    assert np.array_equal(got, np.array([[[1.0, 1.0], [2.0, 0.0]], [[0.0, 2.0], [0.5, 1.5]]]))
 
 
 def test_global_context_rejects_non_simplex():
     with pytest.raises(ValueError, match="sum"):
         ao.global_context(np.array([0.5, 0.4]), np.zeros((2, 3)))
+    stack = np.array([[[0.5, 0.5], [0.3, 0.7]], [[1.0, 0.0], [0.6, 0.5]]])
+    with pytest.raises(ValueError, match="sum"):
+        ao.global_context(stack, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="sum"):
+        ao.global_context(np.array([[0.5, 0.5], [np.nan, 1.0]]), np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
 # decode_step
 # ---------------------------------------------------------------------------
+
+def reference_decode_step(state, weights, graph):
+    """Full-prefix decoder with one loop per head: the oracle for decode_step.
+
+    It computes the central unit, graph shift, pad mask and head
+    concatenation inline instead of calling the primitives.
+    """
+    cfg = weights.config
+    p = len(state.prefix_ids)
+    x = state.encoded
+    L = x.shape[0]
+    g = graph.weights
+    unit_pad = np.diagonal(g) == 0.0
+    if cfg.shift_form == SHIFT_SIM_SQUARED:
+        shift_all = (1.0 - g * g) / (2.0 * cfg.sigma * cfg.sigma)
+    else:
+        shift_all = ((1.0 - g) * (1.0 - g)) / (2.0 * cfg.sigma * cfg.sigma)
+
+    h = weights.embedding[state.prefix_ids] + weights.pos_encoding[:p]
+    causal = np.triu(np.full((p, p), -np.inf), k=1)
+    betas = np.empty((cfg.num_layers, cfg.num_heads, L), dtype=np.float64)
+    for layer in range(cfg.num_layers):
+        q = h @ weights.sa_wq[layer]
+        k = h @ weights.sa_wk[layer]
+        v = h @ weights.sa_wv[layer]
+        attn = _softmax(q @ k.T / math.sqrt(cfg.d_model) + causal, axis=-1)
+        h = h + (attn @ v) @ weights.sa_wo[layer]
+
+        hidden = np.tanh(h @ weights.cp_w1[layer] + weights.cp_b1[layer])
+        raw = hidden @ weights.cp_w2[layer] + weights.cp_b2[layer]
+        s_idx = np.floor(_sigmoid(raw) * (L - 1) + 0.5).astype(np.int64)
+        shift_rows = shift_all[np.clip(s_idx, 0, L - 1)]
+
+        contexts = []
+        for head in range(cfg.num_heads):
+            qg = h @ weights.w_q[layer, head]
+            kg = x @ weights.w_k[layer, head]
+            e = qg @ kg.T / math.sqrt(cfg.d_head)
+            beta = _softmax(np.where(unit_pad, -np.inf, e - shift_rows), axis=-1)
+            betas[layer, head] = beta[-1]
+            contexts.append(beta @ x)
+        h = h + np.concatenate(contexts, axis=1) @ weights.w_g[layer]
+
+        inner = np.maximum(h @ weights.ff_w1[layer] + weights.ff_b1[layer], 0.0)
+        h = h + inner @ weights.ff_w2[layer] + weights.ff_b2[layer]
+    return h[-1] @ weights.w_out, betas
+
 
 def test_decode_step_single_layer_head_composes_primitives(two_doc_input):
     inp, graph = two_doc_input
@@ -321,10 +411,35 @@ def test_decode_step_single_layer_head_composes_primitives(two_doc_input):
     beta = ao.graph_shifted_attention(e, graph, s, cfg.sigma)
     assert np.allclose(betas[0, 0], beta, atol=1e-12)
 
+    # one layer, one head: the last position's logits need only its own context
     g = ao.global_context(beta, state.encoded)
-    # expected logits require replaying the rest of the layer on the full prefix
-    assert np.all(np.isfinite(logits))
+    y = y + g @ weights.w_g[0]
+    y = y + np.maximum(y @ weights.ff_w1[0] + weights.ff_b1[0], 0.0) @ weights.ff_w2[0]
+    y = y + weights.ff_b2[0]
     assert logits.shape == (cfg.vocab_size,)
+    assert np.allclose(logits, y @ weights.w_out, atol=1e-12)
+
+    # every layer and head against the per-head reference, over a seeded sweep
+    rng = np.random.default_rng(1234)
+    for i in range(320):
+        inp = random_unitized(rng, paras_per_doc=int(rng.integers(1, 3)), L=6, T=8)
+        assert inp.unit_pad.any()
+        graph = ao.build_graph(inp)
+        vocab = vocab_of(inp)
+        cfg = ao.ModelConfig(
+            d_model=16, num_layers=1 + (i // 4) % 4, num_heads=(1, 2, 4, 8)[i % 4],
+            sigma=float(rng.uniform(0.2, 5.0)), vocab_size=len(vocab), num_units=inp.L,
+            max_len=int(rng.integers(1, 6)), shift_form=SHIFT_FORMS[(i // 16) % 2],
+        )
+        weights = ao.make_synthetic_weights(i, cfg, vocab=vocab)
+        state = start_state(inp, weights, graph)
+        tokens = rng.integers(0, len(vocab), size=cfg.max_len - 1).tolist()
+        for p in range(1, cfg.max_len + 1):
+            state.prefix_ids = [weights.bos_id] + tokens[: p - 1]
+            logits, betas = decode_step(state, weights, graph)
+            ref_logits, ref_betas = reference_decode_step(state, weights, graph)
+            assert np.max(np.abs(logits - ref_logits)) <= 1e-12, (i, p)
+            assert np.max(np.abs(betas - ref_betas)) <= 1e-12, (i, p)
 
 
 def test_decode_step_deterministic(two_doc_input):
