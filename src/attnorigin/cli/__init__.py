@@ -1,5 +1,1 @@
 """Command-line surface and report rendering."""
-
-from .main import main
-
-__all__ = ["main"]

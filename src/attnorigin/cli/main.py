@@ -22,12 +22,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+import numpy as np
+
 from .. import awd as awdmod
 from .. import graphattn, origin, rouge, simgraph, textunits
 from . import heatmap as heatmapmod
 from . import report as reportmod
 
 ENV_PREFIX = "ATTNORIGIN_"
+
+# Largest deviation from a probability vector that analyze accepts in an
+# attention slice: its sum's distance from 1, and its mass on pad units.
+SIMPLEX_TOLERANCE = 1e-5
 
 _SAFE_ID = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -234,6 +240,33 @@ def _derive_vocab(records: list[textunits.UnitizedRecord]) -> list[str]:
     return graphattn.build_vocab(tokens)
 
 
+def _checked_graph(
+    graphs_dir: Path, record: textunits.UnitizedRecord, weights: graphattn.DecoderWeights
+) -> simgraph.SimilarityGraph:
+    """Read one set's graph; check it and the set's units against the model."""
+    inp = record.unitized
+    unknown = sorted(
+        set(graphattn.SPECIAL_TOKENS).union(*(u.tokens for u in inp.units)) - set(weights.vocab)
+    )
+    if unknown:
+        raise CliError(f"set {record.set_id!r}: token {unknown[0]!r} not in the model vocabulary")
+    positions = weights.pos_encoding.shape[0]
+    if inp.num_real_units > positions:
+        raise CliError(
+            f"set {record.set_id!r}: {inp.num_real_units} units exceed the model's "
+            f"{positions} positions"
+        )
+    gpath = graph_path(graphs_dir, record.set_id)
+    if not gpath.exists():
+        raise CliError(f"missing graph file for set {record.set_id!r}: {gpath}")
+    graph = simgraph.read_graph(gpath)
+    if graph.size != inp.L:
+        raise CliError(
+            f"{gpath}: graph size {graph.size} != unit count {inp.L} of set {record.set_id!r}"
+        )
+    return graph
+
+
 def cmd_generate(opts: dict[str, Any]) -> int:
     if (opts["weights"] is None) == (opts["seed"] is None):
         raise CliError("exactly one of --weights or --seed is required")
@@ -276,18 +309,15 @@ def cmd_generate(opts: dict[str, Any]) -> int:
     if gen.beam_size < 1:
         raise CliError("--beam-size must be >= 1")
 
-    graphs_dir = Path(opts["graphs"])
+    # Every set's inputs are checked before the first output is written.
+    graphs = [_checked_graph(Path(opts["graphs"]), record, weights) for record in records]
     out_dir = Path(opts["out"])
     awd_dir = Path(opts["record_awd"]) if opts["record_awd"] else out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     awd_dir.mkdir(parents=True, exist_ok=True)
 
     tokens = 0
-    for record in records:
-        gpath = graph_path(graphs_dir, record.set_id)
-        if not gpath.exists():
-            raise CliError(f"missing graph file for set {record.set_id!r}: {gpath}")
-        graph = simgraph.read_graph(gpath)
+    for record, graph in zip(records, graphs):
         result = graphattn.generate_with_beam(record.unitized, weights, graph, gen)
         awdmod.write_summary(
             awdmod.SummaryRecord(
@@ -324,6 +354,39 @@ def _parse_layers(raw: str, num_layers: int) -> list[int] | None:
     return [layer - 1 for layer in selected]
 
 
+def _read_vocab(path: Path) -> list[str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            vocab = json.load(fh)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
+    if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
+        raise CliError(f"{path}: vocabulary must be a JSON list of strings")
+    return vocab
+
+
+def _check_simplex(aligned: np.ndarray, unit_pad: np.ndarray) -> None:
+    """Reject attention slices that are not distributions over the real units."""
+    if aligned.shape[-1] != unit_pad.shape[0]:
+        raise CliError(
+            f"tensor has {aligned.shape[-1]} units, unitized input has {unit_pad.shape[0]}"
+        )
+    values = aligned.astype(np.float64)
+    if not np.isfinite(values).all():
+        raise CliError("non-finite attention values")
+    if values.size == 0:
+        return
+    low = values.min()
+    if low < 0.0:
+        raise CliError(f"negative attention value {low:.3g}")
+    off = np.abs(values.sum(axis=-1) - 1.0).max()
+    if off > SIMPLEX_TOLERANCE:
+        raise CliError(f"attention sums {off:.3g} away from 1 (tolerance {SIMPLEX_TOLERANCE})")
+    pad_mass = values[..., unit_pad].sum(axis=-1).max()
+    if pad_mass > SIMPLEX_TOLERANCE:
+        raise CliError(f"attention puts {pad_mass:.3g} mass on pad units")
+
+
 def cmd_analyze(opts: dict[str, Any]) -> int:
     formats = {part.strip() for part in opts["format"].split(",") if part.strip()}
     if not formats or not formats <= {"json", "csv"}:
@@ -340,8 +403,7 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
     if not vpath.exists():
         vpath = vocab_path(summaries_dir)
     if vpath.exists():
-        with open(vpath, encoding="utf-8") as fh:
-            vocab = json.load(fh)
+        vocab = _read_vocab(vpath)
     else:
         vocab = _derive_vocab(records)
     special_ids = {
@@ -355,34 +417,31 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
     batch = []
     summaries = []
     for record in records:
-        spath = summary_path(summaries_dir, record.set_id)
-        apath = awd_path(awd_dir, record.set_id)
-        if not spath.exists() or not apath.exists():
-            raise CliError(f"missing summary or tensor file for set {record.set_id!r}")
-        summary = awdmod.read_summary(spath)
+        try:
+            spath = summary_path(summaries_dir, record.set_id)
+            summary = awdmod.read_summary(spath)
+            if summary.set_id != record.set_id:
+                raise CliError(f"set_id mismatch: {spath} holds {summary.set_id!r}")
+            bad = [t for t in summary.tokens if not 0 <= t < len(vocab)]
+            if bad:
+                raise CliError(
+                    f"token id {bad[0]} outside the vocabulary of size {len(vocab)}"
+                )
+            tensor = awdmod.read_awd(awd_path(awd_dir, record.set_id))
+            aligned = awdmod.beam_decode_awd(
+                tensor, summary.beam_trace, summary.winning_beam, length=len(summary.tokens)
+            )
+            _check_simplex(aligned, record.unitized.unit_pad)
+            spans = awdmod.split_summary_sentences(summary.tokens, eoss_id)
+            sent_awd = awdmod.aggregate_to_sentences(aligned, spans, method=opts["aggregation"])
+            sentences = [
+                [vocab[t] for t in summary.tokens[a:b] if t not in special_ids]
+                for a, b in spans
+            ]
+            metric = origin.reference_metric(sentences, record.unitized)
+        except (CliError, ValueError, OSError) as exc:
+            raise CliError(f"set {record.set_id!r}: {exc}") from None
         summaries.append(summary)
-        if summary.set_id != record.set_id:
-            raise CliError(
-                f"set_id mismatch: file {spath} holds {summary.set_id!r}, "
-                f"expected {record.set_id!r}"
-            )
-        bad = [t for t in summary.tokens if not 0 <= t < len(vocab)]
-        if bad:
-            raise CliError(
-                f"set {record.set_id!r}: token id {bad[0]} outside the vocabulary "
-                f"of size {len(vocab)}"
-            )
-        tensor = awdmod.read_awd(apath)
-        aligned = awdmod.beam_decode_awd(
-            tensor, summary.beam_trace, summary.winning_beam, length=len(summary.tokens)
-        )
-        spans = awdmod.split_summary_sentences(summary.tokens, eoss_id)
-        sent_awd = awdmod.aggregate_to_sentences(aligned, spans, method=opts["aggregation"])
-        sentences = [
-            [vocab[t] for t in summary.tokens[a:b] if t not in special_ids]
-            for a, b in spans
-        ]
-        metric = origin.reference_metric(sentences, record.unitized)
         batch.append(
             origin.SummaryAnalysis(
                 set_id=record.set_id,

@@ -16,6 +16,7 @@ provably lands on one designated unit).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -56,6 +57,8 @@ class ModelConfig:
     shift_form: str = SHIFT_SIM_SQUARED
 
     def __post_init__(self):
+        if self.num_heads < 1:
+            raise ValueError(f"num_heads must be >= 1, got {self.num_heads}")
         if self.d_model % self.num_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by num_heads={self.num_heads}"
@@ -70,20 +73,39 @@ class ModelConfig:
         return self.d_model // self.num_heads
 
     def to_json(self) -> dict:
-        return {
-            "d_model": self.d_model,
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "sigma": self.sigma,
-            "vocab_size": self.vocab_size,
-            "num_units": self.num_units,
-            "max_len": self.max_len,
-            "shift_form": self.shift_form,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
         return cls(**obj)
+
+
+def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every decoder parameter, keyed by ``DecoderWeights`` field.
+
+    The order is the weights-file key order and the synthetic draw order.
+    """
+    dl, mh, d, dh = config.num_layers, config.num_heads, config.d_model, config.d_head
+    return {
+        "embedding": (config.vocab_size, d),
+        "pos_encoding": (max(config.max_len + 1, config.num_units), d),
+        "w_q": (dl, mh, d, dh),
+        "w_k": (dl, mh, d, dh),
+        "w_g": (dl, mh * d, d),
+        "cp_w1": (dl, d, d),
+        "cp_b1": (dl, d),
+        "cp_w2": (dl, d),
+        "cp_b2": (dl,),
+        "sa_wq": (dl, d, d),
+        "sa_wk": (dl, d, d),
+        "sa_wv": (dl, d, d),
+        "sa_wo": (dl, d, d),
+        "ff_w1": (dl, d, d),
+        "ff_b1": (dl, d),
+        "ff_w2": (dl, d, d),
+        "ff_b2": (dl, d),
+        "w_out": (d, config.vocab_size),
+    }
 
 
 @dataclass
@@ -100,24 +122,25 @@ class DecoderWeights:
 
     config: ModelConfig
     vocab: list[str]
-    embedding: np.ndarray  # (vocab_size, d_model)
-    pos_encoding: np.ndarray  # (max(max_len + 1, num_units), d_model)
-    w_q: np.ndarray  # (dl, mh, d_model, d_head)
-    w_k: np.ndarray  # (dl, mh, d_model, d_head)
-    w_g: np.ndarray  # (dl, mh * d_model, d_model)
-    cp_w1: np.ndarray  # (dl, d_model, d_model)
-    cp_b1: np.ndarray  # (dl, d_model)
-    cp_w2: np.ndarray  # (dl, d_model)
-    cp_b2: np.ndarray  # (dl,)
-    sa_wq: np.ndarray  # (dl, d_model, d_model)
-    sa_wk: np.ndarray  # (dl, d_model, d_model)
-    sa_wv: np.ndarray  # (dl, d_model, d_model)
-    sa_wo: np.ndarray  # (dl, d_model, d_model)
-    ff_w1: np.ndarray  # (dl, d_model, d_model)
-    ff_b1: np.ndarray  # (dl, d_model)
-    ff_w2: np.ndarray  # (dl, d_model, d_model)
-    ff_b2: np.ndarray  # (dl, d_model)
-    w_out: np.ndarray  # (d_model, vocab_size)
+    # Parameters, shaped as _param_shapes(config) says.
+    embedding: np.ndarray
+    pos_encoding: np.ndarray
+    w_q: np.ndarray
+    w_k: np.ndarray
+    w_g: np.ndarray
+    cp_w1: np.ndarray
+    cp_b1: np.ndarray
+    cp_w2: np.ndarray
+    cp_b2: np.ndarray
+    sa_wq: np.ndarray
+    sa_wk: np.ndarray
+    sa_wv: np.ndarray
+    sa_wo: np.ndarray
+    ff_w1: np.ndarray
+    ff_b1: np.ndarray
+    ff_w2: np.ndarray
+    ff_b2: np.ndarray
+    w_out: np.ndarray
     _token_to_id: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -126,31 +149,9 @@ class DecoderWeights:
 
     def validate(self) -> None:
         cfg = self.config
-        dl, mh, d, dh = cfg.num_layers, cfg.num_heads, cfg.d_model, cfg.d_head
-        pos_rows = max(cfg.max_len + 1, cfg.num_units)
-        expected = {
-            "embedding": (cfg.vocab_size, d),
-            "pos_encoding": (pos_rows, d),
-            "w_q": (dl, mh, d, dh),
-            "w_k": (dl, mh, d, dh),
-            "w_g": (dl, mh * d, d),
-            "cp_w1": (dl, d, d),
-            "cp_b1": (dl, d),
-            "cp_w2": (dl, d),
-            "cp_b2": (dl,),
-            "sa_wq": (dl, d, d),
-            "sa_wk": (dl, d, d),
-            "sa_wv": (dl, d, d),
-            "sa_wo": (dl, d, d),
-            "ff_w1": (dl, d, d),
-            "ff_b1": (dl, d),
-            "ff_w2": (dl, d, d),
-            "ff_b2": (dl, d),
-            "w_out": (d, cfg.vocab_size),
-        }
         if len(self.vocab) != cfg.vocab_size:
             raise ValueError(f"vocab has {len(self.vocab)} entries, config says {cfg.vocab_size}")
-        for name, shape in expected.items():
+        for name, shape in _param_shapes(cfg).items():
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} shape {arr.shape} != expected {shape}")
@@ -581,44 +582,35 @@ def build_vocab(tokens) -> list[str]:
     return SPECIAL_TOKENS + sorted(set(tokens) - set(SPECIAL_TOKENS))
 
 
+# Biases drawn with std 0.1; every other random parameter uses 1/sqrt(d_model).
+_BIAS_PARAMS = frozenset({"cp_b1", "cp_b2", "ff_b1", "ff_b2"})
+
+
+def _checked_vocab(config: ModelConfig, vocab: list[str] | None) -> list[str]:
+    if vocab is None:
+        return _default_vocab(config.vocab_size)
+    if len(vocab) != config.vocab_size:
+        raise ValueError(f"vocab length {len(vocab)} != vocab_size {config.vocab_size}")
+    return list(vocab)
+
+
 def make_synthetic_weights(
     seed: int, config: ModelConfig, vocab: list[str] | None = None
 ) -> DecoderWeights:
-    """Seeded random weights; the same seed reproduces them bit for bit."""
-    if vocab is None:
-        vocab = _default_vocab(config.vocab_size)
-    if len(vocab) != config.vocab_size:
-        raise ValueError(f"vocab length {len(vocab)} != vocab_size {config.vocab_size}")
+    """Seeded random weights; the same seed reproduces them bit for bit.
+
+    Parameters are drawn in ``_param_shapes`` order; positions stay sinusoidal.
+    """
+    vocab = _checked_vocab(config, vocab)
     rng = np.random.default_rng(seed)
-    dl, mh, d, dh = config.num_layers, config.num_heads, config.d_model, config.d_head
-    scale = 1.0 / math.sqrt(d)
-    pos_rows = max(config.max_len + 1, config.num_units)
-
-    def normal(*shape):
-        return rng.normal(0.0, scale, size=shape)
-
-    return DecoderWeights(
-        config=config,
-        vocab=list(vocab),
-        embedding=rng.normal(0.0, 1.0, size=(config.vocab_size, d)) * scale,
-        pos_encoding=sinusoidal_positions(pos_rows, d),
-        w_q=normal(dl, mh, d, dh),
-        w_k=normal(dl, mh, d, dh),
-        w_g=normal(dl, mh * d, d),
-        cp_w1=normal(dl, d, d),
-        cp_b1=rng.normal(0.0, 0.1, size=(dl, d)),
-        cp_w2=normal(dl, d),
-        cp_b2=rng.normal(0.0, 0.1, size=(dl,)),
-        sa_wq=normal(dl, d, d),
-        sa_wk=normal(dl, d, d),
-        sa_wv=normal(dl, d, d),
-        sa_wo=normal(dl, d, d),
-        ff_w1=normal(dl, d, d),
-        ff_b1=rng.normal(0.0, 0.1, size=(dl, d)),
-        ff_w2=normal(dl, d, d),
-        ff_b2=rng.normal(0.0, 0.1, size=(dl, d)),
-        w_out=normal(d, config.vocab_size),
-    )
+    scale = 1.0 / math.sqrt(config.d_model)
+    params = {}
+    for name, shape in _param_shapes(config).items():
+        if name == "pos_encoding":
+            params[name] = sinusoidal_positions(*shape)
+        else:
+            params[name] = rng.normal(0.0, 0.1 if name in _BIAS_PARAMS else scale, size=shape)
+    return DecoderWeights(config=config, vocab=vocab, **params)
 
 
 def make_concentrator_weights(
@@ -648,86 +640,49 @@ def make_concentrator_weights(
     end-of-sequence id. Past the script, logits are uniform and the
     lowest allowed token id wins.
     """
-    if vocab is None:
-        vocab = _default_vocab(config.vocab_size)
-    if len(vocab) != config.vocab_size:
-        raise ValueError(f"vocab length {len(vocab)} != vocab_size {config.vocab_size}")
+    vocab = _checked_vocab(config, vocab)
     if not 0 <= target < config.num_units:
         raise ValueError(f"target {target} outside [0, {config.num_units})")
-    dl, mh, d, dh = config.num_layers, config.num_heads, config.d_model, config.d_head
-    pos_rows = max(config.max_len + 1, config.num_units)
+    shapes = _param_shapes(config)
+    d = config.d_model
+    pos_rows = shapes["pos_encoding"][0]
     if 1 + pos_rows > d:
         raise ValueError(
             f"d_model={d} too small for concentrator; needs >= {1 + pos_rows}"
         )
     if margin <= 0:
         raise ValueError("margin must be positive")
+    if token_script is not None and len(token_script) > config.max_len:
+        raise ValueError(
+            f"script length {len(token_script)} exceeds max_len {config.max_len}"
+        )
 
     gamma = 1.0
     r = math.sqrt(40.0 * math.sqrt(d))
-    kappa = margin * math.sqrt(dh) / r
+    kappa = margin * math.sqrt(config.d_head) / r
 
-    pos_encoding = np.zeros((pos_rows, d), dtype=np.float64)
-    pos_encoding[:, 0] = gamma
+    params = {name: np.zeros(shape) for name, shape in shapes.items()}
+    params["pos_encoding"][:, 0] = gamma
     for p in range(pos_rows):
-        pos_encoding[p, 1 + p] = r
-
-    w_q = np.zeros((dl, mh, d, dh), dtype=np.float64)
-    w_k = np.zeros((dl, mh, d, dh), dtype=np.float64)
-    w_q[:, :, 0, 0] = 1.0 / gamma
-    w_k[:, :, 1 + target, 0] = kappa
-
-    w_out = np.zeros((d, config.vocab_size), dtype=np.float64)
-    if token_script is not None:
-        if len(token_script) > config.max_len:
-            raise ValueError(
-                f"script length {len(token_script)} exceeds max_len {config.max_len}"
-            )
-        for step, tok in enumerate(token_script):
-            w_out[1 + step, tok] = 25.0 / r
-
-    zeros = np.zeros
-    return DecoderWeights(
-        config=config,
-        vocab=list(vocab),
-        embedding=zeros((config.vocab_size, d)),
-        pos_encoding=pos_encoding,
-        w_q=w_q,
-        w_k=w_k,
-        w_g=zeros((dl, mh * d, d)),
-        cp_w1=zeros((dl, d, d)),
-        cp_b1=zeros((dl, d)),
-        cp_w2=zeros((dl, d)),
-        cp_b2=zeros((dl,)),
-        sa_wq=zeros((dl, d, d)),
-        sa_wk=zeros((dl, d, d)),
-        sa_wv=zeros((dl, d, d)),
-        sa_wo=zeros((dl, d, d)),
-        ff_w1=zeros((dl, d, d)),
-        ff_b1=zeros((dl, d)),
-        ff_w2=zeros((dl, d, d)),
-        ff_b2=zeros((dl, d)),
-        w_out=w_out,
-    )
+        params["pos_encoding"][p, 1 + p] = r
+    params["w_q"][:, :, 0, 0] = 1.0 / gamma
+    params["w_k"][:, :, 1 + target, 0] = kappa
+    for step, tok in enumerate(token_script or []):
+        params["w_out"][1 + step, tok] = 25.0 / r
+    return DecoderWeights(config=config, vocab=vocab, **params)
 
 
 # ---------------------------------------------------------------------------
 # Weights file
 # ---------------------------------------------------------------------------
 
-_PARAM_NAMES = [
-    "embedding", "pos_encoding", "w_q", "w_k", "w_g",
-    "cp_w1", "cp_b1", "cp_w2", "cp_b2",
-    "sa_wq", "sa_wk", "sa_wv", "sa_wo",
-    "ff_w1", "ff_b1", "ff_w2", "ff_b2", "w_out",
-]
-
-
 def write_weights(weights: DecoderWeights, path) -> None:
     obj = {
         "config": weights.config.to_json(),
         "vocab": weights.vocab,
-        "params": {name: getattr(weights, name).tolist() for name in _PARAM_NAMES},
+        "params": {
+            name: getattr(weights, name).tolist() for name in _param_shapes(weights.config)
+        },
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh)
@@ -735,14 +690,17 @@ def write_weights(weights: DecoderWeights, path) -> None:
 
 
 def read_weights(path) -> DecoderWeights:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    """Read and validate a weights file; errors name the file."""
     try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
         config = ModelConfig.from_json(obj["config"])
         params = {
-            name: np.array(obj["params"][name], dtype=np.float64) for name in _PARAM_NAMES
+            name: np.array(obj["params"][name], dtype=np.float64)
+            for name in _param_shapes(config)
         }
-        vocab = list(obj["vocab"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed weights file: {exc}") from None
-    return DecoderWeights(config=config, vocab=vocab, **params)
+        return DecoderWeights(config=config, vocab=list(obj["vocab"]), **params)
+    except KeyError as exc:
+        raise ValueError(f"{path}: weights file missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed weights file: {exc}") from None

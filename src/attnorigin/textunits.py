@@ -326,21 +326,33 @@ def unitized_from_json(obj: dict) -> UnitizedRecord:
                 f"set {set_id!r}: non-pad units must be a leading prefix in order; "
                 f"found unit_index {idx} at position {position}"
             )
+        if not tokens:
+            raise ValueError(f"set {set_id!r}: non-pad unit {idx} has no tokens")
+        doc_index = int(u.get("doc_index", 0))
+        if doc_index < 0:
+            raise ValueError(f"set {set_id!r}: non-pad unit {idx} has doc_index {doc_index}")
         units.append(
             TextualUnit(
-                doc_index=int(u.get("doc_index", 0)),
+                doc_index=doc_index,
                 unit_index=idx,
                 tokens=tokens,
                 original_text=u["original_text"],
             )
         )
         pad_mask[idx, : len(tokens)] = False
-    for idx in range(len(units), L):
+    num_real = len(units)
+    for idx in range(num_real, L):
         units.append(TextualUnit(doc_index=-1, unit_index=idx, tokens=[], original_text=""))
     raw_bounds = obj.get("doc_boundaries")
     boundaries = None
     if raw_bounds is not None:
         boundaries = {int(k): int(v) for k, v in raw_bounds.items()}
+        outside = sorted(k for k in boundaries if not 0 <= k < num_real)
+        if outside:
+            raise ValueError(
+                f"set {set_id!r}: doc_boundaries key {outside[0]} outside the "
+                f"{num_real} non-pad units"
+            )
     unitized = UnitizedInput(
         units=units, pad_mask=pad_mask, L=L, T=T, mode=mode, doc_boundaries=boundaries
     )

@@ -2,9 +2,16 @@
 
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import attnorigin as ao
 from attnorigin.cli.main import main
@@ -189,29 +196,97 @@ def test_generate_workers_accepts_only_one(tmp_path, capsys):
     assert not (tmp_path / "gen").exists()
 
 
-@pytest.mark.parametrize("cells, reason", [
-    ({(0, 1): float("nan"), (1, 0): float("nan")}, "non-finite"),
-    ({(0, 1): 0.25, (1, 0): 0.75}, "symmetric"),
-    ({(0, 1): 1.5, (1, 0): 1.5}, "outside [0, 1]"),
-    ({(0, 1): -0.1, (1, 0): -0.1}, "outside [0, 1]"),
-    ({(0, 0): 0.5}, "diagonal"),
-    ({(5, 0): 0.2, (0, 5): 0.2}, "nonzero similarity"),  # unit 5 is a pad slot
-], ids=["nan", "asymmetric", "above-one", "negative", "half-diagonal", "linked-pad"])
-def test_generate_rejects_invalid_graph(tmp_path, capsys, cells, reason):
+def generate_error(tmp_path, capsys, units, flags=GEN_FLAGS):
+    """Run generate into a fresh directory; return its one stderr line."""
+    capsys.readouterr()
+    code = main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
+                 "--out", str(tmp_path / "gen")] + flags)
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert not (tmp_path / "gen").exists()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("cells, reason, set_id", [
+    ({(0, 1): float("nan"), (1, 0): float("nan")}, "non-finite", "set0"),
+    ({(0, 1): 0.25, (1, 0): 0.75}, "symmetric", "set0"),
+    ({(0, 1): 1.5, (1, 0): 1.5}, "outside [0, 1]", "set0"),
+    ({(0, 1): -0.1, (1, 0): -0.1}, "outside [0, 1]", "set0"),
+    ({(0, 0): 0.5}, "diagonal", "set0"),
+    ({(5, 0): 0.2, (0, 5): 0.2}, "nonzero similarity", "set0"),  # unit 5 is a pad slot
+    ({(0, 0): 0.5}, "diagonal", "set1"),
+], ids=["nan", "asymmetric", "above-one", "negative", "half-diagonal", "linked-pad",
+        "half-diagonal-last-set"])
+def test_generate_rejects_invalid_graph(tmp_path, capsys, cells, reason, set_id):
     units = graphs_only(tmp_path)
-    gpath = tmp_path / "graphs" / "set0.graph.json"
+    gpath = tmp_path / "graphs" / f"{set_id}.graph.json"
     obj = json.loads(gpath.read_text())
     assert obj["weights"][5] == [0.0] * 6
     for (i, j), value in cells.items():
         obj["weights"][i][j] = value
     gpath.write_text(json.dumps(obj))
-    capsys.readouterr()
-    code = main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
-                 "--out", str(tmp_path / "gen")] + GEN_FLAGS)
-    assert code == 1
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(f"error: {gpath}: ") and reason in lines[0]
+    line = generate_error(tmp_path, capsys, units)
+    assert line.startswith(f"error: {gpath}: ") and reason in line
+
+
+def test_generate_checks_every_graph_before_writing(tmp_path, capsys):
+    units = graphs_only(tmp_path)
+    gpath = tmp_path / "graphs" / "set1.graph.json"
+    gpath.write_text(json.dumps({"size": 5, "weights": np.eye(5).tolist()}))
+    line = generate_error(tmp_path, capsys, units)
+    assert line == f"error: {gpath}: graph size 5 != unit count 6 of set 'set1'"
+    gpath.unlink()
+    line = generate_error(tmp_path, capsys, units)
+    assert line.startswith("error: missing graph file for set 'set1'")
+
+
+def small_weights_file(tmp_path, records, num_units=6, max_len=8):
+    """Synthetic weights over the tokens of ``records``, written to a file."""
+    vocab = build_vocab(t for r in records for u in r.unitized.units for t in u.tokens)
+    cfg = ao.ModelConfig(d_model=16, num_layers=1, num_heads=2, vocab_size=len(vocab),
+                         num_units=num_units, max_len=max_len)
+    wpath = tmp_path / "weights.json"
+    ao.write_weights(ao.make_synthetic_weights(3, cfg, vocab=vocab), wpath)
+    return wpath
+
+
+def test_generate_rejects_tokens_outside_weights_vocabulary(tmp_path, capsys):
+    units = graphs_only(tmp_path)
+    wpath = small_weights_file(tmp_path, ao.read_unitized(units)[:1])
+    line = generate_error(tmp_path, capsys, units, ["--weights", str(wpath)])
+    assert line.startswith("error: set 'set1': token ") and "not in the model vocabulary" in line
+
+
+def test_generate_rejects_more_units_than_model_positions(tmp_path, capsys):
+    units = graphs_only(tmp_path)
+    wpath = small_weights_file(tmp_path, ao.read_unitized(units), num_units=3, max_len=2)
+    line = generate_error(tmp_path, capsys, units, ["--weights", str(wpath)])
+    assert line == "error: set 'set0': 4 units exceed the model's 3 positions"
+
+
+def edit_json(change):
+    def edit(text):
+        obj = json.loads(text)
+        change(obj)
+        return json.dumps(obj)
+    return edit
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda text: text[: len(text) // 2], "malformed weights file"),
+    (lambda text: "[]", "malformed weights file"),
+    (edit_json(lambda obj: obj.pop("vocab")), "missing key 'vocab'"),
+    (edit_json(lambda obj: obj["config"].update(num_heads=0)), "num_heads must be >= 1"),
+    (edit_json(lambda obj: obj["config"].update(d_model=15)), "not divisible"),
+    (edit_json(lambda obj: obj["params"]["w_q"].pop()), "w_q shape"),
+], ids=["truncated", "not-object", "missing-key", "zero-heads", "indivisible", "wrong-shape"])
+def test_generate_rejects_malformed_weights_file(tmp_path, capsys, edit, needle):
+    units = graphs_only(tmp_path)
+    wpath = small_weights_file(tmp_path, ao.read_unitized(units))
+    wpath.write_text(edit(wpath.read_text()))
+    line = generate_error(tmp_path, capsys, units, ["--weights", str(wpath)])
+    assert line.startswith(f"error: {wpath}: ") and needle in line
 
 
 def test_analyze_set_id_mismatch(tmp_path, capsys):
@@ -259,6 +334,119 @@ def test_analyze_rejects_out_of_vocabulary_token(tmp_path, capsys, token):
     spath.write_text(json.dumps(obj))
     line = analyze_error(tmp_path, capsys)
     assert "'set1'" in line and f"token id {token} " in line and f"size {vocab_size}" in line
+
+
+def edit_file(name, change):
+    """Corruption that replaces the bytes of one generated file."""
+    def corrupt(gen):
+        (gen / name).write_bytes(change((gen / name).read_bytes()))
+    return corrupt
+
+
+def edit_summary(change):
+    """Corruption that edits set1's summary object in place."""
+    def corrupt(gen):
+        path = gen / "set1.summary.json"
+        obj = json.loads(path.read_text())
+        change(obj)
+        path.write_text(json.dumps(obj))
+    return corrupt
+
+
+def edit_awd(change):
+    """Corruption that maps set1's attention values to new ones."""
+    def corrupt(gen):
+        path = gen / "set1.awd"
+        ao.write_awd(ao.AwdTensor(change(ao.read_awd(path).values)), path)
+    return corrupt
+
+
+def move_mass_to_pad(values):
+    """Move half of unit 0's mass onto unit 5, a pad slot; sums stay 1."""
+    moved = values.copy()
+    moved[..., 5] = values[..., 0] / 2
+    moved[..., 0] -= moved[..., 5]
+    return moved
+
+
+@pytest.mark.parametrize("corrupt, needle", [
+    (edit_file("set1.awd", lambda b: b[:-3]), "payload has"),
+    (edit_file("set1.awd", lambda b: b"AWD2" + b[4:]), "bad magic"),
+    (edit_file("set1.summary.json", lambda b: b[:-5]), "Expecting"),
+    (lambda gen: (gen / "set1.awd").unlink(), "set1.awd"),
+    (edit_summary(lambda obj: obj["tokens"].extend([4] * 5)), "length 10 outside [0, 5]"),
+    (edit_summary(lambda obj: obj.pop("beam_trace")), "'beam_trace'"),
+    (edit_summary(lambda obj: obj.update(winning_beam=2)), "winning beam 2"),
+    (edit_awd(lambda v: -3.0 * v + 0.7), "negative attention"),
+    (edit_awd(lambda v: 0.98 * v), "away from 1"),
+    (edit_awd(lambda v: v + 1e-4 * (v > 0)), "away from 1"),
+    (edit_awd(move_mass_to_pad), "mass on pad units"),
+    (edit_awd(lambda v: np.concatenate([v, 0 * v[..., :1]], axis=-1)),
+     "tensor has 7 units, unitized input has 6"),
+], ids=["truncated-awd", "bad-magic", "invalid-json", "missing-awd", "summary-too-long",
+        "missing-key", "winning-beam", "off-simplex", "sum-below-one", "sum-above-one",
+        "pad-mass", "unit-count"])
+def test_analyze_errors_name_the_set(tmp_path, capsys, corrupt, needle):
+    run_pipeline(tmp_path)
+    corrupt(tmp_path / "gen")
+    line = analyze_error(tmp_path, capsys)
+    assert line.startswith("error: set 'set1': ") and needle in line
+
+
+@pytest.mark.parametrize("content", ['{"0": "<pad>"}', '["<pad>", 3]', "[\"<pad>\""],
+                         ids=["object", "non-string", "invalid-json"])
+def test_analyze_rejects_malformed_vocab(tmp_path, capsys, content):
+    run_pipeline(tmp_path)
+    vpath = tmp_path / "gen" / "vocab.json"
+    vpath.write_text(content)
+    line = analyze_error(tmp_path, capsys)
+    assert line.startswith(f"error: {vpath}: ")
+
+
+def test_analyze_fuzzed_set_files_fail_cleanly(tmp_path, capsys):
+    """Flipped or truncated bytes give exit 0 or one error line naming the set."""
+    run_pipeline(tmp_path)
+    gen = tmp_path / "gen"
+    originals = {name: (gen / name).read_bytes() for name in ("set1.awd", "set1.summary.json")}
+    rep = tmp_path / "rep_fuzz"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(name=st.sampled_from(sorted(originals)), data=st.data())
+    def check(name, data):
+        for other, blob in originals.items():
+            (gen / other).write_bytes(blob)
+        blob = bytearray(originals[name])
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
+        else:
+            flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                                 st.integers(1, 255)), min_size=1, max_size=4))
+            for position, mask in flips:
+                blob[position] ^= mask
+        (gen / name).write_bytes(bytes(blob))
+        shutil.rmtree(rep, ignore_errors=True)
+        capsys.readouterr()
+        code = main(["analyze", "--awd", str(gen), "--summaries", str(gen),
+                     "--unitized", str(tmp_path / "units.jsonl"), "--out", str(rep)])
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert err == [] and (rep / "report.json").exists()
+        else:
+            assert code == 1 and not rep.exists()
+            assert len(err) == 1 and err[0].startswith("error: set 'set1': ")
+
+    check()
+
+
+def test_module_entry_point_runs_with_warnings_as_errors():
+    src = Path(ao.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "attnorigin.cli.main", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "" and "preprocess" in done.stdout
 
 
 def test_analyze_refuses_posbias_without_boundaries(tmp_path, capsys):

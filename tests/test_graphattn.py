@@ -1,6 +1,7 @@
 """Tests for the graph-informed decoder, synthetic weights, and beam search."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -484,15 +485,63 @@ def test_synthetic_weights_seed_reproducible(two_doc_input):
     assert not np.array_equal(a.w_q, c.w_q)
 
 
+PARAM_NAMES = [
+    "embedding", "pos_encoding", "w_q", "w_k", "w_g",
+    "cp_w1", "cp_b1", "cp_w2", "cp_b2",
+    "sa_wq", "sa_wk", "sa_wv", "sa_wo",
+    "ff_w1", "ff_b1", "ff_w2", "ff_b2", "w_out",
+]
+
+
+@pytest.mark.parametrize("seed, shape", [
+    (0, dict(d_model=8, num_layers=1, num_heads=1, vocab_size=6, num_units=3, max_len=4)),
+    (5, dict(d_model=16, num_layers=2, num_heads=4, vocab_size=9, num_units=12, max_len=5)),
+    (1, dict(d_model=64, num_layers=8, num_heads=8, vocab_size=40, num_units=30, max_len=32)),
+])
+def test_synthetic_weights_match_explicit_draw_sequence(seed, shape):
+    cfg = ao.ModelConfig(**shape)
+    weights = ao.make_synthetic_weights(seed, cfg)
+    dl, mh, d, dh, V = cfg.num_layers, cfg.num_heads, cfg.d_model, cfg.d_head, cfg.vocab_size
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / math.sqrt(d)
+    expected = {
+        "embedding": rng.normal(0.0, 1.0, size=(V, d)) * scale,
+        "pos_encoding": ao.graphattn.sinusoidal_positions(max(cfg.max_len + 1, cfg.num_units), d),
+        "w_q": rng.normal(0.0, scale, size=(dl, mh, d, dh)),
+        "w_k": rng.normal(0.0, scale, size=(dl, mh, d, dh)),
+        "w_g": rng.normal(0.0, scale, size=(dl, mh * d, d)),
+        "cp_w1": rng.normal(0.0, scale, size=(dl, d, d)),
+        "cp_b1": rng.normal(0.0, 0.1, size=(dl, d)),
+        "cp_w2": rng.normal(0.0, scale, size=(dl, d)),
+        "cp_b2": rng.normal(0.0, 0.1, size=(dl,)),
+        "sa_wq": rng.normal(0.0, scale, size=(dl, d, d)),
+        "sa_wk": rng.normal(0.0, scale, size=(dl, d, d)),
+        "sa_wv": rng.normal(0.0, scale, size=(dl, d, d)),
+        "sa_wo": rng.normal(0.0, scale, size=(dl, d, d)),
+        "ff_w1": rng.normal(0.0, scale, size=(dl, d, d)),
+        "ff_b1": rng.normal(0.0, 0.1, size=(dl, d)),
+        "ff_w2": rng.normal(0.0, scale, size=(dl, d, d)),
+        "ff_b2": rng.normal(0.0, 0.1, size=(dl, d)),
+        "w_out": rng.normal(0.0, scale, size=(d, V)),
+    }
+    assert list(expected) == PARAM_NAMES
+    for name, value in expected.items():
+        actual = getattr(weights, name)
+        assert actual.dtype == value.dtype and actual.shape == value.shape, name
+        assert actual.tobytes() == value.tobytes(), name
+
+
 def test_weights_file_round_trip(tmp_path, two_doc_input):
     inp, _ = two_doc_input
     weights = small_weights(inp, seed=33)
     path = tmp_path / "w.json"
     ao.write_weights(weights, path)
+    obj = json.loads(path.read_text())
+    assert list(obj["params"]) == PARAM_NAMES
     back = ao.read_weights(path)
     assert back.config == weights.config
     assert back.vocab == weights.vocab
-    for name in ("embedding", "pos_encoding", "w_q", "w_k", "w_g", "sa_wq", "ff_w2", "w_out"):
+    for name in PARAM_NAMES:
         assert np.array_equal(getattr(back, name), getattr(weights, name)), name
 
 

@@ -1,5 +1,7 @@
 """Tests for tokenization, sentence splitting, and unitization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -275,3 +277,23 @@ def test_unitized_rejects_out_of_order_units():
     }
     with pytest.raises(ValueError, match="leading prefix"):
         unitized_from_json(obj)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj["units"][1].update(tokens=[]), "unit 1 has no tokens"),
+    (lambda obj: obj["units"][0].update(doc_index=-1), "unit 0 has doc_index -1"),
+    (lambda obj: obj["doc_boundaries"].update({"3": 0}), "doc_boundaries key 3 outside"),
+], ids=["empty-tokens", "negative-doc-index", "boundary-past-units"])
+def test_unitized_rejects_inconsistent_units(tmp_path, edit, message):
+    docset = make_docset("s1", [["the cat sat", "a dog"], ["third doc para"]])
+    good = unitized_to_json(UnitizedRecord(set_id="s0", unitized=ao.unitize(
+        make_docset("s0", [["fine text"]]), "paragraph", L=5, T=8)))
+    obj = unitized_to_json(UnitizedRecord(
+        set_id="s1", unitized=ao.unitize(docset, "paragraph", L=5, T=8)))
+    edit(obj)
+    with pytest.raises(ValueError, match=message):
+        unitized_from_json(obj)
+    path = tmp_path / "units.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(obj) + "\n")
+    with pytest.raises(CorpusFormatError, match=f"line 2: set 's1': .*{message}"):
+        ao.read_unitized(path)
