@@ -209,15 +209,25 @@ def write_summary(record: SummaryRecord, path) -> None:
         fh.write("\n")
 
 
+def _ints(values, what: str) -> list[int]:
+    """``values`` if it is a list of JSON integers; floats and bools are rejected."""
+    if not isinstance(values, list):
+        raise TypeError(f"{what} must be a list")
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"{what} holds {v!r}, not an integer")
+    return values
+
+
 def read_summary(path) -> SummaryRecord:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
         return SummaryRecord(
             set_id=obj["set_id"],
-            tokens=[int(t) for t in obj["tokens"]],
-            beam_trace=[[int(b) for b in row] for row in obj["beam_trace"]],
-            winning_beam=int(obj["winning_beam"]),
+            tokens=_ints(obj["tokens"], "tokens"),
+            beam_trace=[_ints(row, "beam_trace row") for row in obj["beam_trace"]],
+            winning_beam=_ints([obj["winning_beam"]], "winning_beam")[0],
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed summary file: {exc}") from None

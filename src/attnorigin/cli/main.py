@@ -264,6 +264,11 @@ def _checked_graph(
         raise CliError(
             f"{gpath}: graph size {graph.size} != unit count {inp.L} of set {record.set_id!r}"
         )
+    if not np.array_equal(graph.unit_pad, inp.unit_pad):
+        unit = np.flatnonzero(graph.unit_pad != inp.unit_pad)[0]
+        kind = "pad" if inp.unit_pad[unit] else "non-pad"
+        raise CliError(f"{gpath}: unit {unit} is a {kind} unit of set {record.set_id!r} "
+                       f"but has graph diagonal {graph.weights[unit, unit]:g}")
     return graph
 
 
@@ -301,15 +306,10 @@ def cmd_generate(opts: dict[str, Any]) -> int:
         )
         weights = graphattn.make_synthetic_weights(opts["seed"], config, vocab=vocab)
 
-    gen = graphattn.GenerationConfig(
-        beam_size=opts["beam_size"],
-        max_len=opts["max_len"],
-        length_penalty=opts["length_penalty"],
-    )
-    if gen.beam_size < 1:
-        raise CliError("--beam-size must be >= 1")
-
+    gen = graphattn.GenerationConfig(beam_size=opts["beam_size"], max_len=opts["max_len"],
+                                     length_penalty=opts["length_penalty"])
     # Every set's inputs are checked before the first output is written.
+    gen.steps(weights.config)
     graphs = [_checked_graph(Path(opts["graphs"]), record, weights) for record in records]
     out_dir = Path(opts["out"])
     awd_dir = Path(opts["record_awd"]) if opts["record_awd"] else out_dir
@@ -548,9 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         opts = resolve_options(args.command, args)
         return COMMANDS[args.command](opts)
-    except (CliError, textunits.CorpusFormatError, awdmod.AwdFormatError,
-            awdmod.BeamTraceError, heatmapmod.MissingPosBiasError,
-            graphattn.VocabularyError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -216,6 +216,19 @@ class GenerationConfig:
     max_len: int | None = None  # defaults to the model's max_len
     length_penalty: float = 0.6
 
+    def __post_init__(self):
+        if self.beam_size < 1:
+            raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
+        if self.max_len is not None and self.max_len < 1:
+            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
+
+    def steps(self, model: ModelConfig) -> int:
+        """Decoding steps against ``model``: ``max_len``, the model's when unset."""
+        steps = model.max_len if self.max_len is None else self.max_len
+        if steps > model.max_len:
+            raise ValueError(f"max_len {steps} outside [1, {model.max_len}]")
+        return steps
+
 
 @dataclass
 class DecoderState:
@@ -267,12 +280,6 @@ def _shifted_softmax(
     return _softmax(logits, axis=-1)
 
 
-def _pad_units_of(graph: SimilarityGraph) -> np.ndarray:
-    # Pad detection relies on the graph invariant: real units carry a
-    # unit diagonal, pad rows are all zero including the diagonal.
-    return np.diagonal(graph.weights) == 0.0
-
-
 def sinusoidal_positions(rows: int, d_model: int) -> np.ndarray:
     """Standard fixed sine/cosine positional encodings."""
     pos = np.arange(rows, dtype=np.float64)[:, None]
@@ -302,9 +309,7 @@ def encode_units(
         raise ValueError(f"graph size {graph.size} != input unit count {L}")
     unit_pad = inp.unit_pad
     u = np.zeros((L, cfg.d_model), dtype=np.float64)
-    for i, unit in enumerate(inp.units):
-        if unit.is_pad:
-            continue
+    for i, unit in enumerate(inp.units[: inp.num_real_units]):  # pads follow the real units
         ids = [weights.token_id(t) for t in unit.tokens]
         u[i] = weights.embedding[ids].mean(axis=0) + weights.pos_encoding[i]
     x = np.zeros((L, cfg.d_model), dtype=np.float64)
@@ -370,10 +375,9 @@ def graph_shifted_attention(
     s = np.asarray(s)
     if np.any((s < 0) | (s >= graph.size)):
         raise ValueError(f"central index out of range [0, {graph.size}): {s}")
-    unit_pad = _pad_units_of(graph)
-    if unit_pad.all():
+    if graph.unit_pad.all():
         raise ValueError("all units are padded; no attention targets")
-    return _shifted_softmax(e, graph.weights[s], unit_pad, sigma, shift_form)
+    return _shifted_softmax(e, graph.weights[s], graph.unit_pad, sigma, shift_form)
 
 
 def global_context(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -481,15 +485,11 @@ def generate_with_beam(
     the slot-0 recording for the same reason.
     """
     cfg = weights.config
-    if gen.beam_size < 1:
-        raise ValueError(f"beam_size must be >= 1, got {gen.beam_size}")
+    max_steps = gen.steps(cfg)
     # Both end markers must exist before any decoding starts.
     eos = weights.eos_id
     _ = weights.eos_sent_id
     banned = {weights.pad_id, weights.bos_id}
-    max_steps = cfg.max_len if gen.max_len is None else gen.max_len
-    if not 1 <= max_steps <= cfg.max_len:
-        raise ValueError(f"max_len {max_steps} outside [1, {cfg.max_len}]")
 
     encoded = encode_units(inp, weights, graph)
     bs = gen.beam_size

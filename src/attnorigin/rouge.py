@@ -28,9 +28,6 @@ class RougeScore:
         return cls(precision=p, recall=r, f1=f)
 
 
-ZERO_SCORE = RougeScore(0.0, 0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class RougeTriple:
     r1: RougeScore

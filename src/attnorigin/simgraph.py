@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -25,10 +25,11 @@ TfIdfVector = dict[str, float]
 class SimilarityGraph:
     """Validated similarity matrix: finite, exactly symmetric, entries in
     [0, 1], diagonal 1 for real units and 0 for pad units, whose rows are
-    all zero."""
+    all zero. ``unit_pad`` (zero diagonal) is derived once."""
 
     size: int
     weights: np.ndarray  # (L, L) float64
+    unit_pad: np.ndarray = field(init=False, repr=False)  # (L,) bool, True for pad units
 
     def __post_init__(self):
         w = self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -43,7 +44,8 @@ class SimilarityGraph:
         diagonal = np.diagonal(w)
         if np.any((diagonal != 0.0) & (diagonal != 1.0)):
             raise ValueError("graph diagonal entries must be 0 (pad unit) or 1 (real unit)")
-        if np.any(w[diagonal == 0.0]):
+        self.unit_pad = diagonal == 0.0
+        if np.any(w[self.unit_pad]):
             raise ValueError("a pad unit (zero diagonal) has a nonzero similarity")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -34,6 +34,11 @@ class CorpusFormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
 
 
 def tokenize(text: str) -> list[str]:
@@ -128,30 +133,58 @@ class TextualUnit:
 class UnitizedInput:
     """Fixed-shape grid of L unit slots with T token positions each.
 
-    Non-pad units always occupy the leading slots. ``doc_boundaries``
-    maps every non-pad unit index to its document index; it is ``None``
-    only for externally supplied data that lacks the correspondence.
+    The constructor checks the grid: slot i holds unit_index i; non-pad
+    units (1 to T tokens, doc_index >= 0) fill the leading slots and pads
+    (no tokens) the rest. ``doc_boundaries`` maps exactly the non-pad
+    unit indices to their document index; it is ``None`` only for
+    external data that lacks the correspondence. The derived fields are
+    computed once.
     """
 
     units: list[TextualUnit]
-    pad_mask: np.ndarray  # (L, T) bool, True where padded
     L: int
     T: int
     mode: str
     doc_boundaries: dict[int, int] | None
+    pad_mask: np.ndarray = field(init=False, repr=False)  # (L, T) bool, True where padded
+    unit_pad: np.ndarray = field(init=False, repr=False)  # (L,) bool, True for pad slots
+    num_real_units: int = field(init=False)
+
+    def __post_init__(self):
+        _require(self.mode in (PARAGRAPH_MODE, SENTENCE_MODE), f"unknown mode {self.mode!r}")
+        _require(self.L >= 1 and self.T >= 1, "L and T must be >= 1")
+        _require(len(self.units) == self.L, f"{len(self.units)} units for L={self.L} slots")
+        real = 0
+        for position, u in enumerate(self.units):
+            is_unit = bool(u.tokens) or not u.is_pad  # a pad has neither tokens nor a document
+            if u.unit_index != position or (is_unit and real < position):
+                raise ValueError(
+                    "non-pad units must be a leading prefix in order; found unit_index "
+                    f"{u.unit_index} at position {position} after {real} non-pad units"
+                )
+            if not is_unit:
+                continue
+            if u.is_pad:
+                raise ValueError(f"non-pad unit {position} has doc_index {u.doc_index}")
+            if not u.tokens:
+                raise ValueError(f"non-pad unit {position} has no tokens")
+            if len(u.tokens) > self.T:
+                raise ValueError(f"unit {position} exceeds T={self.T}")
+            real += 1
+        if self.doc_boundaries is not None:
+            odd = sorted(set(self.doc_boundaries) ^ set(range(real)))
+            if odd and odd[0] in self.doc_boundaries:
+                raise ValueError(f"doc_boundaries key {odd[0]} outside the {real} non-pad units")
+            if odd:
+                raise ValueError(f"doc_boundaries lacks non-pad unit {odd[0]}")
+        self.num_real_units = real
+        self.unit_pad = np.arange(self.L) >= real
+        lengths = np.array([len(u.tokens) for u in self.units])
+        self.pad_mask = np.arange(self.T) >= lengths[:, None]
 
     @property
     def token_budget(self) -> int:
         return self.L * self.T
-
-    @property
-    def num_real_units(self) -> int:
-        return sum(1 for u in self.units if not u.is_pad)
-
-    @property
-    def unit_pad(self) -> np.ndarray:
-        """Boolean (L,) vector, True for pad slots."""
-        return np.array([u.is_pad for u in self.units], dtype=bool)
 
 
 def _collect_units(docset: MultiDocSet, mode: str) -> list[tuple[int, str]]:
@@ -181,33 +214,27 @@ def unitize(
     units and tokens are padded. ``tokenizer`` may be swapped for any
     callable with the same contract (e.g. a subword model).
     """
-    if mode not in (PARAGRAPH_MODE, SENTENCE_MODE):
-        raise ValueError(f"unknown mode {mode!r}")
-    if L < 1 or T < 1:
-        raise ValueError("L and T must be >= 1")
-
     pairs = _collect_units(docset, mode)
     if mode == SENTENCE_MODE and not pairs:
         raise ValueError(
             f"set {docset.set_id!r}: sentence mode found no sentences in any document"
         )
+    units = [
+        TextualUnit(doc_index=d, unit_index=idx, tokens=tokenizer(text)[:T], original_text=text)
+        for idx, (d, text) in enumerate(pairs[:L])
+    ]
+    return _padded(docset.set_id, units, L, T, mode, {u.unit_index: u.doc_index for u in units})
 
-    units: list[TextualUnit] = []
-    pad_mask = np.ones((L, T), dtype=bool)
-    doc_boundaries: dict[int, int] = {}
-    for idx, (doc_index, text) in enumerate(pairs[:L]):
-        tokens = tokenizer(text)[:T]
-        units.append(
-            TextualUnit(doc_index=doc_index, unit_index=idx, tokens=tokens, original_text=text)
-        )
-        pad_mask[idx, : len(tokens)] = False
-        doc_boundaries[idx] = doc_index
-    for idx in range(len(units), L):
-        units.append(TextualUnit(doc_index=-1, unit_index=idx, tokens=[], original_text=""))
 
-    return UnitizedInput(
-        units=units, pad_mask=pad_mask, L=L, T=T, mode=mode, doc_boundaries=doc_boundaries
-    )
+def _padded(set_id: str, units: list[TextualUnit], L: int, T: int, mode: str,
+            doc_boundaries: dict[int, int] | None) -> UnitizedInput:
+    """Fill the non-pad ``units`` up to L slots with pads; errors name the set."""
+    pads = [TextualUnit(doc_index=-1, unit_index=i, tokens=[], original_text="")
+            for i in range(len(units), L)]
+    try:
+        return UnitizedInput(units + pads, L=L, T=T, mode=mode, doc_boundaries=doc_boundaries)
+    except ValueError as exc:
+        raise ValueError(f"set {set_id!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -215,38 +242,56 @@ def unitize(
 # ---------------------------------------------------------------------------
 
 def docset_from_json(obj: dict) -> MultiDocSet:
-    if not isinstance(obj, dict):
-        raise ValueError("corpus record must be a JSON object")
+    _require(isinstance(obj, dict), "corpus record must be a JSON object")
     try:
         set_id = obj["set_id"]
         raw_docs = obj["documents"]
     except KeyError as exc:
         raise ValueError(f"missing corpus key {exc.args[0]!r}") from None
+    _require(isinstance(set_id, str), "set_id must be a string")
+    _require(isinstance(raw_docs, list) and all(isinstance(e, dict) for e in raw_docs),
+             f"set {set_id!r}: documents must be a list of objects")
     documents = []
     for d, entry in enumerate(raw_docs):
         doc_id = entry.get("doc_id", f"{set_id}.doc{d}")
         if "paragraphs" in entry:
-            documents.append(RawDocument.from_paragraphs(doc_id, entry["paragraphs"]))
+            paragraphs = entry["paragraphs"]
+            _require(isinstance(paragraphs, list) and all(isinstance(p, str) for p in paragraphs),
+                     f"document {doc_id!r}: paragraphs must be a list of strings")
+            documents.append(RawDocument.from_paragraphs(doc_id, paragraphs))
         elif "text" in entry:
+            _require(isinstance(entry["text"], str), f"document {doc_id!r}: text must be a string")
             documents.append(RawDocument.from_text(doc_id, entry["text"]))
         else:
             raise ValueError(f"document {doc_id!r} has neither 'paragraphs' nor 'text'")
-    return MultiDocSet(set_id=set_id, documents=documents, gold_summary=obj.get("gold_summary"))
+    gold = obj.get("gold_summary")
+    _require(gold is None or isinstance(gold, str),
+             f"set {set_id!r}: gold_summary must be a string or null")
+    return MultiDocSet(set_id=set_id, documents=documents, gold_summary=gold)
 
 
 def read_corpus(path) -> list[MultiDocSet]:
     """Read a JSONL corpus; raises CorpusFormatError with the line number."""
-    sets = []
+    return _read_jsonl(path, docset_from_json)
+
+
+def _read_jsonl(path, parse: Callable[[object], object]) -> list:
+    """Parse every non-blank line; any error becomes a CorpusFormatError naming the line."""
+    items = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                sets.append(docset_from_json(obj))
-            except (json.JSONDecodeError, ValueError, TypeError) as exc:
-                raise CorpusFormatError(str(exc), line=lineno) from None
-    return sets
+            if line.strip():
+                try:
+                    items.append(parse(json.loads(line)))
+                except (ValueError, TypeError, KeyError) as exc:
+                    raise CorpusFormatError(str(exc), line=lineno) from None
+    return items
+
+
+def _write_jsonl(objs, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
 def docset_to_json(docset: MultiDocSet) -> dict:
@@ -260,9 +305,7 @@ def docset_to_json(docset: MultiDocSet) -> dict:
 
 
 def write_corpus(sets: list[MultiDocSet], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for docset in sets:
-            fh.write(json.dumps(docset_to_json(docset), ensure_ascii=False) + "\n")
+    _write_jsonl((docset_to_json(docset) for docset in sets), path)
 
 
 # ---------------------------------------------------------------------------
@@ -281,28 +324,13 @@ class UnitizedRecord:
 
 def unitized_to_json(record: UnitizedRecord) -> dict:
     inp = record.unitized
-    units = [
-        {
-            "doc_index": u.doc_index,
-            "unit_index": u.unit_index,
-            "tokens": list(u.tokens),
-            "original_text": u.original_text,
-        }
-        for u in inp.units
-        if not u.is_pad
-    ]
+    units = [{"doc_index": u.doc_index, "unit_index": u.unit_index, "tokens": list(u.tokens),
+              "original_text": u.original_text} for u in inp.units if not u.is_pad]
     boundaries = None
     if inp.doc_boundaries is not None:
         boundaries = {str(k): v for k, v in sorted(inp.doc_boundaries.items())}
-    return {
-        "set_id": record.set_id,
-        "mode": inp.mode,
-        "L": inp.L,
-        "T": inp.T,
-        "units": units,
-        "doc_boundaries": boundaries,
-        "gold_summary": record.gold_summary,
-    }
+    return {"set_id": record.set_id, "mode": inp.mode, "L": inp.L, "T": inp.T, "units": units,
+            "doc_boundaries": boundaries, "gold_summary": record.gold_summary}
 
 
 def unitized_from_json(obj: dict) -> UnitizedRecord:
@@ -312,67 +340,28 @@ def unitized_from_json(obj: dict) -> UnitizedRecord:
         set_id = obj["set_id"]
     except KeyError as exc:
         raise ValueError(f"missing unitized key {exc.args[0]!r}") from None
-    if len(raw_units) > L:
-        raise ValueError(f"set {set_id!r}: {len(raw_units)} units exceed L={L}")
-    units = []
-    pad_mask = np.ones((L, T), dtype=bool)
-    for position, u in enumerate(raw_units):
-        tokens = list(u["tokens"])
-        if len(tokens) > T:
-            raise ValueError(f"set {set_id!r}: unit {u['unit_index']} exceeds T={T}")
-        idx = u["unit_index"]
-        if idx != position:
-            raise ValueError(
-                f"set {set_id!r}: non-pad units must be a leading prefix in order; "
-                f"found unit_index {idx} at position {position}"
-            )
-        if not tokens:
-            raise ValueError(f"set {set_id!r}: non-pad unit {idx} has no tokens")
-        doc_index = int(u.get("doc_index", 0))
-        if doc_index < 0:
-            raise ValueError(f"set {set_id!r}: non-pad unit {idx} has doc_index {doc_index}")
-        units.append(
-            TextualUnit(
-                doc_index=doc_index,
-                unit_index=idx,
-                tokens=tokens,
-                original_text=u["original_text"],
-            )
-        )
-        pad_mask[idx, : len(tokens)] = False
-    num_real = len(units)
-    for idx in range(num_real, L):
-        units.append(TextualUnit(doc_index=-1, unit_index=idx, tokens=[], original_text=""))
+    _require(isinstance(set_id, str), "set_id must be a string")
+    _require(isinstance(raw_units, list) and all(isinstance(u, dict) for u in raw_units),
+             f"set {set_id!r}: units must be a list of objects")
+    units = [
+        TextualUnit(doc_index=int(u.get("doc_index", 0)), unit_index=u["unit_index"],
+                    tokens=list(u["tokens"]), original_text=u["original_text"])
+        for u in raw_units
+    ]
     raw_bounds = obj.get("doc_boundaries")
-    boundaries = None
-    if raw_bounds is not None:
-        boundaries = {int(k): int(v) for k, v in raw_bounds.items()}
-        outside = sorted(k for k in boundaries if not 0 <= k < num_real)
-        if outside:
-            raise ValueError(
-                f"set {set_id!r}: doc_boundaries key {outside[0]} outside the "
-                f"{num_real} non-pad units"
-            )
-    unitized = UnitizedInput(
-        units=units, pad_mask=pad_mask, L=L, T=T, mode=mode, doc_boundaries=boundaries
-    )
-    return UnitizedRecord(set_id=set_id, unitized=unitized, gold_summary=obj.get("gold_summary"))
+    _require(raw_bounds is None or isinstance(raw_bounds, dict),
+             f"set {set_id!r}: doc_boundaries must be an object or null")
+    boundaries = None if raw_bounds is None else {int(k): int(v) for k, v in raw_bounds.items()}
+    gold = obj.get("gold_summary")
+    _require(gold is None or isinstance(gold, str),
+             f"set {set_id!r}: gold_summary must be a string or null")
+    return UnitizedRecord(set_id, _padded(set_id, units, L, T, mode, boundaries), gold)
 
 
 def write_unitized(records: list[UnitizedRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(unitized_to_json(record), ensure_ascii=False) + "\n")
+    _write_jsonl((unitized_to_json(record) for record in records), path)
 
 
 def read_unitized(path) -> list[UnitizedRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(unitized_from_json(json.loads(line)))
-            except (json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
-                raise CorpusFormatError(str(exc), line=lineno) from None
-    return records
+    """Read a unitized JSONL file; raises CorpusFormatError with the line number."""
+    return _read_jsonl(path, unitized_from_json)

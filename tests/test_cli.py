@@ -128,6 +128,24 @@ def test_bad_corpus_line_number_diagnostic(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("record, needle", [
+    ({"set_id": "s", "documents": ["x"]}, "documents must be a list of objects"),
+    ({"set_id": "s", "documents": [{"paragraphs": [1]}]}, "paragraphs must be a list of strings"),
+    ({"set_id": "s", "documents": [{"text": 1}]}, "text must be a string"),
+    ({"set_id": 7, "documents": [{"paragraphs": ["x"]}]}, "set_id must be a string"),
+    ({"set_id": "s", "documents": [{"paragraphs": ["x"]}], "gold_summary": 3},
+     "gold_summary must be a string or null"),
+], ids=["document-string", "paragraph-int", "text-int", "set-id-int", "gold-int"])
+def test_preprocess_rejects_mistyped_corpus_values(tmp_path, capsys, record, needle):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(record) + "\n")
+    code = main(["preprocess", "--corpus", str(corpus), "--out", str(tmp_path / "u.jsonl")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert lines[0].startswith("error: line 1: ") and needle in lines[0]
+    assert not (tmp_path / "u.jsonl").exists()
+
+
 def test_preprocess_defaults_by_mode(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     write_corpus(corpus, num_sets=1)
@@ -216,8 +234,11 @@ def generate_error(tmp_path, capsys, units, flags=GEN_FLAGS):
     ({(0, 0): 0.5}, "diagonal", "set0"),
     ({(5, 0): 0.2, (0, 5): 0.2}, "nonzero similarity", "set0"),  # unit 5 is a pad slot
     ({(0, 0): 0.5}, "diagonal", "set1"),
+    ({(3, j): 0.0 for j in range(6)} | {(j, 3): 0.0 for j in range(6)},
+     "unit 3 is a non-pad unit of set 'set0' but has graph diagonal 0", "set0"),
+    ({(5, 5): 1.0}, "unit 5 is a pad unit of set 'set1' but has graph diagonal 1", "set1"),
 ], ids=["nan", "asymmetric", "above-one", "negative", "half-diagonal", "linked-pad",
-        "half-diagonal-last-set"])
+        "half-diagonal-last-set", "real-unit-as-pad", "pad-as-real-unit"])
 def test_generate_rejects_invalid_graph(tmp_path, capsys, cells, reason, set_id):
     units = graphs_only(tmp_path)
     gpath = tmp_path / "graphs" / f"{set_id}.graph.json"
@@ -228,6 +249,18 @@ def test_generate_rejects_invalid_graph(tmp_path, capsys, cells, reason, set_id)
     gpath.write_text(json.dumps(obj))
     line = generate_error(tmp_path, capsys, units)
     assert line.startswith(f"error: {gpath}: ") and reason in line
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-len", "20", "max_len 20 outside [1, 8]"),
+    ("--max-len", "0", "max_len must be >= 1, got 0"),
+    ("--beam-size", "0", "beam_size must be >= 1, got 0"),
+], ids=["max-len-past-model", "max-len-zero", "beam-size-zero"])
+def test_generate_rejects_generation_options(tmp_path, capsys, flag, value, message):
+    units = graphs_only(tmp_path)
+    flags = list(GEN_FLAGS)
+    flags[flags.index(flag) + 1] = value
+    assert generate_error(tmp_path, capsys, units, flags) == f"error: {message}"
 
 
 def test_generate_checks_every_graph_before_writing(tmp_path, capsys):
@@ -383,9 +416,16 @@ def move_mass_to_pad(values):
     (edit_awd(move_mass_to_pad), "mass on pad units"),
     (edit_awd(lambda v: np.concatenate([v, 0 * v[..., :1]], axis=-1)),
      "tensor has 7 units, unitized input has 6"),
+    (edit_summary(lambda obj: obj["tokens"].__setitem__(0, obj["tokens"][0] + 0.7)),
+     "tokens holds "),
+    (edit_summary(lambda obj: obj["tokens"].__setitem__(0, True)), "tokens holds True"),
+    (edit_summary(lambda obj: obj["beam_trace"][0].__setitem__(0, 0.0)),
+     "beam_trace row holds 0.0"),
+    (edit_summary(lambda obj: obj.update(winning_beam=0.9)), "winning_beam holds 0.9"),
 ], ids=["truncated-awd", "bad-magic", "invalid-json", "missing-awd", "summary-too-long",
         "missing-key", "winning-beam", "off-simplex", "sum-below-one", "sum-above-one",
-        "pad-mass", "unit-count"])
+        "pad-mass", "unit-count", "fractional-token", "bool-token", "float-trace",
+        "fractional-winning-beam"])
 def test_analyze_errors_name_the_set(tmp_path, capsys, corrupt, needle):
     run_pipeline(tmp_path)
     corrupt(tmp_path / "gen")
@@ -447,6 +487,18 @@ def test_module_entry_point_runs_with_warnings_as_errors():
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == "" and "preprocess" in done.stdout
+
+
+def test_bench_tracer_installs_with_warnings_as_errors():
+    """The benchmark's tracer patches package functions by name; a renamed one fails here."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", "from tracer import Tracer; Tracer().install()"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_analyze_refuses_posbias_without_boundaries(tmp_path, capsys):

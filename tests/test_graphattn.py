@@ -683,6 +683,17 @@ def test_beam_trace_shape_and_range(two_doc_input):
         assert all(0 <= parent < bs for parent in row)
 
 
+def test_generation_config_checks_and_resolves_steps(two_doc_input):
+    for bad in ({"beam_size": 0}, {"max_len": 0}):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            ao.GenerationConfig(**bad)
+    model = small_weights(two_doc_input[0], max_len=5).config
+    assert ao.GenerationConfig().steps(model) == 5
+    assert ao.GenerationConfig(max_len=3).steps(model) == 3
+    with pytest.raises(ValueError, match=r"max_len 6 outside \[1, 5\]"):
+        ao.GenerationConfig(max_len=6).steps(model)
+
+
 def test_beam_requires_eos_in_vocab(two_doc_input):
     inp, graph = two_doc_input
     vocab = ["<pad>", "<bos>", "x", "y"]

@@ -123,6 +123,11 @@ def test_graph_pad_rows_zeroed(two_doc_input):
         assert not g.weights[:, i].any()
 
 
+def test_graph_unit_pad_is_zero_diagonal(two_doc_input):
+    inp, g = two_doc_input
+    assert np.array_equal(g.unit_pad, inp.unit_pad) and g.unit_pad is g.unit_pad
+
+
 def test_graph_symmetric_bitwise(two_doc_input):
     _, g = two_doc_input
     assert np.array_equal(g.weights, g.weights.T)

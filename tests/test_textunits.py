@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import attnorigin as ao
 from attnorigin.textunits import (
@@ -106,6 +108,12 @@ def test_unitize_padding_case():
     assert inp.doc_boundaries == {0: 0}
 
 
+def test_unitize_derives_pads_once():
+    inp = ao.unitize(make_docset("s", [["a b", "c"]]), "paragraph", L=4, T=3)
+    assert inp.unit_pad.tolist() == [False, False, True, True] and inp.num_real_units == 2
+    assert inp.unit_pad is inp.unit_pad and inp.pad_mask is inp.pad_mask
+
+
 def test_unitize_sentence_mode_counts_sentences():
     text = "First point here. Second point there. Third wraps up."
     docset = make_docset("s", [[text]])
@@ -184,6 +192,15 @@ def test_unitize_accepts_custom_tokenizer():
     docset = make_docset("s", [["Alpha Beta. Gamma"]])
     inp = ao.unitize(docset, "paragraph", L=2, T=8, tokenizer=str.split)
     assert inp.units[0].tokens == ["Alpha", "Beta.", "Gamma"]
+
+
+def test_unitize_rejects_a_unit_without_tokens():
+    def drop_gamma(text):
+        return [] if text == "gamma" else text.split()
+
+    docset = make_docset("s", [["alpha beta", "gamma"]])
+    with pytest.raises(ValueError, match="set 's': non-pad unit 1 has no tokens"):
+        ao.unitize(docset, "paragraph", L=3, T=4, tokenizer=drop_gamma)
 
 
 def test_shape_invariants_random():
@@ -283,7 +300,12 @@ def test_unitized_rejects_out_of_order_units():
     (lambda obj: obj["units"][1].update(tokens=[]), "unit 1 has no tokens"),
     (lambda obj: obj["units"][0].update(doc_index=-1), "unit 0 has doc_index -1"),
     (lambda obj: obj["doc_boundaries"].update({"3": 0}), "doc_boundaries key 3 outside"),
-], ids=["empty-tokens", "negative-doc-index", "boundary-past-units"])
+    (lambda obj: obj["doc_boundaries"].pop("0"), "doc_boundaries lacks non-pad unit 0"),
+    (lambda obj: obj["units"].append("x"), "units must be a list of objects"),
+    (lambda obj: obj.update(doc_boundaries=[0]), "doc_boundaries must be an object or null"),
+    (lambda obj: obj.update(gold_summary=3), "gold_summary must be a string or null"),
+], ids=["empty-tokens", "negative-doc-index", "boundary-past-units", "missing-boundary",
+        "unit-not-object", "boundaries-not-object", "gold-not-string"])
 def test_unitized_rejects_inconsistent_units(tmp_path, edit, message):
     docset = make_docset("s1", [["the cat sat", "a dog"], ["third doc para"]])
     good = unitized_to_json(UnitizedRecord(set_id="s0", unitized=ao.unitize(
@@ -297,3 +319,67 @@ def test_unitized_rejects_inconsistent_units(tmp_path, edit, message):
     path.write_text(json.dumps(good) + "\n" + json.dumps(obj) + "\n")
     with pytest.raises(CorpusFormatError, match=f"line 2: set 's1': .*{message}"):
         ao.read_unitized(path)
+
+
+def test_unitized_rejects_non_string_set_id(tmp_path):
+    record = {"set_id": 7, "mode": "paragraph", "L": 2, "T": 4, "units": [],
+              "doc_boundaries": {}, "gold_summary": None}
+    path = tmp_path / "units.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(CorpusFormatError, match="line 1: set_id must be a string"):
+        ao.read_unitized(path)
+
+
+def _json_paths(value, path=()):
+    """Every path into a JSON value, the root included."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def test_read_corpus_fuzzed_values_fail_cleanly(tmp_path):
+    """Any value of a valid record swapped for another JSON value reads or
+    raises CorpusFormatError naming its line."""
+    good = {"set_id": "s0", "documents": [
+        {"doc_id": "d0", "paragraphs": ["Alpha beta. Gamma.", "delta"]},
+        {"doc_id": "d1", "text": "One.\n\nTwo."},
+    ], "gold_summary": "alpha"}
+    paths = list(_json_paths(good))
+    path = tmp_path / "corpus.jsonl"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(where=st.sampled_from(paths), value=_JSON_VALUES)
+    def check(where, value):
+        record = json.loads(json.dumps(good))
+        if where:
+            parent = record
+            for key in where[:-1]:
+                parent = parent[key]
+            parent[where[-1]] = value
+        else:
+            record = value
+        path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        try:
+            sets = ao.read_corpus(path)
+        except CorpusFormatError as exc:
+            assert exc.line == 2 and str(exc).startswith("line 2: ")
+        else:
+            texts = [p for d in sets[1].documents for p in d.paragraphs]
+            texts += [sets[1].set_id, sets[1].gold_summary or ""]
+            assert len(sets) == 2 and all(isinstance(t, str) for t in texts)
+
+    check()
