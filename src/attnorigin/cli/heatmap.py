@@ -78,9 +78,21 @@ def render_heatmap_svg(
     return "\n".join(parts) + "\n"
 
 
-def heatmap_from_report(report: dict) -> str:
-    """Render the posbias block of a report dict; raise when absent."""
+def heatmap_from_report(report) -> str:
+    """Render the posbias block of a report dict.
+
+    Raises when the block is absent or ``normalized`` is not a non-empty
+    rectangular grid of numbers in [0, 1].
+    """
+    if not isinstance(report, dict):
+        raise ValueError("report must be a JSON object")
     block = report.get("posbias")
-    if not block or "normalized" not in block:
+    if not isinstance(block, dict) or "normalized" not in block:
         raise MissingPosBiasError("report contains no posbias block")
-    return render_heatmap_svg(block["normalized"])
+    grid = block["normalized"]
+    if not (isinstance(grid, list) and grid
+            and all(isinstance(row, list) and row and len(row) == len(grid[0]) for row in grid)
+            and all(type(v) in (int, float) and 0 <= v <= 1 for row in grid for v in row)):
+        raise ValueError("posbias.normalized must be a non-empty rectangular grid of "
+                         "numbers in [0, 1]")
+    return render_heatmap_svg(grid)

@@ -77,6 +77,10 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
+        """Config from a weights file; integer fields must be JSON integers."""
+        for f in dataclasses.fields(cls):
+            if f.type == "int" and f.name in obj and type(obj[f.name]) is not int:
+                raise TypeError(f"config {f.name} must be an integer, not {obj[f.name]!r}")
         return cls(**obj)
 
 
@@ -456,15 +460,8 @@ def decode_step(
 # Beam search
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Hypothesis:
-    ids: list[int]
-    logprob: float
-    finished: bool
-    last_betas: np.ndarray | None  # (dl, mh, L) float32 recorded at its last step
-
-
-def _normalized(logprob: float, length: int, alpha: float) -> float:
+def _normalized(logprob: np.ndarray, length: int, alpha: float) -> np.ndarray:
+    # A Python float power: numpy's array power may round the last bit differently.
     return logprob / (max(length, 1) ** alpha)
 
 
@@ -477,93 +474,68 @@ def generate_with_beam(
     """Beam search over decode_step, recording attention for every beam.
 
     Hypotheses are ranked by log-probability divided by length to the
-    power of the length penalty. A finished hypothesis keeps its beam
-    slot with a frozen score; its recorded tensor slices carry its last
-    real distribution forward, which keeps the tensor rectangular (those
+    power of the length penalty. Each step fills one (slots, 1 + V)
+    score grid: column 0 keeps a finished hypothesis at its frozen
+    score, column 1 + v extends a live one by token v, and every other
+    cell is -inf. One stable sort of the flattened grid picks the next
+    beams, so equal scores go to the lower slot, then the lower column.
+    A finished slot's recorded tensor slices carry its last real
+    distribution forward, which keeps the tensor rectangular (those
     slices fall outside the winner's length and are never consumed).
-    Beam slots that exceed the number of distinct hypotheses replicate
-    the slot-0 recording for the same reason.
+    While there are fewer hypotheses n than beam slots, slot k records
+    a copy of slot k mod n.
     """
     cfg = weights.config
     max_steps = gen.steps(cfg)
     # Both end markers must exist before any decoding starts.
     eos = weights.eos_id
     _ = weights.eos_sent_id
-    banned = {weights.pad_id, weights.bos_id}
+    banned_cols = [1 + weights.pad_id, 1 + weights.bos_id]
 
     encoded = encode_units(inp, weights, graph)
-    bs = gen.beam_size
-    dl, mh, L = cfg.num_layers, cfg.num_heads, inp.L
-    beams = [_Hypothesis(ids=[], logprob=0.0, finished=False, last_betas=None)]
+    bs, V = gen.beam_size, cfg.vocab_size
+    # Per slot: token ids (-1 pads a finished slot), log-probability,
+    # normalized score and whether it ended.
+    seqs = np.zeros((1, 0), dtype=np.int64)
+    logprobs, scores, finished = np.zeros(1), np.zeros(1), np.zeros(1, dtype=bool)
     records: list[np.ndarray] = []
     traces: list[list[int]] = []
 
     for step in range(max_steps):
-        step_betas = np.zeros((bs, dl, mh, L), dtype=np.float32)
-        # (score, parent_slot, token or -1 for a frozen hypothesis)
-        candidates: list[tuple[float, int, int, float]] = []
-        for slot, hyp in enumerate(beams):
-            if hyp.finished:
-                step_betas[slot] = hyp.last_betas
-                score = _normalized(hyp.logprob, len(hyp.ids), gen.length_penalty)
-                candidates.append((score, slot, -1, hyp.logprob))
+        n = len(seqs)
+        step_betas = np.empty((n, cfg.num_layers, cfg.num_heads, inp.L), dtype=np.float32)
+        totals = np.full((n, 1 + V), -np.inf)  # log-probability of each grid cell
+        totals[:, 0] = logprobs
+        for slot in range(n):
+            if finished[slot]:
+                step_betas[slot] = records[-1][traces[-1][slot]]
                 continue
-            state = DecoderState(prefix_ids=[weights.bos_id] + hyp.ids, encoded=encoded)
-            logits, betas = decode_step(state, weights, graph)
-            betas32 = betas.astype(np.float32)
-            step_betas[slot] = betas32
-            hyp.last_betas = betas32
-            logp = _log_softmax(logits)
-            for tok in banned:
-                logp[tok] = -np.inf
-            order = np.argsort(-logp, kind="stable")[: min(bs, len(logp))]
-            for tok in order:
-                if not np.isfinite(logp[tok]):
-                    continue
-                total = hyp.logprob + float(logp[tok])
-                score = _normalized(total, len(hyp.ids) + 1, gen.length_penalty)
-                candidates.append((score, slot, int(tok), total))
-        for slot in range(len(beams), bs):
-            step_betas[slot] = step_betas[slot % len(beams)]
-        records.append(step_betas)
+            state = DecoderState(prefix_ids=[weights.bos_id, *seqs[slot].tolist()],
+                                 encoded=encoded)
+            logits, step_betas[slot] = decode_step(state, weights, graph)
+            totals[slot, 1:] = logprobs[slot] + _log_softmax(logits)
+        totals[:, banned_cols] = -np.inf
+        records.append(step_betas[np.arange(bs) % n])
 
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        new_beams: list[_Hypothesis] = []
-        trace_row: list[int] = []
-        for score, parent, tok, total in candidates[:bs]:
-            if tok < 0:
-                new_beams.append(beams[parent])
-            else:
-                parent_hyp = beams[parent]
-                new_beams.append(
-                    _Hypothesis(
-                        ids=parent_hyp.ids + [tok],
-                        logprob=total,
-                        finished=(tok == eos),
-                        last_betas=parent_hyp.last_betas,
-                    )
-                )
-            trace_row.append(parent)
-        trace_row.extend([0] * (bs - len(trace_row)))
-        traces.append(trace_row)
-        beams = new_beams
-        if all(h.finished for h in beams):
+        grid = np.column_stack([np.where(finished, scores, -np.inf),
+                                _normalized(totals[:, 1:], step + 1, gen.length_penalty)])
+        order = np.argsort(-grid.ravel(), kind="stable")[:bs]
+        order = order[np.isfinite(grid.ravel()[order])]
+        parents, cols = np.divmod(order, 1 + V)
+        seqs = np.column_stack([seqs[parents], cols - 1])
+        logprobs, scores = totals.ravel()[order], grid.ravel()[order]
+        finished = (cols == 0) | (cols == 1 + eos)
+        traces.append(parents.tolist() + [0] * (bs - len(parents)))
+        if finished.all():
             break
 
-    best_slot = 0
-    best_score = -np.inf
-    for slot, hyp in enumerate(beams):
-        score = _normalized(hyp.logprob, len(hyp.ids), gen.length_penalty)
-        if score > best_score:
-            best_slot, best_score = slot, score
-    winner = beams[best_slot]
-    awd = AwdTensor(values=np.stack(records, axis=1))
+    best = int(np.argmax(scores))
     return GenerationResult(
-        tokens=list(winner.ids),
+        tokens=[tok for tok in seqs[best].tolist() if tok >= 0],
         beam_trace=traces,
-        awd=awd,
-        winning_beam=best_slot,
-        score=best_score,
+        awd=AwdTensor(values=np.stack(records, axis=1)),
+        winning_beam=best,
+        score=float(scores[best]),
     )
 
 

@@ -24,6 +24,7 @@ DEFAULT_SHAPES = {PARAGRAPH_MODE: (30, 60), SENTENCE_MODE: (60, 30)}
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 _BLANK_LINE_RE = re.compile(r"\n\s*\n")
+_DECIMAL_RE = re.compile(r"0|[1-9][0-9]*")
 
 
 class CorpusFormatError(ValueError):
@@ -278,13 +279,14 @@ def read_corpus(path) -> list[MultiDocSet]:
 def _read_jsonl(path, parse: Callable[[object], object]) -> list:
     """Parse every non-blank line; any error becomes a CorpusFormatError naming the line."""
     items = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")  # a UnicodeDecodeError is a ValueError
+                if line.strip():
                     items.append(parse(json.loads(line)))
-                except (ValueError, TypeError, KeyError) as exc:
-                    raise CorpusFormatError(str(exc), line=lineno) from None
+            except (ValueError, TypeError, KeyError) as exc:
+                raise CorpusFormatError(str(exc), line=lineno) from None
     return items
 
 
@@ -333,6 +335,21 @@ def unitized_to_json(record: UnitizedRecord) -> dict:
             "doc_boundaries": boundaries, "gold_summary": record.gold_summary}
 
 
+def _unit_from_json(set_id: str, u: dict) -> TextualUnit:
+    """One non-pad unit; plain ``if``s keep the per-unit checks cheap."""
+    doc_index, unit_index = u.get("doc_index", 0), u["unit_index"]
+    tokens, text = u["tokens"], u["original_text"]
+    if type(doc_index) is not int or type(unit_index) is not int:
+        raise ValueError(f"set {set_id!r}: unit {unit_index!r}: doc_index and unit_index "
+                         "must be integers")
+    if type(tokens) is not list or not all(map(str.__instancecheck__, tokens)):
+        raise ValueError(f"set {set_id!r}: unit {unit_index}: tokens must be a list of strings")
+    if type(text) is not str:
+        raise ValueError(f"set {set_id!r}: unit {unit_index}: original_text must be a string")
+    return TextualUnit(doc_index=doc_index, unit_index=unit_index, tokens=list(tokens),
+                       original_text=text)
+
+
 def unitized_from_json(obj: dict) -> UnitizedRecord:
     try:
         L, T, mode = obj["L"], obj["T"], obj["mode"]
@@ -343,15 +360,18 @@ def unitized_from_json(obj: dict) -> UnitizedRecord:
     _require(isinstance(set_id, str), "set_id must be a string")
     _require(isinstance(raw_units, list) and all(isinstance(u, dict) for u in raw_units),
              f"set {set_id!r}: units must be a list of objects")
-    units = [
-        TextualUnit(doc_index=int(u.get("doc_index", 0)), unit_index=u["unit_index"],
-                    tokens=list(u["tokens"]), original_text=u["original_text"])
-        for u in raw_units
-    ]
+    _require(type(L) is int and type(T) is int, f"set {set_id!r}: L and T must be integers")
+    units = [_unit_from_json(set_id, u) for u in raw_units]
     raw_bounds = obj.get("doc_boundaries")
     _require(raw_bounds is None or isinstance(raw_bounds, dict),
              f"set {set_id!r}: doc_boundaries must be an object or null")
-    boundaries = None if raw_bounds is None else {int(k): int(v) for k, v in raw_bounds.items()}
+    boundaries = None
+    if raw_bounds is not None:
+        for k, v in raw_bounds.items():
+            if not _DECIMAL_RE.fullmatch(k) or type(v) is not int:
+                raise ValueError(f"set {set_id!r}: doc_boundaries must map decimal unit "
+                                 f"indices to integers, not {k!r}: {v!r}")
+        boundaries = {int(k): v for k, v in raw_bounds.items()}
     gold = obj.get("gold_summary")
     _require(gold is None or isinstance(gold, str),
              f"set {set_id!r}: gold_summary must be a string or null")

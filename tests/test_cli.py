@@ -146,6 +146,17 @@ def test_preprocess_rejects_mistyped_corpus_values(tmp_path, capsys, record, nee
     assert not (tmp_path / "u.jsonl").exists()
 
 
+def test_preprocess_locates_invalid_utf8(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, num_sets=1)
+    corpus.write_bytes(corpus.read_bytes() + b"\xff\n")
+    code = main(["preprocess", "--corpus", str(corpus), "--out", str(tmp_path / "u.jsonl")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert lines[0].startswith("error: line 2: 'utf-8' codec can't decode byte 0xff")
+    assert not (tmp_path / "u.jsonl").exists()
+
+
 def test_preprocess_defaults_by_mode(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     write_corpus(corpus, num_sets=1)
@@ -313,7 +324,12 @@ def edit_json(change):
     (edit_json(lambda obj: obj["config"].update(num_heads=0)), "num_heads must be >= 1"),
     (edit_json(lambda obj: obj["config"].update(d_model=15)), "not divisible"),
     (edit_json(lambda obj: obj["params"]["w_q"].pop()), "w_q shape"),
-], ids=["truncated", "not-object", "missing-key", "zero-heads", "indivisible", "wrong-shape"])
+    (edit_json(lambda obj: obj["config"].update(num_layers=1.0)),
+     "config num_layers must be an integer, not 1.0"),
+    (edit_json(lambda obj: obj["config"].update(num_heads=True)),
+     "config num_heads must be an integer, not True"),
+], ids=["truncated", "not-object", "missing-key", "zero-heads", "indivisible", "wrong-shape",
+        "float-layers", "bool-heads"])
 def test_generate_rejects_malformed_weights_file(tmp_path, capsys, edit, needle):
     units = graphs_only(tmp_path)
     wpath = small_weights_file(tmp_path, ao.read_unitized(units))
@@ -520,6 +536,21 @@ def test_analyze_refuses_posbias_without_boundaries(tmp_path, capsys):
     code = main(["heatmap", "--report", str(rep / "report.json"),
                  "--out", str(tmp_path / "no.svg")])
     assert code != 0
+
+
+@pytest.mark.parametrize("report", [
+    [], {"posbias": {"normalized": 5}}, {"posbias": {"normalized": [[None]]}},
+    {"posbias": {"normalized": [[0.5], [0.2, 0.3]]}}, {"posbias": {"normalized": [[1.5]]}},
+    {"posbias": {"normalized": [[True]]}}, {"posbias": {"normalized": [0.5]}},
+], ids=["list", "number-grid", "null-cell", "ragged", "above-one", "bool-cell", "flat-row"])
+def test_heatmap_rejects_malformed_report(tmp_path, capsys, report):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    svg = tmp_path / "heat.svg"
+    code = main(["heatmap", "--report", str(path), "--out", str(svg)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+    assert not svg.exists()
 
 
 def test_analyze_layer_and_variant_selection(tmp_path):

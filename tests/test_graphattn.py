@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from attnorigin.graphattn import (
     SHIFT_DIFF_SQUARED,
     SHIFT_FORMS,
     SHIFT_SIM_SQUARED,
+    DecoderState,
     _log_softmax,
     _sigmoid,
     _softmax,
     decode_step,
+    encode_units,
     start_state,
 )
 from attnorigin.simgraph import SimilarityGraph
@@ -640,6 +643,133 @@ def greedy_tokens(inp, weights, graph, max_len):
         if tok == weights.eos_id:
             break
     return tokens
+
+
+@dataclass
+class _Hypothesis:
+    ids: list[int]
+    logprob: float
+    finished: bool
+    last_betas: np.ndarray | None  # (dl, mh, L) float32 recorded at its last step
+
+
+def _reference_normalized(logprob, length, alpha):
+    return logprob / (max(length, 1) ** alpha)
+
+
+def reference_generate_with_beam(inp, weights, graph, gen):
+    """Hypothesis-object beam search: the oracle for generate_with_beam.
+
+    Each live hypothesis proposes its top beam_size tokens by
+    log-probability, and a Python sort of (score, slot, token) tuples
+    picks the next beams.
+    """
+    cfg = weights.config
+    max_steps = gen.steps(cfg)
+    eos = weights.eos_id
+    banned = {weights.pad_id, weights.bos_id}
+    encoded = encode_units(inp, weights, graph)
+    bs = gen.beam_size
+    dl, mh, L = cfg.num_layers, cfg.num_heads, inp.L
+    beams = [_Hypothesis(ids=[], logprob=0.0, finished=False, last_betas=None)]
+    records, traces = [], []
+    for _ in range(max_steps):
+        step_betas = np.zeros((bs, dl, mh, L), dtype=np.float32)
+        candidates = []  # (score, parent_slot, token or -1 for a frozen hypothesis, logprob)
+        for slot, hyp in enumerate(beams):
+            if hyp.finished:
+                step_betas[slot] = hyp.last_betas
+                score = _reference_normalized(hyp.logprob, len(hyp.ids), gen.length_penalty)
+                candidates.append((score, slot, -1, hyp.logprob))
+                continue
+            state = DecoderState(prefix_ids=[weights.bos_id] + hyp.ids, encoded=encoded)
+            logits, betas = decode_step(state, weights, graph)
+            hyp.last_betas = step_betas[slot] = betas.astype(np.float32)
+            logp = _log_softmax(logits)
+            for tok in banned:
+                logp[tok] = -np.inf
+            for tok in np.argsort(-logp, kind="stable")[: min(bs, len(logp))]:
+                if np.isfinite(logp[tok]):
+                    total = hyp.logprob + float(logp[tok])
+                    score = _reference_normalized(total, len(hyp.ids) + 1, gen.length_penalty)
+                    candidates.append((score, slot, int(tok), total))
+        for slot in range(len(beams), bs):
+            step_betas[slot] = step_betas[slot % len(beams)]
+        records.append(step_betas)
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        new_beams = []
+        for _, parent, tok, total in candidates[:bs]:
+            hyp = beams[parent]
+            new_beams.append(hyp if tok < 0 else _Hypothesis(
+                ids=hyp.ids + [tok], logprob=total, finished=tok == eos, last_betas=hyp.last_betas))
+        traces.append([c[1] for c in candidates[:bs]] + [0] * (bs - len(new_beams)))
+        beams = new_beams
+        if all(h.finished for h in beams):
+            break
+    best_slot, best_score = 0, -np.inf
+    for slot, hyp in enumerate(beams):
+        score = _reference_normalized(hyp.logprob, len(hyp.ids), gen.length_penalty)
+        if score > best_score:
+            best_slot, best_score = slot, score
+    return ao.GenerationResult(
+        tokens=list(beams[best_slot].ids), beam_trace=traces,
+        awd=ao.AwdTensor(values=np.stack(records, axis=1)),
+        winning_beam=best_slot, score=best_score,
+    )
+
+
+def test_beam_matches_reference_over_seeded_sweep():
+    """Tokens, trace, winner, score and AWD bytes equal the reference exactly.
+
+    Output weights are scaled up (so some runs end every beam early and
+    exercise frozen hypotheses) and, in half the runs, rounded to
+    integers (so some tokens share an output column and tie).
+    """
+    rng = np.random.default_rng(2024)
+    finished_early = tied = 0
+    for i in range(330):
+        inp = random_unitized(rng, paras_per_doc=int(rng.integers(1, 3)), L=6, T=8)
+        graph = ao.build_graph(inp)
+        vocab = vocab_of(inp)
+        max_len = 1 + i % 6
+        cfg = ao.ModelConfig(d_model=8, num_layers=1 + i % 2, num_heads=(1, 2, 4)[i % 3],
+                             vocab_size=len(vocab), num_units=inp.L, max_len=max_len)
+        weights = ao.make_synthetic_weights(i, cfg, vocab=vocab)
+        weights.w_out = weights.w_out * float(rng.choice([1.0, 4.0, 16.0, 40.0]))
+        if i % 2:
+            weights.w_out = np.round(weights.w_out)
+        allowed = weights.w_out[:, 2:]  # every token but <pad> and <bos>
+        tied += len(np.unique(allowed, axis=1)) < allowed.shape[1]
+        gen = ao.GenerationConfig(beam_size=1 + i % 11, max_len=max_len,
+                                  length_penalty=(0.0, 0.6, 1.0, 2.0)[i % 4])
+        got = ao.generate_with_beam(inp, weights, graph, gen)
+        want = reference_generate_with_beam(inp, weights, graph, gen)
+        assert got.tokens == want.tokens, i
+        assert got.beam_trace == want.beam_trace, i
+        assert got.winning_beam == want.winning_beam, i
+        assert got.score == want.score, i
+        assert got.awd.values.tobytes() == want.awd.values.tobytes(), i
+        finished_early += len(got.beam_trace) < max_len
+    assert finished_early >= 5 and tied >= 20, (finished_early, tied)
+
+
+def test_equal_scores_break_ties_by_token_not_log_probability():
+    """One sort over rounded scores: ties go to the lower slot, then the lower token.
+
+    After <bos> b, <eos> and <eoss> have logits one ulp apart, so their
+    log-probabilities differ but both totals round to the same float.
+    The greedy beam takes <eos>; the reference, which first keeps each
+    hypothesis's top tokens by log-probability, takes <eoss>.
+    """
+    inp, graph = toy_input()
+    transition = {v: np.zeros(len(TOY_VOCAB)) for v in range(len(TOY_VOCAB))}
+    transition[1][5] = 1.0
+    transition[5][2] = 1.0
+    transition[5][3] = np.nextafter(1.0, 2.0)
+    weights = markov_weights(transition, max_len=2, L=inp.L)
+    gen = ao.GenerationConfig(beam_size=1, max_len=2, length_penalty=0.0)
+    assert ao.generate_with_beam(inp, weights, graph, gen).tokens == [5, 2]
+    assert reference_generate_with_beam(inp, weights, graph, gen).tokens == [5, 3]
 
 
 def test_beam_size_one_is_greedy(two_doc_input):

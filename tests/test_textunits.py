@@ -249,6 +249,17 @@ def test_corpus_error_carries_line_number(tmp_path):
         ao.read_corpus(path)
 
 
+def test_invalid_utf8_is_located(tmp_path):
+    good_set = '{"set_id": "ok", "documents": [{"doc_id": "d", "paragraphs": ["x"]}]}'
+    good_units = json.dumps(unitized_to_json(UnitizedRecord(set_id="ok", unitized=ao.unitize(
+        make_docset("ok", [["fine text"]]), "paragraph", L=2, T=4))))
+    for read, good in ((ao.read_corpus, good_set), (ao.read_unitized, good_units)):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(good.encode() + b"\n\xff\n")
+        with pytest.raises(CorpusFormatError, match="line 2: 'utf-8' codec can't decode"):
+            read(path)
+
+
 def test_empty_corpus_reads_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -304,8 +315,22 @@ def test_unitized_rejects_out_of_order_units():
     (lambda obj: obj["units"].append("x"), "units must be a list of objects"),
     (lambda obj: obj.update(doc_boundaries=[0]), "doc_boundaries must be an object or null"),
     (lambda obj: obj.update(gold_summary=3), "gold_summary must be a string or null"),
+    (lambda obj: obj["units"][2].update(doc_index=1.7), "doc_index and unit_index must be integers"),
+    (lambda obj: obj["units"][1].update(unit_index=True), "doc_index and unit_index must be integers"),
+    (lambda obj: obj["doc_boundaries"].update({"2": 0.9}),
+     "doc_boundaries must map decimal unit indices to integers"),
+    (lambda obj: obj["doc_boundaries"].update({"2": True}),
+     "doc_boundaries must map decimal unit indices to integers"),
+    (lambda obj: obj["doc_boundaries"].update({"+0": obj["doc_boundaries"].pop("0")}),
+     "doc_boundaries must map decimal unit indices to integers"),
+    (lambda obj: obj["units"][0].update(tokens="the"), "tokens must be a list of strings"),
+    (lambda obj: obj["units"][0].update(tokens=["the", 7]), "tokens must be a list of strings"),
+    (lambda obj: obj["units"][0].update(original_text=5), "original_text must be a string"),
+    (lambda obj: obj.update(L=5.0), "L and T must be integers"),
 ], ids=["empty-tokens", "negative-doc-index", "boundary-past-units", "missing-boundary",
-        "unit-not-object", "boundaries-not-object", "gold-not-string"])
+        "unit-not-object", "boundaries-not-object", "gold-not-string", "float-doc-index",
+        "bool-unit-index", "float-boundary", "bool-boundary", "signed-boundary-key",
+        "string-tokens", "int-token", "int-original-text", "float-L"])
 def test_unitized_rejects_inconsistent_units(tmp_path, edit, message):
     docset = make_docset("s1", [["the cat sat", "a dog"], ["third doc para"]])
     good = unitized_to_json(UnitizedRecord(set_id="s0", unitized=ao.unitize(
