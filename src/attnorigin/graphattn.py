@@ -2,11 +2,12 @@
 
 The decoder attends over encoded textual units with logits shifted by a
 penalty derived from the similarity graph and a predicted central unit.
-``decode_step``'s graph attention is the composition of the exported
-primitives, which take one state or a stack, with all heads as one batch.
-Every decode step records the resulting attention distribution (one
-probability vector over units per layer and head), and beam-search
-generation collects those vectors into a dense tensor indexed
+One kernel advances a batch of hypotheses through every layer, with
+causal self-attention over a key/value cache and graph attention
+composed of the exported primitives (one state or a stack, all heads as
+one batch). Every step records the resulting attention distribution (one
+probability vector over units per layer and head), and beam search
+collects those vectors into a dense tensor indexed
 [beam][token][layer][head][unit] together with a parent-beam trace.
 
 There is no training loop; weights are loaded from files or built
@@ -63,8 +64,8 @@ class ModelConfig:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by num_heads={self.num_heads}"
             )
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.shift_form not in SHIFT_FORMS:
             raise ValueError(f"shift_form must be one of {SHIFT_FORMS}")
 
@@ -77,10 +78,12 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
-        """Config from a weights file; integer fields must be JSON integers."""
+        """Config from a weights file; numeric fields must be JSON numbers, not bools."""
         for f in dataclasses.fields(cls):
-            if f.type == "int" and f.name in obj and type(obj[f.name]) is not int:
-                raise TypeError(f"config {f.name} must be an integer, not {obj[f.name]!r}")
+            kind = {"int": (int,), "float": (int, float)}.get(f.type)
+            if kind and f.name in obj and type(obj[f.name]) not in kind:
+                what = "an integer" if f.type == "int" else "a number"
+                raise TypeError(f"config {f.name} must be {what}, not {obj[f.name]!r}")
         return cls(**obj)
 
 
@@ -247,24 +250,20 @@ class DecoderState:
 # ---------------------------------------------------------------------------
 
 def _softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
+    shifted = logits - logits.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    return exp / exp.sum(axis=axis, keepdims=True)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    return shifted - np.log(np.sum(np.exp(shifted)))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # exp(x) where x < 0, so neither branch overflows
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _graph_shift(g: np.ndarray, sigma: float, shift_form: str) -> np.ndarray:
@@ -333,7 +332,7 @@ def unscaled_attention(
     """
     y = np.asarray(y, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
+    if not (np.isfinite(y).all() and np.isfinite(x).all()):
         raise ValueError("non-finite attention input")
     q = (y if y.ndim == 2 else y[None]) @ w_q
     k = x @ w_k
@@ -356,7 +355,7 @@ def central_paragraph(
     y = np.asarray(y, dtype=np.float64)
     hidden = np.tanh(y @ w1 + b1)
     s = np.floor(_sigmoid(hidden @ w2 + b2) * (L - 1) + 0.5).astype(np.int64)
-    s = np.clip(s, 0, L - 1)
+    s = s.clip(0, L - 1)
     return s if y.ndim == 2 else int(s.reshape(()))
 
 
@@ -377,7 +376,7 @@ def graph_shifted_attention(
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     s = np.asarray(s)
-    if np.any((s < 0) | (s >= graph.size)):
+    if ((s < 0) | (s >= graph.size)).any():
         raise ValueError(f"central index out of range [0, {graph.size}): {s}")
     if graph.unit_pad.all():
         raise ValueError("all units are padded; no attention targets")
@@ -391,7 +390,7 @@ def global_context(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
     every row must sum to 1.
     """
     beta = np.asarray(beta, dtype=np.float64)
-    off = np.max(np.abs(beta.sum(axis=-1) - 1.0))
+    off = np.abs(beta.sum(axis=-1) - 1.0).max()
     if not off <= 1e-6:
         raise ValueError(f"attention weights sum {off:.3g} away from 1")
     return beta @ x
@@ -408,52 +407,65 @@ def start_state(
     return DecoderState(prefix_ids=[weights.bos_id], encoded=encoded)
 
 
+def _decode_block(
+    ids: np.ndarray, start: int, cache: np.ndarray, x: np.ndarray,
+    weights: DecoderWeights, graph: SimilarityGraph,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance n hypotheses by q tokens ``ids`` (n, q) at positions start..start+q-1.
+
+    ``cache`` holds the self-attention keys and values, (2, layers, rows,
+    steps, d): its rows [:n] carry positions [:start] of the n hypotheses
+    and receive the new ones. Each layer runs causal self-attention over
+    the cache, then global graph attention (the primitives over every
+    row and head, contexts concatenated and projected), then a
+    position-wise feed-forward, all with residual connections. Returns
+    the last position's (n, V) logits and (n, layers, heads, L) betas.
+    """
+    cfg = weights.config
+    (n, q), end, L = ids.shape, start + ids.shape[1], x.shape[0]
+    h = (weights.embedding[ids] + weights.pos_encoding[start:end]).reshape(n * q, -1)
+    causal = np.triu(np.full((q, end), -np.inf), k=start + 1)
+    betas = np.empty((n, cfg.num_layers, cfg.num_heads, L))
+    keys, values = cache[0, :, :n], cache[1, :, :n]
+    for layer in range(cfg.num_layers):
+        keys[layer, :, start:end] = (h @ weights.sa_wk[layer]).reshape(n, q, -1)
+        values[layer, :, start:end] = (h @ weights.sa_wv[layer]).reshape(n, q, -1)
+        k, v = keys[layer, :, :end], values[layer, :, :end]
+        queries = (h @ weights.sa_wq[layer]).reshape(n, q, -1)
+        attn = _softmax(queries @ k.transpose(0, 2, 1) / math.sqrt(cfg.d_model) + causal)
+        h = h + (attn @ v).reshape(n * q, -1) @ weights.sa_wo[layer]
+
+        ffn = (weights.cp_w1[layer], weights.cp_b1[layer], weights.cp_w2[layer],
+               weights.cp_b2[layer])
+        s = central_paragraph(h, ffn, L)  # (n * q,)
+        e = unscaled_attention(h, x, weights.w_q[layer], weights.w_k[layer])  # (mh, n * q, L)
+        beta = graph_shifted_attention(e, graph, s, cfg.sigma, cfg.shift_form)
+        betas[:, layer] = beta.reshape(-1, n, q, L)[:, :, -1].transpose(1, 0, 2)
+        contexts = global_context(beta, x)  # (mh, n * q, d)
+        h = h + contexts.transpose(1, 0, 2).reshape(n * q, -1) @ weights.w_g[layer]
+
+        inner = np.maximum(h @ weights.ff_w1[layer] + weights.ff_b1[layer], 0.0)
+        h = h + inner @ weights.ff_w2[layer] + weights.ff_b2[layer]
+    return h.reshape(n, q, -1)[:, -1] @ weights.w_out, betas
+
+
 def decode_step(
     state: DecoderState, weights: DecoderWeights, graph: SimilarityGraph
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the decoder over the prefix; return next-token logits and betas.
 
     The betas are the graph-shifted attention distributions of the last
-    prefix position, shape (num_layers, num_heads, L). Each layer runs
-    causal self-attention, then global graph attention (the primitives
-    over every position and head, contexts concatenated and projected),
-    then a position-wise feed-forward, all with residual connections.
+    prefix position, shape (num_layers, num_heads, L): one
+    ``_decode_block`` call over the whole prefix with an empty cache.
     """
     cfg = weights.config
     p = len(state.prefix_ids)
     if p - 1 >= cfg.max_len:
         raise ValueError(f"decoded length {p - 1} reached max_len {cfg.max_len}")
-    x = state.encoded
-    L = x.shape[0]
-
-    h = weights.embedding[state.prefix_ids] + weights.pos_encoding[:p]  # (p, d)
-    causal = np.triu(np.full((p, p), -np.inf), k=1)
-    betas = np.empty((cfg.num_layers, cfg.num_heads, L), dtype=np.float64)
-
-    for layer in range(cfg.num_layers):
-        # Causal self-attention over the generated prefix.
-        q = h @ weights.sa_wq[layer]
-        k = h @ weights.sa_wk[layer]
-        v = h @ weights.sa_wv[layer]
-        attn = _softmax(q @ k.T / math.sqrt(cfg.d_model) + causal, axis=-1)
-        h = h + (attn @ v) @ weights.sa_wo[layer]
-
-        # Global graph attention: central unit per position, all heads at once.
-        ffn = (weights.cp_w1[layer], weights.cp_b1[layer], weights.cp_w2[layer],
-               weights.cp_b2[layer])
-        s = central_paragraph(h, ffn, L)  # (p,)
-        e = unscaled_attention(h, x, weights.w_q[layer], weights.w_k[layer])  # (mh, p, L)
-        beta = graph_shifted_attention(e, graph, s, cfg.sigma, cfg.shift_form)
-        betas[layer] = beta[:, -1]
-        contexts = global_context(beta, x)  # (mh, p, d)
-        h = h + contexts.transpose(1, 0, 2).reshape(p, -1) @ weights.w_g[layer]
-
-        # Position-wise feed-forward.
-        inner = np.maximum(h @ weights.ff_w1[layer] + weights.ff_b1[layer], 0.0)
-        h = h + inner @ weights.ff_w2[layer] + weights.ff_b2[layer]
-
-    logits_vocab = h[-1] @ weights.w_out
-    return logits_vocab, betas
+    cache = np.empty((2, cfg.num_layers, 1, p, cfg.d_model))
+    logits, betas = _decode_block(np.array([state.prefix_ids]), 0, cache, state.encoded,
+                                  weights, graph)
+    return logits[0], betas[0]
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +483,12 @@ def generate_with_beam(
     graph: SimilarityGraph,
     gen: GenerationConfig = GenerationConfig(),
 ) -> GenerationResult:
-    """Beam search over decode_step, recording attention for every beam.
+    """Beam search with a cached decoder, recording attention for every beam.
 
-    Hypotheses are ranked by log-probability divided by length to the
-    power of the length penalty. Each step fills one (slots, 1 + V)
+    Each step is one ``_decode_block`` call that feeds every live
+    hypothesis its last token; the cache rows then follow the chosen
+    parents. Hypotheses are ranked by log-probability divided by length
+    to the power of the length penalty. Each step fills one (slots, 1 + V)
     score grid: column 0 keeps a finished hypothesis at its frozen
     score, column 1 + v extends a live one by token v, and every other
     cell is -inf. One stable sort of the flattened grid picks the next
@@ -494,28 +508,27 @@ def generate_with_beam(
 
     encoded = encode_units(inp, weights, graph)
     bs, V = gen.beam_size, cfg.vocab_size
-    # Per slot: token ids (-1 pads a finished slot), log-probability,
-    # normalized score and whether it ended.
-    seqs = np.zeros((1, 0), dtype=np.int64)
+    # Self-attention keys and values, one cache row per live slot in slot order.
+    cache = np.empty((2, cfg.num_layers, bs, max_steps, cfg.d_model))
+    awd = np.empty((bs, max_steps, cfg.num_layers, cfg.num_heads, inp.L), dtype=np.float32)
+    # Per slot: <bos> and the token ids (-1 pads a finished slot), log-probability,
+    # normalized score, whether it ended, and its parent slot.
+    seqs = np.full((1, 1), weights.bos_id)
     logprobs, scores, finished = np.zeros(1), np.zeros(1), np.zeros(1, dtype=bool)
-    records: list[np.ndarray] = []
+    parents = np.zeros(1, dtype=np.int64)
     traces: list[list[int]] = []
 
     for step in range(max_steps):
         n = len(seqs)
-        step_betas = np.empty((n, cfg.num_layers, cfg.num_heads, inp.L), dtype=np.float32)
+        live = np.flatnonzero(~finished)
+        logits, awd[live, step] = _decode_block(seqs[live, -1:], step, cache, encoded,
+                                                weights, graph)
+        awd[:n][finished, step] = awd[parents[finished], step - 1]
+        awd[n:, step] = awd[np.arange(n, bs) % n, step]
         totals = np.full((n, 1 + V), -np.inf)  # log-probability of each grid cell
         totals[:, 0] = logprobs
-        for slot in range(n):
-            if finished[slot]:
-                step_betas[slot] = records[-1][traces[-1][slot]]
-                continue
-            state = DecoderState(prefix_ids=[weights.bos_id, *seqs[slot].tolist()],
-                                 encoded=encoded)
-            logits, step_betas[slot] = decode_step(state, weights, graph)
-            totals[slot, 1:] = logprobs[slot] + _log_softmax(logits)
+        totals[live, 1:] = logprobs[live, None] + _log_softmax(logits)
         totals[:, banned_cols] = -np.inf
-        records.append(step_betas[np.arange(bs) % n])
 
         grid = np.column_stack([np.where(finished, scores, -np.inf),
                                 _normalized(totals[:, 1:], step + 1, gen.length_penalty)])
@@ -528,12 +541,16 @@ def generate_with_beam(
         traces.append(parents.tolist() + [0] * (bs - len(parents)))
         if finished.all():
             break
+        # Each live child takes its (live) parent's cache row; per layer keeps the copy small.
+        rows = np.searchsorted(live, parents[~finished])
+        for kv in cache.reshape(-1, bs, max_steps, cfg.d_model):
+            kv[:len(rows), :step + 1] = kv[rows, :step + 1]
 
     best = int(np.argmax(scores))
     return GenerationResult(
-        tokens=[tok for tok in seqs[best].tolist() if tok >= 0],
+        tokens=[tok for tok in seqs[best, 1:].tolist() if tok >= 0],
         beam_trace=traces,
-        awd=AwdTensor(values=np.stack(records, axis=1)),
+        awd=AwdTensor(values=awd[:, :len(traces)]),
         winning_beam=best,
         score=float(scores[best]),
     )
@@ -671,7 +688,11 @@ def read_weights(path) -> DecoderWeights:
             name: np.array(obj["params"][name], dtype=np.float64)
             for name in _param_shapes(config)
         }
-        return DecoderWeights(config=config, vocab=list(obj["vocab"]), **params)
+        vocab = obj["vocab"]
+        if not (type(vocab) is list and all(type(t) is str for t in vocab)
+                and len(set(vocab)) == len(vocab)):
+            raise ValueError("vocab must be a list of distinct strings")
+        return DecoderWeights(config=config, vocab=vocab, **params)
     except KeyError as exc:
         raise ValueError(f"{path}: weights file missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

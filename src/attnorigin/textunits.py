@@ -21,6 +21,8 @@ SENTENCE_MODE = "sentence"
 
 # (units L, tokens per unit T); both shapes give an 1,800-token budget.
 DEFAULT_SHAPES = {PARAGRAPH_MODE: (30, 60), SENTENCE_MODE: (60, 30)}
+# Largest L x T grid: checked before any pad unit or mask is allocated.
+MAX_GRID_CELLS = 1 << 20
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 _BLANK_LINE_RE = re.compile(r"\n\s*\n")
@@ -178,6 +180,10 @@ class UnitizedInput:
                 raise ValueError(f"doc_boundaries key {odd[0]} outside the {real} non-pad units")
             if odd:
                 raise ValueError(f"doc_boundaries lacks non-pad unit {odd[0]}")
+            for i in range(real):
+                if self.doc_boundaries[i] != self.units[i].doc_index:
+                    raise ValueError(f"doc_boundaries maps unit {i} to {self.doc_boundaries[i]}, "
+                                     f"not its doc_index {self.units[i].doc_index}")
         self.num_real_units = real
         self.unit_pad = np.arange(self.L) >= real
         lengths = np.array([len(u.tokens) for u in self.units])
@@ -215,6 +221,7 @@ def unitize(
     units and tokens are padded. ``tokenizer`` may be swapped for any
     callable with the same contract (e.g. a subword model).
     """
+    _check_grid(docset.set_id, L, T)
     pairs = _collect_units(docset, mode)
     if mode == SENTENCE_MODE and not pairs:
         raise ValueError(
@@ -225,6 +232,11 @@ def unitize(
         for idx, (d, text) in enumerate(pairs[:L])
     ]
     return _padded(docset.set_id, units, L, T, mode, {u.unit_index: u.doc_index for u in units})
+
+
+def _check_grid(set_id: str, L: int, T: int) -> None:
+    _require(L * T <= MAX_GRID_CELLS,
+             f"set {set_id!r}: L={L} x T={T} exceeds {MAX_GRID_CELLS} grid cells")
 
 
 def _padded(set_id: str, units: list[TextualUnit], L: int, T: int, mode: str,
@@ -361,6 +373,7 @@ def unitized_from_json(obj: dict) -> UnitizedRecord:
     _require(isinstance(raw_units, list) and all(isinstance(u, dict) for u in raw_units),
              f"set {set_id!r}: units must be a list of objects")
     _require(type(L) is int and type(T) is int, f"set {set_id!r}: L and T must be integers")
+    _check_grid(set_id, L, T)
     units = [_unit_from_json(set_id, u) for u in raw_units]
     raw_bounds = obj.get("doc_boundaries")
     _require(raw_bounds is None or isinstance(raw_bounds, dict),

@@ -328,8 +328,17 @@ def edit_json(change):
      "config num_layers must be an integer, not 1.0"),
     (edit_json(lambda obj: obj["config"].update(num_heads=True)),
      "config num_heads must be an integer, not True"),
+    (edit_json(lambda obj: obj["config"].update(sigma=True)),
+     "config sigma must be a number, not True"),
+    (edit_json(lambda obj: obj["config"].update(sigma=float("nan"))),
+     "sigma must be positive and finite, got nan"),
+    (edit_json(lambda obj: obj["vocab"].__setitem__(-1, 17)),
+     "vocab must be a list of distinct strings"),
+    (edit_json(lambda obj: obj["vocab"].__setitem__(-1, obj["vocab"][-2])),
+     "vocab must be a list of distinct strings"),
 ], ids=["truncated", "not-object", "missing-key", "zero-heads", "indivisible", "wrong-shape",
-        "float-layers", "bool-heads"])
+        "float-layers", "bool-heads", "bool-sigma", "nan-sigma", "int-vocab-entry",
+        "duplicate-vocab-entry"])
 def test_generate_rejects_malformed_weights_file(tmp_path, capsys, edit, needle):
     units = graphs_only(tmp_path)
     wpath = small_weights_file(tmp_path, ao.read_unitized(units))

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import attnorigin as ao
+import attnorigin.textunits as textunits
 from attnorigin.textunits import (
     DEFAULT_SHAPES,
+    MAX_GRID_CELLS,
     CorpusFormatError,
     UnitizedRecord,
     docset_from_json,
@@ -327,10 +329,15 @@ def test_unitized_rejects_out_of_order_units():
     (lambda obj: obj["units"][0].update(tokens=["the", 7]), "tokens must be a list of strings"),
     (lambda obj: obj["units"][0].update(original_text=5), "original_text must be a string"),
     (lambda obj: obj.update(L=5.0), "L and T must be integers"),
+    (lambda obj: obj["doc_boundaries"].update({"2": 0}),
+     "doc_boundaries maps unit 2 to 0, not its doc_index 1"),
+    (lambda obj: obj["doc_boundaries"].update({"2": -3}),
+     "doc_boundaries maps unit 2 to -3, not its doc_index 1"),
 ], ids=["empty-tokens", "negative-doc-index", "boundary-past-units", "missing-boundary",
         "unit-not-object", "boundaries-not-object", "gold-not-string", "float-doc-index",
         "bool-unit-index", "float-boundary", "bool-boundary", "signed-boundary-key",
-        "string-tokens", "int-token", "int-original-text", "float-L"])
+        "string-tokens", "int-token", "int-original-text", "float-L",
+        "boundary-disagrees-with-doc-index", "negative-boundary"])
 def test_unitized_rejects_inconsistent_units(tmp_path, edit, message):
     docset = make_docset("s1", [["the cat sat", "a dog"], ["third doc para"]])
     good = unitized_to_json(UnitizedRecord(set_id="s0", unitized=ao.unitize(
@@ -344,6 +351,26 @@ def test_unitized_rejects_inconsistent_units(tmp_path, edit, message):
     path.write_text(json.dumps(good) + "\n" + json.dumps(obj) + "\n")
     with pytest.raises(CorpusFormatError, match=f"line 2: set 's1': .*{message}"):
         ao.read_unitized(path)
+
+
+def test_grid_is_bounded_before_allocation(monkeypatch):
+    """An oversized L x T is refused before any pad unit or mask exists."""
+    def unreachable(*args):
+        raise AssertionError("_padded ran before the grid check")
+
+    monkeypatch.setattr(textunits, "_padded", unreachable)
+    record = {"set_id": "big", "mode": "paragraph", "L": 2**40, "T": 4, "units": [],
+              "doc_boundaries": {}, "gold_summary": None}
+    message = f"set 'big': L={2**40} x T=4 exceeds {MAX_GRID_CELLS} grid cells"
+    with pytest.raises(ValueError, match=message):
+        unitized_from_json(record)
+    with pytest.raises(ValueError, match=message):
+        ao.unitize(make_docset("big", [["fine text"]]), "paragraph", L=2**40, T=4)
+    docset = make_docset("big", [["fine text"]])
+    with pytest.raises(ValueError, match="exceeds"):
+        ao.unitize(docset, "paragraph", L=2, T=MAX_GRID_CELLS // 2 + 1)
+    monkeypatch.undo()
+    assert ao.unitize(docset, "paragraph", L=1, T=MAX_GRID_CELLS).T == MAX_GRID_CELLS
 
 
 def test_unitized_rejects_non_string_set_id(tmp_path):
