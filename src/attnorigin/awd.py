@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphattn import AwdTensor
+from .textunits import atomic_write
 
 AWD_MAGIC = b"AWD1"
 MAX_ELEMENTS = 1 << 31
@@ -68,7 +69,7 @@ class SentenceAwd:
 
 def write_awd(tensor: AwdTensor, path) -> None:
     values = np.ascontiguousarray(tensor.values, dtype="<f4")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(AWD_MAGIC)
         fh.write(struct.pack("<5I", *values.shape))
         fh.write(values.tobytes())
@@ -204,7 +205,7 @@ def write_summary(record: SummaryRecord, path) -> None:
         "beam_trace": record.beam_trace,
         "winning_beam": record.winning_beam,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         json.dump(obj, fh)
         fh.write("\n")
 

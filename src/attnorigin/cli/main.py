@@ -331,7 +331,7 @@ def cmd_generate(opts: dict[str, Any]) -> int:
         awdmod.write_awd(result.awd, awd_path(awd_dir, record.set_id))
         tokens += len(result.tokens)
 
-    with open(vocab_path(out_dir), "w", encoding="utf-8") as fh:
+    with textunits.atomic_write(vocab_path(out_dir), encoding="utf-8") as fh:
         json.dump(weights.vocab, fh)
         fh.write("\n")
     print(
@@ -360,8 +360,9 @@ def _read_vocab(path: Path) -> list[str]:
             vocab = json.load(fh)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
-    if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
-        raise CliError(f"{path}: vocabulary must be a JSON list of strings")
+    if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)
+            and len(set(vocab)) == len(vocab)):
+        raise CliError(f"{path}: vocabulary must be a JSON list of distinct strings")
     return vocab
 
 
@@ -511,7 +512,8 @@ def cmd_heatmap(opts: dict[str, Any]) -> int:
     svg = heatmapmod.heatmap_from_report(report)
     out = Path(opts["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(svg, encoding="utf-8")
+    with textunits.atomic_write(out, encoding="utf-8") as fh:
+        fh.write(svg)
     print(f"wrote={out}")
     return 0
 

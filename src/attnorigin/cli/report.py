@@ -15,6 +15,7 @@ import io
 
 from ..origin import CorrelationReport, VARIANTS
 from ..rouge import RougeTriple
+from ..textunits import atomic_write
 
 
 def format_slashed(values, decimals: int = 2) -> str:
@@ -66,7 +67,7 @@ def dump_json(obj: dict) -> str:
 
 
 def write_report_json(report: CorrelationReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         fh.write(dump_json(report_to_dict(report)))
 
 
@@ -116,5 +117,5 @@ def report_to_csv(report: CorrelationReport) -> str:
 
 
 def write_report_csv(report: CorrelationReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, encoding="utf-8", newline="") as fh:
         fh.write(report_to_csv(report))

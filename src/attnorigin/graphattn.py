@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .simgraph import SimilarityGraph
-from .textunits import UnitizedInput
+from .textunits import UnitizedInput, atomic_write
 
 PAD_TOKEN = "<pad>"
 BOS_TOKEN = "<bos>"
@@ -673,7 +673,7 @@ def write_weights(weights: DecoderWeights, path) -> None:
             name: getattr(weights, name).tolist() for name in _param_shapes(weights.config)
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         json.dump(obj, fh)
         fh.write("\n")
 

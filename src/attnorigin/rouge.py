@@ -1,8 +1,10 @@
-"""ROUGE-1/2/L scores over token sequences.
+"""ROUGE-1/2/L scores over token sequences, all read from one counting kernel.
 
-Uses clipped n-gram counts for ROUGE-N and a dynamic-programming LCS
-for ROUGE-L. No stemming or stopword removal; text is lowercased by the
-shared tokenizer, which keeps the metric deterministic.
+``rouge_counts`` profiles each sequence once. ROUGE-1/2 use clipped
+n-gram counts; ROUGE-L takes the LCS from Hyyrö's bit-parallel
+recurrence on Python ints (Hyyrö 2004). No stemming or stopword removal;
+text is lowercased by the shared tokenizer, which keeps the metric
+deterministic.
 """
 
 from __future__ import annotations
@@ -11,7 +13,20 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .textunits import tokenize
+
+
+def scores_from_counts(counts) -> np.ndarray:
+    """Precision, recall and F1 from ``(..., 3)`` counts of (matches,
+    candidate total, reference total); a ratio with a zero total is 0."""
+    counts = np.asarray(counts, dtype=np.float64)
+    m, ct, rt = counts[..., 0], counts[..., 1], counts[..., 2]
+    p = np.divide(m, ct, out=np.zeros_like(m), where=ct > 0)
+    r = np.divide(m, rt, out=np.zeros_like(m), where=rt > 0)
+    f = np.divide(2.0 * p * r, p + r, out=np.zeros_like(m), where=p + r > 0)
+    return np.stack([p, r, f], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -22,10 +37,7 @@ class RougeScore:
 
     @classmethod
     def from_counts(cls, matches: int, candidate_total: int, reference_total: int) -> "RougeScore":
-        p = matches / candidate_total if candidate_total else 0.0
-        r = matches / reference_total if reference_total else 0.0
-        f = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
-        return cls(precision=p, recall=r, f1=f)
+        return cls(*scores_from_counts([matches, candidate_total, reference_total]).tolist())
 
 
 @dataclass(frozen=True)
@@ -39,44 +51,67 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _clipped_matches(cand: Counter, ref: Counter) -> int:
+    return sum(min(count, ref[gram]) for gram, count in cand.items() if gram in ref)
+
+
+def _profile(tokens: Sequence[str]) -> tuple:
+    """Tokens, length, unigram and bigram counts, and per distinct token a
+    bitmask with bit j set where ``tokens[j]`` is that token."""
+    masks: dict[str, int] = {}
+    for j, tok in enumerate(tokens):
+        masks[tok] = masks.get(tok, 0) | 1 << j
+    return tokens, len(tokens), _ngram_counts(tokens, 1), _ngram_counts(tokens, 2), masks
+
+
+def _lcs(tokens: Sequence[str], m: int, masks: dict[str, int]) -> int:
+    # Hyyrö's recurrence: bit j of v clears once the LCS grows at reference position j.
+    v = (1 << m) - 1
+    for tok in tokens:
+        u = v & masks.get(tok, 0)
+        v = (v + u) | (v - u)
+    return m - (v & ((1 << m) - 1)).bit_count()
+
+
+def rouge_counts(candidates: Sequence[Sequence[str]],
+                 references: Sequence[Sequence[str]]) -> np.ndarray:
+    """Counts of every candidate against every reference, each sequence profiled once:
+    an int64 (C, R, 3, 3) array over candidate, reference, variant (ROUGE-1, ROUGE-2,
+    ROUGE-L) and (matches, candidate total, reference total)."""
+    cands = [_profile(c) for c in candidates]
+    refs = [_profile(r) for r in references]
+    cells = [
+        (_clipped_matches(cu, ru), n, m, _clipped_matches(cb, rb), max(n - 1, 0), max(m - 1, 0),
+         _lcs(cand, m, masks), n, m)
+        for cand, n, cu, cb, _ in cands for _, m, ru, rb, masks in refs
+    ]
+    return np.array(cells, dtype=np.int64).reshape(len(cands), len(refs), 3, 3)
+
+
 def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> RougeScore:
     """ROUGE-N with clipped n-gram match counts."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n <= 2:
+        return RougeScore.from_counts(*rouge_counts([candidate], [reference])[0, 0, n - 1])
     cand = _ngram_counts(candidate, n)
     ref = _ngram_counts(reference, n)
-    matches = sum(min(count, ref[gram]) for gram, count in cand.items() if gram in ref)
-    return RougeScore.from_counts(matches, sum(cand.values()), sum(ref.values()))
+    return RougeScore.from_counts(_clipped_matches(cand, ref), sum(cand.values()), sum(ref.values()))
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     """Length of the longest common subsequence of two token sequences."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        curr = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                curr.append(prev[j - 1] + 1)
-            else:
-                curr.append(max(prev[j], curr[j - 1]))
-        prev = curr
-    return prev[-1]
+    return int(rouge_counts([a], [b])[0, 0, 2, 0])
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
     """ROUGE-L from the longest common subsequence."""
-    ell = lcs_length(candidate, reference)
-    return RougeScore.from_counts(ell, len(candidate), len(reference))
+    return RougeScore.from_counts(*rouge_counts([candidate], [reference])[0, 0, 2])
 
 
 def rouge_triple(candidate: Sequence[str], reference: Sequence[str]) -> RougeTriple:
-    return RougeTriple(
-        r1=rouge_n(candidate, reference, 1),
-        r2=rouge_n(candidate, reference, 2),
-        rl=rouge_l(candidate, reference),
-    )
+    scores = scores_from_counts(rouge_counts([candidate], [reference])[0, 0])
+    return RougeTriple(*(RougeScore(*row) for row in scores.tolist()))
 
 
 def evaluate_summary(generated: str, gold: str) -> RougeTriple:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .textunits import TextualUnit, UnitizedInput
+from .textunits import TextualUnit, UnitizedInput, atomic_write
 
 TfIdfVector = dict[str, float]
 
@@ -113,7 +113,7 @@ def build_graph(units: Sequence[TextualUnit] | UnitizedInput, threshold: float =
 def write_graph(graph: SimilarityGraph, path) -> None:
     """Serialize to JSON with values kept to 9 significant digits."""
     rows = [[float(f"{v:.9g}") for v in row] for row in graph.weights]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         json.dump({"size": graph.size, "weights": rows}, fh)
         fh.write("\n")
 

@@ -10,9 +10,11 @@ within-document position of each unit.
 from __future__ import annotations
 
 import json
+import os
 import re
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -302,8 +304,28 @@ def _read_jsonl(path, parse: Callable[[object], object]) -> list:
     return items
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs) -> Iterator[IO]:
+    """Open a temporary file beside ``path``; on a clean exit it replaces
+    ``path`` with ``os.replace``, so a reader sees the old file or the
+    whole new one, never a part. On an error the temporary file is
+    removed and ``path`` is left as it was; a killed process leaves at
+    most a stray ``*.tmp`` file. Nothing is fsynced, so power loss is
+    not covered."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _write_jsonl(objs, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         for obj in objs:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 

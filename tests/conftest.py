@@ -1,6 +1,9 @@
 """Shared builders for corpora, graphs, and toy models."""
 
+import json
+
 import pytest
+from hypothesis import strategies as st
 
 import attnorigin as ao
 from attnorigin.graphattn import build_vocab
@@ -68,6 +71,39 @@ def small_weights(inp, seed=0, d_model=16, num_layers=2, num_heads=2, max_len=6,
         max_len=max_len,
     )
     return ao.make_synthetic_weights(seed, cfg, vocab=vocab)
+
+
+def json_paths(value, path=()):
+    """Every path into a JSON value, the root included."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+def replaced(obj, where, value):
+    """A deep copy of JSON value ``obj`` with the value at path ``where`` replaced."""
+    if not where:
+        return value
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    return obj
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import attnorigin as ao
 from attnorigin.cli.main import main
 from attnorigin.graphattn import build_vocab
+from conftest import JSON_VALUES, json_paths, replaced
 
 
 def write_corpus(path, num_sets=2):
@@ -468,6 +469,33 @@ def test_analyze_rejects_malformed_vocab(tmp_path, capsys, content):
     assert line.startswith(f"error: {vpath}: ")
 
 
+def test_analyze_rejects_duplicate_vocab_entries(tmp_path, capsys):
+    """A second '<eoss>' id must not pass: sentences would split on one id and merge on the other."""
+    run_pipeline(tmp_path)
+    gen = tmp_path / "gen"
+    vpath = gen / "vocab.json"
+    vocab = json.loads(vpath.read_text())
+    vpath.write_text(json.dumps(vocab + ["<eoss>"]))
+    for spath in gen.glob("*.summary.json"):
+        obj = json.loads(spath.read_text())
+        obj["tokens"] = [len(vocab) if t == vocab.index("<eoss>") else t for t in obj["tokens"]]
+        spath.write_text(json.dumps(obj))
+    line = analyze_error(tmp_path, capsys)
+    assert line.startswith(f"error: {vpath}: ") and "distinct strings" in line
+
+
+def corrupted_bytes(blob, data):
+    """``blob`` truncated, or with one to four bytes flipped, as drawn from ``data``."""
+    blob = bytearray(blob)
+    if data.draw(st.booleans(), label="truncate"):
+        return bytes(blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")])
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                         st.integers(1, 255)), min_size=1, max_size=4))
+    for position, mask in flips:
+        blob[position] ^= mask
+    return bytes(blob)
+
+
 def test_analyze_fuzzed_set_files_fail_cleanly(tmp_path, capsys):
     """Flipped or truncated bytes give exit 0 or one error line naming the set."""
     run_pipeline(tmp_path)
@@ -480,15 +508,7 @@ def test_analyze_fuzzed_set_files_fail_cleanly(tmp_path, capsys):
     def check(name, data):
         for other, blob in originals.items():
             (gen / other).write_bytes(blob)
-        blob = bytearray(originals[name])
-        if data.draw(st.booleans(), label="truncate"):
-            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
-        else:
-            flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
-                                                 st.integers(1, 255)), min_size=1, max_size=4))
-            for position, mask in flips:
-                blob[position] ^= mask
-        (gen / name).write_bytes(bytes(blob))
+        (gen / name).write_bytes(corrupted_bytes(originals[name], data))
         shutil.rmtree(rep, ignore_errors=True)
         capsys.readouterr()
         code = main(["analyze", "--awd", str(gen), "--summaries", str(gen),
@@ -501,6 +521,67 @@ def test_analyze_fuzzed_set_files_fail_cleanly(tmp_path, capsys):
             assert len(err) == 1 and err[0].startswith("error: set 'set1': ")
 
     check()
+
+
+def fuzz_reader(capsys, path, read, argv, out, max_examples):
+    """Corrupt ``path`` (flipped or truncated bytes, or one JSON value of its
+    last line swapped): ``read`` returns or raises ValueError/OSError, and
+    ``argv`` exits 0, or 1 with one error line, and 1 whenever the read fails."""
+    original = path.read_bytes()
+    lines = original.decode("utf-8").splitlines()
+    last = json.loads(lines[-1])
+    paths = list(json_paths(last))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
+    @given(data=st.data())
+    def check(data):
+        if data.draw(st.booleans(), label="swap a value"):
+            value = replaced(last, data.draw(st.sampled_from(paths)), data.draw(JSON_VALUES))
+            blob = "\n".join(lines[:-1] + [json.dumps(value)]).encode() + b"\n"
+        else:
+            blob = corrupted_bytes(original, data)
+        path.write_bytes(blob)
+        try:
+            read(path)
+            readable = True
+        except (ValueError, OSError):
+            readable = False
+        shutil.rmtree(out, ignore_errors=True)
+        capsys.readouterr()
+        code = main([str(a) for a in argv])
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert readable and err == []
+        else:
+            assert code == 1 and len(err) == 1 and err[0].startswith("error: ")
+
+    check()
+    path.write_bytes(original)
+
+
+def test_graph_fuzzed_unitized_file_fails_cleanly(tmp_path, capsys):
+    units = graphs_only(tmp_path)
+    out = tmp_path / "graphs_fuzz"
+    fuzz_reader(capsys, units, ao.read_unitized,
+                ["graph", "--unitized", units, "--out", out], out, max_examples=150)
+
+
+def test_generate_fuzzed_graph_file_fails_cleanly(tmp_path, capsys):
+    units = graphs_only(tmp_path)
+    out = tmp_path / "gen_fuzz"
+    fuzz_reader(capsys, tmp_path / "graphs" / "set1.graph.json", ao.read_graph,
+                ["generate", "--unitized", units, "--graphs", tmp_path / "graphs",
+                 "--out", out, *GEN_FLAGS], out, max_examples=100)
+
+
+def test_generate_fuzzed_weights_file_fails_cleanly(tmp_path, capsys):
+    units = graphs_only(tmp_path)
+    wpath = small_weights_file(tmp_path, ao.read_unitized(units))
+    out = tmp_path / "gen_fuzz"
+    fuzz_reader(capsys, wpath, ao.read_weights,
+                ["generate", "--unitized", units, "--graphs", tmp_path / "graphs",
+                 "--out", out, "--weights", wpath, "--beam-size", "2", "--max-len", "5"],
+                out, max_examples=100)
 
 
 def test_module_entry_point_runs_with_warnings_as_errors():

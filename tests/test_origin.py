@@ -13,6 +13,7 @@ from attnorigin.origin import (
     SummaryAnalysis,
     doc_positions_from_boundaries,
 )
+from attnorigin.rouge import rouge_triple
 from conftest import make_docset
 
 
@@ -82,6 +83,41 @@ def test_reference_rejects_all_pad_input():
     inp = ao.unitize(docset, "paragraph", L=2, T=4)
     with pytest.raises(ValueError, match="non-pad"):
         ao.reference_metric([["x"]], inp)
+
+
+def cell_loop_reference_metric(summary_sentences, inp):
+    """The reference metric as one rouge_triple call per (sentence, unit sentence) cell."""
+    unit_sentences = [
+        [] if unit.is_pad else [ao.tokenize(s) for s in ao.split_sentences(unit.original_text)]
+        for unit in inp.units
+    ]
+    values = np.zeros((len(summary_sentences), len(unit_sentences), 3, 3))
+    for i, sentence in enumerate(summary_sentences):
+        for j, refs in enumerate(unit_sentences):
+            for ref in refs:
+                t = rouge_triple(sentence, ref)
+                values[i, j] += [(s.precision, s.recall, s.f1) for s in (t.r1, t.r2, t.rl)]
+    counts = np.array([max(len(refs), 1) for refs in unit_sentences], dtype=np.float64)
+    return values / counts[:, None, None]
+
+
+@pytest.mark.parametrize("mode", ["sentence", "paragraph"])
+def test_reference_metric_bit_identical_to_cell_loop(mode):
+    """Multi-sentence units, pad columns, repeated tokens and empty generated sentences."""
+    rng = np.random.default_rng(47)
+
+    def sentence(max_words):
+        words = [f"w{rng.integers(0, 6)}" for _ in range(rng.integers(1, max_words + 1))]
+        return " ".join([words[0].upper()] + words[1:]) + "."
+
+    for trial in range(6):
+        docs = [[" ".join(sentence(7) for _ in range(rng.integers(1, 4)))
+                 for _ in range(rng.integers(1, 4))] for _ in range(2)]
+        inp = ao.unitize(make_docset(f"s{trial}", docs), mode, L=20, T=12)
+        assert inp.num_real_units < inp.L
+        summary = [ao.tokenize(sentence(9)) for _ in range(rng.integers(0, 5))] + [[]]
+        got = ao.reference_metric(summary, inp).values
+        assert got.tobytes() == cell_loop_reference_metric(summary, inp).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import attnorigin as ao
-from attnorigin.rouge import lcs_length, rouge_triple
+from attnorigin.rouge import lcs_length, rouge_counts, rouge_triple, scores_from_counts
 
 
 # ---------------------------------------------------------------------------
@@ -33,6 +33,30 @@ def oracle_lcs_by_enumeration(a, b):
         if all(tok in it for tok in sub):
             best = len(sub)
     return best
+
+
+def dp_lcs_length(a, b):
+    """Longest common subsequence by the O(mn) dynamic programme."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        curr = [0]
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                curr.append(prev[j - 1] + 1)
+            else:
+                curr.append(max(prev[j], curr[j - 1]))
+        prev = curr
+    return prev[-1]
+
+
+def scalar_scores(matches, candidate_total, reference_total):
+    """Precision, recall and F1 with Python float operations, one count triple at a time."""
+    p = matches / candidate_total if candidate_total else 0.0
+    r = matches / reference_total if reference_total else 0.0
+    f = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
+    return p, r, f
 
 
 def random_tokens(rng, max_len=8, alphabet=4):
@@ -127,6 +151,17 @@ def test_lcs_matches_enumeration_random():
         assert lcs_length(a, b) == oracle_lcs_by_enumeration(a, b)
 
 
+def test_lcs_bit_parallel_matches_dp_random():
+    """Lengths up to 200 push the masks well past 64 bits; small alphabets repeat tokens."""
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        max_len = int(rng.choice([6, 70, 200]))
+        alphabet = int(rng.integers(1, 6))
+        a = random_tokens(rng, max_len=max_len, alphabet=alphabet)
+        b = random_tokens(rng, max_len=max_len, alphabet=alphabet)
+        assert lcs_length(a, b) == dp_lcs_length(a, b)
+
+
 def test_rouge_l_equals_rouge_1_on_subsequences():
     rng = np.random.default_rng(31)
     for _ in range(100):
@@ -146,6 +181,39 @@ def test_scores_bounded():
             assert 0.0 <= score.precision <= 1.0
             assert 0.0 <= score.recall <= 1.0
             assert 0.0 <= score.f1 <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# rouge_counts and scores_from_counts
+# ---------------------------------------------------------------------------
+
+def test_rouge_counts_match_oracles():
+    rng = np.random.default_rng(43)
+    cands = [random_tokens(rng, max_len=12, alphabet=5) for _ in range(9)] + [[]]
+    refs = [random_tokens(rng, max_len=12, alphabet=5) for _ in range(11)] + [[]]
+    counts = rouge_counts(cands, refs)
+    assert counts.dtype == np.int64 and counts.shape == (10, 12, 3, 3)
+    for i, cand in enumerate(cands):
+        for j, ref in enumerate(refs):
+            expected = [oracle_clipped_ngram_counts(cand, ref, 1),
+                        oracle_clipped_ngram_counts(cand, ref, 2),
+                        (dp_lcs_length(cand, ref), len(cand), len(ref))]
+            assert counts[i, j].tolist() == [list(row) for row in expected]
+            triple = rouge_triple(cand, ref)
+            got = [(s.precision, s.recall, s.f1) for s in (triple.r1, triple.r2, triple.rl)]
+            assert got == [scalar_scores(*row) for row in expected]
+
+
+def test_rouge_counts_empty_sides():
+    assert rouge_counts([], [["a"], ["b"]]).shape == (0, 2, 3, 3)
+    assert rouge_counts([["a"]], []).shape == (1, 0, 3, 3)
+
+
+def test_scores_from_counts_bit_identical_to_scalar_formula():
+    grid = [(m, c, r) for c in range(9) for r in range(9) for m in range(min(c, r) + 1)]
+    expected = np.array([scalar_scores(*t) for t in grid])
+    assert scores_from_counts(np.array(grid, dtype=np.int64)).tobytes() == expected.tobytes()
+    assert ao.RougeScore.from_counts(1, 3, 2) == ao.RougeScore(*scalar_scores(1, 3, 2))
 
 
 # ---------------------------------------------------------------------------

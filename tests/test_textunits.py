@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import attnorigin as ao
 import attnorigin.textunits as textunits
+from attnorigin.awd import SummaryRecord, write_summary
 from attnorigin.textunits import (
     DEFAULT_SHAPES,
     MAX_GRID_CELLS,
@@ -18,7 +19,7 @@ from attnorigin.textunits import (
     unitized_from_json,
     unitized_to_json,
 )
-from conftest import make_docset
+from conftest import JSON_VALUES, json_paths, make_docset, replaced
 
 
 # ---------------------------------------------------------------------------
@@ -382,25 +383,33 @@ def test_unitized_rejects_non_string_set_id(tmp_path):
         ao.read_unitized(path)
 
 
-def _json_paths(value, path=()):
-    """Every path into a JSON value, the root included."""
-    yield path
-    if isinstance(value, dict):
-        children = value.items()
-    elif isinstance(value, list):
-        children = enumerate(value)
-    else:
-        children = ()
-    for key, child in children:
-        yield from _json_paths(child, path + (key,))
+def _write_then_fail(path):
+    with textunits.atomic_write(path, encoding="utf-8") as fh:
+        fh.write("partial")
+        raise RuntimeError("stop")
 
 
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
-                                                                max_size=3),
-    max_leaves=6,
-)
+@pytest.mark.parametrize("write, error", [
+    (_write_then_fail, RuntimeError),
+    (lambda path: ao.write_corpus([make_docset("s0", [["alpha"]]), None], path), AttributeError),
+    (lambda path: write_summary(SummaryRecord("s0", [1, object()], [[0]], 0), path), TypeError),
+], ids=["helper", "corpus-jsonl", "summary-json"])
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, write, error):
+    """A writer that raises partway leaves the previous file whole and no temporary file."""
+    path = tmp_path / "out.json"
+    path.write_bytes(b"old contents\n")
+    with pytest.raises(error):
+        write(path)
+    assert path.read_bytes() == b"old contents\n"
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_atomic_write_replaces_whole_file(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"a much longer old payload")
+    with textunits.atomic_write(path, "wb") as fh:
+        fh.write(b"new")
+    assert path.read_bytes() == b"new" and sorted(tmp_path.iterdir()) == [path]
 
 
 def test_read_corpus_fuzzed_values_fail_cleanly(tmp_path):
@@ -410,21 +419,13 @@ def test_read_corpus_fuzzed_values_fail_cleanly(tmp_path):
         {"doc_id": "d0", "paragraphs": ["Alpha beta. Gamma.", "delta"]},
         {"doc_id": "d1", "text": "One.\n\nTwo."},
     ], "gold_summary": "alpha"}
-    paths = list(_json_paths(good))
+    paths = list(json_paths(good))
     path = tmp_path / "corpus.jsonl"
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(where=st.sampled_from(paths), value=_JSON_VALUES)
+    @given(where=st.sampled_from(paths), value=JSON_VALUES)
     def check(where, value):
-        record = json.loads(json.dumps(good))
-        if where:
-            parent = record
-            for key in where[:-1]:
-                parent = parent[key]
-            parent[where[-1]] = value
-        else:
-            record = value
-        path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        path.write_text(json.dumps(good) + "\n" + json.dumps(replaced(good, where, value)) + "\n")
         try:
             sets = ao.read_corpus(path)
         except CorpusFormatError as exc:
