@@ -55,13 +55,12 @@ def _clipped_matches(cand: Counter, ref: Counter) -> int:
     return sum(min(count, ref[gram]) for gram, count in cand.items() if gram in ref)
 
 
-def _profile(tokens: Sequence[str]) -> tuple:
-    """Tokens, length, unigram and bigram counts, and per distinct token a
-    bitmask with bit j set where ``tokens[j]`` is that token."""
+def _masks(tokens: Sequence[str]) -> dict[str, int]:
+    """Per distinct token, a bitmask with bit j set where ``tokens[j]`` is that token."""
     masks: dict[str, int] = {}
     for j, tok in enumerate(tokens):
         masks[tok] = masks.get(tok, 0) | 1 << j
-    return tokens, len(tokens), _ngram_counts(tokens, 1), _ngram_counts(tokens, 2), masks
+    return masks
 
 
 def _lcs(tokens: Sequence[str], m: int, masks: dict[str, int]) -> int:
@@ -77,23 +76,24 @@ def rouge_counts(candidates: Sequence[Sequence[str]],
                  references: Sequence[Sequence[str]]) -> np.ndarray:
     """Counts of every candidate against every reference, each sequence profiled once:
     an int64 (C, R, 3, 3) array over candidate, reference, variant (ROUGE-1, ROUGE-2,
-    ROUGE-L) and (matches, candidate total, reference total)."""
-    cands = [_profile(c) for c in candidates]
-    refs = [_profile(r) for r in references]
-    cells = [
-        (_clipped_matches(cu, ru), n, m, _clipped_matches(cb, rb), max(n - 1, 0), max(m - 1, 0),
-         _lcs(cand, m, masks), n, m)
-        for cand, n, cu, cb, _ in cands for _, m, ru, rb, masks in refs
-    ]
-    return np.array(cells, dtype=np.int64).reshape(len(cands), len(refs), 3, 3)
+    ROUGE-L) and (matches, candidate total, reference total). Besides the output,
+    memory holds the reference profiles and one candidate's row at a time."""
+    refs = [(len(r), _ngram_counts(r, 1), _ngram_counts(r, 2), _masks(r)) for r in references]
+    out = np.empty((len(candidates), len(refs), 3, 3), dtype=np.int64)
+    for i, cand in enumerate(candidates):
+        n, cu, cb = len(cand), _ngram_counts(cand, 1), _ngram_counts(cand, 2)
+        out[i] = np.reshape([
+            (_clipped_matches(cu, ru), n, m, _clipped_matches(cb, rb), max(n - 1, 0), max(m - 1, 0),
+             _lcs(cand, m, masks), n, m)
+            for m, ru, rb, masks in refs
+        ], (len(refs), 3, 3))
+    return out
 
 
 def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> RougeScore:
     """ROUGE-N with clipped n-gram match counts."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n <= 2:
-        return RougeScore.from_counts(*rouge_counts([candidate], [reference])[0, 0, n - 1])
     cand = _ngram_counts(candidate, n)
     ref = _ngram_counts(reference, n)
     return RougeScore.from_counts(_clipped_matches(cand, ref), sum(cand.values()), sum(ref.values()))

@@ -311,8 +311,10 @@ def atomic_write(path, mode: str = "w", **open_kwargs) -> Iterator[IO]:
     whole new one, never a part. On an error the temporary file is
     removed and ``path`` is left as it was; a killed process leaves at
     most a stray ``*.tmp`` file. Nothing is fsynced, so power loss is
-    not covered."""
-    path = os.fspath(path)
+    not covered. A symlinked ``path`` is resolved first, so the link
+    stays and its target is replaced; the new file is created afresh,
+    with the default permissions and owner, not the old file's."""
+    path = os.path.realpath(path)
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
         with open(tmp, mode, **open_kwargs) as fh:

@@ -412,6 +412,17 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     assert path.read_bytes() == b"new" and sorted(tmp_path.iterdir()) == [path]
 
 
+def test_atomic_write_through_symlink_keeps_the_link(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("old")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    with textunits.atomic_write(link, encoding="utf-8") as fh:
+        fh.write("new")
+    assert link.is_symlink() and target.read_text() == "new"
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
 def test_read_corpus_fuzzed_values_fail_cleanly(tmp_path):
     """Any value of a valid record swapped for another JSON value reads or
     raises CorpusFormatError naming its line."""
