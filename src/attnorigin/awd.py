@@ -12,7 +12,9 @@ little-endian values in [beam][token][layer][head][unit] order.
 
 from __future__ import annotations
 
-import json
+import dataclasses
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphattn import AwdTensor
-from .textunits import atomic_write
+from .textunits import atomic_write, read_json, write_json
 
 AWD_MAGIC = b"AWD1"
 MAX_ELEMENTS = 1 << 31
@@ -76,25 +78,27 @@ def write_awd(tensor: AwdTensor, path) -> None:
 
 
 def read_awd(path) -> AwdTensor:
+    """Read a tensor file into one payload-sized array; the header and
+    the file size are checked before it is allocated."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != AWD_MAGIC:
-        raise BadMagicError(f"bad magic {data[:4]!r}, expected {AWD_MAGIC!r}")
-    if len(data) < 24:
-        raise TruncatedPayloadError(f"header truncated at {len(data)} bytes")
-    dims = struct.unpack("<5I", data[4:24])
-    total = 1
-    for d in dims:
-        total *= d
-    if total > MAX_ELEMENTS:
-        raise DimOverflowError(f"dims {dims} imply {total} elements, cap is {MAX_ELEMENTS}")
-    payload = data[24:]
-    if len(payload) != 4 * total:
-        raise TruncatedPayloadError(
-            f"payload has {len(payload)} bytes, dims {dims} require {4 * total}"
-        )
-    values = np.frombuffer(payload, dtype="<f4").reshape(dims)
-    return AwdTensor(values=values.copy())
+        header = fh.read(24)
+        if header[:4] != AWD_MAGIC:
+            raise BadMagicError(f"bad magic {header[:4]!r}, expected {AWD_MAGIC!r}")
+        if len(header) < 24:
+            raise TruncatedPayloadError(f"header truncated at {len(header)} bytes")
+        dims = struct.unpack("<5I", header[4:])
+        total = math.prod(dims)
+        if total > MAX_ELEMENTS:
+            raise DimOverflowError(f"dims {dims} imply {total} elements, cap is {MAX_ELEMENTS}")
+        payload = os.fstat(fh.fileno()).st_size - 24
+        if payload == 4 * total:
+            values = np.empty(dims, dtype="<f4")
+            payload = fh.readinto(values)  # short only if the file shrank meanwhile
+        if payload != 4 * total:
+            raise TruncatedPayloadError(
+                f"payload has {payload} bytes, dims {dims} require {4 * total}"
+            )
+    return AwdTensor(values=values)
 
 
 def beam_decode_awd(
@@ -199,15 +203,7 @@ class SummaryRecord:
 
 
 def write_summary(record: SummaryRecord, path) -> None:
-    obj = {
-        "set_id": record.set_id,
-        "tokens": record.tokens,
-        "beam_trace": record.beam_trace,
-        "winning_beam": record.winning_beam,
-    }
-    with atomic_write(path, encoding="utf-8") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+    write_json(dataclasses.asdict(record), path)
 
 
 def _ints(values, what: str) -> list[int]:
@@ -221,8 +217,8 @@ def _ints(values, what: str) -> list[int]:
 
 
 def read_summary(path) -> SummaryRecord:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    """Read and check a summary file; errors name the file."""
+    obj = read_json(path, "summary file")
     try:
         return SummaryRecord(
             set_id=obj["set_id"],
@@ -231,4 +227,4 @@ def read_summary(path) -> SummaryRecord:
             winning_beam=_ints([obj["winning_beam"]], "winning_beam")[0],
         )
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed summary file: {exc}") from None
+        raise ValueError(f"{path}: malformed summary file: {exc}") from None

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import re
 import sys
@@ -60,6 +59,25 @@ def vocab_path(directory: Path) -> Path:
 
 class CliError(Exception):
     pass
+
+
+def _check_file_stems(set_ids) -> None:
+    """Reject two set ids that would share per-set file names."""
+    stems: dict[str, str] = {}
+    for set_id in set_ids:
+        stem = _safe_name(set_id)
+        if stem in stems:
+            raise CliError(
+                f"sets {stems[stem]!r} and {set_id!r} share the file name stem {stem!r}"
+            )
+        stems[stem] = set_id
+
+
+def _read_unitized(path: str, limit: int | None = None) -> list[textunits.UnitizedRecord]:
+    """The unitized sets, only the first ``limit`` if given, with distinct file stems."""
+    records = textunits.read_unitized(path)[:limit]
+    _check_file_stems(record.set_id for record in records)
+    return records
 
 
 @dataclass(frozen=True)
@@ -198,6 +216,7 @@ def cmd_preprocess(opts: dict[str, Any]) -> int:
     if L < 1 or T < 1:
         raise CliError("--units and --tokens must be >= 1")
     sets = textunits.read_corpus(opts["corpus"])
+    _check_file_stems(docset.set_id for docset in sets)
     records = []
     total_units = 0
     total_pads = 0
@@ -210,6 +229,7 @@ def cmd_preprocess(opts: dict[str, Any]) -> int:
         )
         total_units += unitized.num_real_units
         total_pads += L - unitized.num_real_units
+    Path(opts["out"]).parent.mkdir(parents=True, exist_ok=True)
     textunits.write_unitized(records, opts["out"])
     print(
         f"sets={len(records)} mode={mode} L={L} T={T} "
@@ -222,7 +242,7 @@ def cmd_graph(opts: dict[str, Any]) -> int:
     tau = opts["tau"]
     if not 0.0 <= tau < 1.0:
         raise CliError("--tau must be in [0, 1)")
-    records = textunits.read_unitized(opts["unitized"])
+    records = _read_unitized(opts["unitized"])
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     for record in records:
@@ -230,14 +250,6 @@ def cmd_graph(opts: dict[str, Any]) -> int:
         simgraph.write_graph(graph, graph_path(out_dir, record.set_id))
     print(f"graphs={len(records)} tau={tau} out={out_dir}")
     return 0
-
-
-def _derive_vocab(records: list[textunits.UnitizedRecord]) -> list[str]:
-    tokens: set[str] = set()
-    for record in records:
-        for unit in record.unitized.units:
-            tokens.update(unit.tokens)
-    return graphattn.build_vocab(tokens)
 
 
 def _checked_graph(
@@ -275,9 +287,7 @@ def _checked_graph(
 def cmd_generate(opts: dict[str, Any]) -> int:
     if (opts["weights"] is None) == (opts["seed"] is None):
         raise CliError("exactly one of --weights or --seed is required")
-    records = textunits.read_unitized(opts["unitized"])
-    if opts["limit"] is not None:
-        records = records[: opts["limit"]]
+    records = _read_unitized(opts["unitized"], opts["limit"])
     if not records:
         raise CliError("no sets to generate for")
 
@@ -292,7 +302,9 @@ def cmd_generate(opts: dict[str, Any]) -> int:
             weights.config = dataclasses.replace(weights.config, **overrides)
             weights.validate()
     else:
-        vocab = _derive_vocab(records)
+        vocab = graphattn.build_vocab(
+            t for record in records for unit in record.unitized.units for t in unit.tokens
+        )
         max_units = max(record.unitized.L for record in records)
         config = graphattn.ModelConfig(
             d_model=opts["d_model"],
@@ -331,9 +343,7 @@ def cmd_generate(opts: dict[str, Any]) -> int:
         awdmod.write_awd(result.awd, awd_path(awd_dir, record.set_id))
         tokens += len(result.tokens)
 
-    with textunits.atomic_write(vocab_path(out_dir), encoding="utf-8") as fh:
-        json.dump(weights.vocab, fh)
-        fh.write("\n")
+    textunits.write_json(weights.vocab, vocab_path(out_dir))
     print(
         f"generated={len(records)} beam_size={gen.beam_size} "
         f"tokens={tokens} out={out_dir}"
@@ -354,16 +364,18 @@ def _parse_layers(raw: str, num_layers: int) -> list[int] | None:
     return [layer - 1 for layer in selected]
 
 
-def _read_vocab(path: Path) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            vocab = json.load(fh)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
-    if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)
-            and len(set(vocab)) == len(vocab)):
-        raise CliError(f"{path}: vocabulary must be a JSON list of distinct strings")
-    return vocab
+def _read_vocab(awd_dir: Path, summaries_dir: Path) -> list[str]:
+    """The ``vocab.json`` that ``generate`` wrote, from either directory."""
+    directories = list(dict.fromkeys([awd_dir, summaries_dir]))
+    for directory in directories:
+        path = vocab_path(directory)
+        if path.exists():
+            vocab = textunits.read_json(path, "vocabulary")
+            try:
+                return graphattn.check_vocab(vocab)
+            except ValueError as exc:
+                raise CliError(f"{path}: {exc}") from None
+    raise CliError(f"no vocab.json in {' or '.join(map(str, directories))}")
 
 
 def _check_simplex(aligned: np.ndarray, unit_pad: np.ndarray) -> None:
@@ -392,21 +404,13 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
     formats = {part.strip() for part in opts["format"].split(",") if part.strip()}
     if not formats or not formats <= {"json", "csv"}:
         raise CliError("--format must be a comma subset of {json,csv}")
-    records = textunits.read_unitized(opts["unitized"])
-    if opts["limit"] is not None:
-        records = records[: opts["limit"]]
+    records = _read_unitized(opts["unitized"], opts["limit"])
     if not records:
         raise CliError("no sets to analyze")
 
     awd_dir = Path(opts["awd"])
     summaries_dir = Path(opts["summaries"])
-    vpath = vocab_path(awd_dir)
-    if not vpath.exists():
-        vpath = vocab_path(summaries_dir)
-    if vpath.exists():
-        vocab = _read_vocab(vpath)
-    else:
-        vocab = _derive_vocab(records)
+    vocab = _read_vocab(awd_dir, summaries_dir)
     special_ids = {
         i for i, tok in enumerate(vocab) if tok in graphattn.SPECIAL_TOKENS
     }
@@ -416,7 +420,7 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
         raise CliError(f"vocabulary lacks the {graphattn.EOS_SENT_TOKEN!r} marker")
 
     batch = []
-    summaries = []
+    golds = []  # summary quality against gold summaries, when the corpus carries them
     for record in records:
         try:
             spath = summary_path(summaries_dir, record.set_id)
@@ -442,7 +446,9 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
             metric = origin.reference_metric(sentences, record.unitized)
         except (CliError, ValueError, OSError) as exc:
             raise CliError(f"set {record.set_id!r}: {exc}") from None
-        summaries.append(summary)
+        if record.gold_summary:
+            text = " ".join(word for sentence in sentences for word in sentence)
+            golds.append(rouge.evaluate_summary(text, record.gold_summary))
         batch.append(
             origin.SummaryAnalysis(
                 set_id=record.set_id,
@@ -463,20 +469,13 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
             raise CliError(f"--posbias-layer outside [1, {num_layers}]")
         posbias_layer = opts["posbias_layer"] - 1
     variants = origin.VARIANTS if opts["variant"] == "all" else (opts["variant"],)
-
-    boundaries_ok = all(a.doc_positions is not None for a in batch)
-    if not boundaries_ok:
+    report = origin.build_report(batch, variants=variants, layers=layers,
+                                 posbias_layer=posbias_layer)
+    if report.posbias is None:
         print(
             "positional bias skipped: input lacks unit-to-document correspondence",
             file=sys.stderr,
         )
-    report = origin.build_report(
-        batch,
-        variants=variants,
-        layers=layers,
-        posbias_layer=posbias_layer,
-        include_posbias=boundaries_ok,
-    )
 
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -490,15 +489,6 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
         reportmod.write_report_csv(report, path)
         written.append(str(path))
     print(f"sets={len(batch)} cells={report.sample_count} wrote={','.join(written)}")
-
-    # summary quality against gold summaries, when the corpus carries them
-    golds = []
-    for record, summary in zip(records, summaries):
-        if record.gold_summary:
-            text = " ".join(
-                vocab[t] for t in summary.tokens if t not in special_ids
-            )
-            golds.append(rouge.evaluate_summary(text, record.gold_summary))
     if golds:
         mean_f = [
             sum(getattr(t, v).f1 for t in golds) / len(golds) for v in origin.VARIANTS
@@ -509,7 +499,10 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
 
 def cmd_heatmap(opts: dict[str, Any]) -> int:
     report = reportmod.read_report_json(opts["report"])
-    svg = heatmapmod.heatmap_from_report(report)
+    try:
+        svg = heatmapmod.heatmap_from_report(report)
+    except ValueError as exc:
+        raise CliError(f"{opts['report']}: {exc}") from None
     out = Path(opts["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     with textunits.atomic_write(out, encoding="utf-8") as fh:

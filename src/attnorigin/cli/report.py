@@ -15,7 +15,7 @@ import io
 
 from ..origin import CorrelationReport, VARIANTS
 from ..rouge import RougeTriple
-from ..textunits import atomic_write
+from ..textunits import atomic_write, read_json, write_json
 
 
 def format_slashed(values, decimals: int = 2) -> str:
@@ -63,17 +63,17 @@ def report_to_dict(report: CorrelationReport) -> dict:
 
 
 def dump_json(obj: dict) -> str:
+    """The text ``write_report_json`` writes for ``obj``."""
     return json.dumps(obj, indent=2) + "\n"
 
 
 def write_report_json(report: CorrelationReport, path) -> None:
-    with atomic_write(path, encoding="utf-8") as fh:
-        fh.write(dump_json(report_to_dict(report)))
+    write_json(report_to_dict(report), path, indent=2)
 
 
 def read_report_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """The report object; invalid UTF-8 or JSON raises a ValueError naming the file."""
+    return read_json(path, "report")
 
 
 def _cell(value) -> str:

@@ -18,14 +18,13 @@ provably lands on one designated unit).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .simgraph import SimilarityGraph
-from .textunits import UnitizedInput, atomic_write
+from .textunits import UnitizedInput, read_json, write_json
 
 PAD_TOKEN = "<pad>"
 BOS_TOKEN = "<bos>"
@@ -673,26 +672,27 @@ def write_weights(weights: DecoderWeights, path) -> None:
             name: getattr(weights, name).tolist() for name in _param_shapes(weights.config)
         },
     }
-    with atomic_write(path, encoding="utf-8") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+    write_json(obj, path)
+
+
+def check_vocab(vocab) -> list[str]:
+    """``vocab`` if it is a list of distinct strings, as read from JSON."""
+    if not (type(vocab) is list and all(type(t) is str for t in vocab)
+            and len(set(vocab)) == len(vocab)):
+        raise ValueError("vocab must be a list of distinct strings")
+    return vocab
 
 
 def read_weights(path) -> DecoderWeights:
     """Read and validate a weights file; errors name the file."""
+    obj = read_json(path, "weights file")
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
         config = ModelConfig.from_json(obj["config"])
         params = {
             name: np.array(obj["params"][name], dtype=np.float64)
             for name in _param_shapes(config)
         }
-        vocab = obj["vocab"]
-        if not (type(vocab) is list and all(type(t) is str for t in vocab)
-                and len(set(vocab)) == len(vocab)):
-            raise ValueError("vocab must be a list of distinct strings")
-        return DecoderWeights(config=config, vocab=vocab, **params)
+        return DecoderWeights(config=config, vocab=check_vocab(obj["vocab"]), **params)
     except KeyError as exc:
         raise ValueError(f"{path}: weights file missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

@@ -8,7 +8,6 @@ carry a unit diagonal.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -16,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .textunits import TextualUnit, UnitizedInput, atomic_write
+from .textunits import TextualUnit, UnitizedInput, read_json, write_json
 
 TfIdfVector = dict[str, float]
 
@@ -113,16 +112,13 @@ def build_graph(units: Sequence[TextualUnit] | UnitizedInput, threshold: float =
 def write_graph(graph: SimilarityGraph, path) -> None:
     """Serialize to JSON with values kept to 9 significant digits."""
     rows = [[float(f"{v:.9g}") for v in row] for row in graph.weights]
-    with atomic_write(path, encoding="utf-8") as fh:
-        json.dump({"size": graph.size, "weights": rows}, fh)
-        fh.write("\n")
+    write_json({"size": graph.size, "weights": rows}, path)
 
 
 def read_graph(path) -> SimilarityGraph:
     """Read and validate a graph file; errors name the file."""
+    obj = read_json(path, "graph file")
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
         return SimilarityGraph(size=obj["size"], weights=np.array(obj["weights"], dtype=np.float64))
     except KeyError as exc:
         raise ValueError(f"{path}: graph file missing key {exc.args[0]!r}") from None

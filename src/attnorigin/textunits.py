@@ -29,6 +29,8 @@ MAX_GRID_CELLS = 1 << 20
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 _BLANK_LINE_RE = re.compile(r"\n\s*\n")
 _DECIMAL_RE = re.compile(r"0|[1-9][0-9]*")
+# terminal punctuation, then the whitespace before the next sentence's first character
+_SENTENCE_END_RE = re.compile(r"[.!?]+(\s+)(?=\S)")
 
 
 class CorpusFormatError(ValueError):
@@ -59,32 +61,12 @@ def split_sentences(text: str) -> list[str]:
     boundary is a single sentence; empty text yields no sentences.
     """
     stripped = text.strip()
-    if not stripped:
-        return []
-    sentences = []
-    start = 0
-    i = 0
-    n = len(stripped)
-    while i < n:
-        if stripped[i] not in ".!?":
-            i += 1
-            continue
-        j = i + 1
-        while j < n and stripped[j] in ".!?":
-            j += 1
-        k = j
-        while k < n and stripped[k].isspace():
-            k += 1
-        if k > j and k < n and stripped[k].isupper():
-            sentences.append(stripped[start:j].strip())
-            start = k
-            i = k
-        else:
-            i = j
-    tail = stripped[start:].strip()
-    if tail:
-        sentences.append(tail)
-    return sentences
+    sentences, start = [], 0
+    for m in _SENTENCE_END_RE.finditer(stripped):
+        if stripped[m.end()].isupper():
+            sentences.append(stripped[start:m.start(1)])
+            start = m.end()
+    return sentences + [stripped[start:]] if stripped else []
 
 
 @dataclass(frozen=True)
@@ -330,6 +312,27 @@ def _write_jsonl(objs, path) -> None:
     with atomic_write(path, encoding="utf-8") as fh:
         for obj in objs:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+
+
+def write_json(obj, path, indent: int | None = None) -> None:
+    """Write ``obj`` as one JSON document plus a newline, atomically.
+    ``obj`` is encoded before the file is opened, so an unencodable
+    value leaves no temporary file."""
+    text = json.dumps(obj, indent=indent) + "\n"
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def read_json(path, what: str):
+    """Parse the JSON file at ``path``, which should hold a ``what``.
+    Invalid UTF-8 or JSON raises one ValueError naming the file; the
+    caller checks the schema."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))  # a UnicodeDecodeError is a ValueError
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed {what}: {exc}") from None
 
 
 def docset_to_json(docset: MultiDocSet) -> dict:

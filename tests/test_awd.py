@@ -72,6 +72,22 @@ def test_truncated_header(tmp_path):
         ao.read_awd(path)
 
 
+@pytest.mark.parametrize("blob, error, message", [
+    (AWD_MAGIC + struct.pack("<5I", 1, 1, 1, 1, 4) + b"\x00" * 8, TruncatedPayloadError,
+     "payload has 8 bytes, dims (1, 1, 1, 1, 4) require 16"),
+    (AWD_MAGIC + struct.pack("<5I", 1, 1, 1, 1, 1) + b"\x00" * 5, TruncatedPayloadError,
+     "payload has 5 bytes, dims (1, 1, 1, 1, 1) require 4"),
+    (AWD_MAGIC + b"\x01\x00", TruncatedPayloadError, "header truncated at 6 bytes"),
+    (b"AW", BadMagicError, "bad magic b'AW', expected b'AWD1'"),
+], ids=["short-payload", "trailing-bytes", "short-header", "short-magic"])
+def test_read_awd_error_messages(tmp_path, blob, error, message):
+    path = tmp_path / "bad.awd"
+    path.write_bytes(blob)
+    with pytest.raises(error) as info:
+        ao.read_awd(path)
+    assert str(info.value) == message
+
+
 def test_errors_are_distinct_types():
     assert issubclass(BadMagicError, AwdFormatError)
     assert issubclass(DimOverflowError, AwdFormatError)

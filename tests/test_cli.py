@@ -778,3 +778,116 @@ def test_unparsable_option_value(tmp_path, capsys):
                  "--units", "many"])
     assert code != 0
     assert "cannot parse" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# JSON files, set file names and output directories
+# ---------------------------------------------------------------------------
+
+def json_file_and_reader(root, kind):
+    """The pipeline's ``kind`` JSON file under ``root`` and the argv of a stage that reads it."""
+    analyze = ["analyze", "--awd", root / "gen", "--summaries", root / "gen",
+               "--unitized", root / "units.jsonl", "--out", root / "rep_bad"]
+    generate = ["generate", "--unitized", root / "units.jsonl", "--graphs", root / "graphs",
+                "--out", root / "gen_bad"]
+    if kind == "summary":
+        return root / "gen" / "set1.summary.json", analyze
+    if kind == "vocabulary":
+        return root / "gen" / "vocab.json", analyze
+    if kind == "graph":
+        return root / "graphs" / "set1.graph.json", generate + GEN_FLAGS
+    if kind == "weights":
+        wpath = small_weights_file(root, ao.read_unitized(root / "units.jsonl"))
+        return wpath, generate + ["--weights", wpath, "--beam-size", "2", "--max-len", "5"]
+    report = root / "rep" / "report.json"
+    return report, ["heatmap", "--report", report, "--out", root / "bad.svg"]
+
+
+@pytest.mark.parametrize("kind", ["summary", "graph", "weights", "vocabulary", "report"])
+def test_truncated_json_file_gives_one_error_naming_it_once(tmp_path, capsys, kind):
+    run_pipeline(tmp_path)
+    path, argv = json_file_and_reader(tmp_path, kind)
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert lines[0].count(str(path)) == 1 and f"malformed {kind}" in lines[0]
+    if kind == "summary":
+        assert lines[0].startswith("error: set 'set1': ")
+    assert not Path(argv[-1]).exists()
+
+
+def test_heatmap_schema_error_names_the_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text('{"layers": []}\n')
+    assert main(["heatmap", "--report", str(path), "--out", str(tmp_path / "h.svg")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {path}: report contains no posbias block"]
+
+
+def test_analyze_requires_the_vocabulary_file(tmp_path, capsys):
+    run_pipeline(tmp_path)
+    gen, awd = tmp_path / "gen", tmp_path / "awd"
+    awd.mkdir()
+    for path in gen.glob("*.awd"):
+        path.rename(awd / path.name)
+    vocab = (gen / "vocab.json").read_bytes()
+    (gen / "vocab.json").unlink()
+    rep = tmp_path / "rep_novocab"
+    argv = ["analyze", "--awd", str(awd), "--summaries", str(gen),
+            "--unitized", str(tmp_path / "units.jsonl"), "--out", str(rep)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: no vocab.json in {awd} or {gen}"]
+    assert not rep.exists()
+    (awd / "vocab.json").write_bytes(vocab)  # read from --awd as well as from --summaries
+    assert main(argv) == 0
+    assert (rep / "report.json").read_bytes() == (tmp_path / "rep" / "report.json").read_bytes()
+
+
+def renamed_sets(units, set_ids):
+    """Rewrite the unitized file so its sets carry ``set_ids``."""
+    lines = []
+    for line, set_id in zip(units.read_text().splitlines(), set_ids):
+        obj = json.loads(line)
+        obj["set_id"] = set_id
+        lines.append(json.dumps(obj))
+    units.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("stage", ["preprocess", "graph", "generate", "analyze"])
+@pytest.mark.parametrize("set_ids", [("s1", "s1"), ("s 1", "s_1")], ids=["equal", "same-stem"])
+def test_stage_rejects_set_ids_sharing_a_file_name(tmp_path, capsys, stage, set_ids):
+    run_pipeline(tmp_path)
+    units = tmp_path / "units.jsonl"
+    out = tmp_path / "out_bad"
+    argv = {
+        "graph": ["graph", "--unitized", units, "--out", out],
+        "generate": ["generate", "--unitized", units, "--graphs", tmp_path / "graphs",
+                     "--out", out, *GEN_FLAGS],
+        "analyze": ["analyze", "--awd", tmp_path / "gen", "--summaries", tmp_path / "gen",
+                    "--unitized", units, "--out", out],
+    }.get(stage)
+    if stage == "preprocess":
+        corpus = tmp_path / "corpus.jsonl"
+        renamed_sets(corpus, set_ids)
+        argv = ["preprocess", "--corpus", corpus, "--out", out / "units.jsonl"]
+    else:
+        renamed_sets(units, set_ids)
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    first, second = set_ids
+    stem = second.replace(" ", "_")
+    assert lines == [f"error: sets {first!r} and {second!r} share the file name stem {stem!r}"]
+    assert not out.exists()
+
+
+def test_preprocess_creates_the_output_directory(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, num_sets=1)
+    out = tmp_path / "new" / "dir" / "units.jsonl"
+    assert main(["preprocess", "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert [r.set_id for r in ao.read_unitized(out)] == ["set0"]

@@ -78,6 +78,57 @@ def test_split_punctuation_run():
     assert ao.split_sentences("Really?! Sure.") == ["Really?!", "Sure."]
 
 
+def scanner_split_sentences(text):
+    """Character-by-character reference for ``split_sentences``: a run of
+    ``.!?``, then whitespace, then an uppercase letter ends a sentence."""
+    stripped = text.strip()
+    if not stripped:
+        return []
+    sentences = []
+    start = 0
+    i = 0
+    n = len(stripped)
+    while i < n:
+        if stripped[i] not in ".!?":
+            i += 1
+            continue
+        j = i + 1
+        while j < n and stripped[j] in ".!?":
+            j += 1
+        k = j
+        while k < n and stripped[k].isspace():
+            k += 1
+        if k > j and k < n and stripped[k].isupper():
+            sentences.append(stripped[start:j].strip())
+            start = k
+            i = k
+        else:
+            i = j
+    tail = stripped[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+# Each piece is any text, a terminator run, whitespace (\x1c and \x85 are
+# str.isspace()) and a next character ("ǅ" is titlecase, not uppercase).
+SENTENCE_TEXT = st.lists(
+    st.tuples(
+        st.text(max_size=3),
+        st.sampled_from(["", ".", "!", "?", "?!", "..."]),
+        st.sampled_from(["", " ", "\t\n", "\x1c", "\x85", "\u2003"]),
+        st.sampled_from(["a", "Z", "ǅ", "É", "ß", "."]),
+    ).map("".join),
+    max_size=6,
+).map("".join)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(text=SENTENCE_TEXT)
+def test_split_sentences_matches_the_scanner(text):
+    assert ao.split_sentences(text) == scanner_split_sentences(text)
+
+
 def test_split_partitions_text_modulo_whitespace():
     texts = [
         "One two. Three four! Five six?",
@@ -381,6 +432,30 @@ def test_unitized_rejects_non_string_set_id(tmp_path):
     path.write_text(json.dumps(record) + "\n")
     with pytest.raises(CorpusFormatError, match="line 1: set_id must be a string"):
         ao.read_unitized(path)
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_write_json_round_trips_with_one_trailing_newline(tmp_path, indent):
+    obj = {"set_id": "s\u00e9", "weights": [[1.0, 0.25]], "none": None}
+    path = tmp_path / "obj.json"
+    textunits.write_json(obj, path, indent=indent)
+    assert path.read_bytes() == (json.dumps(obj, indent=indent) + "\n").encode()
+    assert textunits.read_json(path, "test file") == obj
+
+
+@pytest.mark.parametrize("blob, reason", [
+    (b'{"size": 3', "Expecting"),
+    (b"[1, 2]\xff", "'utf-8' codec can't decode byte 0xff"),
+    (b"", "Expecting value"),
+], ids=["truncated", "invalid-utf8", "empty"])
+def test_read_json_error_names_the_file_once(tmp_path, blob, reason):
+    path = tmp_path / "obj.json"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as info:
+        textunits.read_json(path, "graph file")
+    message = str(info.value)
+    assert message.startswith(f"{path}: malformed graph file: ") and reason in message
+    assert message.count(str(path)) == 1
 
 
 def _write_then_fail(path):
