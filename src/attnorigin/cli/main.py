@@ -75,6 +75,8 @@ def _check_file_stems(set_ids) -> None:
 
 def _read_unitized(path: str, limit: int | None = None) -> list[textunits.UnitizedRecord]:
     """The unitized sets, only the first ``limit`` if given, with distinct file stems."""
+    if limit is not None and limit < 1:
+        raise CliError(f"--limit must be >= 1, got {limit}")
     records = textunits.read_unitized(path)[:limit]
     _check_file_stems(record.set_id for record in records)
     return records
@@ -358,6 +360,8 @@ def _parse_layers(raw: str, num_layers: int) -> list[int] | None:
         selected = sorted({int(part) for part in raw.split(",") if part.strip()})
     except ValueError:
         raise CliError(f"--layers must be 'all' or a comma list of integers, got {raw!r}")
+    if not selected:
+        raise CliError(f"--layers must name at least one layer, got {raw!r}")
     for layer in selected:
         if not 1 <= layer <= num_layers:
             raise CliError(f"--layers entry {layer} outside [1, {num_layers}]")
@@ -380,6 +384,9 @@ def _read_vocab(awd_dir: Path, summaries_dir: Path) -> list[str]:
 
 def _check_simplex(aligned: np.ndarray, unit_pad: np.ndarray) -> None:
     """Reject attention slices that are not distributions over the real units."""
+    if 0 in aligned.shape[1:3]:
+        raise CliError(f"tensor has {aligned.shape[1]} layers and {aligned.shape[2]} heads; "
+                       "need at least one of each")
     if aligned.shape[-1] != unit_pad.shape[0]:
         raise CliError(
             f"tensor has {aligned.shape[-1]} units, unitized input has {unit_pad.shape[0]}"
@@ -440,7 +447,8 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
             spans = awdmod.split_summary_sentences(summary.tokens, eoss_id)
             sent_awd = awdmod.aggregate_to_sentences(aligned, spans, method=opts["aggregation"])
             sentences = [
-                [vocab[t] for t in summary.tokens[a:b] if t not in special_ids]
+                textunits.tokenize(" ".join(vocab[t] for t in summary.tokens[a:b]
+                                            if t not in special_ids))
                 for a, b in spans
             ]
             metric = origin.reference_metric(sentences, record.unitized)

@@ -80,39 +80,35 @@ def _cell(value) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _variant_rows(writer, table: str, rows: list[dict], numbered: bool = False) -> None:
+    """One row per (entry, variant); ``numbered`` puts the entry index in column i."""
+    for s, row in enumerate(rows):
+        for variant in VARIANTS:
+            writer.writerow([table, row["layer"], row.get("head", ""), s if numbered else "", "",
+                             variant, _cell(row[variant])])
+
+
+def _grid_rows(writer, table: str, grid, layer="", cell=_cell) -> None:
+    """One row per (i, j) cell of a nested-list grid."""
+    for i, grow in enumerate(grid):
+        for j, value in enumerate(grow):
+            writer.writerow([table, layer, "", i, j, "", cell(value)])
+
+
 def report_to_csv(report: CorrelationReport) -> str:
     """Flat CSV: table,layer,head,i,j,variant,value (one coefficient per row)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["table", "layer", "head", "i", "j", "variant", "value"])
-    for row in report.per_layer:
-        for variant in VARIANTS:
-            writer.writerow(["per_layer", row["layer"], "", "", "", variant, _cell(row[variant])])
-    for row in report.per_head:
-        for variant in VARIANTS:
-            writer.writerow(
-                ["per_head", row["layer"], row["head"], "", "", variant, _cell(row[variant])]
-            )
+    _variant_rows(writer, "per_layer", report.per_layer)
+    _variant_rows(writer, "per_head", report.per_head)
     for entry in report.head_matrix:
-        matrix = entry["matrix"]
-        for i, mrow in enumerate(matrix):
-            for j, value in enumerate(mrow):
-                writer.writerow(["head_matrix", entry["layer"], "", i, j, "", _cell(value)])
-    for i, mrow in enumerate(report.layer_matrix):
-        for j, value in enumerate(mrow):
-            writer.writerow(["layer_matrix", "", "", i, j, "", _cell(value)])
-    for s, row in enumerate(report.per_summary):
-        for variant in VARIANTS:
-            writer.writerow(
-                ["per_summary", row["layer"], "", s, "", variant, _cell(row[variant])]
-            )
+        _grid_rows(writer, "head_matrix", entry["matrix"], layer=entry["layer"])
+    _grid_rows(writer, "layer_matrix", report.layer_matrix)
+    _variant_rows(writer, "per_summary", report.per_summary, numbered=True)
     if report.posbias is not None:
-        for i, crow in enumerate(report.posbias.counts.tolist()):
-            for j, value in enumerate(crow):
-                writer.writerow(["posbias_counts", "", "", i, j, "", value])
-        for i, nrow in enumerate(report.posbias.normalized.tolist()):
-            for j, value in enumerate(nrow):
-                writer.writerow(["posbias_normalized", "", "", i, j, "", _cell(value)])
+        _grid_rows(writer, "posbias_counts", report.posbias.counts.tolist(), cell=str)
+        _grid_rows(writer, "posbias_normalized", report.posbias.normalized.tolist())
     return buf.getvalue()
 
 

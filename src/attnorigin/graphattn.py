@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .simgraph import SimilarityGraph
-from .textunits import UnitizedInput, read_json, write_json
+from .textunits import UnitizedInput, number_array, read_json, write_json
 
 PAD_TOKEN = "<pad>"
 BOS_TOKEN = "<bos>"
@@ -57,8 +57,9 @@ class ModelConfig:
     shift_form: str = SHIFT_SIM_SQUARED
 
     def __post_init__(self):
-        if self.num_heads < 1:
-            raise ValueError(f"num_heads must be >= 1, got {self.num_heads}")
+        for name in ("d_model", "num_layers", "num_heads", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.num_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by num_heads={self.num_heads}"
@@ -689,8 +690,7 @@ def read_weights(path) -> DecoderWeights:
     try:
         config = ModelConfig.from_json(obj["config"])
         params = {
-            name: np.array(obj["params"][name], dtype=np.float64)
-            for name in _param_shapes(config)
+            name: number_array(obj["params"][name], name) for name in _param_shapes(config)
         }
         return DecoderWeights(config=config, vocab=check_vocab(obj["vocab"]), **params)
     except KeyError as exc:

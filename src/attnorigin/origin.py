@@ -231,15 +231,15 @@ class SummaryAnalysis:
 def doc_positions_from_boundaries(
     doc_boundaries: dict[int, int] | None, L: int
 ) -> np.ndarray | None:
-    """Within-document position of each unit slot; None when unavailable."""
+    """Within-document position of each unit slot: each document's units
+    count 0, 1, 2, ... in unit order, other slots -1; None when unavailable."""
     if doc_boundaries is None:
         return None
     positions = np.full(L, -1, dtype=np.int64)
-    first_of_doc: dict[int, int] = {}
+    seen: dict[int, int] = {}
     for idx in sorted(doc_boundaries):
         doc = doc_boundaries[idx]
-        first_of_doc.setdefault(doc, idx)
-        positions[idx] = idx - first_of_doc[doc]
+        positions[idx] = seen[doc] = seen.get(doc, -1) + 1
     return positions
 
 
@@ -252,7 +252,7 @@ def correlate_awd_origin(
     Returns per-layer coefficients (heads averaged first) and
     per-(layer, head) coefficients.
     """
-    report = build_report(batch, variants=(variant,), include_posbias=False)
+    report = build_report(batch, variants=(variant,))
     mh = batch[0].sent_awd.dims[2]
     heads = [row[variant] for row in report.per_head]
     return [row[variant] for row in report.per_layer], [
@@ -263,7 +263,7 @@ def correlate_awd_origin(
 def summary_correlations(batch: list[SummaryAnalysis], variant: str) -> list[list[float | None]]:
     """Per-summary, per-layer coefficients (heads averaged); diagnostics
     alongside the pooled estimator."""
-    report = build_report(batch, variants=(variant,), include_posbias=False)
+    report = build_report(batch, variants=(variant,))
     dl = len(report.per_layer)
     rows = [row[variant] for row in report.per_summary]
     return [rows[i : i + dl] for i in range(0, len(rows), dl)]
@@ -271,12 +271,12 @@ def summary_correlations(batch: list[SummaryAnalysis], variant: str) -> list[lis
 
 def head_correlations(batch: list[SummaryAnalysis], layer: int) -> list[list[float | None]]:
     """Pairwise Pearson between the heads of one layer, over batch cells."""
-    return build_report(batch, layers=[layer], include_posbias=False).head_matrix[0]["matrix"]
+    return build_report(batch, layers=[layer]).head_matrix[0]["matrix"]
 
 
 def layer_correlations(batch: list[SummaryAnalysis]) -> list[list[float | None]]:
     """Pairwise Pearson between head-averaged layers, over batch cells."""
-    return build_report(batch, include_posbias=False).layer_matrix
+    return build_report(batch).layer_matrix
 
 
 def argmax_paragraph(sent_awd: SentenceAwd, layer: int) -> np.ndarray:
@@ -304,27 +304,27 @@ class PosBiasHeatmap:
 
 
 def positional_bias(batch: list[SummaryAnalysis], layer: int) -> PosBiasHeatmap:
-    """Tally the most-attended unit's within-document position per sentence."""
+    """Tally the most-attended unit's within-document position per sentence;
+    a sentence whose strongest unit is a pad unit raises ValueError."""
     if not batch:
         raise ValueError("empty batch")
+    rows, cols, max_pos = [], [], 0
     for analysis in batch:
         if analysis.doc_positions is None:
             raise MissingDocBoundariesError(
                 f"set {analysis.set_id!r} lacks document boundaries; "
                 "positional bias needs unit-to-document correspondence"
             )
-    max_pos = 0
-    max_sent = 0
-    for analysis in batch:
-        real_positions = analysis.doc_positions[~analysis.unit_pad]
-        if real_positions.size:
-            max_pos = max(max_pos, int(real_positions.max()))
-        max_sent = max(max_sent, analysis.sent_awd.dims[0])
-    counts = np.zeros((max_pos + 1, max_sent), dtype=np.int64)
-    for analysis in batch:
         picks = argmax_paragraph(analysis.sent_awd, layer)
-        for sent_idx, unit_idx in enumerate(picks):
-            counts[analysis.doc_positions[unit_idx], sent_idx] += 1
+        on_pad = np.flatnonzero(analysis.unit_pad[picks])
+        if on_pad.size:
+            raise ValueError(f"set {analysis.set_id!r}: sentence {on_pad[0]} attends most "
+                             f"to pad unit {picks[on_pad[0]]} in layer {layer + 1}")
+        max_pos = max(max_pos, int(analysis.doc_positions[~analysis.unit_pad].max(initial=0)))
+        rows.append(analysis.doc_positions[picks])
+        cols.append(np.arange(picks.size))
+    counts = np.zeros((max_pos + 1, max(c.size for c in cols)), dtype=np.int64)
+    np.add.at(counts, (np.concatenate(rows), np.concatenate(cols)), 1)
     totals = counts.sum(axis=0, keepdims=True)
     normalized = counts / np.where(totals > 0, totals, 1)
     return PosBiasHeatmap(counts=counts, normalized=normalized)
@@ -369,7 +369,6 @@ def build_report(
     variants: tuple[str, ...] = VARIANTS,
     layers: list[int] | None = None,
     posbias_layer: int | None = None,
-    include_posbias: bool = True,
 ) -> CorrelationReport:
     """Assemble the full correlation report for a batch of summaries.
 
@@ -377,13 +376,15 @@ def build_report(
     into the pooled accumulator; every coefficient is read from those.
     ``layers`` filters (0-based) which layers appear; ``posbias_layer``
     picks the layer for the heatmap (default: the last selected layer).
-    The heatmap is skipped when any summary lacks document boundaries
-    or ``include_posbias`` is false.
+    The heatmap is built exactly when every summary has document
+    boundaries.
     """
     if not batch:
         raise ValueError("empty batch")
     _, dl, mh, _ = batch[0].sent_awd.dims
     selected = list(range(dl)) if layers is None else sorted(set(layers))
+    if not selected:
+        raise ValueError("no layers selected")
     for layer in selected:
         if not 0 <= layer < dl:
             raise ValueError(f"layer {layer} outside [0, {dl})")
@@ -420,9 +421,8 @@ def build_report(
         return [[pooled.result(i, j) for j in cols] for i in cols]
 
     posbias = None
-    if include_posbias and all(a.doc_positions is not None for a in batch):
-        target = posbias_layer if posbias_layer is not None else selected[-1]
-        posbias = positional_bias(batch, target)
+    if all(a.doc_positions is not None for a in batch):
+        posbias = positional_bias(batch, selected[-1] if posbias_layer is None else posbias_layer)
 
     return CorrelationReport(
         per_layer=[

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .textunits import TextualUnit, UnitizedInput, read_json, write_json
+from .textunits import TextualUnit, UnitizedInput, number_array, read_json, write_json
 
 TfIdfVector = dict[str, float]
 
@@ -119,7 +119,9 @@ def read_graph(path) -> SimilarityGraph:
     """Read and validate a graph file; errors name the file."""
     obj = read_json(path, "graph file")
     try:
-        return SimilarityGraph(size=obj["size"], weights=np.array(obj["weights"], dtype=np.float64))
+        if type(obj["size"]) is not int:
+            raise ValueError(f"graph size must be an integer, not {obj['size']!r}")
+        return SimilarityGraph(size=obj["size"], weights=number_array(obj["weights"], "weights"))
     except KeyError as exc:
         raise ValueError(f"{path}: graph file missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

@@ -335,6 +335,21 @@ def read_json(path, what: str):
         raise ValueError(f"{path}: malformed {what}: {exc}") from None
 
 
+def number_array(value, what: str) -> np.ndarray:
+    """Nested JSON lists as a float64 array; a leaf that is not a JSON
+    number (a boolean, string, null or object) raises ValueError."""
+    level = [value]
+    while level:
+        nested = []
+        for v in level:
+            if type(v) is list:
+                nested.extend(v)
+            elif type(v) is not float and type(v) is not int:
+                raise ValueError(f"{what} must hold only JSON numbers, not {v!r}")
+        level = nested
+    return np.array(value, dtype=np.float64)
+
+
 def docset_to_json(docset: MultiDocSet) -> dict:
     return {
         "set_id": docset.set_id,

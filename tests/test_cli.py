@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import attnorigin as ao
 from attnorigin.cli.main import main
-from attnorigin.graphattn import build_vocab
+from attnorigin.graphattn import SPECIAL_TOKENS, build_vocab
 from conftest import JSON_VALUES, json_paths, replaced
 
 
@@ -249,8 +249,11 @@ def generate_error(tmp_path, capsys, units, flags=GEN_FLAGS):
     ({(3, j): 0.0 for j in range(6)} | {(j, 3): 0.0 for j in range(6)},
      "unit 3 is a non-pad unit of set 'set0' but has graph diagonal 0", "set0"),
     ({(5, 5): 1.0}, "unit 5 is a pad unit of set 'set1' but has graph diagonal 1", "set1"),
+    ({(0, 1): True, (1, 0): True}, "weights must hold only JSON numbers, not True", "set0"),
+    ({(0, 1): "0.5", (1, 0): "0.5"}, "weights must hold only JSON numbers, not '0.5'", "set0"),
 ], ids=["nan", "asymmetric", "above-one", "negative", "half-diagonal", "linked-pad",
-        "half-diagonal-last-set", "real-unit-as-pad", "pad-as-real-unit"])
+        "half-diagonal-last-set", "real-unit-as-pad", "pad-as-real-unit", "bool-weight",
+        "string-weight"])
 def test_generate_rejects_invalid_graph(tmp_path, capsys, cells, reason, set_id):
     units = graphs_only(tmp_path)
     gpath = tmp_path / "graphs" / f"{set_id}.graph.json"
@@ -267,7 +270,11 @@ def test_generate_rejects_invalid_graph(tmp_path, capsys, cells, reason, set_id)
     ("--max-len", "20", "max_len 20 outside [1, 8]"),
     ("--max-len", "0", "max_len must be >= 1, got 0"),
     ("--beam-size", "0", "beam_size must be >= 1, got 0"),
-], ids=["max-len-past-model", "max-len-zero", "beam-size-zero"])
+    ("--d-model", "0", "d_model must be >= 1, got 0"),
+    ("--num-layers", "0", "num_layers must be >= 1, got 0"),
+    ("--model-max-len", "0", "max_len must be >= 1, got 0"),
+], ids=["max-len-past-model", "max-len-zero", "beam-size-zero", "d-model-zero", "num-layers-zero",
+        "model-max-len-zero"])
 def test_generate_rejects_generation_options(tmp_path, capsys, flag, value, message):
     units = graphs_only(tmp_path)
     flags = list(GEN_FLAGS)
@@ -337,9 +344,17 @@ def edit_json(change):
      "vocab must be a list of distinct strings"),
     (edit_json(lambda obj: obj["vocab"].__setitem__(-1, obj["vocab"][-2])),
      "vocab must be a list of distinct strings"),
+    (edit_json(lambda obj: obj["config"].update(d_model=0)), "d_model must be >= 1, got 0"),
+    (edit_json(lambda obj: obj["config"].update(num_layers=0)), "num_layers must be >= 1, got 0"),
+    (edit_json(lambda obj: obj["config"].update(max_len=0)), "max_len must be >= 1, got 0"),
+    (edit_json(lambda obj: obj["params"]["w_q"][0][1][2].__setitem__(3, True)),
+     "w_q must hold only JSON numbers, not True"),
+    (edit_json(lambda obj: obj["params"]["cp_b2"].__setitem__(0, "0.5")),
+     "cp_b2 must hold only JSON numbers, not '0.5'"),
 ], ids=["truncated", "not-object", "missing-key", "zero-heads", "indivisible", "wrong-shape",
         "float-layers", "bool-heads", "bool-sigma", "nan-sigma", "int-vocab-entry",
-        "duplicate-vocab-entry"])
+        "duplicate-vocab-entry", "zero-d-model", "zero-layers", "zero-max-len", "bool-param",
+        "string-param"])
 def test_generate_rejects_malformed_weights_file(tmp_path, capsys, edit, needle):
     units = graphs_only(tmp_path)
     wpath = small_weights_file(tmp_path, ao.read_unitized(units))
@@ -448,10 +463,12 @@ def move_mass_to_pad(values):
     (edit_summary(lambda obj: obj["beam_trace"][0].__setitem__(0, 0.0)),
      "beam_trace row holds 0.0"),
     (edit_summary(lambda obj: obj.update(winning_beam=0.9)), "winning_beam holds 0.9"),
+    (edit_awd(lambda v: v[:, :, :0]), "tensor has 0 layers and 4 heads"),
+    (edit_awd(lambda v: v[:, :, :, :0]), "tensor has 2 layers and 0 heads"),
 ], ids=["truncated-awd", "bad-magic", "invalid-json", "missing-awd", "summary-too-long",
         "missing-key", "winning-beam", "off-simplex", "sum-below-one", "sum-above-one",
         "pad-mass", "unit-count", "fractional-token", "bool-token", "float-trace",
-        "fractional-winning-beam"])
+        "fractional-winning-beam", "zero-layers", "zero-heads"])
 def test_analyze_errors_name_the_set(tmp_path, capsys, corrupt, needle):
     run_pipeline(tmp_path)
     corrupt(tmp_path / "gen")
@@ -671,6 +688,64 @@ def test_analyze_limit(tmp_path, capsys):
                  "--unitized", str(tmp_path / "units.jsonl"), "--out", str(rep),
                  "--limit", "1"]) == 0
     assert "sets=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+@pytest.mark.parametrize("stage", ["generate", "analyze"])
+def test_stage_rejects_limit_below_one(tmp_path, capsys, stage, limit):
+    run_pipeline(tmp_path)
+    out = tmp_path / "out_lim"
+    argv = {
+        "generate": ["generate", "--unitized", tmp_path / "units.jsonl",
+                     "--graphs", tmp_path / "graphs", "--out", out, *GEN_FLAGS],
+        "analyze": ["analyze", "--awd", tmp_path / "gen", "--summaries", tmp_path / "gen",
+                    "--unitized", tmp_path / "units.jsonl", "--out", out],
+    }[stage]
+    capsys.readouterr()
+    assert main([str(a) for a in argv] + ["--limit", limit]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --limit must be >= 1, got {limit}"]
+    assert not out.exists()
+
+
+def test_analyze_rejects_an_empty_layer_selection(tmp_path, capsys):
+    run_pipeline(tmp_path)
+    rep = tmp_path / "rep_none"
+    capsys.readouterr()
+    assert main(["analyze", "--awd", str(tmp_path / "gen"), "--summaries", str(tmp_path / "gen"),
+                 "--unitized", str(tmp_path / "units.jsonl"), "--out", str(rep),
+                 "--layers", ","]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --layers must name at least one layer, got ','"]
+    assert not rep.exists()
+
+
+def test_analyze_tokenizes_summary_words_like_the_units(tmp_path, capsys):
+    """A vocabulary that keeps case gives the report of its lowercased twin."""
+    run_pipeline(tmp_path)
+    gen = tmp_path / "gen"
+    vocab = json.loads((gen / "vocab.json").read_text())
+    for s in range(2):  # each summary repeats the words of its set's first unit
+        words = ["alpha{}00", "beta{}00", "gamma", ".", "<eos>"]
+        spath = gen / f"set{s}.summary.json"
+        obj = json.loads(spath.read_text())
+        obj["tokens"] = [vocab.index(w.format(s)) for w in words]
+        spath.write_text(json.dumps(obj))
+
+    def analyze(rep):
+        capsys.readouterr()
+        assert main(["analyze", "--awd", str(gen), "--summaries", str(gen),
+                     "--unitized", str(tmp_path / "units.jsonl"), "--out", str(rep)]) == 0
+        return capsys.readouterr().out.replace(str(rep), "REP")
+
+    lower = analyze(tmp_path / "rep_lower")
+    assert json.loads((tmp_path / "rep_lower" / "report.json").read_text())["layers"][0]["r1"]
+    cased = [t if t in SPECIAL_TOKENS else t.capitalize() for t in vocab]
+    assert cased != vocab and len(set(cased)) == len(cased)
+    (gen / "vocab.json").write_text(json.dumps(cased))
+    assert analyze(tmp_path / "rep_cased") == lower
+    for name in ("report.json", "report.csv"):
+        assert (tmp_path / "rep_cased" / name).read_bytes() == \
+            (tmp_path / "rep_lower" / name).read_bytes()
 
 
 def test_concentrator_weights_give_single_hot_posbias_row(tmp_path):

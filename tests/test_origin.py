@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import attnorigin as ao
 from attnorigin.awd import SentenceAwd
@@ -470,6 +472,87 @@ def test_posbias_missing_boundaries_rejected():
         ao.positional_bias(batch, layer=0)
 
 
+def three_pass_positional_bias(batch, layer):
+    """The former tally, kept as the oracle: boundaries checked, then a
+    pre-scan for the shape, then one add per sentence."""
+    for analysis in batch:
+        if analysis.doc_positions is None:
+            raise MissingDocBoundariesError(analysis.set_id)
+    max_pos = 0
+    max_sent = 0
+    for analysis in batch:
+        real_positions = analysis.doc_positions[~analysis.unit_pad]
+        if real_positions.size:
+            max_pos = max(max_pos, int(real_positions.max()))
+        max_sent = max(max_sent, analysis.sent_awd.dims[0])
+    counts = np.zeros((max_pos + 1, max_sent), dtype=np.int64)
+    for analysis in batch:
+        picks = ao.argmax_paragraph(analysis.sent_awd, layer)
+        for sent_idx, unit_idx in enumerate(picks):
+            counts[analysis.doc_positions[unit_idx], sent_idx] += 1
+    totals = counts.sum(axis=0, keepdims=True)
+    normalized = counts / np.where(totals > 0, totals, 1)
+    return ao.PosBiasHeatmap(counts=counts, normalized=normalized)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_posbias_matches_the_three_pass_tally(data):
+    """Random batches of contiguous documents whose sentences peak on real units."""
+    L = data.draw(st.integers(1, 8), label="L")
+    dl = data.draw(st.integers(1, 3), label="layers")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    batch = []
+    for k in range(data.draw(st.integers(1, 4), label="sets")):
+        real = data.draw(st.integers(1, L), label="real units")
+        starts = sorted({0} | set(data.draw(st.lists(st.integers(0, real - 1)), label="starts")))
+        docs = np.searchsorted(starts, np.arange(real), side="right") - 1
+        boundaries = {i: int(doc) for i, doc in enumerate(docs)}
+        n = data.draw(st.integers(0, 4), label="sentences")
+        awd = np.zeros((n, dl, 2, L))
+        awd[..., :real] = rng.random((n, dl, 2, real)) + 0.01
+        analysis = make_analysis(f"s{k}", awd, np.zeros((n, L)).tolist(),
+                                 pad=np.arange(L) >= real, boundaries=boundaries)
+        first = {doc: i for i, doc in reversed(list(enumerate(docs)))}
+        assert analysis.doc_positions[:real].tolist() == [i - first[d] for i, d in enumerate(docs)]
+        batch.append(analysis)
+    layer = data.draw(st.integers(0, dl - 1), label="layer")
+    heatmap = ao.positional_bias(batch, layer)
+    expected = three_pass_positional_bias(batch, layer)
+    assert heatmap.counts.dtype == expected.counts.dtype
+    assert np.array_equal(heatmap.counts, expected.counts)
+    assert np.array_equal(heatmap.normalized, expected.normalized)
+
+
+def test_doc_positions_count_each_documents_units_in_order():
+    assert doc_positions_from_boundaries({0: 0, 1: 1, 2: 0, 3: 1}, 5).tolist() == [0, 0, 1, 1, -1]
+
+
+def test_posbias_interleaved_documents():
+    bounds = {0: 0, 1: 1, 2: 0, 3: 1, 4: 0, 5: 1}
+    batch = [make_analysis("s", one_hot_awd([2, 5, 0]), np.zeros((3, 6)).tolist(),
+                           boundaries=bounds)]
+    heatmap = ao.positional_bias(batch, layer=0)
+    # units 2, 5 and 0 are the second, third and first units of their documents
+    assert heatmap.counts.tolist() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+
+
+def test_posbias_rejects_a_pad_unit_argmax_naming_the_set():
+    pad = [False] * 4 + [True] * 2
+    bounds = {0: 0, 1: 0, 2: 1, 3: 1}
+    batch = [
+        make_analysis("ok", one_hot_awd([1]), np.zeros((1, 6)).tolist(), pad=pad,
+                      boundaries=bounds),
+        make_analysis("bad", one_hot_awd([0, 5]), np.zeros((2, 6)).tolist(), pad=pad,
+                      boundaries=bounds),
+    ]
+    message = "set 'bad': sentence 1 attends most to pad unit 5 in layer 2"
+    with pytest.raises(ValueError, match=message):
+        ao.positional_bias(batch, layer=1)
+    with pytest.raises(ValueError, match=message):
+        ao.build_report(batch)
+
+
 # ---------------------------------------------------------------------------
 # build_report
 # ---------------------------------------------------------------------------
@@ -496,6 +579,12 @@ def test_build_report_layer_filter_and_posbias_layer():
     report = ao.build_report([analysis], layers=[0, 2], posbias_layer=0)
     assert [row["layer"] for row in report.per_layer] == [1, 3]
     assert [entry["layer"] for entry in report.head_matrix] == [1, 3]
+
+
+def test_build_report_rejects_an_empty_layer_selection():
+    analysis = make_analysis("s", one_hot_awd([0, 4]), np.eye(2, 6).tolist(), boundaries=BOUNDS)
+    with pytest.raises(ValueError, match="no layers selected"):
+        ao.build_report([analysis], layers=[])
 
 
 def test_build_report_skips_posbias_without_boundaries():

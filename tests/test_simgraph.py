@@ -174,3 +174,19 @@ def test_graph_file_rejects_missing_keys(tmp_path):
     path.write_text('{"weights": [[1.0]]}')
     with pytest.raises(ValueError, match="size"):
         ao.read_graph(path)
+
+
+@pytest.mark.parametrize("obj, needle", [
+    ({"size": 1.0, "weights": [[1.0]]}, "graph size must be an integer, not 1.0"),
+    ({"size": True, "weights": [[1.0]]}, "graph size must be an integer, not True"),
+    ({"size": 1, "weights": [[True]]}, "weights must hold only JSON numbers, not True"),
+    ({"size": 1, "weights": [["1"]]}, "weights must hold only JSON numbers, not '1'"),
+    ({"size": 1, "weights": [[None]]}, "weights must hold only JSON numbers, not None"),
+    ({"size": 1, "weights": [[{}]]}, "weights must hold only JSON numbers, not {}"),
+], ids=["float-size", "bool-size", "bool-weight", "string-weight", "null-weight", "object-weight"])
+def test_graph_file_rejects_values_that_are_not_json_numbers(tmp_path, obj, needle):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError) as info:
+        ao.read_graph(path)
+    assert str(info.value) == f"{path}: {needle}"
