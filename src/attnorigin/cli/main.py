@@ -323,14 +323,14 @@ def cmd_generate(opts: dict[str, Any]) -> int:
     gen = graphattn.GenerationConfig(beam_size=opts["beam_size"], max_len=opts["max_len"],
                                      length_penalty=opts["length_penalty"])
     # Every set's inputs are checked before the first output is written.
-    gen.steps(weights.config)
+    max_steps = gen.steps(weights.config)
     graphs = [_checked_graph(Path(opts["graphs"]), record, weights) for record in records]
     out_dir = Path(opts["out"])
     awd_dir = Path(opts["record_awd"]) if opts["record_awd"] else out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     awd_dir.mkdir(parents=True, exist_ok=True)
 
-    tokens = 0
+    tokens = unfinished = 0
     for record, graph in zip(records, graphs):
         result = graphattn.generate_with_beam(record.unitized, weights, graph, gen)
         awdmod.write_summary(
@@ -344,8 +344,12 @@ def cmd_generate(opts: dict[str, Any]) -> int:
         )
         awdmod.write_awd(result.awd, awd_path(awd_dir, record.set_id))
         tokens += len(result.tokens)
+        unfinished += weights.eos_id not in result.tokens
 
     textunits.write_json(weights.vocab, vocab_path(out_dir))
+    if unfinished:
+        print(f"warning: {unfinished} of {len(records)} summaries reached max_len {max_steps} "
+              f"without {graphattn.EOS_TOKEN}", file=sys.stderr)
     print(
         f"generated={len(records)} beam_size={gen.beam_size} "
         f"tokens={tokens} out={out_dir}"
@@ -427,6 +431,7 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
         raise CliError(f"vocabulary lacks the {graphattn.EOS_SENT_TOKEN!r} marker")
 
     batch = []
+    single = 0  # summaries of at most one sentence
     golds = []  # summary quality against gold summaries, when the corpus carries them
     for record in records:
         try:
@@ -454,6 +459,7 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
             metric = origin.reference_metric(sentences, record.unitized)
         except (CliError, ValueError, OSError) as exc:
             raise CliError(f"set {record.set_id!r}: {exc}") from None
+        single += len(spans) <= 1
         if record.gold_summary:
             text = " ".join(word for sentence in sentences for word in sentence)
             golds.append(rouge.evaluate_summary(text, record.gold_summary))
@@ -484,6 +490,9 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
             "positional bias skipped: input lacks unit-to-document correspondence",
             file=sys.stderr,
         )
+    if single == len(batch):
+        print(f"warning: {single} of {len(batch)} summaries have at most one sentence "
+              f"(no {graphattn.EOS_SENT_TOKEN} splits them)", file=sys.stderr)
 
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)

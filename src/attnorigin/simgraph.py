@@ -9,13 +9,14 @@ carry a unit diagonal.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .textunits import TextualUnit, UnitizedInput, number_array, read_json, write_json
+from .textunits import TextualUnit, UnitizedInput, atomic_write, number_array, read_json
 
 TfIdfVector = dict[str, float]
 
@@ -68,7 +69,11 @@ def tfidf_vectors(units: Sequence[TextualUnit]) -> list[TfIdfVector]:
 
 
 def cosine_similarity(u: TfIdfVector, v: TfIdfVector) -> float:
-    """Cosine of two sparse vectors, 0 when either is empty."""
+    """Cosine of two sparse vectors, 0 when either is empty.
+
+    This pairwise form is the reference that the tests hold
+    ``build_graph``'s matrix product to.
+    """
     if not u or not v:
         return 0.0
     if len(v) < len(u):
@@ -87,8 +92,12 @@ def cosine_similarity(u: TfIdfVector, v: TfIdfVector) -> float:
 def build_graph(units: Sequence[TextualUnit] | UnitizedInput, threshold: float = 0.0) -> SimilarityGraph:
     """Similarity graph with entries below ``threshold`` zeroed.
 
-    Each unordered pair is computed once and mirrored, so the matrix is
-    bitwise symmetric. Real units get diagonal 1, pad units diagonal 0.
+    The TF-IDF vectors form one dense (L, terms) matrix ``M``; every
+    dot product comes from ``M @ M.T`` and the squared norms from its
+    diagonal, so identical units still get exactly 1.0. Entries agree
+    with ``cosine_similarity`` up to summation order (within 1e-15).
+    The strict upper triangle is mirrored, so the matrix is bitwise
+    symmetric. Real units get diagonal 1, pad units diagonal 0.
     """
     if isinstance(units, UnitizedInput):
         units = units.units
@@ -96,23 +105,55 @@ def build_graph(units: Sequence[TextualUnit] | UnitizedInput, threshold: float =
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
     vectors = tfidf_vectors(units)
     L = len(vectors)
-    weights = np.zeros((L, L), dtype=np.float64)
-    for i in range(L):
-        if vectors[i]:
-            weights[i, i] = 1.0
-        for j in range(i + 1, L):
-            sim = cosine_similarity(vectors[i], vectors[j])
-            if sim < threshold:
-                sim = 0.0
-            weights[i, j] = sim
-            weights[j, i] = sim
+    columns: dict[str, int] = {}  # term -> column of M
+    terms = np.zeros((L, len(set().union(*vectors))))  # M: one row of TF-IDF weights per unit
+    for i, vec in enumerate(vectors):
+        terms[i, [columns.setdefault(term, len(columns)) for term in vec]] = list(vec.values())
+    dot = terms @ terms.T
+    norms = np.diagonal(dot)
+    # dot != 0 implies both norms are positive, so nothing divides by zero.
+    cos = np.divide(dot, np.sqrt(np.outer(norms, norms)), out=np.zeros((L, L)), where=dot != 0.0)
+    np.clip(cos, 0.0, 1.0, out=cos)
+    cos[cos < threshold] = 0.0
+    weights = np.triu(cos, 1)
+    weights += weights.T  # each entry plus an exact zero: a bitwise mirror
+    np.fill_diagonal(weights, [1.0 if vec else 0.0 for vec in vectors])
     return SimilarityGraph(size=L, weights=weights)
 
 
+# Below the smallest normal float64 a ".9g" string and the float's repr
+# can differ in digits (5e-324 formats as 4.94065646e-324).
+_NORMAL_MIN = sys.float_info.min
+
+
 def write_graph(graph: SimilarityGraph, path) -> None:
-    """Serialize to JSON with values kept to 9 significant digits."""
-    rows = [[float(f"{v:.9g}") for v in row] for row in graph.weights]
-    write_json({"size": graph.size, "weights": rows}, path)
+    """Serialize to JSON with values kept to 9 significant digits.
+
+    The bytes are those of ``write_json`` on the values rounded through
+    ``float(f"{v:.9g}")``, but each unordered pair is formatted once and
+    mirrored, and the row text is written directly: JSON-encoding
+    L * L rounded floats took twice as long. A ``.9g`` string is the
+    float's repr except for a bare "0" or "1" (repr adds ".0") and for
+    subnormals, which go through ``repr(float(text))``.
+    """
+    weights = graph.weights
+    L = graph.size
+    upper = np.triu_indices(L)
+    text = np.empty((L, L), dtype=object)
+    text[upper] = [_json_number(v) for v in weights[upper].tolist()]
+    text.T[upper] = text[upper]
+    rows = ", ".join("[" + ", ".join(row) + "]" for row in text.tolist())
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write(f'{{"size": {L}, "weights": [{rows}]}}\n')
+
+
+def _json_number(v: float) -> str:
+    text = f"{v:.9g}"
+    if text == "0" or text == "1":
+        return text + ".0"
+    if 0.0 < v < _NORMAL_MIN:
+        return repr(float(text))
+    return text
 
 
 def read_graph(path) -> SimilarityGraph:

@@ -1,12 +1,21 @@
 """Shared builders for corpora, graphs, and toy models."""
 
 import json
+from dataclasses import dataclass
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 import attnorigin as ao
-from attnorigin.graphattn import build_vocab
+from attnorigin.graphattn import EOS_SENT_TOKEN, build_vocab
+
+# Every property test replays the same examples and keeps no example
+# database; each test still sets its own max_examples.
+settings.register_profile("attnorigin", derandomize=True, database=None, deadline=None)
+settings.load_profile("attnorigin")
 
 
 def make_docset(set_id, doc_paragraphs, gold=None):
@@ -115,3 +124,107 @@ def two_doc_input():
             ["rivers flow to the sea", "mountains stand tall and firm"],
         ]
     )
+
+
+# ---------------------------------------------------------------------------
+# Planted-origin run: summaries whose attention is a known mix of noise and
+# the ROUGE-1 reference, written through the public writers.
+# ---------------------------------------------------------------------------
+
+# Share of the ROUGE-1 row in every head's slice, per layer.
+PLANTED_MIX = (0.0, 0.3, 0.6, 0.9)
+
+
+def oracle_rouge1_f1(candidate, reference):
+    """ROUGE-1 F1 from clipped unigram matches counted by list scanning."""
+    matches = sum(min(candidate.count(w), reference.count(w)) for w in set(candidate))
+    if not matches:
+        return 0.0
+    p, r = matches / len(candidate), matches / len(reference)
+    return 2.0 * p * r / (p + r)
+
+
+@dataclass
+class PlantedRun:
+    units: Path  # unitized file
+    gen: Path  # summaries, AWD1 tensors and vocab.json
+    cells: np.ndarray  # (cells, layers) head-averaged attention per (sentence, real unit)
+    f1: np.ndarray  # (cells,) ROUGE-1 F1 of each cell
+
+
+def write_planted_run(root, seed=5, num_sets=4, sentences=3, heads=2, beams=3):
+    """Write a planted-origin run under ``root``; its cells are built here,
+    independently of ``origin`` and ``awd``.
+
+    Each set has two documents of three two-sentence paragraphs (six real
+    units, two pads). Each summary has ``sentences`` sentences of random
+    words, each closed by ``.`` and ``<eoss>``. At layer l every head's
+    slice on the winning path is ``(1 - a_l) * noise + a_l * f``,
+    renormalized over the real units, where f is the sentence's ROUGE-1 F1
+    row; every other tensor slot is noise. Beam parents are random and the
+    tensor has one step more than the summary.
+    """
+    rng = np.random.default_rng(seed)
+    root = Path(root)
+    gen = root / "gen"
+    gen.mkdir(parents=True)
+    words = [f"w{i}" for i in range(10)]
+    mix = np.array(PLANTED_MIX)[:, None, None]  # broadcasts over (layers, heads, units)
+
+    def sentence(size):
+        return [str(w) for w in rng.choice(words, size)]
+
+    sets = []
+    for k in range(num_sets):
+        units = [[sentence(4) for _ in range(2)] for _ in range(6)]
+        paragraphs = [" ".join(" ".join([s[0].upper(), *s[1:]]) + "." for s in unit)
+                      for unit in units]
+        inp = ao.unitize(make_docset(f"p{k}", [paragraphs[:3], paragraphs[3:]]),
+                         "paragraph", L=8, T=12)
+        # the tokenizer keeps each sentence's "." as a token
+        units = [[s + ["."] for s in unit] for unit in units]
+        summary = [sentence(rng.integers(3, 6)) + ["."] for _ in range(sentences)]
+        sets.append((f"p{k}", inp, units, summary))
+    ao.write_unitized([ao.UnitizedRecord(set_id, inp) for set_id, inp, _, _ in sets],
+                      root / "units.jsonl")
+    vocab = build_vocab(words + ["."])
+    ao.textunits.write_json(vocab, gen / "vocab.json")
+
+    cells, f1 = [], []
+    for set_id, inp, units, summary in sets:
+        real = len(units)
+        f = np.array([[np.mean([oracle_rouge1_f1(s, ref) for ref in unit]) for unit in units]
+                      for s in summary])
+        tokens, sentence_of = [], []
+        for i, s in enumerate(summary):
+            tokens += [vocab.index(w) for w in s] + [vocab.index(EOS_SENT_TOKEN)]
+            sentence_of += [i] * (len(s) + 1)
+        steps = len(tokens) + 1
+        noise = rng.random((beams, steps, len(PLANTED_MIX), heads, real))
+        noise /= noise.sum(axis=-1, keepdims=True)
+        trace = rng.integers(0, beams, size=(steps, beams))
+        winner = int(rng.integers(0, beams))
+        path, slot = [0] * steps, winner  # the winner's ancestor slot per step
+        for t in reversed(range(steps)):
+            path[t] = slot = int(trace[t, slot])
+        for t, i in enumerate(sentence_of):
+            planted = (1.0 - mix) * noise[path[t], t] + mix * f[i]
+            noise[path[t], t] = planted / planted.sum(axis=-1, keepdims=True)
+        values = np.zeros(noise.shape[:-1] + (inp.L,), dtype=np.float32)
+        values[..., :real] = noise
+        ao.write_awd(ao.AwdTensor(values=values), gen / f"{set_id}.awd")
+        ao.awd.write_summary(ao.awd.SummaryRecord(set_id, tokens, trace.tolist(), winner),
+                             gen / f"{set_id}.summary.json")
+        winning = values[path, range(steps)].astype(np.float64)  # (steps, layers, heads, L)
+        for i in range(len(summary)):
+            span = [t for t, s in enumerate(sentence_of) if s == i]
+            attention = winning[span].mean(axis=0).mean(axis=1)  # (layers, L)
+            cells += list(attention[:, :real].T)
+            f1 += list(f[i])
+    return PlantedRun(units=root / "units.jsonl", gen=gen, cells=np.array(cells),
+                      f1=np.array(f1))
+
+
+@pytest.fixture
+def planted_run(tmp_path):
+    return write_planted_run(tmp_path / "planted")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 import attnorigin as ao
 from attnorigin.cli.main import main
-from attnorigin.graphattn import SPECIAL_TOKENS, build_vocab
-from conftest import JSON_VALUES, json_paths, replaced
+from attnorigin.graphattn import EOS_SENT_TOKEN, EOS_TOKEN, SPECIAL_TOKENS, build_vocab
+from conftest import JSON_VALUES, PLANTED_MIX, json_paths, replaced
 
 
 def write_corpus(path, num_sets=2):
@@ -513,6 +514,17 @@ def corrupted_bytes(blob, data):
     return bytes(blob)
 
 
+DEGENERACY_WARNING = re.compile(
+    r"warning: \d+ of \d+ summaries (reached max_len \d+ without <eos>"
+    r"|have at most one sentence \(no <eoss> splits them\))")
+
+
+def is_degeneracy_warning(lines):
+    """True for the stderr of a successful stage: nothing, or the one
+    degeneracy warning that ``generate`` or ``analyze`` may print."""
+    return lines == [] or (len(lines) == 1 and DEGENERACY_WARNING.fullmatch(lines[0]) is not None)
+
+
 def test_analyze_fuzzed_set_files_fail_cleanly(tmp_path, capsys):
     """Flipped or truncated bytes give exit 0 or one error line naming the set."""
     run_pipeline(tmp_path)
@@ -520,7 +532,7 @@ def test_analyze_fuzzed_set_files_fail_cleanly(tmp_path, capsys):
     originals = {name: (gen / name).read_bytes() for name in ("set1.awd", "set1.summary.json")}
     rep = tmp_path / "rep_fuzz"
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(name=st.sampled_from(sorted(originals)), data=st.data())
     def check(name, data):
         for other, blob in originals.items():
@@ -532,7 +544,7 @@ def test_analyze_fuzzed_set_files_fail_cleanly(tmp_path, capsys):
                      "--unitized", str(tmp_path / "units.jsonl"), "--out", str(rep)])
         err = capsys.readouterr().err.splitlines()
         if code == 0:
-            assert err == [] and (rep / "report.json").exists()
+            assert is_degeneracy_warning(err) and (rep / "report.json").exists()
         else:
             assert code == 1 and not rep.exists()
             assert len(err) == 1 and err[0].startswith("error: set 'set1': ")
@@ -549,7 +561,7 @@ def fuzz_reader(capsys, path, read, argv, out, max_examples):
     last = json.loads(lines[-1])
     paths = list(json_paths(last))
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
+    @settings(max_examples=max_examples)
     @given(data=st.data())
     def check(data):
         if data.draw(st.booleans(), label="swap a value"):
@@ -568,7 +580,7 @@ def fuzz_reader(capsys, path, read, argv, out, max_examples):
         code = main([str(a) for a in argv])
         err = capsys.readouterr().err.splitlines()
         if code == 0:
-            assert readable and err == []
+            assert readable and is_degeneracy_warning(err)
         else:
             assert code == 1 and len(err) == 1 and err[0].startswith("error: ")
 
@@ -966,3 +978,74 @@ def test_preprocess_creates_the_output_directory(tmp_path, capsys):
     out = tmp_path / "new" / "dir" / "units.jsonl"
     assert main(["preprocess", "--corpus", str(corpus), "--out", str(out)]) == 0
     assert [r.set_id for r in ao.read_unitized(out)] == ["set0"]
+
+
+# ---------------------------------------------------------------------------
+# degeneracy warnings and known-answer coefficients
+# ---------------------------------------------------------------------------
+
+def analyze_planted(run, out):
+    return main(["analyze", "--awd", str(run.gen), "--summaries", str(run.gen),
+                 "--unitized", str(run.units), "--out", str(out)])
+
+
+def test_degenerate_run_warns_once_per_stage(tmp_path, capsys):
+    # The seed-11 model decodes both summaries to five words without an end marker.
+    units = graphs_only(tmp_path)
+    gen = tmp_path / "gen"
+    capsys.readouterr()
+    assert main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
+                 "--out", str(gen)] + GEN_FLAGS) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("generated=2 ")
+    assert captured.err.splitlines() == ["warning: 2 of 2 summaries reached max_len 5 without <eos>"]
+    assert main(["analyze", "--awd", str(gen), "--summaries", str(gen),
+                 "--unitized", str(units), "--out", str(tmp_path / "rep")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("sets=2 cells=")
+    assert captured.err.splitlines() == [
+        "warning: 2 of 2 summaries have at most one sentence (no <eoss> splits them)"]
+
+
+def test_scripted_run_with_end_markers_does_not_warn(tmp_path, capsys):
+    units = graphs_only(tmp_path)
+    records = ao.read_unitized(units)
+    vocab = build_vocab(t for r in records for u in r.unitized.units for t in u.tokens)
+    cfg = ao.ModelConfig(d_model=32, num_layers=2, num_heads=2, vocab_size=len(vocab),
+                         num_units=6, max_len=8)
+    script = [vocab.index(w) for w in ["alpha000", "gamma", EOS_SENT_TOKEN, "beta000",
+                                       EOS_SENT_TOKEN, EOS_TOKEN]]
+    wpath = tmp_path / "weights.json"
+    ao.write_weights(ao.make_concentrator_weights(cfg, target=0, vocab=vocab,
+                                                  token_script=script), wpath)
+    gen = tmp_path / "gen"
+    capsys.readouterr()
+    assert main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
+                 "--out", str(gen), "--weights", str(wpath), "--beam-size", "2"]) == 0
+    assert json.loads((gen / "set0.summary.json").read_text())["tokens"] == script
+    assert main(["analyze", "--awd", str(gen), "--summaries", str(gen),
+                 "--unitized", str(units), "--out", str(tmp_path / "rep")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_planted_origin_coefficients_match_independent_cells(tmp_path, planted_run, capsys):
+    capsys.readouterr()
+    assert analyze_planted(planted_run, tmp_path / "rep") == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "rep" / "report.json").read_text())
+    assert report["sample_count"] == len(planted_run.f1)
+    r1 = [row["r1"] for row in report["layers"]]
+    assert len(r1) == len(PLANTED_MIX)
+    for layer, got in enumerate(r1):
+        expected = np.corrcoef(planted_run.cells[:, layer], planted_run.f1)[0, 1]
+        assert abs(got - expected) <= 1e-12
+    assert all(a < b for a, b in zip(r1, r1[1:]))  # rises with the planted share
+    assert abs(r1[0]) < 0.3 and r1[-1] > 0.7  # pure noise, then mostly reference
+
+
+def test_planted_origin_reruns_are_byte_identical(tmp_path, planted_run):
+    assert analyze_planted(planted_run, tmp_path / "rep1") == 0
+    assert analyze_planted(planted_run, tmp_path / "rep2") == 0
+    assert tree_digest(tmp_path / "rep1") == tree_digest(tmp_path / "rep2")
+    report = json.loads((tmp_path / "rep1" / "report.json").read_text())
+    assert all(row[v] is not None for row in report["layers"] for v in ("r1", "r2", "rl"))

@@ -495,7 +495,7 @@ def three_pass_positional_bias(batch, layer):
     return ao.PosBiasHeatmap(counts=counts, normalized=normalized)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(data=st.data())
 def test_posbias_matches_the_three_pass_tally(data):
     """Random batches of contiguous documents whose sentences peak on real units."""

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import attnorigin as ao
 from attnorigin.textunits import TextualUnit
@@ -144,6 +146,46 @@ def test_graph_entries_in_unit_interval():
         assert np.all(g.weights >= 0.0) and np.all(g.weights <= 1.0)
 
 
+# The matrix product sums each dot product in another order than the
+# pairwise loop; 1e-15 is about 5 ulp of 1.0 in float64.
+ORACLE_TOLERANCE = 1e-15
+
+
+def oracle_graph(units, threshold):
+    """The pairwise ``cosine_similarity`` loop over every unordered pair."""
+    vectors = ao.tfidf_vectors(units)
+    L = len(vectors)
+    weights = np.zeros((L, L))
+    for i in range(L):
+        weights[i, i] = 1.0 if vectors[i] else 0.0
+        for j in range(i + 1, L):
+            weights[i, j] = weights[j, i] = ao.cosine_similarity(vectors[i], vectors[j])
+    return weights
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_graph_matches_the_pairwise_oracle(data):
+    distinct = data.draw(st.lists(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=6),
+                                  min_size=1, max_size=5))
+    # None is a pad unit; repeated indices repeat a unit
+    picks = data.draw(st.lists(st.none() | st.integers(0, len(distinct) - 1), max_size=12))
+    threshold = data.draw(st.sampled_from([0.0, 0.3, 0.5]) | st.floats(0.0, 1.0, exclude_max=True))
+    units = [pad(i) if k is None else unit(i, distinct[k]) for i, k in enumerate(picks)]
+    got = ao.build_graph(units, threshold=threshold).weights
+    cos = oracle_graph(units, 0.0)
+    expected = np.where(cos < threshold, 0.0, cos)
+    # an oracle cosine within the tolerance of the threshold may land on either side
+    near = np.abs(cos - threshold) <= ORACLE_TOLERANCE
+    assert np.all((np.abs(got - expected) <= ORACLE_TOLERANCE)
+                  | (near & ((got == 0.0) | (np.abs(got - cos) <= ORACLE_TOLERANCE))))
+    assert np.array_equal(got, got.T)
+    bags = [None if k is None else sorted(distinct[k]) for k in picks]
+    for i, j in zip(*np.triu_indices(len(units), 1)):
+        if bags[i] is not None and bags[i] == bags[j]:  # identical units
+            assert got[i, j] == 1.0
+
+
 def test_graph_rejects_bad_threshold():
     with pytest.raises(ValueError):
         ao.build_graph([unit(0, ["a"])], threshold=1.0)
@@ -190,3 +232,40 @@ def test_graph_file_rejects_values_that_are_not_json_numbers(tmp_path, obj, need
     with pytest.raises(ValueError) as info:
         ao.read_graph(path)
     assert str(info.value) == f"{path}: {needle}"
+
+
+def old_graph_bytes(weights):
+    """The graph file as encoding every rounded float with ``json`` wrote it."""
+    rows = [[float(f"{v:.9g}") for v in row] for row in weights]
+    return (json.dumps({"size": len(weights), "weights": rows}) + "\n").encode()
+
+
+EDGE_VALUES = [0.0, 1.0, 1e-4, 9.9999999996e-05, 0.99999999996, 5e-324, 1e-310,
+               2.2250738585072014e-308, 0.1, 1.0 / 3.0]
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_graph_file_bytes_match_the_json_encoder(tmp_path_factory, data):
+    L = data.draw(st.integers(1, 7))
+    values = st.sampled_from(EDGE_VALUES) | st.floats(0.0, 1.0)
+    weights = np.eye(L)
+    for i, j in zip(*np.triu_indices(L, 1)):
+        weights[i, j] = weights[j, i] = data.draw(values)
+    if data.draw(st.booleans()):  # the last unit is a pad
+        weights[-1] = weights[:, -1] = 0.0
+    path = tmp_path_factory.mktemp("graph") / "g.json"
+    ao.write_graph(ao.SimilarityGraph(size=L, weights=weights), path)
+    assert path.read_bytes() == old_graph_bytes(weights)
+
+
+def test_graph_file_keeps_edge_value_bytes(tmp_path):
+    L = len(EDGE_VALUES) + 1
+    weights = np.eye(L)
+    weights[0, 1:] = weights[1:, 0] = EDGE_VALUES
+    path = tmp_path / "g.json"
+    ao.write_graph(ao.SimilarityGraph(size=L, weights=weights), path)
+    assert path.read_bytes() == old_graph_bytes(weights)
+    text = path.read_text()
+    assert "[1.0, 0.0, 1.0, 0.0001, 0.0001, 1.0, 5e-324, 1e-310, 2.22507386e-308, 0.1, " \
+           "0.333333333]" in text

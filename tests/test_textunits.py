@@ -123,7 +123,7 @@ SENTENCE_TEXT = st.lists(
 ).map("".join)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@settings(max_examples=500)
 @given(text=SENTENCE_TEXT)
 def test_split_sentences_matches_the_scanner(text):
     assert ao.split_sentences(text) == scanner_split_sentences(text)
@@ -508,7 +508,7 @@ def test_read_corpus_fuzzed_values_fail_cleanly(tmp_path):
     paths = list(json_paths(good))
     path = tmp_path / "corpus.jsonl"
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(where=st.sampled_from(paths), value=JSON_VALUES)
     def check(where, value):
         path.write_text(json.dumps(good) + "\n" + json.dumps(replaced(good, where, value)) + "\n")
