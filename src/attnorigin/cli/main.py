@@ -4,7 +4,8 @@ Every flag can also come from an environment variable (prefix
 ``ATTNORIGIN_``, flag name upper-cased with underscores) or from a flat
 key=value config file passed as ``--config``; explicit flags win over
 the environment, which wins over the file. Unknown config keys are
-rejected before any output is written.
+rejected before any output is written. An option that no channel sets
+is not passed on, so the library's default applies.
 
 Diagnostics go to stderr, data to files or stdout. Reruns with
 identical inputs and seed produce byte-identical outputs.
@@ -57,17 +58,13 @@ def vocab_path(directory: Path) -> Path:
     return directory / "vocab.json"
 
 
-class CliError(Exception):
-    pass
-
-
 def _check_file_stems(set_ids) -> None:
     """Reject two set ids that would share per-set file names."""
     stems: dict[str, str] = {}
     for set_id in set_ids:
         stem = _safe_name(set_id)
         if stem in stems:
-            raise CliError(
+            raise ValueError(
                 f"sets {stems[stem]!r} and {set_id!r} share the file name stem {stem!r}"
             )
         stems[stem] = set_id
@@ -76,7 +73,7 @@ def _check_file_stems(set_ids) -> None:
 def _read_unitized(path: str, limit: int | None = None) -> list[textunits.UnitizedRecord]:
     """The unitized sets, only the first ``limit`` if given, with distinct file stems."""
     if limit is not None and limit < 1:
-        raise CliError(f"--limit must be >= 1, got {limit}")
+        raise ValueError(f"--limit must be >= 1, got {limit}")
     records = textunits.read_unitized(path)[:limit]
     _check_file_stems(record.set_id for record in records)
     return records
@@ -91,6 +88,20 @@ class Option:
     help: str = ""
     choices: tuple | None = None
 
+
+# --d-model of --seed runs. ModelConfig has no d_model default, so a
+# weights file without one is rejected instead of read as this size.
+SEED_D_MODEL = 64
+
+# Library defaults, quoted in --help; unset options are not passed on.
+_MODEL, _GEN = graphattn.ModelConfig, graphattn.GenerationConfig
+
+# Options that set a library parameter: option name -> parameter name.
+_MODEL_PARAMS = {"d_model": "d_model", "num_layers": "num_layers", "num_heads": "num_heads",
+                 "model_max_len": "max_len", "sigma": "sigma", "shift_form": "shift_form"}
+_GEN_PARAMS = {"beam_size": "beam_size", "max_len": "max_len", "length_penalty": "length_penalty"}
+# Model options that size synthetic weights; a weights file fixes these.
+_SIZE_OPTIONS = ("d_model", "num_layers", "num_heads", "model_max_len")
 
 _COMMON = [Option("config", str, help="flat key=value option file")]
 
@@ -113,17 +124,17 @@ OPTIONS: dict[str, list[Option]] = {
         Option("out", str, required=True, help="output directory for summary files"),
         Option("weights", str, help="weights file (mutually exclusive with --seed)"),
         Option("seed", int, help="seed for synthetic weights"),
-        Option("record_awd", str, help="directory for attention tensors (default: --out)"),
-        Option("beam_size", int, default=4),
+        Option("beam_size", int, help=f"beams per step (default {_GEN.beam_size})"),
         Option("max_len", int, help="generation horizon (default: model max_len)"),
-        Option("length_penalty", float, default=0.6),
-        Option("sigma", float, help="graph-shift scale (default 1.0 or model value)"),
-        Option("d_model", int, default=64),
-        Option("num_layers", int, default=8),
-        Option("num_heads", int, default=8),
-        Option("shift_form", str, default=graphattn.SHIFT_SIM_SQUARED,
-               choices=graphattn.SHIFT_FORMS),
-        Option("model_max_len", int, default=32, help="position budget for synthetic weights"),
+        Option("length_penalty", float,
+               help=f"length penalty exponent (default {_GEN.length_penalty})"),
+        Option("sigma", float, help=f"graph-shift scale (default {_MODEL.sigma} or model value)"),
+        Option("d_model", int, help=f"synthetic weights only (default {SEED_D_MODEL})"),
+        Option("num_layers", int, help=f"synthetic weights only (default {_MODEL.num_layers})"),
+        Option("num_heads", int, help=f"synthetic weights only (default {_MODEL.num_heads})"),
+        Option("shift_form", str, choices=graphattn.SHIFT_FORMS,
+               help=f"graph-shift penalty (default {_MODEL.shift_form} or model value)"),
+        Option("model_max_len", int, help=f"synthetic weights only (default {_MODEL.max_len})"),
         Option("limit", int, help="process only the first N sets"),
         Option("workers", int, default=1, choices=(1,), help="sets run serially; only 1"),
     ],
@@ -134,7 +145,8 @@ OPTIONS: dict[str, list[Option]] = {
         Option("out", str, required=True, help="output directory for report files"),
         Option("layers", str, default="all", help="comma list of 1-based layers, or 'all'"),
         Option("variant", str, default="all", choices=("all", "r1", "r2", "rl")),
-        Option("aggregation", str, default="mean", choices=("mean", "median")),
+        Option("aggregation", str, choices=(awdmod.AGGREGATION_MEAN, awdmod.AGGREGATION_MEDIAN),
+               help=f"sentence pooling (default {awdmod.AGGREGATION_MEAN})"),
         Option("posbias_layer", int, help="1-based layer for the heatmap (default: last)"),
         Option("format", str, default="json,csv", help="comma subset of {json,csv}"),
         Option("limit", int),
@@ -151,17 +163,17 @@ def _read_config_file(path: str, allowed: set[str]) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}")
+        raise ValueError(f"cannot read config file: {exc}")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise CliError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
         if key not in allowed:
-            raise CliError(f"{path}:{lineno}: unknown option {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
         values[key] = value.strip()
     return values
 
@@ -169,8 +181,7 @@ def _read_config_file(path: str, allowed: set[str]) -> dict[str, str]:
 def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
     """Layer CLI > environment > config file > defaults; validate presence.
 
-    Option names the user actually provided (by any of the three
-    channels) are collected under the ``_explicit`` key.
+    An option that no channel sets and that has no CLI default is None.
     """
     specs = OPTIONS[command]
     allowed = {spec.name for spec in specs}
@@ -179,7 +190,6 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
     if config_path:
         file_values = _read_config_file(config_path, allowed)
     resolved: dict[str, Any] = {}
-    explicit: set[str] = set()
     for spec in specs:
         value = getattr(args, spec.name)
         if value is None:
@@ -190,20 +200,22 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
                 value = file_values[spec.name]
         if value is None:
             value = spec.default
-        else:
-            explicit.add(spec.name)
-            if isinstance(value, str) and spec.type is not str:
-                try:
-                    value = spec.type(value)
-                except ValueError:
-                    raise CliError(f"option {spec.name!r}: cannot parse {value!r}")
+        elif isinstance(value, str) and spec.type is not str:
+            try:
+                value = spec.type(value)
+            except ValueError:
+                raise ValueError(f"option {spec.name!r}: cannot parse {value!r}")
         if value is None and spec.required:
-            raise CliError(f"missing required option --{spec.name.replace('_', '-')}")
+            raise ValueError(f"missing required option --{spec.name.replace('_', '-')}")
         if value is not None and spec.choices and value not in spec.choices:
-            raise CliError(f"option {spec.name!r} must be one of {spec.choices}")
+            raise ValueError(f"option {spec.name!r} must be one of {spec.choices}")
         resolved[spec.name] = value
-    resolved["_explicit"] = explicit
     return resolved
+
+
+def _given(opts: dict[str, Any], params: dict[str, str]) -> dict[str, Any]:
+    """The options in ``params`` that were set, keyed by library parameter name."""
+    return {param: opts[name] for name, param in params.items() if opts[name] is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +228,7 @@ def cmd_preprocess(opts: dict[str, Any]) -> int:
     L = opts["units"] if opts["units"] is not None else default_L
     T = opts["tokens"] if opts["tokens"] is not None else default_T
     if L < 1 or T < 1:
-        raise CliError("--units and --tokens must be >= 1")
+        raise ValueError("--units and --tokens must be >= 1")
     sets = textunits.read_corpus(opts["corpus"])
     _check_file_stems(docset.set_id for docset in sets)
     records = []
@@ -243,7 +255,7 @@ def cmd_preprocess(opts: dict[str, Any]) -> int:
 def cmd_graph(opts: dict[str, Any]) -> int:
     tau = opts["tau"]
     if not 0.0 <= tau < 1.0:
-        raise CliError("--tau must be in [0, 1)")
+        raise ValueError("--tau must be in [0, 1)")
     records = _read_unitized(opts["unitized"])
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -263,86 +275,71 @@ def _checked_graph(
         set(graphattn.SPECIAL_TOKENS).union(*(u.tokens for u in inp.units)) - set(weights.vocab)
     )
     if unknown:
-        raise CliError(f"set {record.set_id!r}: token {unknown[0]!r} not in the model vocabulary")
+        raise ValueError(
+            f"set {record.set_id!r}: token {unknown[0]!r} not in the model vocabulary")
     positions = weights.pos_encoding.shape[0]
     if inp.num_real_units > positions:
-        raise CliError(
+        raise ValueError(
             f"set {record.set_id!r}: {inp.num_real_units} units exceed the model's "
             f"{positions} positions"
         )
     gpath = graph_path(graphs_dir, record.set_id)
     if not gpath.exists():
-        raise CliError(f"missing graph file for set {record.set_id!r}: {gpath}")
+        raise ValueError(f"missing graph file for set {record.set_id!r}: {gpath}")
     graph = simgraph.read_graph(gpath)
     if graph.size != inp.L:
-        raise CliError(
+        raise ValueError(
             f"{gpath}: graph size {graph.size} != unit count {inp.L} of set {record.set_id!r}"
         )
     if not np.array_equal(graph.unit_pad, inp.unit_pad):
         unit = np.flatnonzero(graph.unit_pad != inp.unit_pad)[0]
         kind = "pad" if inp.unit_pad[unit] else "non-pad"
-        raise CliError(f"{gpath}: unit {unit} is a {kind} unit of set {record.set_id!r} "
-                       f"but has graph diagonal {graph.weights[unit, unit]:g}")
+        raise ValueError(f"{gpath}: unit {unit} is a {kind} unit of set {record.set_id!r} "
+                         f"but has graph diagonal {graph.weights[unit, unit]:g}")
     return graph
 
 
 def cmd_generate(opts: dict[str, Any]) -> int:
     if (opts["weights"] is None) == (opts["seed"] is None):
-        raise CliError("exactly one of --weights or --seed is required")
+        raise ValueError("exactly one of --weights or --seed is required")
+    model = _given(opts, _MODEL_PARAMS)
+    sized = [name for name in _SIZE_OPTIONS if opts[name] is not None]
+    if opts["weights"] is not None and sized:
+        raise ValueError(f"--{sized[0].replace('_', '-')} sizes synthetic weights only; "
+                         "the --weights file fixes the model size")
     records = _read_unitized(opts["unitized"], opts["limit"])
     if not records:
-        raise CliError("no sets to generate for")
+        raise ValueError("no sets to generate for")
 
     if opts["weights"] is not None:
         weights = graphattn.read_weights(opts["weights"])
-        overrides = {}
-        if "sigma" in opts["_explicit"]:
-            overrides["sigma"] = opts["sigma"]
-        if "shift_form" in opts["_explicit"]:
-            overrides["shift_form"] = opts["shift_form"]
-        if overrides:
-            weights.config = dataclasses.replace(weights.config, **overrides)
+        if model:  # --sigma and --shift-form override the file
+            weights.config = dataclasses.replace(weights.config, **model)
             weights.validate()
     else:
         vocab = graphattn.build_vocab(
             t for record in records for unit in record.unitized.units for t in unit.tokens
         )
-        max_units = max(record.unitized.L for record in records)
         config = graphattn.ModelConfig(
-            d_model=opts["d_model"],
-            num_layers=opts["num_layers"],
-            num_heads=opts["num_heads"],
-            sigma=opts["sigma"] if opts["sigma"] is not None else 1.0,
-            vocab_size=len(vocab),
-            num_units=max_units,
-            max_len=opts["model_max_len"],
-            shift_form=opts["shift_form"],
+            **{"d_model": SEED_D_MODEL, **model}, vocab_size=len(vocab),
+            num_units=max(record.unitized.L for record in records),
         )
         weights = graphattn.make_synthetic_weights(opts["seed"], config, vocab=vocab)
 
-    gen = graphattn.GenerationConfig(beam_size=opts["beam_size"], max_len=opts["max_len"],
-                                     length_penalty=opts["length_penalty"])
+    gen = graphattn.GenerationConfig(**_given(opts, _GEN_PARAMS))
     # Every set's inputs are checked before the first output is written.
     max_steps = gen.steps(weights.config)
     graphs = [_checked_graph(Path(opts["graphs"]), record, weights) for record in records]
     out_dir = Path(opts["out"])
-    awd_dir = Path(opts["record_awd"]) if opts["record_awd"] else out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    awd_dir.mkdir(parents=True, exist_ok=True)
 
     tokens = unfinished = 0
     for record, graph in zip(records, graphs):
         result = graphattn.generate_with_beam(record.unitized, weights, graph, gen)
-        awdmod.write_summary(
-            awdmod.SummaryRecord(
-                set_id=record.set_id,
-                tokens=result.tokens,
-                beam_trace=result.beam_trace,
-                winning_beam=result.winning_beam,
-            ),
-            summary_path(out_dir, record.set_id),
-        )
-        awdmod.write_awd(result.awd, awd_path(awd_dir, record.set_id))
+        summary = awdmod.SummaryRecord(record.set_id, result.tokens, result.beam_trace,
+                                       result.winning_beam)
+        awdmod.write_summary(summary, summary_path(out_dir, record.set_id))
+        awdmod.write_awd(result.awd, awd_path(out_dir, record.set_id))
         tokens += len(result.tokens)
         unfinished += weights.eos_id not in result.tokens
 
@@ -350,10 +347,7 @@ def cmd_generate(opts: dict[str, Any]) -> int:
     if unfinished:
         print(f"warning: {unfinished} of {len(records)} summaries reached max_len {max_steps} "
               f"without {graphattn.EOS_TOKEN}", file=sys.stderr)
-    print(
-        f"generated={len(records)} beam_size={gen.beam_size} "
-        f"tokens={tokens} out={out_dir}"
-    )
+    print(f"generated={len(records)} beam_size={gen.beam_size} tokens={tokens} out={out_dir}")
     return 0
 
 
@@ -363,12 +357,12 @@ def _parse_layers(raw: str, num_layers: int) -> list[int] | None:
     try:
         selected = sorted({int(part) for part in raw.split(",") if part.strip()})
     except ValueError:
-        raise CliError(f"--layers must be 'all' or a comma list of integers, got {raw!r}")
+        raise ValueError(f"--layers must be 'all' or a comma list of integers, got {raw!r}")
     if not selected:
-        raise CliError(f"--layers must name at least one layer, got {raw!r}")
+        raise ValueError(f"--layers must name at least one layer, got {raw!r}")
     for layer in selected:
         if not 1 <= layer <= num_layers:
-            raise CliError(f"--layers entry {layer} outside [1, {num_layers}]")
+            raise ValueError(f"--layers entry {layer} outside [1, {num_layers}]")
     return [layer - 1 for layer in selected]
 
 
@@ -382,42 +376,42 @@ def _read_vocab(awd_dir: Path, summaries_dir: Path) -> list[str]:
             try:
                 return graphattn.check_vocab(vocab)
             except ValueError as exc:
-                raise CliError(f"{path}: {exc}") from None
-    raise CliError(f"no vocab.json in {' or '.join(map(str, directories))}")
+                raise ValueError(f"{path}: {exc}") from None
+    raise ValueError(f"no vocab.json in {' or '.join(map(str, directories))}")
 
 
 def _check_simplex(aligned: np.ndarray, unit_pad: np.ndarray) -> None:
     """Reject attention slices that are not distributions over the real units."""
     if 0 in aligned.shape[1:3]:
-        raise CliError(f"tensor has {aligned.shape[1]} layers and {aligned.shape[2]} heads; "
-                       "need at least one of each")
+        raise ValueError(f"tensor has {aligned.shape[1]} layers and {aligned.shape[2]} heads; "
+                         "need at least one of each")
     if aligned.shape[-1] != unit_pad.shape[0]:
-        raise CliError(
+        raise ValueError(
             f"tensor has {aligned.shape[-1]} units, unitized input has {unit_pad.shape[0]}"
         )
     values = aligned.astype(np.float64)
     if not np.isfinite(values).all():
-        raise CliError("non-finite attention values")
+        raise ValueError("non-finite attention values")
     if values.size == 0:
         return
     low = values.min()
     if low < 0.0:
-        raise CliError(f"negative attention value {low:.3g}")
+        raise ValueError(f"negative attention value {low:.3g}")
     off = np.abs(values.sum(axis=-1) - 1.0).max()
     if off > SIMPLEX_TOLERANCE:
-        raise CliError(f"attention sums {off:.3g} away from 1 (tolerance {SIMPLEX_TOLERANCE})")
+        raise ValueError(f"attention sums {off:.3g} away from 1 (tolerance {SIMPLEX_TOLERANCE})")
     pad_mass = values[..., unit_pad].sum(axis=-1).max()
     if pad_mass > SIMPLEX_TOLERANCE:
-        raise CliError(f"attention puts {pad_mass:.3g} mass on pad units")
+        raise ValueError(f"attention puts {pad_mass:.3g} mass on pad units")
 
 
 def cmd_analyze(opts: dict[str, Any]) -> int:
     formats = {part.strip() for part in opts["format"].split(",") if part.strip()}
     if not formats or not formats <= {"json", "csv"}:
-        raise CliError("--format must be a comma subset of {json,csv}")
+        raise ValueError("--format must be a comma subset of {json,csv}")
     records = _read_unitized(opts["unitized"], opts["limit"])
     if not records:
-        raise CliError("no sets to analyze")
+        raise ValueError("no sets to analyze")
 
     awd_dir = Path(opts["awd"])
     summaries_dir = Path(opts["summaries"])
@@ -428,7 +422,7 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
     try:
         eoss_id = vocab.index(graphattn.EOS_SENT_TOKEN)
     except ValueError:
-        raise CliError(f"vocabulary lacks the {graphattn.EOS_SENT_TOKEN!r} marker")
+        raise ValueError(f"vocabulary lacks the {graphattn.EOS_SENT_TOKEN!r} marker")
 
     batch = []
     single = 0  # summaries of at most one sentence
@@ -438,10 +432,10 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
             spath = summary_path(summaries_dir, record.set_id)
             summary = awdmod.read_summary(spath)
             if summary.set_id != record.set_id:
-                raise CliError(f"set_id mismatch: {spath} holds {summary.set_id!r}")
+                raise ValueError(f"set_id mismatch: {spath} holds {summary.set_id!r}")
             bad = [t for t in summary.tokens if not 0 <= t < len(vocab)]
             if bad:
-                raise CliError(
+                raise ValueError(
                     f"token id {bad[0]} outside the vocabulary of size {len(vocab)}"
                 )
             tensor = awdmod.read_awd(awd_path(awd_dir, record.set_id))
@@ -450,16 +444,21 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
             )
             _check_simplex(aligned, record.unitized.unit_pad)
             spans = awdmod.split_summary_sentences(summary.tokens, eoss_id)
-            sent_awd = awdmod.aggregate_to_sentences(aligned, spans, method=opts["aggregation"])
-            sentences = [
+            sent_awd = awdmod.aggregate_to_sentences(
+                aligned, spans, **_given(opts, {"aggregation": "method"}))
+            words = [
                 textunits.tokenize(" ".join(vocab[t] for t in summary.tokens[a:b]
                                             if t not in special_ids))
                 for a, b in spans
             ]
+            # A span of end markers alone (a final <eos>, a repeated <eoss>) is no sentence.
+            kept = [i for i, sentence in enumerate(words) if sentence]
+            sent_awd.values = sent_awd.values[kept]
+            sentences = [words[i] for i in kept]
             metric = origin.reference_metric(sentences, record.unitized)
-        except (CliError, ValueError, OSError) as exc:
-            raise CliError(f"set {record.set_id!r}: {exc}") from None
-        single += len(spans) <= 1
+        except (ValueError, OSError) as exc:
+            raise ValueError(f"set {record.set_id!r}: {exc}") from None
+        single += len(sentences) <= 1
         if record.gold_summary:
             text = " ".join(word for sentence in sentences for word in sentence)
             golds.append(rouge.evaluate_summary(text, record.gold_summary))
@@ -480,7 +479,7 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
     posbias_layer = None
     if opts["posbias_layer"] is not None:
         if not 1 <= opts["posbias_layer"] <= num_layers:
-            raise CliError(f"--posbias-layer outside [1, {num_layers}]")
+            raise ValueError(f"--posbias-layer outside [1, {num_layers}]")
         posbias_layer = opts["posbias_layer"] - 1
     variants = origin.VARIANTS if opts["variant"] == "all" else (opts["variant"],)
     report = origin.build_report(batch, variants=variants, layers=layers,
@@ -519,7 +518,7 @@ def cmd_heatmap(opts: dict[str, Any]) -> int:
     try:
         svg = heatmapmod.heatmap_from_report(report)
     except ValueError as exc:
-        raise CliError(f"{opts['report']}: {exc}") from None
+        raise ValueError(f"{opts['report']}: {exc}") from None
     out = Path(opts["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     with textunits.atomic_write(out, encoding="utf-8") as fh:
@@ -560,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         opts = resolve_options(args.command, args)
         return COMMANDS[args.command](opts)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -152,7 +152,7 @@ class PlantedRun:
     f1: np.ndarray  # (cells,) ROUGE-1 F1 of each cell
 
 
-def write_planted_run(root, seed=5, num_sets=4, sentences=3, heads=2, beams=3):
+def write_planted_run(root, seed=5, num_sets=4, sentences=3, heads=2, beams=3, doubled=False):
     """Write a planted-origin run under ``root``; its cells are built here,
     independently of ``origin`` and ``awd``.
 
@@ -162,7 +162,9 @@ def write_planted_run(root, seed=5, num_sets=4, sentences=3, heads=2, beams=3):
     slice on the winning path is ``(1 - a_l) * noise + a_l * f``,
     renormalized over the real units, where f is the sentence's ROUGE-1 F1
     row; every other tensor slot is noise. Beam parents are random and the
-    tensor has one step more than the summary.
+    tensor has one step more than the summary. With ``doubled``, each
+    summary's first ``<eoss>`` is written twice; the extra step is noise
+    and no sentence, so it adds no cell.
     """
     rng = np.random.default_rng(seed)
     root = Path(root)
@@ -199,6 +201,9 @@ def write_planted_run(root, seed=5, num_sets=4, sentences=3, heads=2, beams=3):
         for i, s in enumerate(summary):
             tokens += [vocab.index(w) for w in s] + [vocab.index(EOS_SENT_TOKEN)]
             sentence_of += [i] * (len(s) + 1)
+            if doubled and i == 0:
+                tokens.append(vocab.index(EOS_SENT_TOKEN))
+                sentence_of.append(None)
         steps = len(tokens) + 1
         noise = rng.random((beams, steps, len(PLANTED_MIX), heads, real))
         noise /= noise.sum(axis=-1, keepdims=True)
@@ -208,6 +213,8 @@ def write_planted_run(root, seed=5, num_sets=4, sentences=3, heads=2, beams=3):
         for t in reversed(range(steps)):
             path[t] = slot = int(trace[t, slot])
         for t, i in enumerate(sentence_of):
+            if i is None:
+                continue
             planted = (1.0 - mix) * noise[path[t], t] + mix * f[i]
             noise[path[t], t] = planted / planted.sum(axis=-1, keepdims=True)
         values = np.zeros(noise.shape[:-1] + (inp.L,), dtype=np.float32)

@@ -1,6 +1,8 @@
 """End-to-end CLI tests: pipeline wiring, determinism, option layering."""
 
+import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 import attnorigin as ao
 from attnorigin.cli.main import main
 from attnorigin.graphattn import EOS_SENT_TOKEN, EOS_TOKEN, SPECIAL_TOKENS, build_vocab
-from conftest import JSON_VALUES, PLANTED_MIX, json_paths, replaced
+from conftest import JSON_VALUES, PLANTED_MIX, json_paths, replaced, write_planted_run
 
 
 def write_corpus(path, num_sets=2):
@@ -316,6 +318,46 @@ def test_generate_rejects_more_units_than_model_positions(tmp_path, capsys):
     wpath = small_weights_file(tmp_path, ao.read_unitized(units), num_units=3, max_len=2)
     line = generate_error(tmp_path, capsys, units, ["--weights", str(wpath)])
     assert line == "error: set 'set0': 4 units exceed the model's 3 positions"
+
+
+@pytest.mark.parametrize("option, value", [
+    ("d_model", "16"), ("num_layers", "4"), ("num_heads", "2"), ("model_max_len", "8"),
+])
+@pytest.mark.parametrize("channel", ["flag", "env", "config"])
+def test_generate_weights_file_rejects_model_size_options(tmp_path, capsys, monkeypatch,
+                                                          option, value, channel):
+    units = graphs_only(tmp_path)
+    flags = ["--weights", str(small_weights_file(tmp_path, ao.read_unitized(units)))]
+    flag = "--" + option.replace("_", "-")
+    if channel == "flag":
+        flags += [flag, value]
+    elif channel == "env":
+        monkeypatch.setenv("ATTNORIGIN_" + option.upper(), value)
+    else:
+        (tmp_path / "opts.cfg").write_text(f"{option} = {value}\n")
+        flags += ["--config", str(tmp_path / "opts.cfg")]
+    line = generate_error(tmp_path, capsys, units, flags)
+    assert line == (f"error: {flag} sizes synthetic weights only; "
+                    "the --weights file fixes the model size")
+
+
+def test_generate_sigma_and_shift_form_override_the_weights_file(tmp_path, capsys):
+    units = graphs_only(tmp_path)
+    wpath = small_weights_file(tmp_path, ao.read_unitized(units))
+    weights = ao.read_weights(wpath)
+    weights.config = dataclasses.replace(weights.config, sigma=2.5, shift_form="diff-squared")
+    edited = tmp_path / "edited.json"
+    ao.write_weights(weights, edited)
+
+    def generate(out, flags):
+        assert main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
+                     "--out", str(out), "--beam-size", "2"] + flags) == 0
+        return tree_digest(out)
+
+    overridden = generate(tmp_path / "flags", ["--weights", str(wpath), "--sigma", "2.5",
+                                               "--shift-form", "diff-squared"])
+    assert overridden == generate(tmp_path / "file", ["--weights", str(edited)])
+    assert overridden != generate(tmp_path / "plain", ["--weights", str(wpath)])
 
 
 def edit_json(change):
@@ -852,6 +894,55 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "unknown option" in capsys.readouterr().err
 
 
+def test_generate_adds_no_default_of_its_own(tmp_path, capsys, monkeypatch):
+    """No model or generation flag gives the run with the library's defaults spelled out."""
+    units = graphs_only(tmp_path)
+    model = {f.name: f.default for f in dataclasses.fields(ao.ModelConfig)
+             if f.default is not dataclasses.MISSING}
+    gen = {f.name: f.default for f in dataclasses.fields(ao.GenerationConfig)
+           if f.default is not None}
+    defaults = {
+        "--beam-size": gen.pop("beam_size"), "--length-penalty": gen.pop("length_penalty"),
+        "--num-layers": model.pop("num_layers"), "--num-heads": model.pop("num_heads"),
+        "--model-max-len": model.pop("max_len"), "--sigma": model.pop("sigma"),
+        "--shift-form": model.pop("shift_form"),
+    }
+    assert not gen and set(model) == {"vocab_size", "num_units"}  # taken from the input
+
+    def generate(out, flags):
+        configs = []  # what the decoder gets: a short run may not show every option
+        decode = ao.graphattn.generate_with_beam
+
+        def spy(inp, weights, graph, gen):
+            configs.append((weights.config, gen))
+            return decode(inp, weights, graph, gen)
+
+        monkeypatch.setattr(ao.graphattn, "generate_with_beam", spy)
+        capsys.readouterr()
+        assert main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
+                     "--out", str(out), "--seed", "11", "--max-len", "3"] + flags) == 0
+        monkeypatch.undo()
+        captured = capsys.readouterr()
+        return configs, captured.out.replace(str(out), "OUT"), captured.err, tree_digest(out)
+
+    spelled = [str(part) for item in defaults.items() for part in item]
+    assert generate(tmp_path / "bare", []) == generate(tmp_path / "spelled", spelled)
+
+
+def test_analyze_adds_no_default_of_its_own(tmp_path, planted_run, capsys):
+    default = inspect.signature(ao.aggregate_to_sentences).parameters["method"].default
+
+    def analyze(out, flags):
+        capsys.readouterr()
+        assert analyze_planted(planted_run, out, flags) == 0
+        captured = capsys.readouterr()
+        return captured.out.replace(str(out), "OUT"), captured.err, tree_digest(out)
+
+    bare = analyze(tmp_path / "bare", [])
+    assert bare == analyze(tmp_path / "spelled", ["--aggregation", default])
+    assert bare != analyze(tmp_path / "median", ["--aggregation", "median"])
+
+
 def test_missing_required_option(tmp_path, capsys):
     code = main(["preprocess", "--out", str(tmp_path / "u.jsonl")])
     assert code != 0
@@ -984,9 +1075,9 @@ def test_preprocess_creates_the_output_directory(tmp_path, capsys):
 # degeneracy warnings and known-answer coefficients
 # ---------------------------------------------------------------------------
 
-def analyze_planted(run, out):
+def analyze_planted(run, out, flags=()):
     return main(["analyze", "--awd", str(run.gen), "--summaries", str(run.gen),
-                 "--unitized", str(run.units), "--out", str(out)])
+                 "--unitized", str(run.units), "--out", str(out), *flags])
 
 
 def test_degenerate_run_warns_once_per_stage(tmp_path, capsys):
@@ -1049,3 +1140,54 @@ def test_planted_origin_reruns_are_byte_identical(tmp_path, planted_run):
     assert tree_digest(tmp_path / "rep1") == tree_digest(tmp_path / "rep2")
     report = json.loads((tmp_path / "rep1" / "report.json").read_text())
     assert all(row[v] is not None for row in report["layers"] for v in ("r1", "r2", "rl"))
+
+
+def planted_r1(report):
+    return [row["r1"] for row in report["layers"]]
+
+
+def assert_planted_cells(report, cells, f1):
+    """The report's sample count and layer ``r1`` are those of the given cells."""
+    assert report["sample_count"] == len(f1)
+    for layer, got in enumerate(planted_r1(report)):
+        assert abs(got - np.corrcoef(cells[:, layer], f1)[0, 1]) <= 1e-12
+
+
+def test_analyze_drops_a_final_eos_span(tmp_path, planted_run, capsys):
+    capsys.readouterr()
+    assert analyze_planted(planted_run, tmp_path / "rep") == 0
+    plain = capsys.readouterr().out.replace(str(tmp_path / "rep"), "REP")
+    eos = json.loads((planted_run.gen / "vocab.json").read_text()).index(EOS_TOKEN)
+    for spath in planted_run.gen.glob("*.summary.json"):
+        obj = json.loads(spath.read_text())
+        obj["tokens"].append(eos)  # the tensor already holds the extra step
+        spath.write_text(json.dumps(obj))
+    assert analyze_planted(planted_run, tmp_path / "rep_eos") == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.replace(str(tmp_path / "rep_eos"), "REP") == plain
+    assert tree_digest(tmp_path / "rep_eos") == tree_digest(tmp_path / "rep")
+
+
+def test_analyze_drops_a_repeated_eoss_mid_summary(tmp_path, capsys):
+    run = write_planted_run(tmp_path / "planted", doubled=True)
+    tokens = json.loads((run.gen / "p0.summary.json").read_text())["tokens"]
+    eoss = json.loads((run.gen / "vocab.json").read_text()).index(EOS_SENT_TOKEN)
+    assert tokens.count(eoss) == 4 and tokens[-1] == eoss  # 3 sentences, one marker doubled
+    capsys.readouterr()
+    assert analyze_planted(run, tmp_path / "rep") == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "rep" / "report.json").read_text())
+    assert_planted_cells(report, run.cells, run.f1)
+    assert {len(row) for row in report["posbias"]["counts"]} == {3}  # one column per sentence
+
+
+def test_analyze_lone_eos_summary_has_no_sentence(tmp_path, planted_run):
+    spath = planted_run.gen / "p0.summary.json"
+    obj = json.loads(spath.read_text())
+    obj["tokens"] = [json.loads((planted_run.gen / "vocab.json").read_text()).index(EOS_TOKEN)]
+    spath.write_text(json.dumps(obj))
+    assert analyze_planted(planted_run, tmp_path / "rep") == 0
+    report = json.loads((tmp_path / "rep" / "report.json").read_text())
+    per_set = len(planted_run.f1) // 4  # four sets of equal size, p0 first
+    assert_planted_cells(report, planted_run.cells[per_set:], planted_run.f1[per_set:])

@@ -1,8 +1,9 @@
-"""The public names of ``attnorigin`` are part of its contract."""
+"""The public names of ``attnorigin`` and its CLI options are part of its contract."""
 
 import types
 
 import attnorigin
+from attnorigin.cli.main import OPTIONS
 
 PUBLIC_NAMES = [
     "AwdFormatError", "AwdTensor", "BadMagicError", "BeamTraceError", "CorrelationReport",
@@ -30,3 +31,24 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == sorted(PUBLIC_NAMES)
+
+
+# Every settable value of each subcommand: a flag, ATTNORIGIN_<NAME> in the
+# environment, or a config file key. `workers` accepts only 1 and stays
+# because the benchmark's stage commands pass `--workers 1`.
+CLI_OPTIONS = {
+    "preprocess": ["config", "corpus", "out", "mode", "units", "tokens"],
+    "graph": ["config", "unitized", "out", "tau"],
+    "generate": ["config", "unitized", "graphs", "out", "weights", "seed", "beam_size",
+                 "max_len", "length_penalty", "sigma", "d_model", "num_layers", "num_heads",
+                 "shift_form", "model_max_len", "limit", "workers"],
+    "analyze": ["config", "awd", "summaries", "unitized", "out", "layers", "variant",
+                "aggregation", "posbias_layer", "format", "limit"],
+    "heatmap": ["config", "report", "out"],
+}
+
+
+def test_cli_options_are_pinned():
+    """An added or removed CLI option fails here and shows in the diff."""
+    options = {command: [spec.name for spec in specs] for command, specs in OPTIONS.items()}
+    assert options == CLI_OPTIONS
