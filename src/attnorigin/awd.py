@@ -74,7 +74,7 @@ def write_awd(tensor: AwdTensor, path) -> None:
     with atomic_write(path, "wb") as fh:
         fh.write(AWD_MAGIC)
         fh.write(struct.pack("<5I", *values.shape))
-        fh.write(values.tobytes())
+        fh.write(values.data)
 
 
 def read_awd(path) -> AwdTensor:

@@ -334,14 +334,17 @@ def cmd_generate(opts: dict[str, Any]) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     tokens = unfinished = 0
-    for record, graph in zip(records, graphs):
-        result = graphattn.generate_with_beam(record.unitized, weights, graph, gen)
+    results = graphattn.generate_sets([record.unitized for record in records], weights, graphs,
+                                      gen)
+    for record in records:
+        result = next(results)
         summary = awdmod.SummaryRecord(record.set_id, result.tokens, result.beam_trace,
                                        result.winning_beam)
         awdmod.write_summary(summary, summary_path(out_dir, record.set_id))
         awdmod.write_awd(result.awd, awd_path(out_dir, record.set_id))
         tokens += len(result.tokens)
         unfinished += weights.eos_id not in result.tokens
+        del result  # a set's tensor is a view of its group's: free it before the next group
 
     textunits.write_json(weights.vocab, vocab_path(out_dir))
     if unfinished:

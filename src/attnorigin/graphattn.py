@@ -2,12 +2,14 @@
 
 The decoder attends over encoded textual units with logits shifted by a
 penalty derived from the similarity graph and a predicted central unit.
-One kernel advances a batch of hypotheses through every layer, with
-causal self-attention over a key/value cache and graph attention
-composed of the exported primitives (one state or a stack, all heads as
-one batch). Every step records the resulting attention distribution (one
+One kernel advances the hypotheses of several sets through every layer,
+with causal self-attention over a key/value cache and graph attention
+composed of the exported primitives (one state or a stack, every set
+against its own units and graph, all heads as one batch). Beam search
+runs consecutive sets of a file in lockstep groups of GROUP_HYPOTHESES
+hypotheses at most, or one set when its beam is wider. Every step records the resulting attention distribution (one
 probability vector over units per layer and head), and beam search
-collects those vectors into a dense tensor indexed
+collects those vectors into a dense tensor per set indexed
 [beam][token][layer][head][unit] together with a parent-beam trace.
 
 There is no training loop; weights are loaded from files or built
@@ -20,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -325,19 +328,21 @@ def encode_units(
 def unscaled_attention(
     y: np.ndarray, x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray
 ) -> np.ndarray:
-    """Scaled dot-product logits of one state (d,) or a stack (p, d) against all units.
+    """Scaled dot-product logits of one state (d,) or a stack (..., p, d) against all units.
 
-    One head's (d, d_head) projections give (L,) or (p, L) logits; every
-    head's (heads, d, d_head) give (heads, L) or (heads, p, L).
+    One head's (d, d_head) projections give (L,) or (..., p, L) logits;
+    every head's (heads, d, d_head) give (heads, L) or (..., heads, p, L)
+    when ``y`` and the units ``x`` (..., L, d) carry a head axis before
+    their last two, e.g. (p, d) or (sets, 1, p, d) against (sets, 1, L, d).
     """
     y = np.asarray(y, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if not (np.isfinite(y).all() and np.isfinite(x).all()):
         raise ValueError("non-finite attention input")
-    q = (y if y.ndim == 2 else y[None]) @ w_q
+    q = (y if y.ndim >= 2 else y[None]) @ w_q
     k = x @ w_k
     e = (q @ np.swapaxes(k, -1, -2)) / math.sqrt(w_q.shape[-1])
-    return e if y.ndim == 2 else e[..., 0, :]
+    return e if y.ndim >= 2 else e[..., 0, :]
 
 
 def central_paragraph(
@@ -355,13 +360,35 @@ def central_paragraph(
     y = np.asarray(y, dtype=np.float64)
     hidden = np.tanh(y @ w1 + b1)
     s = np.floor(_sigmoid(hidden @ w2 + b2) * (L - 1) + 0.5).astype(np.int64)
-    s = s.clip(0, L - 1)
+    s = np.minimum(np.maximum(s, 0), L - 1)  # np.clip costs several times more
     return s if y.ndim == 2 else int(s.reshape(()))
+
+
+class GraphStack(NamedTuple):
+    """The graphs of several sets with L units each, as one batch.
+
+    ``weights`` (..., L, L) and ``unit_pad`` (..., L) carry leading batch
+    axes that broadcast against the leading axes of the logits given to
+    ``graph_shifted_attention``: ``stack_graphs`` shapes them (sets, 1, L, L)
+    and (sets, 1, L), so the 1 spans the attention heads of
+    (sets, heads, p, L) logits.
+    """
+
+    size: int
+    weights: np.ndarray
+    unit_pad: np.ndarray
+
+
+def stack_graphs(graphs) -> GraphStack:
+    """One ``GraphStack`` of graphs that all have the same size."""
+    weights = np.stack([graph.weights for graph in graphs])[:, None]
+    unit_pad = np.stack([graph.unit_pad for graph in graphs])[:, None]
+    return GraphStack(weights.shape[-1], weights, unit_pad)
 
 
 def graph_shifted_attention(
     e: np.ndarray,
-    graph: SimilarityGraph,
+    graph: SimilarityGraph | GraphStack,
     s: int | np.ndarray,
     sigma: float,
     shift_form: str = SHIFT_SIM_SQUARED,
@@ -369,25 +396,35 @@ def graph_shifted_attention(
     """Attention distribution from logits shifted by the graph penalty.
 
     ``e`` holds logits over units: (L,) with one central index ``s``,
-    or (..., p, L) with ``s`` holding one index per row p. Pad units
-    (zero graph diagonal) are masked out before the softmax; raises if
-    every unit is padded.
+    or (..., p, L) with ``s`` holding one index per row p. A stack of
+    graphs shifts each batch of rows by its own graph: ``s`` then has
+    the stack's leading axes, e.g. (sets, 1, p) for (sets, heads, p, L)
+    logits. Pad units (zero graph diagonal) are masked out before the
+    softmax; raises if every unit of a graph is padded.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     s = np.asarray(s)
     if ((s < 0) | (s >= graph.size)).any():
         raise ValueError(f"central index out of range [0, {graph.size}): {s}")
-    if graph.unit_pad.all():
+    if graph.unit_pad.all(axis=-1).any():
         raise ValueError("all units are padded; no attention targets")
-    return _shifted_softmax(e, graph.weights[s], graph.unit_pad, sigma, shift_form)
+    if graph.weights.ndim == 2:
+        rows, unit_pad = graph.weights[s], graph.unit_pad
+    else:  # s indexes each graph's rows: offset it to the graph's first row of the stack
+        batch, L = graph.weights.shape[:-2], graph.size
+        first = np.arange(0, math.prod(batch) * L, L).reshape(batch + (1,))
+        rows = graph.weights.reshape(-1, L)[s + first]
+        unit_pad = graph.unit_pad[..., None, :]
+    return _shifted_softmax(e, rows, unit_pad, sigma, shift_form)
 
 
 def global_context(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Weighted sum of encoded unit vectors; no value projection.
 
-    ``beta`` is one distribution over units (L,) or a stack (..., L);
-    every row must sum to 1.
+    ``beta`` is one distribution over units (L,) or a stack (..., L)
+    against units ``x`` (..., L, d) whose leading axes broadcast with
+    it; every row must sum to 1.
     """
     beta = np.asarray(beta, dtype=np.float64)
     off = np.abs(beta.sum(axis=-1) - 1.0).max()
@@ -409,44 +446,50 @@ def start_state(
 
 def _decode_block(
     ids: np.ndarray, start: int, cache: np.ndarray, x: np.ndarray,
-    weights: DecoderWeights, graph: SimilarityGraph,
+    weights: DecoderWeights, graphs: GraphStack,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance n hypotheses by q tokens ``ids`` (n, q) at positions start..start+q-1.
+    """Advance n hypotheses of each of G sets by q tokens ``ids`` (G, n, q)
+    at positions start..start+q-1.
 
-    ``cache`` holds the self-attention keys and values, (2, layers, rows,
-    steps, d): its rows [:n] carry positions [:start] of the n hypotheses
-    and receive the new ones. Each layer runs causal self-attention over
-    the cache, then global graph attention (the primitives over every
-    row and head, contexts concatenated and projected), then a
-    position-wise feed-forward, all with residual connections. Returns
-    the last position's (n, V) logits and (n, layers, heads, L) betas.
+    ``x`` holds each set's encoded units (G, L, d) and ``graphs`` its
+    graph weights and pad masks (``stack_graphs``). ``cache`` holds the
+    self-attention keys and values, (2, layers, G, n, steps, d): positions
+    [:start] of every hypothesis, and it receives the new ones. Each
+    layer runs causal self-attention over the cache, then global graph
+    attention (the primitives over every set, row and head, contexts
+    concatenated and projected), then a position-wise feed-forward, all
+    with residual connections. Returns the last position's (G, n, V)
+    logits and (G, n, layers, heads, L) betas.
     """
     cfg = weights.config
-    (n, q), end, L = ids.shape, start + ids.shape[1], x.shape[0]
-    h = (weights.embedding[ids] + weights.pos_encoding[start:end]).reshape(n * q, -1)
+    (sets, n, q), end, L = ids.shape, start + ids.shape[2], x.shape[1]
+    rows = sets * n * q
+    h = (weights.embedding[ids] + weights.pos_encoding[start:end]).reshape(rows, -1)
     causal = np.triu(np.full((q, end), -np.inf), k=start + 1)
-    betas = np.empty((n, cfg.num_layers, cfg.num_heads, L))
-    keys, values = cache[0, :, :n], cache[1, :, :n]
+    betas = np.empty((sets, n, cfg.num_layers, cfg.num_heads, L))
+    keys, values = cache
+    x = x[:, None]  # a head axis: (G, 1, L, d)
     for layer in range(cfg.num_layers):
-        keys[layer, :, start:end] = (h @ weights.sa_wk[layer]).reshape(n, q, -1)
-        values[layer, :, start:end] = (h @ weights.sa_wv[layer]).reshape(n, q, -1)
-        k, v = keys[layer, :, :end], values[layer, :, :end]
-        queries = (h @ weights.sa_wq[layer]).reshape(n, q, -1)
-        attn = _softmax(queries @ k.transpose(0, 2, 1) / math.sqrt(cfg.d_model) + causal)
-        h = h + (attn @ v).reshape(n * q, -1) @ weights.sa_wo[layer]
+        keys[layer, ..., start:end, :] = (h @ weights.sa_wk[layer]).reshape(sets, n, q, -1)
+        values[layer, ..., start:end, :] = (h @ weights.sa_wv[layer]).reshape(sets, n, q, -1)
+        k, v = keys[layer, ..., :end, :], values[layer, ..., :end, :]
+        queries = (h @ weights.sa_wq[layer]).reshape(sets, n, q, -1)
+        attn = _softmax(queries @ k.transpose(0, 1, 3, 2) / math.sqrt(cfg.d_model) + causal)
+        h = h + (attn @ v).reshape(rows, -1) @ weights.sa_wo[layer]
 
         ffn = (weights.cp_w1[layer], weights.cp_b1[layer], weights.cp_w2[layer],
                weights.cp_b2[layer])
-        s = central_paragraph(h, ffn, L)  # (n * q,)
-        e = unscaled_attention(h, x, weights.w_q[layer], weights.w_k[layer])  # (mh, n * q, L)
-        beta = graph_shifted_attention(e, graph, s, cfg.sigma, cfg.shift_form)
-        betas[:, layer] = beta.reshape(-1, n, q, L)[:, :, -1].transpose(1, 0, 2)
-        contexts = global_context(beta, x)  # (mh, n * q, d)
-        h = h + contexts.transpose(1, 0, 2).reshape(n * q, -1) @ weights.w_g[layer]
+        s = central_paragraph(h, ffn, L).reshape(sets, 1, n * q)
+        e = unscaled_attention(h.reshape(sets, 1, n * q, -1), x, weights.w_q[layer],
+                               weights.w_k[layer])  # (G, mh, n * q, L)
+        beta = graph_shifted_attention(e, graphs, s, cfg.sigma, cfg.shift_form)
+        betas[:, :, layer] = beta.reshape(sets, -1, n, q, L)[..., -1, :].transpose(0, 2, 1, 3)
+        contexts = global_context(beta, x)  # (G, mh, n * q, d)
+        h = h + contexts.transpose(0, 2, 1, 3).reshape(rows, -1) @ weights.w_g[layer]
 
         inner = np.maximum(h @ weights.ff_w1[layer] + weights.ff_b1[layer], 0.0)
         h = h + inner @ weights.ff_w2[layer] + weights.ff_b2[layer]
-    return h.reshape(n, q, -1)[:, -1] @ weights.w_out, betas
+    return h.reshape(sets, n, q, -1)[:, :, -1] @ weights.w_out, betas
 
 
 def decode_step(
@@ -462,19 +505,189 @@ def decode_step(
     p = len(state.prefix_ids)
     if p - 1 >= cfg.max_len:
         raise ValueError(f"decoded length {p - 1} reached max_len {cfg.max_len}")
-    cache = np.empty((2, cfg.num_layers, 1, p, cfg.d_model))
-    logits, betas = _decode_block(np.array([state.prefix_ids]), 0, cache, state.encoded,
-                                  weights, graph)
-    return logits[0], betas[0]
+    cache = np.empty((2, cfg.num_layers, 1, 1, p, cfg.d_model))
+    logits, betas = _decode_block(np.array([[state.prefix_ids]]), 0, cache,
+                                  state.encoded[None], weights, stack_graphs([graph]))
+    return logits[0, 0], betas[0, 0]
 
 
 # ---------------------------------------------------------------------------
 # Beam search
 # ---------------------------------------------------------------------------
 
+# The most hypotheses one lockstep group decodes: consecutive sets of the
+# same unit count, max(1, GROUP_HYPOTHESES // beam_size) of them. A
+# group's decode state is then never larger than one beam-4 set's,
+# however many sets the file holds.
+GROUP_HYPOTHESES = 4
+
+
 def _normalized(logprob: np.ndarray, length: int, alpha: float) -> np.ndarray:
     # A Python float power: numpy's array power may round the last bit differently.
     return logprob / (max(length, 1) ** alpha)
+
+
+def _best_cells(grid: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``k`` best finite cells of each row of ``grid`` (rows, C), best first.
+
+    Returns the row, column and rank of every pick, row by row. A row's
+    picks are ``np.argsort(-row, kind="stable")[:k]`` without the
+    non-finite ones, so equal values go to the lower column; only the
+    cells at or above the row's k-th highest value are sorted.
+    """
+    cut = -np.partition(-grid, k - 1, axis=1)[:, k - 1:k] if k < grid.shape[1] else -np.inf
+    rows, cols = np.nonzero(grid >= cut)
+    values = grid[rows, cols]
+    order = np.lexsort((-values, rows))  # stable: by row, then value, then column
+    rows, cols, values = rows[order], cols[order], values[order]
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    keep = (rank < k) & np.isfinite(values)
+    return rows[keep], cols[keep], rank[keep]
+
+
+def generate_sets(
+    inputs, weights: DecoderWeights, graphs, gen: GenerationConfig = GenerationConfig(),
+) -> Iterator[GenerationResult]:
+    """Beam search over every set of a file, with a cached decoder recording attention.
+
+    Yields one ``GenerationResult`` per set, in input order, one lockstep
+    group at a time: up to max(1, GROUP_HYPOTHESES // beam_size)
+    consecutive sets with the same unit count L. The options, the end
+    markers and the graph sizes are checked before anything is decoded.
+
+    Each step is one ``_decode_block`` call that feeds every live
+    hypothesis of the group its last token; the cache rows then follow
+    the chosen parents. Hypotheses are ranked by log-probability divided
+    by length to the power of the length penalty. Each step fills one
+    (slots, 1 + V) score grid per set: column 0 keeps a finished
+    hypothesis at its frozen score, column 1 + v extends a live one by
+    token v, and every other cell is -inf. The best ``beam_size`` cells
+    of a stable sort of the flattened grid are the next beams, so equal
+    scores go to the lower slot, then the lower column. A finished
+    slot's recorded tensor slices carry its last real distribution
+    forward, which keeps the tensor rectangular (those slices fall
+    outside the winner's length and are never consumed). While there
+    are fewer hypotheses n than beam slots, slot k records a copy of
+    slot k mod n. A set leaves the group's decoding when every beam has
+    finished.
+    """
+    inputs, graphs = list(inputs), list(graphs)
+    if len(inputs) != len(graphs):
+        raise ValueError(f"{len(inputs)} inputs but {len(graphs)} graphs")
+    max_steps = gen.steps(weights.config)
+    # Both end markers must exist before any decoding starts.
+    _ = weights.eos_id, weights.eos_sent_id
+    for inp, graph in zip(inputs, graphs):
+        if graph.size != inp.L:
+            raise ValueError(f"graph size {graph.size} != input unit count {inp.L}")
+    return _generate_groups(inputs, weights, graphs, gen, max_steps)
+
+
+def _generate_groups(inputs, weights, graphs, gen, max_steps):
+    size = max(1, GROUP_HYPOTHESES // gen.beam_size)
+    start = 0
+    while start < len(inputs):
+        end = start + 1
+        while end < min(start + size, len(inputs)) and inputs[end].L == inputs[start].L:
+            end += 1
+        yield from _beam_search(inputs[start:end], weights, graphs[start:end], gen, max_steps)
+        start = end
+
+
+def _beam_search(
+    inputs: list[UnitizedInput], weights: DecoderWeights, graphs: list[SimilarityGraph],
+    gen: GenerationConfig, max_steps: int,
+) -> list[GenerationResult]:
+    """Beam search over one group of sets, all advanced by each kernel call."""
+    cfg = weights.config
+    eos = weights.eos_id
+    banned_cols = [1 + weights.pad_id, 1 + weights.bos_id]
+    G, bs, V = len(inputs), gen.beam_size, cfg.vocab_size
+    encoded = np.stack([encode_units(inp, weights, graph) for inp, graph in zip(inputs, graphs)])
+    x, group = encoded, stack_graphs(graphs)  # of the sets still decoding
+    # Self-attention keys and values: the kernel's (sets, n) rows, set by set.
+    cache = np.empty((2, cfg.num_layers, G * bs, max_steps, cfg.d_model))
+    awd = np.empty((G, bs, max_steps, cfg.num_layers, cfg.num_heads, inputs[0].L),
+                   dtype=np.float32)
+    # Per set and slot: <bos> and the token ids (-1 pads a finished slot), log-probability,
+    # normalized score, whether it ended, its parent slot and its cache row.
+    seqs = np.full((G, bs, 1 + max_steps), weights.bos_id)
+    logprobs, scores = np.zeros((G, bs)), np.zeros((G, bs))
+    finished = np.zeros((G, bs), dtype=bool)
+    parents = np.zeros((G, bs), dtype=np.int64)
+    cache_rows = np.zeros((G, bs), dtype=np.int64)
+    counts = np.ones(G, dtype=np.int64)  # hypotheses per set
+    traces = np.zeros((G, max_steps, bs), dtype=np.int64)
+    steps = np.full(G, max_steps)
+    sets = np.arange(G)  # the sets still decoding
+    slots = np.arange(bs)
+
+    for step in range(max_steps):
+        a = len(sets)
+        valid = slots < counts[sets, None]
+        live = valid & ~finished[sets]
+        live_counts = live.sum(axis=1)
+        n = live_counts.max()
+        # Kernel row j of a set holds its j-th live slot; a set with fewer
+        # live slots repeats its first, and those rows are discarded.
+        real = slots[:n] < live_counts[:, None]
+        row_slots = np.argsort(~live, axis=1, kind="stable")[:, :n]
+        row_slots = np.where(real, row_slots, row_slots[:, :1])
+        # Each live hypothesis takes its (live) parent's cache row.
+        rows = cache_rows[sets[:, None], parents[sets[:, None], row_slots]].ravel()
+        if step and not np.array_equal(rows, np.arange(a * n)):
+            for kv in cache.reshape(-1, G * bs, max_steps, cfg.d_model):
+                kv[:a * n, :step] = kv[rows, :step]
+        rg, rj = np.nonzero(real)
+        g, live_slots = sets[rg], row_slots[rg, rj]
+        cache_rows[g, live_slots] = rg * n + rj
+        block = cache[:, :, :a * n].reshape(2, cfg.num_layers, a, n, max_steps, cfg.d_model)
+        logits, betas = _decode_block(seqs[sets[:, None], row_slots, step, None], step, block,
+                                      x, weights, group)
+        logits = logits[rg, rj]
+        awd[g, live_slots, step] = betas[rg, rj]
+        fg, fj = np.nonzero(valid & finished[sets])
+        awd[sets[fg], fj, step] = awd[sets[fg], parents[sets[fg], fj], step - 1]
+        eg, ej = np.nonzero(~valid)
+        awd[sets[eg], ej, step] = awd[sets[eg], ej % counts[sets[eg]], step]
+
+        totals = np.full((a, bs, 1 + V), -np.inf)  # log-probability of each grid cell
+        totals[:, :, 0] = logprobs[sets]
+        totals[rg, live_slots, 1:] = logprobs[g, live_slots, None] + _log_softmax(logits)
+        totals[:, :, banned_cols] = -np.inf
+        frozen = np.where(valid & finished[sets], scores[sets], -np.inf)
+        grid = np.concatenate([frozen[..., None], _normalized(totals[..., 1:], step + 1,
+                                                              gen.length_penalty)], axis=-1)
+        picked, cells, ranks = _best_cells(grid.reshape(a, -1), bs)
+        parent_slots, cols = np.divmod(cells, 1 + V)
+        g = sets[picked]
+        seqs[g, ranks, :step + 1] = seqs[g, parent_slots, :step + 1]
+        seqs[g, ranks, step + 1] = cols - 1
+        logprobs[g, ranks] = totals[picked, parent_slots, cols]
+        scores[g, ranks] = grid[picked, parent_slots, cols]
+        finished[g, ranks] = (cols == 0) | (cols == 1 + eos)
+        parents[g, ranks] = parent_slots
+        traces[g, step, ranks] = parent_slots
+        counts[sets] = np.bincount(picked, minlength=a)
+        ended = (finished[sets] | (slots >= counts[sets, None])).all(axis=1)
+        if ended.any():
+            steps[sets[ended]] = step + 1
+            sets = sets[~ended]
+            if not len(sets):
+                break
+            x, group = encoded[sets], stack_graphs([graphs[i] for i in sets])
+
+    results = []
+    for g in range(G):
+        best = int(np.argmax(scores[g, :counts[g]]))
+        results.append(GenerationResult(
+            tokens=[tok for tok in seqs[g, best, 1:steps[g] + 1].tolist() if tok >= 0],
+            beam_trace=traces[g, :steps[g]].tolist(),
+            awd=AwdTensor(values=awd[g, :, :steps[g]]),
+            winning_beam=best,
+            score=float(scores[g, best]),
+        ))
+    return results
 
 
 def generate_with_beam(
@@ -483,77 +696,8 @@ def generate_with_beam(
     graph: SimilarityGraph,
     gen: GenerationConfig = GenerationConfig(),
 ) -> GenerationResult:
-    """Beam search with a cached decoder, recording attention for every beam.
-
-    Each step is one ``_decode_block`` call that feeds every live
-    hypothesis its last token; the cache rows then follow the chosen
-    parents. Hypotheses are ranked by log-probability divided by length
-    to the power of the length penalty. Each step fills one (slots, 1 + V)
-    score grid: column 0 keeps a finished hypothesis at its frozen
-    score, column 1 + v extends a live one by token v, and every other
-    cell is -inf. One stable sort of the flattened grid picks the next
-    beams, so equal scores go to the lower slot, then the lower column.
-    A finished slot's recorded tensor slices carry its last real
-    distribution forward, which keeps the tensor rectangular (those
-    slices fall outside the winner's length and are never consumed).
-    While there are fewer hypotheses n than beam slots, slot k records
-    a copy of slot k mod n.
-    """
-    cfg = weights.config
-    max_steps = gen.steps(cfg)
-    # Both end markers must exist before any decoding starts.
-    eos = weights.eos_id
-    _ = weights.eos_sent_id
-    banned_cols = [1 + weights.pad_id, 1 + weights.bos_id]
-
-    encoded = encode_units(inp, weights, graph)
-    bs, V = gen.beam_size, cfg.vocab_size
-    # Self-attention keys and values, one cache row per live slot in slot order.
-    cache = np.empty((2, cfg.num_layers, bs, max_steps, cfg.d_model))
-    awd = np.empty((bs, max_steps, cfg.num_layers, cfg.num_heads, inp.L), dtype=np.float32)
-    # Per slot: <bos> and the token ids (-1 pads a finished slot), log-probability,
-    # normalized score, whether it ended, and its parent slot.
-    seqs = np.full((1, 1), weights.bos_id)
-    logprobs, scores, finished = np.zeros(1), np.zeros(1), np.zeros(1, dtype=bool)
-    parents = np.zeros(1, dtype=np.int64)
-    traces: list[list[int]] = []
-
-    for step in range(max_steps):
-        n = len(seqs)
-        live = np.flatnonzero(~finished)
-        logits, awd[live, step] = _decode_block(seqs[live, -1:], step, cache, encoded,
-                                                weights, graph)
-        awd[:n][finished, step] = awd[parents[finished], step - 1]
-        awd[n:, step] = awd[np.arange(n, bs) % n, step]
-        totals = np.full((n, 1 + V), -np.inf)  # log-probability of each grid cell
-        totals[:, 0] = logprobs
-        totals[live, 1:] = logprobs[live, None] + _log_softmax(logits)
-        totals[:, banned_cols] = -np.inf
-
-        grid = np.column_stack([np.where(finished, scores, -np.inf),
-                                _normalized(totals[:, 1:], step + 1, gen.length_penalty)])
-        order = np.argsort(-grid.ravel(), kind="stable")[:bs]
-        order = order[np.isfinite(grid.ravel()[order])]
-        parents, cols = np.divmod(order, 1 + V)
-        seqs = np.column_stack([seqs[parents], cols - 1])
-        logprobs, scores = totals.ravel()[order], grid.ravel()[order]
-        finished = (cols == 0) | (cols == 1 + eos)
-        traces.append(parents.tolist() + [0] * (bs - len(parents)))
-        if finished.all():
-            break
-        # Each live child takes its (live) parent's cache row; per layer keeps the copy small.
-        rows = np.searchsorted(live, parents[~finished])
-        for kv in cache.reshape(-1, bs, max_steps, cfg.d_model):
-            kv[:len(rows), :step + 1] = kv[rows, :step + 1]
-
-    best = int(np.argmax(scores))
-    return GenerationResult(
-        tokens=[tok for tok in seqs[best, 1:].tolist() if tok >= 0],
-        beam_trace=traces,
-        awd=AwdTensor(values=awd[:, :len(traces)]),
-        winning_beam=best,
-        score=float(scores[best]),
-    )
+    """Beam search over one set: ``generate_sets`` on a file of that set alone."""
+    return next(generate_sets([inp], weights, [graph], gen))
 
 
 # ---------------------------------------------------------------------------

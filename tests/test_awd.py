@@ -44,6 +44,22 @@ def test_round_trip_bit_identical(tmp_path):
         )
 
 
+def test_write_awd_bytes_are_the_header_then_the_float32_payload(tmp_path):
+    """Magic, five little-endian dims, then the values as float32 in C order.
+
+    Also for strided views (the beam search hands out its tensor's first
+    steps), float64 input and an empty tensor.
+    """
+    rng = np.random.default_rng(4)
+    full = random_tensor(rng, bs=3, sl=5, dl=2, mh=2, L=4).values
+    for i, values in enumerate([full, full[:, :3], full[::2, 1:], full.astype(np.float64),
+                                full[:, :0]]):
+        path = tmp_path / f"t{i}.awd"
+        ao.write_awd(AwdTensor(values=values), path)
+        payload = np.asarray(values, dtype="<f4").tobytes()
+        assert path.read_bytes() == AWD_MAGIC + struct.pack("<5I", *values.shape) + payload, i
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.awd"
     path.write_bytes(b"XXXX" + struct.pack("<5I", 1, 1, 1, 1, 1) + b"\x00" * 4)

@@ -296,6 +296,25 @@ def test_generate_checks_every_graph_before_writing(tmp_path, capsys):
     assert line.startswith("error: missing graph file for set 'set1'")
 
 
+def test_generate_writes_each_group_before_decoding_the_next(tmp_path, monkeypatch):
+    """At beam 4 each set is its own lockstep group; set0's files precede set1's decoding."""
+    units = graphs_only(tmp_path)
+    out = tmp_path / "gen"
+    seen = []  # the output files present as each group starts decoding
+    search = ao.graphattn._beam_search
+
+    def spy(inputs, *args):
+        seen.append(sorted(path.name for path in out.iterdir()))
+        return search(inputs, *args)
+
+    monkeypatch.setattr(ao.graphattn, "_beam_search", spy)
+    flags = list(GEN_FLAGS)
+    flags[3] = "4"  # beam size
+    assert main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
+                 "--out", str(out)] + flags) == 0
+    assert seen == [[], ["set0.awd", "set0.summary.json"]]
+
+
 def small_weights_file(tmp_path, records, num_units=6, max_len=8):
     """Synthetic weights over the tokens of ``records``, written to a file."""
     vocab = build_vocab(t for r in records for u in r.unitized.units for t in u.tokens)
@@ -911,17 +930,18 @@ def test_generate_adds_no_default_of_its_own(tmp_path, capsys, monkeypatch):
 
     def generate(out, flags):
         configs = []  # what the decoder gets: a short run may not show every option
-        decode = ao.graphattn.generate_with_beam
+        decode = ao.graphattn.generate_sets
 
-        def spy(inp, weights, graph, gen):
+        def spy(inputs, weights, graphs, gen):
             configs.append((weights.config, gen))
-            return decode(inp, weights, graph, gen)
+            return decode(inputs, weights, graphs, gen)
 
-        monkeypatch.setattr(ao.graphattn, "generate_with_beam", spy)
+        monkeypatch.setattr(ao.graphattn, "generate_sets", spy)
         capsys.readouterr()
         assert main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
                      "--out", str(out), "--seed", "11", "--max-len", "3"] + flags) == 0
         monkeypatch.undo()
+        assert configs
         captured = capsys.readouterr()
         return configs, captured.out.replace(str(out), "OUT"), captured.err, tree_digest(out)
 

@@ -7,6 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import attnorigin as ao
 from attnorigin.graphattn import (
@@ -21,6 +24,7 @@ from attnorigin.graphattn import (
     _softmax,
     decode_step,
     encode_units,
+    stack_graphs,
     start_state,
 )
 from attnorigin.simgraph import SimilarityGraph
@@ -472,38 +476,43 @@ def test_decode_block_at_bench_shape(shift_form):
     """The kernel at d=64, 8 layers, 8 heads and L=30 with pads.
 
     decode_step (one block over the whole prefix) matches the full-prefix
-    reference within 1e-12 at prefix lengths 1-32. Four rows advanced
-    together, as one 5-token block and then one token per call through
-    the cache, match decode_step on each row's own prefix within 1e-10.
+    reference within 1e-12 at prefix lengths 1-32. Two sets of two rows
+    advanced together, as one 5-token block and then one token per call
+    through the cache, match decode_step on each row's own prefix and
+    set within 1e-10.
     """
     rng = np.random.default_rng(30)
-    inp = random_unitized(rng, num_docs=4, paras_per_doc=5, words=12, L=30, T=60)
-    assert inp.unit_pad.any()
-    graph = ao.build_graph(inp)
-    vocab = vocab_of(inp)
+    inputs = [random_unitized(rng, num_docs=4, paras_per_doc=5, words=12, L=30, T=60,
+                              set_id=f"s{i}") for i in range(2)]
+    assert all(inp.unit_pad.any() for inp in inputs)
+    graphs = [ao.build_graph(inp) for inp in inputs]
+    assert not np.array_equal(graphs[0].weights, graphs[1].weights)
+    vocab = ao.graphattn.build_vocab(t for inp in inputs for u in inp.units for t in u.tokens)
     cfg = ao.ModelConfig(d_model=64, num_layers=8, num_heads=8, vocab_size=len(vocab),
-                         num_units=inp.L, max_len=32, shift_form=shift_form)
+                         num_units=30, max_len=32, shift_form=shift_form)
     weights = ao.make_synthetic_weights(5, cfg, vocab=vocab)
-    state = start_state(inp, weights, graph)
-    rows = np.column_stack([np.full(4, weights.bos_id),
-                            rng.integers(2, len(vocab), size=(4, cfg.max_len - 1))])
+    states = [start_state(inp, weights, graph) for inp, graph in zip(inputs, graphs)]
+    rows = np.concatenate([np.full((2, 2, 1), weights.bos_id),
+                           rng.integers(2, len(vocab), size=(2, 2, cfg.max_len - 1))], axis=2)
+    state = states[0]
     for p in range(1, cfg.max_len + 1):
-        state.prefix_ids = rows[0, :p].tolist()
-        logits, betas = decode_step(state, weights, graph)
-        ref_logits, ref_betas = reference_decode_step(state, weights, graph)
+        state.prefix_ids = rows[0, 0, :p].tolist()
+        logits, betas = decode_step(state, weights, graphs[0])
+        ref_logits, ref_betas = reference_decode_step(state, weights, graphs[0])
         assert np.max(np.abs(logits - ref_logits)) <= 1e-12, p
         assert np.max(np.abs(betas - ref_betas)) <= 1e-12, p
 
-    cache = np.empty((2, cfg.num_layers, 4, cfg.max_len, cfg.d_model))
+    cache = np.empty((2, cfg.num_layers, 2, 2, cfg.max_len, cfg.d_model))
+    encoded = np.stack([state.encoded for state in states])
     blocks = [(0, 5)] + [(p, p + 1) for p in range(5, cfg.max_len)]
     for start, end in blocks:
-        logits, betas = _decode_block(rows[:, start:end], start, cache, state.encoded,
-                                      weights, graph)
-        for row in range(4):
-            state.prefix_ids = rows[row, :end].tolist()
-            want_logits, want_betas = decode_step(state, weights, graph)
-            assert np.max(np.abs(logits[row] - want_logits)) <= 1e-10, (end, row)
-            assert np.max(np.abs(betas[row] - want_betas)) <= 1e-10, (end, row)
+        logits, betas = _decode_block(rows[:, :, start:end], start, cache, encoded,
+                                      weights, stack_graphs(graphs))
+        for g, row in itertools.product(range(2), range(2)):
+            states[g].prefix_ids = rows[g, row, :end].tolist()
+            want_logits, want_betas = decode_step(states[g], weights, graphs[g])
+            assert np.max(np.abs(logits[g, row] - want_logits)) <= 1e-10, (end, g, row)
+            assert np.max(np.abs(betas[g, row] - want_betas)) <= 1e-10, (end, g, row)
 
 
 def test_decode_step_deterministic(two_doc_input):
@@ -895,6 +904,130 @@ def test_beam_requires_eos_in_vocab(two_doc_input):
     from attnorigin.graphattn import VocabularyError
     with pytest.raises(VocabularyError):
         ao.generate_with_beam(inp, weights, graph)
+
+
+# ---------------------------------------------------------------------------
+# lockstep groups and top-k selection
+# ---------------------------------------------------------------------------
+
+def spy_on_kernel(monkeypatch):
+    """Record (sets, rows per set, L) of every ``_decode_block`` call."""
+    calls = []
+    kernel = ao.graphattn._decode_block
+
+    def spy(ids, start, cache, x, weights, graphs):
+        calls.append((ids.shape[0], ids.shape[1], x.shape[1], start))
+        return kernel(ids, start, cache, x, weights, graphs)
+
+    monkeypatch.setattr(ao.graphattn, "_decode_block", spy)
+    return calls
+
+
+def mixed_file(rng):
+    """Six sets of 6 units, three of 7, then two of 6 again, most with pads."""
+    inputs = [random_unitized(rng, paras_per_doc=int(rng.integers(1, 3)), L=L, T=8,
+                              set_id=f"s{i}")
+              for i, L in enumerate([6] * 6 + [7] * 3 + [6] * 2)]
+    return inputs, [ao.build_graph(inp) for inp in inputs]
+
+
+def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
+    """``generate_sets`` over a mixed file equals the per-set reference beam.
+
+    Tokens, traces and winners are exact, scores within 1e-12 and AWD
+    bytes equal. At beam sizes 1-5 the groups hold max(1, 4 // beam)
+    consecutive sets of one L: beam 1 cuts the six 6-unit sets at four
+    and the change to 7 units splits a group. Scaled-up output weights
+    end some sets early with <eos> while the rest of their group runs on.
+    """
+    rng = np.random.default_rng(77)
+    inputs, graphs = mixed_file(rng)
+    assert sum(inp.unit_pad.any() for inp in inputs) >= 8
+    vocab = ao.graphattn.build_vocab(t for inp in inputs for u in inp.units for t in u.tokens)
+    cfg = ao.ModelConfig(d_model=8, num_layers=2, num_heads=2, vocab_size=len(vocab),
+                         num_units=7, max_len=6)
+    weights = ao.make_synthetic_weights(1, cfg, vocab=vocab)
+    weights.w_out = weights.w_out * 4.0
+    groups = {1: [4, 2, 3, 2], 2: [2, 2, 2, 2, 1, 2]}
+    ran_on = 0  # groups in which one set ended with <eos> before another
+    for beam in range(1, 6):
+        gen = ao.GenerationConfig(beam_size=beam, max_len=6, length_penalty=0.6)
+        calls = spy_on_kernel(monkeypatch)
+        got = list(ao.graphattn.generate_sets(inputs, weights, graphs, gen))
+        monkeypatch.undo()
+        assert len(got) == len(inputs)
+        for i, (inp, graph, result) in enumerate(zip(inputs, graphs, got)):
+            want = reference_generate_with_beam(inp, weights, graph, gen)
+            assert result.tokens == want.tokens, (beam, i)
+            assert result.beam_trace == want.beam_trace, (beam, i)
+            assert result.winning_beam == want.winning_beam, (beam, i)
+            assert abs(result.score - want.score) <= 1e-12, (beam, i)
+            assert result.awd.values.tobytes() == want.awd.values.tobytes(), (beam, i)
+        assert max(sets * rows for sets, rows, _, _ in calls) <= max(4, beam)
+        sizes = [sets for sets, _, _, start in calls if start == 0]
+        assert sizes == groups.get(beam, [1] * len(inputs)), beam
+        start = 0
+        for size in sizes:
+            lengths = [len(result.beam_trace) for result in got[start:start + size]]
+            ran_on += len(set(lengths)) > 1
+            start += size
+    assert ran_on >= 5, ran_on
+
+
+def test_lockstep_beam_one_makes_one_call_per_group_step(monkeypatch):
+    """24 beam-1 sets at max_len 8: six groups of four, 6 x 8 = 48 four-row calls."""
+    rng = np.random.default_rng(5)
+    inputs = [random_unitized(rng, L=6, set_id=f"s{i}") for i in range(24)]
+    graphs = [ao.build_graph(inp) for inp in inputs]
+    vocab = ao.graphattn.build_vocab(t for inp in inputs for u in inp.units for t in u.tokens)
+    cfg = ao.ModelConfig(d_model=16, num_layers=2, num_heads=2, vocab_size=len(vocab),
+                         num_units=6, max_len=8)
+    # The script never emits <eos>, so no set ends before max_len.
+    weights = ao.make_concentrator_weights(cfg, target=1, vocab=vocab, token_script=[4] * 8)
+    calls = spy_on_kernel(monkeypatch)
+    results = list(ao.graphattn.generate_sets(inputs, weights, graphs,
+                                              ao.GenerationConfig(beam_size=1, max_len=8)))
+    assert [result.tokens for result in results] == [[4] * 8] * 24
+    assert len(calls) == 48
+    assert all((sets, rows) == (4, 1) for sets, rows, _, _ in calls)
+
+
+def test_generate_sets_checks_every_input_before_decoding(two_doc_input, monkeypatch):
+    inp, graph = two_doc_input
+    weights = small_weights(inp, max_len=4)
+    calls = spy_on_kernel(monkeypatch)
+    other = identity_graph(inp.L + 1)
+    with pytest.raises(ValueError, match="graph size"):
+        ao.graphattn.generate_sets([inp, inp], weights, [graph, other])
+    with pytest.raises(ValueError, match="2 inputs but 1 graphs"):
+        ao.graphattn.generate_sets([inp, inp], weights, [graph])
+    with pytest.raises(ValueError, match="max_len 5"):
+        ao.graphattn.generate_sets([inp], weights, [graph], ao.GenerationConfig(max_len=5))
+    assert calls == []
+
+
+def reference_best_cells(grid, k):
+    """Per row, the full stable argsort of the negated row, cut at k, finite cells only."""
+    rows, cols, ranks = [], [], []
+    for r, row in enumerate(grid):
+        order = np.argsort(-row, kind="stable")[:k]
+        order = order[np.isfinite(row[order])]
+        rows += [r] * len(order)
+        cols += order.tolist()
+        ranks += range(len(order))
+    return rows, cols, ranks
+
+
+@settings(max_examples=400)
+@given(grid=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                       elements=st.sampled_from([-np.inf, -3.0, -1.5, -0.5, 0.0])),
+       k=st.integers(1, 14))
+@example(grid=np.array([[0.0, -1.5, -0.5, -0.5, -0.5, -3.0]]), k=3)  # ties at the cut
+@example(grid=np.array([[-np.inf, -0.5, -np.inf, 0.0, -3.0]]), k=2)  # -inf cells
+@example(grid=np.array([[-np.inf, -1.5, -np.inf], [-np.inf] * 3]), k=3)  # too few finite
+def test_best_cells_equal_the_full_stable_argsort(grid, k):
+    got = ao.graphattn._best_cells(grid, k)
+    assert [part.tolist() for part in got] == list(reference_best_cells(grid, k))
 
 
 # ---------------------------------------------------------------------------
