@@ -4,13 +4,17 @@ The decoder attends over encoded textual units with logits shifted by a
 penalty derived from the similarity graph and a predicted central unit.
 One kernel advances the hypotheses of several sets through every layer,
 with causal self-attention over a key/value cache and graph attention
-composed of the exported primitives (one state or a stack, every set
-against its own units and graph, all heads as one batch). Beam search
-runs consecutive sets of a file in lockstep groups of GROUP_HYPOTHESES
-hypotheses at most, or one set when its beam is wider. Every step records the resulting attention distribution (one
-probability vector over units per layer and head), and beam search
-collects those vectors into a dense tensor per set indexed
-[beam][token][layer][head][unit] together with a parent-beam trace.
+(every set against its own units and graph, all heads as one batch).
+Each exported primitive checks its inputs and then runs a private core;
+the kernel runs the cores on arrays built once per lockstep group (each
+layer's unit keys and every graph row's shift, +inf on pad units) and
+checks its logits and betas once per call. Beam search runs consecutive
+sets of a file in lockstep groups of GROUP_HYPOTHESES hypotheses at
+most, or one set when its beam is wider. Every step records the
+resulting attention distribution (one probability vector over units per
+layer and head), and beam search collects those vectors into a dense
+tensor per set indexed [beam][token][layer][head][unit] together with a
+parent-beam trace.
 
 There is no training loop; weights are loaded from files or built
 synthetically (random, or a "concentrator" construction whose attention
@@ -278,12 +282,26 @@ def _graph_shift(g: np.ndarray, sigma: float, shift_form: str) -> np.ndarray:
     raise ValueError(f"shift_form must be one of {SHIFT_FORMS}")
 
 
-def _shifted_softmax(
-    e: np.ndarray, g_rows: np.ndarray, unit_pad: np.ndarray, sigma: float, shift_form: str
+def _padded_shift(
+    g: np.ndarray, unit_pad: np.ndarray, sigma: float, shift_form: str
 ) -> np.ndarray:
-    """Softmax over units of ``e`` shifted by graph rows ``g_rows``; pads get 0."""
-    logits = np.where(unit_pad, -np.inf, e - _graph_shift(g_rows, sigma, shift_form))
-    return _softmax(logits, axis=-1)
+    """The graph shift of every row of ``g`` (..., L, L), +inf on the pad columns.
+
+    Subtracting a row from finite logits masks the pads to -inf, as
+    ``np.where(unit_pad, -inf, e - shift)`` does, bit for bit.
+    """
+    return np.where(unit_pad[..., None, :], np.inf, _graph_shift(g, sigma, shift_form))
+
+
+def _row_offsets(batch: tuple[int, ...], L: int) -> np.ndarray:
+    """Each graph's first row in a stack of graphs flattened to (rows, L), shaped batch + (1,)."""
+    return np.arange(0, math.prod(batch) * L, L).reshape(batch + (1,))
+
+
+def _shifted_attention(e: np.ndarray, shift_rows: np.ndarray) -> np.ndarray:
+    """Core of ``graph_shifted_attention``: softmax over units of ``e`` minus the
+    gathered ``_padded_shift`` rows, so the pads get 0."""
+    return _softmax(e - shift_rows, axis=-1)
 
 
 def sinusoidal_positions(rows: int, d_model: int) -> np.ndarray:
@@ -321,8 +339,17 @@ def encode_units(
     x = np.zeros((L, cfg.d_model), dtype=np.float64)
     real = ~unit_pad
     e = (u @ u.T)[real] / math.sqrt(cfg.d_model)
-    x[real] = _shifted_softmax(e, graph.weights[real], unit_pad, cfg.sigma, cfg.shift_form) @ u
+    shift = _padded_shift(graph.weights, unit_pad, cfg.sigma, cfg.shift_form)
+    x[real] = _shifted_attention(e, shift[real]) @ u
     return x
+
+
+# Each public primitive checks its inputs and then runs its private core;
+# the decoder kernel calls the cores on arrays it prepared once per group.
+
+def _attention_logits(y: np.ndarray, w_q: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Core of ``unscaled_attention``: ``keys`` are the units' ``x @ w_k`` (..., L, d_head)."""
+    return ((y @ w_q) @ np.swapaxes(keys, -1, -2)) / math.sqrt(w_q.shape[-1])
 
 
 def unscaled_attention(
@@ -339,10 +366,18 @@ def unscaled_attention(
     x = np.asarray(x, dtype=np.float64)
     if not (np.isfinite(y).all() and np.isfinite(x).all()):
         raise ValueError("non-finite attention input")
-    q = (y if y.ndim >= 2 else y[None]) @ w_q
-    k = x @ w_k
-    e = (q @ np.swapaxes(k, -1, -2)) / math.sqrt(w_q.shape[-1])
+    e = _attention_logits(y if y.ndim >= 2 else y[None], w_q, x @ w_k)
     return e if y.ndim >= 2 else e[..., 0, :]
+
+
+def _central_paragraph(
+    y: np.ndarray, ffn: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], L: int
+) -> np.ndarray:
+    """Core of ``central_paragraph``, the kernel's central-unit FFN: int64 indices."""
+    w1, b1, w2, b2 = ffn
+    hidden = np.tanh(y @ w1 + b1)
+    s = np.floor(_sigmoid(hidden @ w2 + b2) * (L - 1) + 0.5).astype(np.int64)
+    return np.minimum(np.maximum(s, 0), L - 1)  # np.clip costs several times more
 
 
 def central_paragraph(
@@ -356,11 +391,8 @@ def central_paragraph(
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    w1, b1, w2, b2 = ffn
     y = np.asarray(y, dtype=np.float64)
-    hidden = np.tanh(y @ w1 + b1)
-    s = np.floor(_sigmoid(hidden @ w2 + b2) * (L - 1) + 0.5).astype(np.int64)
-    s = np.minimum(np.maximum(s, 0), L - 1)  # np.clip costs several times more
+    s = _central_paragraph(y, ffn, L)
     return s if y.ndim == 2 else int(s.reshape(()))
 
 
@@ -409,14 +441,17 @@ def graph_shifted_attention(
         raise ValueError(f"central index out of range [0, {graph.size}): {s}")
     if graph.unit_pad.all(axis=-1).any():
         raise ValueError("all units are padded; no attention targets")
-    if graph.weights.ndim == 2:
-        rows, unit_pad = graph.weights[s], graph.unit_pad
-    else:  # s indexes each graph's rows: offset it to the graph's first row of the stack
-        batch, L = graph.weights.shape[:-2], graph.size
-        first = np.arange(0, math.prod(batch) * L, L).reshape(batch + (1,))
-        rows = graph.weights.reshape(-1, L)[s + first]
-        unit_pad = graph.unit_pad[..., None, :]
-    return _shifted_softmax(e, rows, unit_pad, sigma, shift_form)
+    shift = _padded_shift(graph.weights, graph.unit_pad, sigma, shift_form)
+    if shift.ndim == 2:
+        return _shifted_attention(e, shift[s])
+    # s indexes each graph's rows: offset it to the graph's first row of the stack
+    batch, L = shift.shape[:-2], graph.size
+    return _shifted_attention(e, shift.reshape(-1, L)[s + _row_offsets(batch, L)])
+
+
+def _global_context(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Core of ``global_context``."""
+    return beta @ x
 
 
 def global_context(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -430,7 +465,7 @@ def global_context(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
     off = np.abs(beta.sum(axis=-1) - 1.0).max()
     if not off <= 1e-6:
         raise ValueError(f"attention weights sum {off:.3g} away from 1")
-    return beta @ x
+    return _global_context(beta, x)
 
 
 # ---------------------------------------------------------------------------
@@ -444,52 +479,123 @@ def start_state(
     return DecoderState(prefix_ids=[weights.bos_id], encoded=encoded)
 
 
+class _Group(NamedTuple):
+    """What stays fixed while a lockstep group decodes, for its sets still decoding.
+
+    ``x`` holds the encoded units (sets, 1, L, d), the 1 spanning the
+    heads, and ``keys`` each layer's unit keys ``x @ w_k`` (layers, sets,
+    heads, L, d_head). ``shift`` holds the ``_padded_shift`` rows of every
+    set the group started with, (sets * L, L), and ``offsets`` (sets, 1, 1)
+    each decoding set's first row in it.
+    """
+
+    x: np.ndarray
+    keys: np.ndarray
+    shift: np.ndarray
+    offsets: np.ndarray
+
+    def keep(self, kept: np.ndarray) -> "_Group":
+        """The arrays of the sets ``kept`` (a mask), sliced rather than recomputed."""
+        return _Group(self.x[kept], self.keys[:, kept], self.shift, self.offsets[kept])
+
+
+def _prepare(encoded: np.ndarray, graphs, weights: DecoderWeights) -> _Group:
+    """The ``_Group`` of sets with encoded units ``encoded`` (G, L, d) and ``graphs``."""
+    cfg = weights.config
+    stack = stack_graphs(graphs)
+    if stack.unit_pad.all(axis=-1).any():
+        raise ValueError("all units are padded; no attention targets")
+    x = encoded[:, None]
+    keys = np.empty((cfg.num_layers, len(x), cfg.num_heads, stack.size, cfg.d_head))
+    for layer, w_k in enumerate(weights.w_k):
+        keys[layer] = x @ w_k
+    shift = _padded_shift(stack.weights, stack.unit_pad, cfg.sigma, cfg.shift_form)
+    return _Group(x, keys, shift.reshape(-1, stack.size),
+                  _row_offsets(stack.weights.shape[:-2], stack.size))
+
+
+# The kernel's sublayers; the central-unit FFN is the core ``_central_paragraph``.
+
+def _self_attention(
+    h: np.ndarray, layer: int, start: int, cache: np.ndarray, causal: np.ndarray,
+    weights: DecoderWeights,
+) -> np.ndarray:
+    """Causal self-attention of the rows ``h`` (G * n * q, d) over the cache.
+
+    Writes the new positions' keys and values into the layer's cache
+    (G, n, steps, d) and returns ``h`` plus the projected attention output.
+    """
+    keys, values = cache[0, layer], cache[1, layer]
+    sets, n = keys.shape[:2]
+    q, end = causal.shape
+    keys[..., start:end, :] = (h @ weights.sa_wk[layer]).reshape(sets, n, q, -1)
+    values[..., start:end, :] = (h @ weights.sa_wv[layer]).reshape(sets, n, q, -1)
+    k, v = keys[..., :end, :], values[..., :end, :]
+    queries = (h @ weights.sa_wq[layer]).reshape(sets, n, q, -1)
+    attn = _softmax(queries @ k.transpose(0, 1, 3, 2) / math.sqrt(weights.config.d_model)
+                    + causal)
+    return h + (attn @ v).reshape(len(h), -1) @ weights.sa_wo[layer]
+
+
+def _graph_attention(
+    h: np.ndarray, s: np.ndarray, layer: int, group: _Group, weights: DecoderWeights
+) -> tuple[np.ndarray, np.ndarray]:
+    """Graph attention of every set's rows against its own units, all heads as one batch.
+
+    ``s`` holds the rows' central units (G, 1, rows per set). Returns ``h``
+    plus the concatenated, projected head contexts, and the betas
+    (G, heads, rows per set, L).
+    """
+    sets = len(group.x)
+    e = _attention_logits(h.reshape(sets, 1, -1, h.shape[-1]), weights.w_q[layer],
+                          group.keys[layer])
+    beta = _shifted_attention(e, group.shift[s + group.offsets])
+    contexts = _global_context(beta, group.x)  # (G, mh, rows per set, d)
+    return h + contexts.transpose(0, 2, 1, 3).reshape(len(h), -1) @ weights.w_g[layer], beta
+
+
+def _position_ffn(h: np.ndarray, layer: int, weights: DecoderWeights) -> np.ndarray:
+    inner = np.maximum(h @ weights.ff_w1[layer] + weights.ff_b1[layer], 0.0)
+    return h + inner @ weights.ff_w2[layer] + weights.ff_b2[layer]
+
+
+def _vocab_projection(h: np.ndarray, weights: DecoderWeights) -> np.ndarray:
+    return h @ weights.w_out
+
+
 def _decode_block(
-    ids: np.ndarray, start: int, cache: np.ndarray, x: np.ndarray,
-    weights: DecoderWeights, graphs: GraphStack,
+    ids: np.ndarray, start: int, cache: np.ndarray, group: _Group, weights: DecoderWeights,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance n hypotheses of each of G sets by q tokens ``ids`` (G, n, q)
     at positions start..start+q-1.
 
-    ``x`` holds each set's encoded units (G, L, d) and ``graphs`` its
-    graph weights and pad masks (``stack_graphs``). ``cache`` holds the
-    self-attention keys and values, (2, layers, G, n, steps, d): positions
-    [:start] of every hypothesis, and it receives the new ones. Each
-    layer runs causal self-attention over the cache, then global graph
-    attention (the primitives over every set, row and head, contexts
-    concatenated and projected), then a position-wise feed-forward, all
-    with residual connections. Returns the last position's (G, n, V)
-    logits and (G, n, layers, heads, L) betas.
+    ``group`` holds each set's encoded units, unit keys and graph shift
+    (``_prepare``). ``cache`` holds the self-attention keys and values,
+    (2, layers, G, n, steps, d): positions [:start] of every hypothesis,
+    and it receives the new ones. Each layer runs causal self-attention
+    over the cache, the central-unit FFN, graph attention over every set,
+    row and head, then a position-wise feed-forward, all with residual
+    connections. Returns the last position's (G, n, V) logits and
+    (G, n, layers, heads, L) betas; raises if either is not finite, which
+    a non-finite state in any layer makes them.
     """
     cfg = weights.config
-    (sets, n, q), end, L = ids.shape, start + ids.shape[2], x.shape[1]
-    rows = sets * n * q
-    h = (weights.embedding[ids] + weights.pos_encoding[start:end]).reshape(rows, -1)
+    (sets, n, q), end, L = ids.shape, start + ids.shape[2], group.x.shape[-2]
+    h = (weights.embedding[ids] + weights.pos_encoding[start:end]).reshape(sets * n * q, -1)
     causal = np.triu(np.full((q, end), -np.inf), k=start + 1)
     betas = np.empty((sets, n, cfg.num_layers, cfg.num_heads, L))
-    keys, values = cache
-    x = x[:, None]  # a head axis: (G, 1, L, d)
     for layer in range(cfg.num_layers):
-        keys[layer, ..., start:end, :] = (h @ weights.sa_wk[layer]).reshape(sets, n, q, -1)
-        values[layer, ..., start:end, :] = (h @ weights.sa_wv[layer]).reshape(sets, n, q, -1)
-        k, v = keys[layer, ..., :end, :], values[layer, ..., :end, :]
-        queries = (h @ weights.sa_wq[layer]).reshape(sets, n, q, -1)
-        attn = _softmax(queries @ k.transpose(0, 1, 3, 2) / math.sqrt(cfg.d_model) + causal)
-        h = h + (attn @ v).reshape(rows, -1) @ weights.sa_wo[layer]
-
+        h = _self_attention(h, layer, start, cache, causal, weights)
         ffn = (weights.cp_w1[layer], weights.cp_b1[layer], weights.cp_w2[layer],
                weights.cp_b2[layer])
-        s = central_paragraph(h, ffn, L).reshape(sets, 1, n * q)
-        e = unscaled_attention(h.reshape(sets, 1, n * q, -1), x, weights.w_q[layer],
-                               weights.w_k[layer])  # (G, mh, n * q, L)
-        beta = graph_shifted_attention(e, graphs, s, cfg.sigma, cfg.shift_form)
+        s = _central_paragraph(h, ffn, L).reshape(sets, 1, n * q)
+        h, beta = _graph_attention(h, s, layer, group, weights)
         betas[:, :, layer] = beta.reshape(sets, -1, n, q, L)[..., -1, :].transpose(0, 2, 1, 3)
-        contexts = global_context(beta, x)  # (G, mh, n * q, d)
-        h = h + contexts.transpose(0, 2, 1, 3).reshape(rows, -1) @ weights.w_g[layer]
-
-        inner = np.maximum(h @ weights.ff_w1[layer] + weights.ff_b1[layer], 0.0)
-        h = h + inner @ weights.ff_w2[layer] + weights.ff_b2[layer]
-    return h.reshape(sets, n, q, -1)[:, :, -1] @ weights.w_out, betas
+        h = _position_ffn(h, layer, weights)
+    logits = _vocab_projection(h.reshape(sets, n, q, -1)[:, :, -1], weights)
+    if not (np.isfinite(logits).all() and np.isfinite(betas).all()):
+        raise ValueError("non-finite decoder state")
+    return logits, betas
 
 
 def decode_step(
@@ -507,7 +613,7 @@ def decode_step(
         raise ValueError(f"decoded length {p - 1} reached max_len {cfg.max_len}")
     cache = np.empty((2, cfg.num_layers, 1, 1, p, cfg.d_model))
     logits, betas = _decode_block(np.array([[state.prefix_ids]]), 0, cache,
-                                  state.encoded[None], weights, stack_graphs([graph]))
+                                  _prepare(state.encoded[None], [graph], weights), weights)
     return logits[0, 0], betas[0, 0]
 
 
@@ -604,7 +710,7 @@ def _beam_search(
     banned_cols = [1 + weights.pad_id, 1 + weights.bos_id]
     G, bs, V = len(inputs), gen.beam_size, cfg.vocab_size
     encoded = np.stack([encode_units(inp, weights, graph) for inp, graph in zip(inputs, graphs)])
-    x, group = encoded, stack_graphs(graphs)  # of the sets still decoding
+    group = _prepare(encoded, graphs, weights)  # of the sets still decoding
     # Self-attention keys and values: the kernel's (sets, n) rows, set by set.
     cache = np.empty((2, cfg.num_layers, G * bs, max_steps, cfg.d_model))
     awd = np.empty((G, bs, max_steps, cfg.num_layers, cfg.num_heads, inputs[0].L),
@@ -643,7 +749,7 @@ def _beam_search(
         cache_rows[g, live_slots] = rg * n + rj
         block = cache[:, :, :a * n].reshape(2, cfg.num_layers, a, n, max_steps, cfg.d_model)
         logits, betas = _decode_block(seqs[sets[:, None], row_slots, step, None], step, block,
-                                      x, weights, group)
+                                      group, weights)
         logits = logits[rg, rj]
         awd[g, live_slots, step] = betas[rg, rj]
         fg, fj = np.nonzero(valid & finished[sets])
@@ -675,7 +781,7 @@ def _beam_search(
             sets = sets[~ended]
             if not len(sets):
                 break
-            x, group = encoded[sets], stack_graphs([graphs[i] for i in sets])
+            group = group.keep(~ended)
 
     results = []
     for g in range(G):

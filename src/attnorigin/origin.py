@@ -93,8 +93,7 @@ def reference_metric(
     scores = scores_from_counts(
         rouge_counts(summary_sentences, [ref for refs in unit_sentences for ref in refs]))
     values = np.zeros((len(summary_sentences), len(unit_sentences), len(VARIANTS), 3))
-    for k, j in enumerate(owners):
-        values[:, j] += scores[:, k]
+    np.add.at(values, (slice(None), owners), scores)  # in index order, as the loop added
     counts = np.array([max(len(refs), 1) for refs in unit_sentences], dtype=np.float64)
     return OriginMetric(values=values / counts[:, None, None])
 

@@ -20,6 +20,7 @@ from attnorigin.graphattn import (
     DecoderState,
     _decode_block,
     _log_softmax,
+    _prepare,
     _sigmoid,
     _softmax,
     decode_step,
@@ -29,6 +30,7 @@ from attnorigin.graphattn import (
 )
 from attnorigin.simgraph import SimilarityGraph
 from conftest import (
+    make_docset,
     random_unitized,
     sentinel_paragraphs,
     small_weights,
@@ -503,16 +505,227 @@ def test_decode_block_at_bench_shape(shift_form):
         assert np.max(np.abs(betas - ref_betas)) <= 1e-12, p
 
     cache = np.empty((2, cfg.num_layers, 2, 2, cfg.max_len, cfg.d_model))
-    encoded = np.stack([state.encoded for state in states])
+    group = _prepare(np.stack([state.encoded for state in states]), graphs, weights)
     blocks = [(0, 5)] + [(p, p + 1) for p in range(5, cfg.max_len)]
     for start, end in blocks:
-        logits, betas = _decode_block(rows[:, :, start:end], start, cache, encoded,
-                                      weights, stack_graphs(graphs))
+        logits, betas = _decode_block(rows[:, :, start:end], start, cache, group, weights)
         for g, row in itertools.product(range(2), range(2)):
             states[g].prefix_ids = rows[g, row, :end].tolist()
             want_logits, want_betas = decode_step(states[g], weights, graphs[g])
             assert np.max(np.abs(logits[g, row] - want_logits)) <= 1e-10, (end, g, row)
             assert np.max(np.abs(betas[g, row] - want_betas)) <= 1e-10, (end, g, row)
+
+
+# ---------------------------------------------------------------------------
+# the kernel against its public primitives, bit for bit
+# ---------------------------------------------------------------------------
+
+def reference_decode_block(ids, start, cache, x, weights, graphs):
+    """The kernel as the four public primitives, checks included: the byte oracle.
+
+    ``x`` holds each set's encoded units (G, L, d) and ``graphs`` a
+    ``stack_graphs`` stack; the unit keys and graph shifts are recomputed
+    at every layer of every call.
+    """
+    cfg = weights.config
+    (sets, n, q), end, L = ids.shape, start + ids.shape[2], x.shape[1]
+    rows = sets * n * q
+    h = (weights.embedding[ids] + weights.pos_encoding[start:end]).reshape(rows, -1)
+    causal = np.triu(np.full((q, end), -np.inf), k=start + 1)
+    betas = np.empty((sets, n, cfg.num_layers, cfg.num_heads, L))
+    keys, values = cache
+    x = x[:, None]  # a head axis: (G, 1, L, d)
+    for layer in range(cfg.num_layers):
+        keys[layer, ..., start:end, :] = (h @ weights.sa_wk[layer]).reshape(sets, n, q, -1)
+        values[layer, ..., start:end, :] = (h @ weights.sa_wv[layer]).reshape(sets, n, q, -1)
+        k, v = keys[layer, ..., :end, :], values[layer, ..., :end, :]
+        queries = (h @ weights.sa_wq[layer]).reshape(sets, n, q, -1)
+        attn = _softmax(queries @ k.transpose(0, 1, 3, 2) / math.sqrt(cfg.d_model) + causal)
+        h = h + (attn @ v).reshape(rows, -1) @ weights.sa_wo[layer]
+
+        ffn = (weights.cp_w1[layer], weights.cp_b1[layer], weights.cp_w2[layer],
+               weights.cp_b2[layer])
+        s = ao.central_paragraph(h, ffn, L).reshape(sets, 1, n * q)
+        e = ao.unscaled_attention(h.reshape(sets, 1, n * q, -1), x, weights.w_q[layer],
+                                  weights.w_k[layer])  # (G, mh, n * q, L)
+        beta = ao.graph_shifted_attention(e, graphs, s, cfg.sigma, cfg.shift_form)
+        betas[:, :, layer] = beta.reshape(sets, -1, n, q, L)[..., -1, :].transpose(0, 2, 1, 3)
+        contexts = ao.global_context(beta, x)  # (G, mh, n * q, d)
+        h = h + contexts.transpose(0, 2, 1, 3).reshape(rows, -1) @ weights.w_g[layer]
+
+        inner = np.maximum(h @ weights.ff_w1[layer] + weights.ff_b1[layer], 0.0)
+        h = h + inner @ weights.ff_w2[layer] + weights.ff_b2[layer]
+    return h.reshape(sets, n, q, -1)[:, :, -1] @ weights.w_out, betas
+
+
+def reference_kernel(encoded, graphs):
+    """``reference_decode_block`` behind the kernel's signature, checked call by call.
+
+    It finds each decoding set of the group by its encoded units among
+    ``encoded`` and stacks that set's graph. Every call also runs the
+    kernel on a copy of the cache and requires the same logits, betas
+    and cache bytes; the reference's results are returned.
+    """
+    kernel = ao.graphattn._decode_block
+
+    def checked(ids, start, cache, group, weights):
+        x = group.x[:, 0]
+        which = [next(i for i, units in enumerate(encoded) if np.array_equal(units, set_x))
+                 for set_x in x]
+        kernel_cache = cache.copy()
+        got = kernel(ids, start, kernel_cache, group, weights)
+        want = reference_decode_block(ids, start, cache, x, weights,
+                                      stack_graphs([graphs[i] for i in which]))
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want], start
+        assert kernel_cache.tobytes() == cache.tobytes(), start
+        return want
+    return checked
+
+
+def random_sentence_set(rng, set_id, mode, L, T):
+    """2-4 documents of 2-4 paragraphs of 1-3 six-word sentences over 40 words."""
+    docs = [[" ".join(" ".join(f"w{rng.integers(0, 40)}" for _ in range(6)) + "."
+                      for _ in range(rng.integers(1, 4)))
+             for _ in range(rng.integers(2, 5))] for _ in range(rng.integers(2, 5))]
+    return ao.unitize(make_docset(set_id, docs), mode, L, T)
+
+
+@pytest.mark.parametrize("mode, L, T, num_sets, beam, max_len, eos_bump", [
+    ("paragraph", 30, 60, 2, 4, 32, 0.0),  # paragraph-beam4: one set per group
+    ("sentence", 60, 30, 4, 1, 8, 2.5),  # sentence-greedy: four sets in one group
+])
+def test_beam_search_is_byte_identical_to_the_primitive_kernel(
+        monkeypatch, mode, L, T, num_sets, beam, max_len, eos_bump):
+    """At the benchmark's decoder shapes (d 64, 8 layers, 8 heads, units
+    with pads, sets with different graphs) a beam search through the
+    kernel and one through ``reference_decode_block`` give the same
+    tokens, traces, winners and scores, and AWD tensors equal byte for
+    byte. In sentence mode a raised <eos> column ends some sets of the
+    group before a later one, so the group drops sets while it decodes.
+    """
+    rng = np.random.default_rng(16)
+    inputs = [random_sentence_set(rng, f"s{i}", mode, L, T) for i in range(num_sets)]
+    assert all(inp.unit_pad.any() for inp in inputs)
+    graphs = [ao.build_graph(inp) for inp in inputs]
+    assert not np.array_equal(graphs[0].weights, graphs[1].weights)
+    vocab = ao.graphattn.build_vocab(t for inp in inputs for u in inp.units for t in u.tokens)
+    cfg = ao.ModelConfig(d_model=64, num_layers=8, num_heads=8, vocab_size=len(vocab),
+                         num_units=L, max_len=32)
+    weights = ao.make_synthetic_weights(2, cfg, vocab=vocab)
+    weights.w_out[:, weights.eos_id] += eos_bump * weights.w_out[:, 5]
+    gen = ao.GenerationConfig(beam_size=beam, max_len=max_len)
+    got = list(ao.graphattn.generate_sets(inputs, weights, graphs, gen))
+    encoded = [encode_units(inp, weights, graph) for inp, graph in zip(inputs, graphs)]
+    monkeypatch.setattr(ao.graphattn, "_decode_block", reference_kernel(encoded, graphs))
+    want = list(ao.graphattn.generate_sets(inputs, weights, graphs, gen))
+    for i, (a, b) in enumerate(zip(got, want, strict=True)):
+        assert a.tokens == b.tokens, i
+        assert a.beam_trace == b.beam_trace, i
+        assert a.winning_beam == b.winning_beam, i
+        assert a.score == b.score, i
+        assert a.awd.values.tobytes() == b.awd.values.tobytes(), i
+    lengths = [len(result.beam_trace) for result in got]
+    if mode == "sentence":  # an earlier set of the group ended before a later one
+        assert any(a < b for a, b in zip(lengths, lengths[1:])), lengths
+    else:
+        assert min(lengths) >= 16, lengths
+
+
+def random_stack(rng, sets, L, pads):
+    """``sets`` graphs of L units, the last ``pads[i]`` of graph i padded."""
+    graphs = []
+    for pad in pads[:sets]:
+        w = np.triu(rng.choice([0.0, 0.25, rng.random()], size=(L, L)), k=1)
+        w = w + w.T
+        np.fill_diagonal(w, 1.0)
+        w[L - pad:], w[:, L - pad:] = 0.0, 0.0
+        graphs.append(SimilarityGraph(size=L, weights=w))
+    return graphs
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), sets=st.integers(1, 3), heads=st.sampled_from([1, 2, 4]),
+       d_head=st.integers(1, 3), layers=st.integers(1, 2), p=st.integers(1, 4),
+       L=st.integers(1, 7), pads=st.lists(st.integers(0, 6), min_size=3, max_size=3),
+       sigma=st.sampled_from([0.3, 1.0, 4.0]), shift_form=st.sampled_from(SHIFT_FORMS),
+       kept=st.lists(st.booleans(), min_size=3, max_size=3))
+def test_cores_and_group_arrays_equal_the_public_primitives_bitwise(
+        seed, sets, heads, d_head, layers, p, L, pads, sigma, shift_form, kept):
+    """On valid stacks every private core, fed the per-group arrays of
+    ``_prepare``, gives the bits of its public function and of the
+    primitive's maths written inline (``(q @ kᵀ) / sqrt(d_head)``, the
+    masked form ``np.where(pad, -inf, e - shift)``), and a group that
+    drops sets holds the arrays a fresh ``_prepare`` of the kept sets
+    builds.
+    """
+    rng = np.random.default_rng(seed)
+    d = heads * d_head
+    cfg = ao.ModelConfig(d_model=d, num_layers=layers, num_heads=heads, sigma=sigma,
+                         vocab_size=5, num_units=L, max_len=2, shift_form=shift_form)
+    weights = ao.make_synthetic_weights(seed % 1000, cfg)
+    graphs = random_stack(rng, sets, L, [min(pad, L - 1) for pad in pads])
+    encoded = rng.normal(size=(sets, L, d))
+    for graph, units in zip(graphs, encoded):
+        units[graph.unit_pad] = 0.0
+    group = _prepare(encoded, graphs, weights)
+    stack = stack_graphs(graphs)
+    y = rng.normal(scale=2.0, size=(sets * p, d))
+    ffn = (weights.cp_w1[0], weights.cp_b1[0], weights.cp_w2[0], weights.cp_b2[0])
+
+    s = ao.graphattn._central_paragraph(y, ffn, L)
+    assert s.tobytes() == ao.central_paragraph(y, ffn, L).tobytes()
+    s = s.reshape(sets, 1, p)
+    for layer in range(layers):
+        ys = y.reshape(sets, 1, p, d)
+        e = ao.graphattn._attention_logits(ys, weights.w_q[layer], group.keys[layer])
+        public = ao.unscaled_attention(ys, encoded[:, None], weights.w_q[layer],
+                                       weights.w_k[layer])
+        k = encoded[:, None] @ weights.w_k[layer]
+        inline = ((ys @ weights.w_q[layer]) @ np.swapaxes(k, -1, -2)) / math.sqrt(d_head)
+        assert e.tobytes() == public.tobytes() == inline.tobytes()
+        beta = ao.graphattn._shifted_attention(e, group.shift[s + group.offsets])
+        public = ao.graph_shifted_attention(e, stack, s, sigma, shift_form)
+        rows = np.stack([graph.weights[s_g[0]] for graph, s_g in zip(graphs, s)])[:, None]
+        shift = ao.graphattn._graph_shift(rows, sigma, shift_form)
+        masked = _softmax(np.where(stack.unit_pad[..., None, :], -np.inf, e - shift))
+        assert beta.tobytes() == public.tobytes() == masked.tobytes()
+        context = ao.graphattn._global_context(beta, group.x)
+        assert context.tobytes() == ao.global_context(beta, encoded[:, None]).tobytes()
+
+    mask = np.array(kept[:sets])
+    if mask.any():
+        kept_group = group.keep(mask)
+        fresh = _prepare(encoded[mask], [g for g, k in zip(graphs, mask) if k], weights)
+        assert kept_group.x.tobytes() == fresh.x.tobytes()
+        assert kept_group.keys.tobytes() == fresh.keys.tobytes()
+        s_kept = s[mask]
+        assert (kept_group.shift[s_kept + kept_group.offsets].tobytes()
+                == fresh.shift[s_kept + fresh.offsets].tobytes())
+
+
+def test_decode_block_rejects_nonfinite_units(monkeypatch):
+    """A non-finite state raises ValueError from the kernel's one check per
+    call, and beam search then yields no result."""
+    rng = np.random.default_rng(9)
+    inputs = [random_unitized(rng, set_id=f"s{i}") for i in range(2)]
+    graphs = [ao.build_graph(inp) for inp in inputs]
+    vocab = ao.graphattn.build_vocab(t for inp in inputs for u in inp.units for t in u.tokens)
+    cfg = ao.ModelConfig(d_model=16, num_layers=2, num_heads=2, vocab_size=len(vocab),
+                         num_units=6, max_len=4)
+    weights = ao.make_synthetic_weights(2, cfg, vocab=vocab)
+    encoded = np.stack([encode_units(inp, weights, g) for inp, g in zip(inputs, graphs)])
+    ids = np.full((2, 1, 1), weights.bos_id)
+    cache = np.empty((2, weights.config.num_layers, 2, 1, 1, weights.config.d_model))
+    _decode_block(ids, 0, cache, _prepare(encoded, graphs, weights), weights)
+    encoded[1, 0, 3] = np.inf
+    # numpy flags the invalid arithmetic on the way; the kernel's error is the one that counts
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        _decode_block(ids, 0, cache, _prepare(encoded, graphs, weights), weights)
+    monkeypatch.setattr(ao.graphattn, "encode_units",
+                        lambda inp, weights, graph: np.full((inp.L, weights.config.d_model),
+                                                            np.inf))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        next(ao.graphattn.generate_sets(inputs, weights, graphs))
 
 
 def test_decode_step_deterministic(two_doc_input):
@@ -915,9 +1128,9 @@ def spy_on_kernel(monkeypatch):
     calls = []
     kernel = ao.graphattn._decode_block
 
-    def spy(ids, start, cache, x, weights, graphs):
-        calls.append((ids.shape[0], ids.shape[1], x.shape[1], start))
-        return kernel(ids, start, cache, x, weights, graphs)
+    def spy(ids, start, cache, group, weights):
+        calls.append((ids.shape[0], ids.shape[1], group.x.shape[-2], start))
+        return kernel(ids, start, cache, group, weights)
 
     monkeypatch.setattr(ao.graphattn, "_decode_block", spy)
     return calls

@@ -122,6 +122,26 @@ def test_reference_metric_bit_identical_to_cell_loop(mode):
         assert got.tobytes() == cell_loop_reference_metric(summary, inp).tobytes()
 
 
+@settings(max_examples=40)
+@given(sentences=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       summary=st.lists(st.lists(st.integers(0, 5), max_size=8), max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_reference_metric_sums_many_sentences_per_unit_like_the_cell_loop(
+        sentences, summary, seed):
+    """Paragraphs of up to six sentences: each cell adds up to six scores,
+    in sentence order, to the same bits as the cell loop."""
+    rng = np.random.default_rng(seed)
+
+    def sentence():
+        return " ".join(f"w{rng.integers(0, 6)}" for _ in range(rng.integers(1, 6))) + "."
+
+    docs = [[" ".join(sentence() for _ in range(n)) for n in sentences]]
+    inp = ao.unitize(make_docset("s", docs), "paragraph", L=len(sentences) + 1, T=40)
+    summary = [[f"w{i}" for i in words] for words in summary]
+    assert np.array_equal(ao.reference_metric(summary, inp).values,
+                          cell_loop_reference_metric(summary, inp))
+
+
 # ---------------------------------------------------------------------------
 # pearson
 # ---------------------------------------------------------------------------
