@@ -337,7 +337,12 @@ def cmd_generate(opts: dict[str, Any]) -> int:
     results = graphattn.generate_sets([record.unitized for record in records], weights, graphs,
                                       gen)
     for record in records:
-        result = next(results)
+        try:
+            result = next(results)
+        except ValueError as exc:  # a non-finite decoder state carries its set's position
+            if len(exc.args) != 2:
+                raise
+            raise ValueError(f"set {records[exc.args[1]].set_id!r}: {exc.args[0]}") from None
         summary = awdmod.SummaryRecord(record.set_id, result.tokens, result.beam_trace,
                                        result.winning_beam)
         awdmod.write_summary(summary, summary_path(out_dir, record.set_id))

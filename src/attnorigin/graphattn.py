@@ -309,8 +309,7 @@ def sinusoidal_positions(rows: int, d_model: int) -> np.ndarray:
     pos = np.arange(rows, dtype=np.float64)[:, None]
     dim = np.arange(d_model, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, (2.0 * np.floor(dim / 2.0)) / d_model)
-    enc = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
-    return enc
+    return np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +575,8 @@ def _decode_block(
     over the cache, the central-unit FFN, graph attention over every set,
     row and head, then a position-wise feed-forward, all with residual
     connections. Returns the last position's (G, n, V) logits and
-    (G, n, layers, heads, L) betas; raises if either is not finite, which
-    a non-finite state in any layer makes them.
+    (G, n, layers, heads, L) betas. A non-finite state in any layer makes
+    them non-finite: raises ``ValueError(message, g)``, g the first such set.
     """
     cfg = weights.config
     (sets, n, q), end, L = ids.shape, start + ids.shape[2], group.x.shape[-2]
@@ -593,8 +592,9 @@ def _decode_block(
         betas[:, :, layer] = beta.reshape(sets, -1, n, q, L)[..., -1, :].transpose(0, 2, 1, 3)
         h = _position_ffn(h, layer, weights)
     logits = _vocab_projection(h.reshape(sets, n, q, -1)[:, :, -1], weights)
-    if not (np.isfinite(logits).all() and np.isfinite(betas).all()):
-        raise ValueError("non-finite decoder state")
+    finite = np.isfinite(logits).all(axis=(1, 2)) & np.isfinite(betas).all(axis=(1, 2, 3, 4))
+    if not finite.all():
+        raise ValueError("non-finite decoder state", int(np.argmin(finite)))
     return logits, betas
 
 
@@ -661,21 +661,24 @@ def generate_sets(
     consecutive sets with the same unit count L. The options, the end
     markers and the graph sizes are checked before anything is decoded.
 
-    Each step is one ``_decode_block`` call that feeds every live
-    hypothesis of the group its last token; the cache rows then follow
-    the chosen parents. Hypotheses are ranked by log-probability divided
-    by length to the power of the length penalty. Each step fills one
-    (slots, 1 + V) score grid per set: column 0 keeps a finished
-    hypothesis at its frozen score, column 1 + v extends a live one by
-    token v, and every other cell is -inf. The best ``beam_size`` cells
-    of a stable sort of the flattened grid are the next beams, so equal
-    scores go to the lower slot, then the lower column. A finished
-    slot's recorded tensor slices carry its last real distribution
-    forward, which keeps the tensor rectangular (those slices fall
-    outside the winner's length and are never consumed). While there
-    are fewer hypotheses n than beam slots, slot k records a copy of
-    slot k mod n. A set leaves the group's decoding when every beam has
-    finished.
+    Each step is one ``_decode_block`` call over every decoding set's
+    leading slots, as many as the fullest set holds hypotheses: kernel
+    and cache row j of a set are its beam slot j, which first takes a
+    copy of its parent slot's cache. A finished slot rides along until
+    its set ends; only a live slot's outputs are kept. Hypotheses are
+    ranked by log-probability divided by length to the power of the
+    length penalty. Each step fills one (slots, 1 + V) score grid per
+    set: column 0 keeps a finished hypothesis at its frozen score,
+    column 1 + v extends a live one by token v, and every other cell is
+    -inf. The best ``beam_size`` cells of a stable sort of the flattened
+    grid are the next beams, so equal scores go to the lower slot, then
+    the lower column. A finished slot's recorded tensor slices carry its
+    last real distribution forward, which keeps the tensor rectangular
+    (those slices fall outside the winner's length and are never
+    consumed). While there are fewer hypotheses n than beam slots, slot
+    k records a copy of slot k mod n. A set leaves the group's decoding
+    when every beam has finished. A non-finite decoder state raises
+    ``ValueError(message, i)``, i the position of its first set.
     """
     inputs, graphs = list(inputs), list(graphs)
     if len(inputs) != len(graphs):
@@ -696,62 +699,51 @@ def _generate_groups(inputs, weights, graphs, gen, max_steps):
         end = start + 1
         while end < min(start + size, len(inputs)) and inputs[end].L == inputs[start].L:
             end += 1
-        yield from _beam_search(inputs[start:end], weights, graphs[start:end], gen, max_steps)
+        yield from _beam_search(inputs[start:end], weights, graphs[start:end], gen, max_steps,
+                                start)
         start = end
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow shows as the kernel's one error
 def _beam_search(
     inputs: list[UnitizedInput], weights: DecoderWeights, graphs: list[SimilarityGraph],
-    gen: GenerationConfig, max_steps: int,
+    gen: GenerationConfig, max_steps: int, first: int,
 ) -> list[GenerationResult]:
-    """Beam search over one group of sets, all advanced by each kernel call."""
+    """Beam search over the group of sets from position ``first`` of the file on."""
     cfg = weights.config
-    eos = weights.eos_id
     banned_cols = [1 + weights.pad_id, 1 + weights.bos_id]
     G, bs, V = len(inputs), gen.beam_size, cfg.vocab_size
     encoded = np.stack([encode_units(inp, weights, graph) for inp, graph in zip(inputs, graphs)])
     group = _prepare(encoded, graphs, weights)  # of the sets still decoding
-    # Self-attention keys and values: the kernel's (sets, n) rows, set by set.
-    cache = np.empty((2, cfg.num_layers, G * bs, max_steps, cfg.d_model))
+    # Self-attention keys and values by decoding set and slot (zeros: an empty slot stays finite).
+    cache = np.zeros((2, cfg.num_layers, G, bs, max_steps, cfg.d_model))
     awd = np.empty((G, bs, max_steps, cfg.num_layers, cfg.num_heads, inputs[0].L),
                    dtype=np.float32)
     # Per set and slot: <bos> and the token ids (-1 pads a finished slot), log-probability,
-    # normalized score, whether it ended, its parent slot and its cache row.
+    # normalized score, whether it ended and its parent slot.
     seqs = np.full((G, bs, 1 + max_steps), weights.bos_id)
     logprobs, scores = np.zeros((G, bs)), np.zeros((G, bs))
     finished = np.zeros((G, bs), dtype=bool)
     parents = np.zeros((G, bs), dtype=np.int64)
-    cache_rows = np.zeros((G, bs), dtype=np.int64)
-    counts = np.ones(G, dtype=np.int64)  # hypotheses per set
+    counts = np.ones(G, dtype=np.int64)  # hypotheses per set, in its leading slots
     traces = np.zeros((G, max_steps, bs), dtype=np.int64)
     steps = np.full(G, max_steps)
     sets = np.arange(G)  # the sets still decoding
     slots = np.arange(bs)
 
     for step in range(max_steps):
-        a = len(sets)
+        a, n = len(sets), counts[sets].max()
         valid = slots < counts[sets, None]
-        live = valid & ~finished[sets]
-        live_counts = live.sum(axis=1)
-        n = live_counts.max()
-        # Kernel row j of a set holds its j-th live slot; a set with fewer
-        # live slots repeats its first, and those rows are discarded.
-        real = slots[:n] < live_counts[:, None]
-        row_slots = np.argsort(~live, axis=1, kind="stable")[:, :n]
-        row_slots = np.where(real, row_slots, row_slots[:, :1])
-        # Each live hypothesis takes its (live) parent's cache row.
-        rows = cache_rows[sets[:, None], parents[sets[:, None], row_slots]].ravel()
-        if step and not np.array_equal(rows, np.arange(a * n)):
-            for kv in cache.reshape(-1, G * bs, max_steps, cfg.d_model):
-                kv[:a * n, :step] = kv[rows, :step]
-        rg, rj = np.nonzero(real)
-        g, live_slots = sets[rg], row_slots[rg, rj]
-        cache_rows[g, live_slots] = rg * n + rj
-        block = cache[:, :, :a * n].reshape(2, cfg.num_layers, a, n, max_steps, cfg.d_model)
-        logits, betas = _decode_block(seqs[sets[:, None], row_slots, step, None], step, block,
-                                      group, weights)
-        logits = logits[rg, rj]
-        awd[g, live_slots, step] = betas[rg, rj]
+        # Kernel row j of a set is its slot j, which takes its parent slot's cache.
+        parent_rows = parents[sets, :n]
+        if (parent_rows != slots[:n]).any():
+            cache[:, :, :a, :n, :step] = cache[:, :, np.arange(a)[:, None], parent_rows, :step]
+        try:
+            logits, betas = _decode_block(seqs[sets, :n, step, None], step,
+                                          cache[:, :, :a, :n], group, weights)
+        except ValueError as exc:  # the kernel names the set by its row
+            raise ValueError(exc.args[0], first + int(sets[exc.args[1]])) from None
+        awd[sets, :n, step] = betas  # a finished or empty slot's slice is replaced below
         fg, fj = np.nonzero(valid & finished[sets])
         awd[sets[fg], fj, step] = awd[sets[fg], parents[sets[fg], fj], step - 1]
         eg, ej = np.nonzero(~valid)
@@ -759,7 +751,8 @@ def _beam_search(
 
         totals = np.full((a, bs, 1 + V), -np.inf)  # log-probability of each grid cell
         totals[:, :, 0] = logprobs[sets]
-        totals[rg, live_slots, 1:] = logprobs[g, live_slots, None] + _log_softmax(logits)
+        totals[:, :n, 1:] = logprobs[sets, :n, None] + _log_softmax(logits)
+        totals[~valid | finished[sets], 1:] = -np.inf  # all but the live slots
         totals[:, :, banned_cols] = -np.inf
         frozen = np.where(valid & finished[sets], scores[sets], -np.inf)
         grid = np.concatenate([frozen[..., None], _normalized(totals[..., 1:], step + 1,
@@ -771,7 +764,7 @@ def _beam_search(
         seqs[g, ranks, step + 1] = cols - 1
         logprobs[g, ranks] = totals[picked, parent_slots, cols]
         scores[g, ranks] = grid[picked, parent_slots, cols]
-        finished[g, ranks] = (cols == 0) | (cols == 1 + eos)
+        finished[g, ranks] = (cols == 0) | (cols == 1 + weights.eos_id)
         parents[g, ranks] = parent_slots
         traces[g, step, ranks] = parent_slots
         counts[sets] = np.bincount(picked, minlength=a)
@@ -782,6 +775,7 @@ def _beam_search(
             if not len(sets):
                 break
             group = group.keep(~ended)
+            cache = cache[:, :, ~ended]
 
     results = []
     for g in range(G):

@@ -339,6 +339,34 @@ def test_generate_rejects_more_units_than_model_positions(tmp_path, capsys):
     assert line == "error: set 'set0': 4 units exceed the model's 3 positions"
 
 
+@pytest.mark.parametrize("scaled, flags, set_id", [
+    ("all", ["--beam-size", "4"], "set0"),
+    ("set1", ["--beam-size", "2"], "set1"),  # both sets in one kernel call: set1's is row 1
+    # set1's own group, after set0's files: one step, so set0 never feeds set1's tokens back
+    ("set1", ["--beam-size", "4", "--max-len", "1"], "set1"),
+])
+def test_generate_names_the_set_whose_decoder_state_overflows(tmp_path, capsys, scaled,
+                                                              flags, set_id):
+    """Finite weights whose products overflow give one error line naming the
+    set, no numpy warnings, and leave numpy's error state as it was."""
+    units = graphs_only(tmp_path)
+    records = ao.read_unitized(units)
+    weights = ao.read_weights(small_weights_file(tmp_path, records))
+    tokens = [{t for u in r.unitized.units for t in u.tokens} for r in records]
+    rows = slice(None) if scaled == "all" else [weights.token_id(t) for t in tokens[1] - tokens[0]]
+    weights.embedding[rows] *= 1e200
+    wpath = tmp_path / "overflow.json"
+    ao.write_weights(weights, wpath)
+    errstate = np.geterr()
+    capsys.readouterr()
+    code = main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
+                 "--out", str(tmp_path / "gen"), "--weights", str(wpath)] + flags)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: set '{set_id}': non-finite decoder state"]
+    assert np.geterr() == errstate
+
+
 @pytest.mark.parametrize("option, value", [
     ("d_model", "16"), ("num_layers", "4"), ("num_heads", "2"), ("model_max_len", "8"),
 ])

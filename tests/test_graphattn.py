@@ -1124,12 +1124,13 @@ def test_beam_requires_eos_in_vocab(two_doc_input):
 # ---------------------------------------------------------------------------
 
 def spy_on_kernel(monkeypatch):
-    """Record (sets, rows per set, L) of every ``_decode_block`` call."""
+    """Record (sets, rows per set, L, start, last token of each row) of every
+    ``_decode_block`` call."""
     calls = []
     kernel = ao.graphattn._decode_block
 
     def spy(ids, start, cache, group, weights):
-        calls.append((ids.shape[0], ids.shape[1], group.x.shape[-2], start))
+        calls.append((ids.shape[0], ids.shape[1], group.x.shape[-2], start, ids[..., -1]))
         return kernel(ids, start, cache, group, weights)
 
     monkeypatch.setattr(ao.graphattn, "_decode_block", spy)
@@ -1152,6 +1153,11 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
     consecutive sets of one L: beam 1 cuts the six 6-unit sets at four
     and the change to 7 units splits a group. Scaled-up output weights
     end some sets early with <eos> while the rest of their group runs on.
+
+    A kernel row is a beam slot: a group's first call has one row per
+    set, and every later call one per hypothesis, ``beam`` of them, since
+    each hypothesis has more allowed tokens than ``beam``. A finished
+    slot rides along until its set ends, fed <eos> or -1.
     """
     rng = np.random.default_rng(77)
     inputs, graphs = mixed_file(rng)
@@ -1161,8 +1167,10 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
                          num_units=7, max_len=6)
     weights = ao.make_synthetic_weights(1, cfg, vocab=vocab)
     weights.w_out = weights.w_out * 4.0
+    assert len(vocab) - 2 > 5  # tokens but <pad> and <bos>, against the largest beam
     groups = {1: [4, 2, 3, 2], 2: [2, 2, 2, 2, 1, 2]}
     ran_on = 0  # groups in which one set ended with <eos> before another
+    carried = 0  # multi-set calls with a finished slot's row
     for beam in range(1, 6):
         gen = ao.GenerationConfig(beam_size=beam, max_len=6, length_penalty=0.6)
         calls = spy_on_kernel(monkeypatch)
@@ -1176,8 +1184,12 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
             assert result.winning_beam == want.winning_beam, (beam, i)
             assert abs(result.score - want.score) <= 1e-12, (beam, i)
             assert result.awd.values.tobytes() == want.awd.values.tobytes(), (beam, i)
-        assert max(sets * rows for sets, rows, _, _ in calls) <= max(4, beam)
-        sizes = [sets for sets, _, _, start in calls if start == 0]
+        assert max(sets * rows for sets, rows, *_ in calls) <= max(4, beam)
+        assert [rows for _, rows, _, start, _ in calls] == [
+            1 if start == 0 else beam for _, _, _, start, _ in calls], beam
+        carried += sum(sets > 1 and np.isin(last, [weights.eos_id, -1]).any()
+                       for sets, _, _, _, last in calls)
+        sizes = [sets for sets, _, _, start, _ in calls if start == 0]
         assert sizes == groups.get(beam, [1] * len(inputs)), beam
         start = 0
         for size in sizes:
@@ -1185,6 +1197,7 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
             ran_on += len(set(lengths)) > 1
             start += size
     assert ran_on >= 5, ran_on
+    assert carried >= 1, carried
 
 
 def test_lockstep_beam_one_makes_one_call_per_group_step(monkeypatch):
@@ -1202,7 +1215,7 @@ def test_lockstep_beam_one_makes_one_call_per_group_step(monkeypatch):
                                               ao.GenerationConfig(beam_size=1, max_len=8)))
     assert [result.tokens for result in results] == [[4] * 8] * 24
     assert len(calls) == 48
-    assert all((sets, rows) == (4, 1) for sets, rows, _, _ in calls)
+    assert all((sets, rows) == (4, 1) for sets, rows, *_ in calls)
 
 
 def test_generate_sets_checks_every_input_before_decoding(two_doc_input, monkeypatch):
