@@ -15,8 +15,8 @@ from attnorigin.origin import (
     SummaryAnalysis,
     doc_positions_from_boundaries,
 )
-from attnorigin.rouge import rouge_triple
 from conftest import make_docset
+from test_rouge import dp_lcs_length, oracle_clipped_ngram_counts, scalar_scores
 
 
 def metric_from_matrix(matrix):
@@ -88,7 +88,8 @@ def test_reference_rejects_all_pad_input():
 
 
 def cell_loop_reference_metric(summary_sentences, inp):
-    """The reference metric as one rouge_triple call per (sentence, unit sentence) cell."""
+    """The reference metric cell by cell: each (sentence, unit sentence) pair scored
+    from the list-scanning and dynamic-programme oracles, independently of ``rouge``."""
     unit_sentences = [
         [] if unit.is_pad else [ao.tokenize(s) for s in ao.split_sentences(unit.original_text)]
         for unit in inp.units
@@ -97,8 +98,10 @@ def cell_loop_reference_metric(summary_sentences, inp):
     for i, sentence in enumerate(summary_sentences):
         for j, refs in enumerate(unit_sentences):
             for ref in refs:
-                t = rouge_triple(sentence, ref)
-                values[i, j] += [(s.precision, s.recall, s.f1) for s in (t.r1, t.r2, t.rl)]
+                counts = [oracle_clipped_ngram_counts(sentence, ref, 1),
+                          oracle_clipped_ngram_counts(sentence, ref, 2),
+                          (dp_lcs_length(sentence, ref), len(sentence), len(ref))]
+                values[i, j] += [scalar_scores(*row) for row in counts]
     counts = np.array([max(len(refs), 1) for refs in unit_sentences], dtype=np.float64)
     return values / counts[:, None, None]
 

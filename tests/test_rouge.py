@@ -1,9 +1,14 @@
 """Tests for ROUGE scores, with independent brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import attnorigin as ao
+from attnorigin import rouge
 from attnorigin.rouge import lcs_length, rouge_counts, rouge_triple, scores_from_counts
 
 
@@ -57,6 +62,13 @@ def scalar_scores(matches, candidate_total, reference_total):
     r = matches / reference_total if reference_total else 0.0
     f = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
     return p, r, f
+
+
+def oracle_counts(candidates, references):
+    """The int64 (C, R, 3, 3) counts of ``rouge_counts``, one oracle call per pair."""
+    return np.array([[[oracle_clipped_ngram_counts(c, r, 1), oracle_clipped_ngram_counts(c, r, 2),
+                       (dp_lcs_length(c, r), len(c), len(r))] for r in references]
+                     for c in candidates], dtype=np.int64).reshape(len(candidates), len(references), 3, 3)
 
 
 def random_tokens(rng, max_len=8, alphabet=4):
@@ -193,15 +205,78 @@ def test_rouge_counts_match_oracles():
     refs = [random_tokens(rng, max_len=12, alphabet=5) for _ in range(11)] + [[]]
     counts = rouge_counts(cands, refs)
     assert counts.dtype == np.int64 and counts.shape == (10, 12, 3, 3)
+    assert counts.tolist() == oracle_counts(cands, refs).tolist()
     for i, cand in enumerate(cands):
         for j, ref in enumerate(refs):
-            expected = [oracle_clipped_ngram_counts(cand, ref, 1),
-                        oracle_clipped_ngram_counts(cand, ref, 2),
-                        (dp_lcs_length(cand, ref), len(cand), len(ref))]
-            assert counts[i, j].tolist() == [list(row) for row in expected]
             triple = rouge_triple(cand, ref)
             got = [(s.precision, s.recall, s.f1) for s in (triple.r1, triple.r2, triple.rl)]
-            assert got == [scalar_scores(*row) for row in expected]
+            assert got == [scalar_scores(*row) for row in counts[i, j].tolist()]
+
+
+def word_lists(ids):
+    return [[f"w{i}" for i in seq] for seq in ids]
+
+
+# Lengths at the uint64 word edges of the LCS state: 63, 64 and 65 bits, two words, just over two.
+EDGES = (63, 64, 65, 128, 129)
+
+
+def id_lists(words):
+    """Up to six id sequences of 0-200 tokens over ``words`` words; the length is
+    drawn first, since list sizes drawn by hypothesis rarely pass one uint64 word."""
+    sequence = st.integers(0, 200).flatmap(
+        lambda n: st.lists(st.integers(0, words - 1), min_size=n, max_size=n))
+    return st.lists(sequence, max_size=6)
+
+
+# Candidates use words 0 to words - 1; word ``words`` occurs only in references.
+@settings(max_examples=40)
+@given(st.integers(1, 6).flatmap(lambda words: st.tuples(id_lists(words), id_lists(words + 1))))
+@example(([[i % 3 for i in range(n)] for n in EDGES] + [[]],
+          [[i * 7 % 4 for i in range(n)] for n in EDGES[::-1]] + [[]]))
+@example(([[3] * 64, [0, 1] * 32], [[3] * 65, [1, 0] * 64 + [1]]))
+@example(([[]], [[]]))
+@example(([], [[0] * 64]))
+@example(([[0] * 65], []))
+def test_rouge_counts_match_oracles_up_to_200_tokens(sides):
+    cands, refs = word_lists(sides[0]), word_lists(sides[1])
+    counts = rouge_counts(cands, refs)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, oracle_counts(cands, refs))
+    for cand, ref in zip(cands[:1], refs[:1]):  # rouge_n reads the same n-gram counter
+        for n in (3, 4):
+            assert ao.rouge_n(cand, ref, n) == ao.RougeScore.from_counts(
+                *oracle_clipped_ngram_counts(cand, ref, n))
+
+
+def test_rouge_counts_same_array_in_one_candidate_chunks(monkeypatch):
+    rng = np.random.default_rng(53)
+    cands = [random_tokens(rng, max_len=int(rng.choice([6, 70, 200])), alphabet=5) for _ in range(7)]
+    refs = [random_tokens(rng, max_len=int(rng.choice([6, 70, 200])), alphabet=6) for _ in range(9)]
+    expected = rouge_counts(cands, refs)
+    monkeypatch.setattr(rouge, "_CHUNK_ELEMENTS", 1)
+    assert len(list(rouge._chunks([len(c) for c in cands], len(refs), 1))) == len(cands)
+    assert np.array_equal(rouge_counts(cands, refs), expected)
+
+
+def test_rouge_counts_memory_stays_bounded():
+    """64 candidates of 128 distinct words against 128 references of 100 of those
+    words: one unchunked (C, R, V) int64 block would take 64 * 128 * 8192 * 8 bytes
+    (512 MiB). numpy reports its buffers to tracemalloc."""
+    rng = np.random.default_rng(59)
+    cands = [[f"w{c * 128 + i}" for i in range(128)] for c in range(64)]
+    ids = rng.integers(0, 64 * 128, size=(128, 100))
+    refs = word_lists(ids)
+    tracemalloc.start()
+    try:
+        counts = rouge_counts(cands, refs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # each candidate word once, so a ROUGE-1 match is a distinct reference word in its range
+    owners = [np.bincount(np.unique(row) // 128, minlength=64) for row in ids]
+    assert np.array_equal(counts[:, :, 0, 0], np.array(owners).T)
 
 
 def test_rouge_counts_empty_sides():
