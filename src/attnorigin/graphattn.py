@@ -9,8 +9,9 @@ Each exported primitive checks its inputs and then runs a private core;
 the kernel runs the cores on arrays built once per lockstep group (each
 layer's unit keys and every graph row's shift, +inf on pad units) and
 checks its logits and betas once per call. Beam search runs consecutive
-sets of a file in lockstep groups of GROUP_HYPOTHESES hypotheses at
-most, or one set when its beam is wider. Every step records the
+sets of a file in lockstep groups of at most GROUP_HYPOTHESES hypotheses
+and GROUP_SETS sets, or one set when its beam is wider, and reorders the
+beam cache in place between steps. Every step records the
 resulting attention distribution (one probability vector over units per
 layer and head), and beam search collects those vectors into a dense
 tensor per set indexed [beam][token][layer][head][unit] together with a
@@ -621,11 +622,13 @@ def decode_step(
 # Beam search
 # ---------------------------------------------------------------------------
 
-# The most hypotheses one lockstep group decodes: consecutive sets of the
-# same unit count, max(1, GROUP_HYPOTHESES // beam_size) of them. A
-# group's decode state is then never larger than one beam-4 set's,
+# A lockstep group holds consecutive sets of the same unit count,
+# min(GROUP_SETS, max(1, GROUP_HYPOTHESES // beam_size)) of them: up to 8
+# hypotheses unless one set's beam is wider, and never more than 4 sets.
+# A group's decode state is then never larger than two beam-4 sets',
 # however many sets the file holds.
-GROUP_HYPOTHESES = 4
+GROUP_HYPOTHESES = 8
+GROUP_SETS = 4
 
 
 def _normalized(logprob: np.ndarray, length: int, alpha: float) -> np.ndarray:
@@ -651,21 +654,56 @@ def _best_cells(grid: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return rows[keep], cols[keep], rank[keep]
 
 
+def _reorder_slots(cache: np.ndarray, parent_rows: np.ndarray, step: int) -> None:
+    """Make slot j of every set g a copy of its slot ``parent_rows[g, j]``, in place.
+
+    ``cache`` is (2, layers, G, slots, steps, d) and ``parent_rows`` (G, n);
+    positions [:step] move. The result equals the gather
+    ``cache[:, :, :, :n, :step] = cache[:, :, arange(G)[:, None], parent_rows, :step]``
+    byte for byte. A slot is overwritten only after every slot that copies
+    from it has been copied; when only cycles are left (a swap, say), one
+    slot's (2, layers, step, d) floats are held aside. Each copy goes one
+    (keys or values, layer) block at a time: a block's source and target
+    rows never overlap, so numpy makes no temporary.
+    """
+    blocks = [layer[..., :step, :] for kv in cache for layer in kv]  # (G, slots, step, d)
+
+    def copy(g, j, sources):  # a function, so no used aside outlives its copy
+        for block, source in zip(blocks, sources):
+            block[g, j] = source
+
+    for g, row in enumerate(parent_rows.tolist()):
+        moves = {j: p for j, p in enumerate(row) if p != j}  # target slot: source, -1 aside
+        while moves:
+            free = [j for j in moves if j not in moves.values()]
+            if not free:  # only cycles are left: hold one slot aside, read it last
+                j = next(iter(moves))
+                aside = [block[g, j].copy() for block in blocks]
+                moves[next(k for k, p in moves.items() if p == j)] = -1
+            for j in free:
+                p = moves.pop(j)
+                copy(g, j, aside if p < 0 else [block[g, p] for block in blocks])
+                if p < 0:
+                    aside = None
+
+
 def generate_sets(
     inputs, weights: DecoderWeights, graphs, gen: GenerationConfig = GenerationConfig(),
 ) -> Iterator[GenerationResult]:
     """Beam search over every set of a file, with a cached decoder recording attention.
 
     Yields one ``GenerationResult`` per set, in input order, one lockstep
-    group at a time: up to max(1, GROUP_HYPOTHESES // beam_size)
-    consecutive sets with the same unit count L. The options, the end
-    markers and the graph sizes are checked before anything is decoded.
+    group at a time: up to min(GROUP_SETS, max(1, GROUP_HYPOTHESES //
+    beam_size)) consecutive sets with the same unit count L. The options,
+    the end markers and the graph sizes are checked before anything is
+    decoded.
 
     Each step is one ``_decode_block`` call over every decoding set's
     leading slots, as many as the fullest set holds hypotheses: kernel
     and cache row j of a set are its beam slot j, which first takes a
-    copy of its parent slot's cache. A finished slot rides along until
-    its set ends; only a live slot's outputs are kept. Hypotheses are
+    copy of its parent slot's cache, in place (``_reorder_slots``). A
+    finished slot rides along until its set ends; only a live slot's
+    outputs are kept. Hypotheses are
     ranked by log-probability divided by length to the power of the
     length penalty. Each step fills one (slots, 1 + V) score grid per
     set: column 0 keeps a finished hypothesis at its frozen score,
@@ -693,7 +731,7 @@ def generate_sets(
 
 
 def _generate_groups(inputs, weights, graphs, gen, max_steps):
-    size = max(1, GROUP_HYPOTHESES // gen.beam_size)
+    size = min(GROUP_SETS, max(1, GROUP_HYPOTHESES // gen.beam_size))
     start = 0
     while start < len(inputs):
         end = start + 1
@@ -735,9 +773,7 @@ def _beam_search(
         a, n = len(sets), counts[sets].max()
         valid = slots < counts[sets, None]
         # Kernel row j of a set is its slot j, which takes its parent slot's cache.
-        parent_rows = parents[sets, :n]
-        if (parent_rows != slots[:n]).any():
-            cache[:, :, :a, :n, :step] = cache[:, :, np.arange(a)[:, None], parent_rows, :step]
+        _reorder_slots(cache, parents[sets, :n], step)
         try:
             logits, betas = _decode_block(seqs[sets, :n, step, None], step,
                                           cache[:, :, :a, :n], group, weights)

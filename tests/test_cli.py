@@ -297,7 +297,7 @@ def test_generate_checks_every_graph_before_writing(tmp_path, capsys):
 
 
 def test_generate_writes_each_group_before_decoding_the_next(tmp_path, monkeypatch):
-    """At beam 4 each set is its own lockstep group; set0's files precede set1's decoding."""
+    """At beam 5 each set is its own lockstep group; set0's files precede set1's decoding."""
     units = graphs_only(tmp_path)
     out = tmp_path / "gen"
     seen = []  # the output files present as each group starts decoding
@@ -309,7 +309,7 @@ def test_generate_writes_each_group_before_decoding_the_next(tmp_path, monkeypat
 
     monkeypatch.setattr(ao.graphattn, "_beam_search", spy)
     flags = list(GEN_FLAGS)
-    flags[3] = "4"  # beam size
+    flags[3] = "5"  # beam size
     assert main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
                  "--out", str(out)] + flags) == 0
     assert seen == [[], ["set0.awd", "set0.summary.json"]]

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -591,7 +592,7 @@ def random_sentence_set(rng, set_id, mode, L, T):
 
 
 @pytest.mark.parametrize("mode, L, T, num_sets, beam, max_len, eos_bump", [
-    ("paragraph", 30, 60, 2, 4, 32, 0.0),  # paragraph-beam4: one set per group
+    ("paragraph", 30, 60, 2, 4, 32, 0.0),  # paragraph-beam4: two sets in one group
     ("sentence", 60, 30, 4, 1, 8, 2.5),  # sentence-greedy: four sets in one group
 ])
 def test_beam_search_is_byte_identical_to_the_primitive_kernel(
@@ -1149,9 +1150,9 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
     """``generate_sets`` over a mixed file equals the per-set reference beam.
 
     Tokens, traces and winners are exact, scores within 1e-12 and AWD
-    bytes equal. At beam sizes 1-5 the groups hold max(1, 4 // beam)
-    consecutive sets of one L: beam 1 cuts the six 6-unit sets at four
-    and the change to 7 units splits a group. Scaled-up output weights
+    bytes equal. At beam sizes 1-5 the groups hold min(4, max(1, 8 // beam))
+    consecutive sets of one L: beams 1 and 2 cut the six 6-unit sets at
+    four and the change to 7 units splits a group. Scaled-up output weights
     end some sets early with <eos> while the rest of their group runs on.
 
     A kernel row is a beam slot: a group's first call has one row per
@@ -1168,7 +1169,7 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
     weights = ao.make_synthetic_weights(1, cfg, vocab=vocab)
     weights.w_out = weights.w_out * 4.0
     assert len(vocab) - 2 > 5  # tokens but <pad> and <bos>, against the largest beam
-    groups = {1: [4, 2, 3, 2], 2: [2, 2, 2, 2, 1, 2]}
+    groups = {1: [4, 2, 3, 2], 2: [4, 2, 3, 2], 3: [2, 2, 2, 2, 1, 2], 4: [2, 2, 2, 2, 1, 2]}
     ran_on = 0  # groups in which one set ended with <eos> before another
     carried = 0  # multi-set calls with a finished slot's row
     for beam in range(1, 6):
@@ -1184,7 +1185,8 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
             assert result.winning_beam == want.winning_beam, (beam, i)
             assert abs(result.score - want.score) <= 1e-12, (beam, i)
             assert result.awd.values.tobytes() == want.awd.values.tobytes(), (beam, i)
-        assert max(sets * rows for sets, rows, *_ in calls) <= max(4, beam)
+        assert max(sets * rows for sets, rows, *_ in calls) <= max(8, beam)
+        assert max(sets for sets, *_ in calls) <= 4
         assert [rows for _, rows, _, start, _ in calls] == [
             1 if start == 0 else beam for _, _, _, start, _ in calls], beam
         carried += sum(sets > 1 and np.isin(last, [weights.eos_id, -1]).any()
@@ -1216,6 +1218,114 @@ def test_lockstep_beam_one_makes_one_call_per_group_step(monkeypatch):
     assert [result.tokens for result in results] == [[4] * 8] * 24
     assert len(calls) == 48
     assert all((sets, rows) == (4, 1) for sets, rows, *_ in calls)
+
+
+def bench_shape_pair(seed=16):
+    """Two paragraph sets (L 30, T 60, with pads) and seeded synthetic weights
+    at the benchmark's decoder shape: d 64, 8 layers, 8 heads, max_len 32."""
+    rng = np.random.default_rng(seed)
+    inputs = [random_sentence_set(rng, f"s{i}", "paragraph", 30, 60) for i in range(2)]
+    assert all(inp.unit_pad.any() for inp in inputs)
+    graphs = [ao.build_graph(inp) for inp in inputs]
+    vocab = ao.graphattn.build_vocab(t for inp in inputs for u in inp.units for t in u.tokens)
+    cfg = ao.ModelConfig(d_model=64, num_layers=8, num_heads=8, vocab_size=len(vocab),
+                         num_units=30, max_len=32)
+    return inputs, graphs, ao.make_synthetic_weights(2, cfg, vocab=vocab)
+
+
+def test_beam_four_pairs_two_sets_per_call(monkeypatch):
+    """At the benchmark's shape two beam-4 sets decode as one group: every call
+    carries both sets, one row each at step 0 and four after it. Each set's
+    tokens, trace, winner and score equal decoding it alone, and its AWD
+    float32 values are at most 1 ulp apart (the batched products may round
+    the last bit differently), compared as int32 views."""
+    inputs, graphs, weights = bench_shape_pair()
+    gen = ao.GenerationConfig(beam_size=4, max_len=32)
+    calls = spy_on_kernel(monkeypatch)
+    got = list(ao.graphattn.generate_sets(inputs, weights, graphs, gen))
+    monkeypatch.undo()
+    assert [(sets, rows, start) for sets, rows, _, start, _ in calls] == [
+        (2, 1 if start == 0 else 4, start) for start in range(32)]
+    for i, (inp, graph, result) in enumerate(zip(inputs, graphs, got, strict=True)):
+        alone = ao.generate_with_beam(inp, weights, graph, gen)
+        assert result.tokens == alone.tokens, i
+        assert result.beam_trace == alone.beam_trace, i
+        assert result.winning_beam == alone.winning_beam, i
+        assert result.score == alone.score, i
+        ulps = (result.awd.values.view(np.int32).astype(np.int64)
+                - alone.awd.values.view(np.int32))
+        assert np.abs(ulps).max() <= 1, i
+
+
+def gather_slots(cache, parent_rows, step):
+    """The whole-cache gather that ``_reorder_slots`` replaces."""
+    a, n = parent_rows.shape
+    cache[:, :, :a, :n, :step] = cache[:, :, np.arange(a)[:, None], parent_rows, :step]
+
+
+@pytest.mark.parametrize("parent_rows", [
+    [[0, 1, 2, 3]],  # identity
+    [[0, 0, 1, 2]],  # fan-out
+    [[1, 0, 3, 2], [0, 1, 3, 2]],  # swaps
+    [[1, 2, 0, 3], [2, 0, 1, 1]],  # 3-cycles, the second read by one more slot
+    [[3, 3, 0, 1], [1, 0, 0, 1]],  # fan-out from a slot on a cycle
+    [[2, 3], [1, 0]],  # sources past the decoding slots, then a swap
+], ids=["identity", "fan-out", "swaps", "3-cycles", "cycle-fan-out", "past-n"])
+def test_reorder_slots_equals_the_gather(parent_rows):
+    rng = np.random.default_rng(8)
+    cache = rng.normal(size=(2, 3, len(parent_rows), 4, 6, 5))
+    want = cache.copy()
+    gather_slots(want, np.array(parent_rows), 5)
+    ao.graphattn._reorder_slots(cache, np.array(parent_rows), 5)
+    assert cache.tobytes() == want.tobytes()
+
+
+def test_reorder_slots_equals_the_gather_on_random_parents():
+    """Random parent slots at beams 1-11, 1-3 sets, any slot count and step."""
+    rng = np.random.default_rng(9)
+    for beam, _ in itertools.product(range(1, 12), range(40)):
+        sets, n, step = rng.integers(1, 4), rng.integers(1, beam + 1), rng.integers(0, 7)
+        parent_rows = rng.integers(0, beam, size=(sets, n))
+        cache = rng.normal(size=(2, 2, sets, beam, 6, 3))
+        want = cache.copy()
+        gather_slots(want, parent_rows, step)
+        ao.graphattn._reorder_slots(cache, parent_rows, step)
+        assert cache.tobytes() == want.tobytes(), (beam, parent_rows.tolist(), step)
+
+
+def test_reorder_slots_holds_at_most_one_row_aside():
+    """Two sets each with swaps at the benchmark's cache shape, step 31: the
+    reorder allocates one slot's (2, layers, step, d) floats and small objects."""
+    cache = np.zeros((2, 8, 2, 4, 32, 64))
+    row = 2 * 8 * 31 * 64 * cache.itemsize
+    tracemalloc.start()
+    try:
+        ao.graphattn._reorder_slots(cache, np.array([[1, 0, 3, 2], [1, 2, 0, 3]]), 31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row <= peak <= row + 16 * 2**10
+
+
+def test_generate_sets_memory_is_the_group_state():
+    """The tracemalloc peak of two beam-4 sets at the benchmark's shape stays
+    within the group's cache, AWD tensor and unit keys plus 1 MiB (measured:
+    0.42 MiB; a whole-cache gather per step measured 1.7-2.1 MiB). The
+    weights are allocated before tracing starts."""
+    inputs, graphs, weights = bench_shape_pair()
+    cfg = weights.config
+    cache = 2 * cfg.num_layers * 2 * 4 * 32 * cfg.d_model * 8
+    awd = 2 * 4 * 32 * cfg.num_layers * cfg.num_heads * 30 * 4
+    keys = cfg.num_layers * 2 * 30 * cfg.d_model * 8
+    gen = ao.GenerationConfig(beam_size=4, max_len=32)
+    tracemalloc.start()
+    try:
+        results = list(ao.graphattn.generate_sets(inputs, weights, graphs, gen))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(result.beam_trace) for result in results] == [32, 32]
+    assert peak < cache + awd + keys + 2**20, peak
 
 
 def test_generate_sets_checks_every_input_before_decoding(two_doc_input, monkeypatch):
