@@ -74,6 +74,8 @@ class ModelConfig:
             )
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if 2.0 * self.sigma * self.sigma == 0:  # the graph shift's denominator
+            raise ValueError(f"sigma {self.sigma} is too small: 2 * sigma**2 underflows to 0")
         if self.shift_form not in SHIFT_FORMS:
             raise ValueError(f"shift_form must be one of {SHIFT_FORMS}")
 
@@ -236,12 +238,21 @@ class GenerationConfig:
             raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.max_len is not None and self.max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
+        if not math.isfinite(self.length_penalty):
+            raise ValueError(f"length_penalty must be finite, got {self.length_penalty}")
 
     def steps(self, model: ModelConfig) -> int:
         """Decoding steps against ``model``: ``max_len``, the model's when unset."""
         steps = model.max_len if self.max_len is None else self.max_len
         if steps > model.max_len:
             raise ValueError(f"max_len {steps} outside [1, {model.max_len}]")
+        try:  # a score is divided by length ** length_penalty, length 1 to steps
+            scale = float(steps) ** self.length_penalty
+        except OverflowError:
+            scale = 0.0
+        if scale == 0:
+            raise ValueError(f"length_penalty {self.length_penalty} makes "
+                             f"{steps} ** length_penalty overflow or underflow to 0")
         return steps
 
 
@@ -660,31 +671,18 @@ def _reorder_slots(cache: np.ndarray, parent_rows: np.ndarray, step: int) -> Non
     ``cache`` is (2, layers, G, slots, steps, d) and ``parent_rows`` (G, n);
     positions [:step] move. The result equals the gather
     ``cache[:, :, :, :n, :step] = cache[:, :, arange(G)[:, None], parent_rows, :step]``
-    byte for byte. A slot is overwritten only after every slot that copies
-    from it has been copied; when only cycles are left (a swap, say), one
-    slot's (2, layers, step, d) floats are held aside. Each copy goes one
-    (keys or values, layer) block at a time: a block's source and target
-    rows never overlap, so numpy makes no temporary.
+    byte for byte. Only the slots whose parent is another slot are copied,
+    one (keys or values, layer) block at a time: the gathered right side
+    is a temporary of the moved slots' prefixes in that block, so a cycle
+    such as a swap needs no ordering.
     """
-    blocks = [layer[..., :step, :] for kv in cache for layer in kv]  # (G, slots, step, d)
-
-    def copy(g, j, sources):  # a function, so no used aside outlives its copy
-        for block, source in zip(blocks, sources):
-            block[g, j] = source
-
-    for g, row in enumerate(parent_rows.tolist()):
-        moves = {j: p for j, p in enumerate(row) if p != j}  # target slot: source, -1 aside
-        while moves:
-            free = [j for j in moves if j not in moves.values()]
-            if not free:  # only cycles are left: hold one slot aside, read it last
-                j = next(iter(moves))
-                aside = [block[g, j].copy() for block in blocks]
-                moves[next(k for k, p in moves.items() if p == j)] = -1
-            for j in free:
-                p = moves.pop(j)
-                copy(g, j, aside if p < 0 else [block[g, p] for block in blocks])
-                if p < 0:
-                    aside = None
+    g, j = np.nonzero(parent_rows != np.arange(parent_rows.shape[1]))
+    if not len(g):
+        return
+    sources = parent_rows[g, j]
+    for kv in cache:
+        for block in kv:  # (G, slots, steps, d)
+            block[g, j, :step] = block[g, sources, :step]
 
 
 def generate_sets(
@@ -701,9 +699,9 @@ def generate_sets(
     Each step is one ``_decode_block`` call over every decoding set's
     leading slots, as many as the fullest set holds hypotheses: kernel
     and cache row j of a set are its beam slot j, which first takes a
-    copy of its parent slot's cache, in place (``_reorder_slots``). A
-    finished slot rides along until its set ends; only a live slot's
-    outputs are kept. Hypotheses are
+    copy of its parent slot's cache in place: ``_reorder_slots`` gathers
+    only the slots that move. A finished slot rides along until its set
+    ends; only a live slot's outputs are kept. Hypotheses are
     ranked by log-probability divided by length to the power of the
     length penalty. Each step fills one (slots, 1 + V) score grid per
     set: column 0 keeps a finished hypothesis at its frozen score,
@@ -870,6 +868,8 @@ def make_synthetic_weights(
 
     Parameters are drawn in ``_param_shapes`` order; positions stay sinusoidal.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     vocab = _checked_vocab(config, vocab)
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(config.d_model)

@@ -276,12 +276,24 @@ def test_generate_rejects_invalid_graph(tmp_path, capsys, cells, reason, set_id)
     ("--d-model", "0", "d_model must be >= 1, got 0"),
     ("--num-layers", "0", "num_layers must be >= 1, got 0"),
     ("--model-max-len", "0", "max_len must be >= 1, got 0"),
+    ("--length-penalty", "nan", "length_penalty must be finite, got nan"),
+    ("--length-penalty", "inf", "length_penalty must be finite, got inf"),
+    ("--length-penalty", "2000",
+     "length_penalty 2000.0 makes 5 ** length_penalty overflow or underflow to 0"),
+    ("--length-penalty", "-2000",
+     "length_penalty -2000.0 makes 5 ** length_penalty overflow or underflow to 0"),
+    ("--sigma", "1e-200", "sigma 1e-200 is too small: 2 * sigma**2 underflows to 0"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
 ], ids=["max-len-past-model", "max-len-zero", "beam-size-zero", "d-model-zero", "num-layers-zero",
-        "model-max-len-zero"])
+        "model-max-len-zero", "length-penalty-nan", "length-penalty-inf",
+        "length-penalty-overflow", "length-penalty-underflow", "sigma-underflow", "seed-negative"])
 def test_generate_rejects_generation_options(tmp_path, capsys, flag, value, message):
     units = graphs_only(tmp_path)
     flags = list(GEN_FLAGS)
-    flags[flags.index(flag) + 1] = value
+    if flag in flags:
+        flags[flags.index(flag) + 1] = value
+    else:
+        flags += [flag, value]
     assert generate_error(tmp_path, capsys, units, flags) == f"error: {message}"
 
 
@@ -430,6 +442,8 @@ def edit_json(change):
      "config sigma must be a number, not True"),
     (edit_json(lambda obj: obj["config"].update(sigma=float("nan"))),
      "sigma must be positive and finite, got nan"),
+    (edit_json(lambda obj: obj["config"].update(sigma=1e-200)),
+     "sigma 1e-200 is too small: 2 * sigma**2 underflows to 0"),
     (edit_json(lambda obj: obj["vocab"].__setitem__(-1, 17)),
      "vocab must be a list of distinct strings"),
     (edit_json(lambda obj: obj["vocab"].__setitem__(-1, obj["vocab"][-2])),
@@ -442,7 +456,7 @@ def edit_json(change):
     (edit_json(lambda obj: obj["params"]["cp_b2"].__setitem__(0, "0.5")),
      "cp_b2 must hold only JSON numbers, not '0.5'"),
 ], ids=["truncated", "not-object", "missing-key", "zero-heads", "indivisible", "wrong-shape",
-        "float-layers", "bool-heads", "bool-sigma", "nan-sigma", "int-vocab-entry",
+        "float-layers", "bool-heads", "bool-sigma", "nan-sigma", "tiny-sigma", "int-vocab-entry",
         "duplicate-vocab-entry", "zero-d-model", "zero-layers", "zero-max-len", "bool-param",
         "string-param"])
 def test_generate_rejects_malformed_weights_file(tmp_path, capsys, edit, needle):

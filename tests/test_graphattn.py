@@ -58,6 +58,10 @@ def test_config_validates_divisibility():
 def test_config_validates_sigma():
     with pytest.raises(ValueError, match="sigma"):
         ao.ModelConfig(d_model=8, num_heads=2, sigma=0.0)
+    with pytest.raises(ValueError, match=r"sigma 1e-200 is too small: 2 \* sigma\*\*2 underflows"):
+        ao.ModelConfig(d_model=8, num_heads=2, sigma=1e-200)
+    ao.ModelConfig(d_model=8, num_heads=2, sigma=1e-160)  # 2 * sigma**2 is subnormal, not 0
+    ao.ModelConfig(d_model=8, num_heads=2, sigma=1e200)  # the shift vanishes
 
 
 def test_config_d_head():
@@ -1107,6 +1111,14 @@ def test_generation_config_checks_and_resolves_steps(two_doc_input):
     assert ao.GenerationConfig(max_len=3).steps(model) == 3
     with pytest.raises(ValueError, match=r"max_len 6 outside \[1, 5\]"):
         ao.GenerationConfig(max_len=6).steps(model)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"length_penalty must be finite, got {alpha}"):
+            ao.GenerationConfig(length_penalty=alpha)
+    for alpha in (2000.0, -2000.0):  # 5.0 ** alpha overflows or underflows to 0
+        with pytest.raises(ValueError, match=f"length_penalty {alpha} makes 5 \\*\\* "):
+            ao.GenerationConfig(length_penalty=alpha).steps(model)
+    assert ao.GenerationConfig(max_len=1, length_penalty=2000.0).steps(model) == 1
+    assert ao.GenerationConfig(length_penalty=400.0).steps(model) == 5
 
 
 def test_beam_requires_eos_in_vocab(two_doc_input):
@@ -1293,18 +1305,24 @@ def test_reorder_slots_equals_the_gather_on_random_parents():
         assert cache.tobytes() == want.tobytes(), (beam, parent_rows.tolist(), step)
 
 
-def test_reorder_slots_holds_at_most_one_row_aside():
-    """Two sets each with swaps at the benchmark's cache shape, step 31: the
-    reorder allocates one slot's (2, layers, step, d) floats and small objects."""
+@pytest.mark.parametrize("parent_rows, moved", [
+    ([[1, 0, 3, 2], [1, 2, 0, 3]], 7),  # swaps, and a 3-cycle
+    ([[0, 1, 2, 3], [0, 1, 2, 3]], 0),  # identity
+], ids=["cycles", "identity"])
+def test_reorder_slots_allocates_the_moved_rows_of_one_block(parent_rows, moved):
+    """At the benchmark's cache shape, step 31, the reorder allocates the moved
+    slots' (step, d) floats of one (keys or values, layer) block and small
+    objects; at most half of one slot's (2, layers, step, d) floats for the
+    cycles, and nothing sizeable when no slot moves."""
     cache = np.zeros((2, 8, 2, 4, 32, 64))
-    row = 2 * 8 * 31 * 64 * cache.itemsize
+    block_row = 31 * 64 * cache.itemsize
     tracemalloc.start()
     try:
-        ao.graphattn._reorder_slots(cache, np.array([[1, 0, 3, 2], [1, 2, 0, 3]]), 31)
+        ao.graphattn._reorder_slots(cache, np.array(parent_rows), 31)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert row <= peak <= row + 16 * 2**10
+    assert peak <= moved * block_row + 16 * 2**10
 
 
 def test_generate_sets_memory_is_the_group_state():
