@@ -271,9 +271,8 @@ def _checked_graph(
 ) -> simgraph.SimilarityGraph:
     """Read one set's graph; check it and the set's units against the model."""
     inp = record.unitized
-    unknown = sorted(
-        set(graphattn.SPECIAL_TOKENS).union(*(u.tokens for u in inp.units)) - set(weights.vocab)
-    )
+    unknown = weights.unknown_tokens(
+        set(graphattn.SPECIAL_TOKENS).union(*(u.tokens for u in inp.units)))
     if unknown:
         raise ValueError(
             f"set {record.set_id!r}: token {unknown[0]!r} not in the model vocabulary")

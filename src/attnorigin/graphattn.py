@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -53,6 +53,15 @@ class VocabularyError(ValueError):
     """Raised when tokens or required special ids are missing from the vocab."""
 
 
+def _check_sigma(sigma: float) -> None:
+    """Reject a graph-shift scale that is not positive and finite, or whose
+    2 * sigma**2, the shift's denominator, underflows to 0."""
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if 2.0 * sigma * sigma == 0:
+        raise ValueError(f"sigma {sigma} is too small: 2 * sigma**2 underflows to 0")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     d_model: int
@@ -72,10 +81,7 @@ class ModelConfig:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by num_heads={self.num_heads}"
             )
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if 2.0 * self.sigma * self.sigma == 0:  # the graph shift's denominator
-            raise ValueError(f"sigma {self.sigma} is too small: 2 * sigma**2 underflows to 0")
+        _check_sigma(self.sigma)
         if self.shift_form not in SHIFT_FORMS:
             raise ValueError(f"shift_form must be one of {SHIFT_FORMS}")
 
@@ -180,6 +186,10 @@ class DecoderWeights:
             return self._token_to_id[token]
         except KeyError:
             raise VocabularyError(f"token {token!r} not in model vocabulary") from None
+
+    def unknown_tokens(self, tokens: Iterable[str]) -> list[str]:
+        """The distinct ``tokens`` outside the vocabulary, sorted."""
+        return sorted(set(tokens).difference(self._token_to_id))
 
     @property
     def pad_id(self) -> int:
@@ -343,10 +353,20 @@ def encode_units(
     if graph.size != L:
         raise ValueError(f"graph size {graph.size} != input unit count {L}")
     unit_pad = inp.unit_pad
+    real_units = inp.units[: inp.num_real_units]  # pads follow the real units
+    lengths = np.array([len(unit.tokens) for unit in real_units], dtype=np.int64)[:, None]
+    tokens = np.arange(lengths.max(initial=0)) < lengths  # (units, longest unit)
+    ids = np.zeros(tokens.shape, dtype=np.int64)
+    try:
+        ids[tokens] = [weights._token_to_id[t] for unit in real_units for t in unit.tokens]
+    except KeyError as exc:
+        raise VocabularyError(f"token {exc.args[0]!r} not in model vocabulary") from None
+    # Each unit's tokens summed in order, as embedding[ids].mean(axis=0) does for
+    # d_model > 1; -0.0 in the padded tail adds nothing, not even to a -0.0 sum.
+    gathered = weights.embedding[ids]
+    gathered[~tokens] = -0.0
     u = np.zeros((L, cfg.d_model), dtype=np.float64)
-    for i, unit in enumerate(inp.units[: inp.num_real_units]):  # pads follow the real units
-        ids = [weights.token_id(t) for t in unit.tokens]
-        u[i] = weights.embedding[ids].mean(axis=0) + weights.pos_encoding[i]
+    u[: len(real_units)] = gathered.sum(axis=1) / lengths + weights.pos_encoding[: len(real_units)]
     x = np.zeros((L, cfg.d_model), dtype=np.float64)
     real = ~unit_pad
     e = (u @ u.T)[real] / math.sqrt(cfg.d_model)
@@ -445,8 +465,7 @@ def graph_shifted_attention(
     logits. Pad units (zero graph diagonal) are masked out before the
     softmax; raises if every unit of a graph is padded.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     s = np.asarray(s)
     if ((s < 0) | (s >= graph.size)).any():
         raise ValueError(f"central index out of range [0, {graph.size}): {s}")

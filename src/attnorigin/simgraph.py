@@ -92,10 +92,11 @@ def cosine_similarity(u: TfIdfVector, v: TfIdfVector) -> float:
 def build_graph(units: Sequence[TextualUnit] | UnitizedInput, threshold: float = 0.0) -> SimilarityGraph:
     """Similarity graph with entries below ``threshold`` zeroed.
 
-    The TF-IDF vectors form one dense (L, terms) matrix ``M``; every
-    dot product comes from ``M @ M.T`` and the squared norms from its
-    diagonal, so identical units still get exactly 1.0. Entries agree
-    with ``cosine_similarity`` up to summation order (within 1e-15).
+    The ``tfidf_vectors`` weights form one dense (L, terms) matrix ``M``,
+    its columns numbered by the terms' first appearance, read unit by
+    unit; every dot product comes from ``M @ M.T`` and the squared norms
+    from its diagonal, so identical units still get exactly 1.0. Entries
+    agree with ``cosine_similarity`` up to summation order (within 1e-15).
     The strict upper triangle is mirrored, so the matrix is bitwise
     symmetric. Real units get diagonal 1, pad units diagonal 0.
     """
@@ -103,12 +104,18 @@ def build_graph(units: Sequence[TextualUnit] | UnitizedInput, threshold: float =
         units = units.units
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    vectors = tfidf_vectors(units)
-    L = len(vectors)
+    L = len(units)
+    lengths = np.array([len(u.tokens) for u in units], dtype=np.int64)
     columns: dict[str, int] = {}  # term -> column of M
-    terms = np.zeros((L, len(set().union(*vectors))))  # M: one row of TF-IDF weights per unit
-    for i, vec in enumerate(vectors):
-        terms[i, [columns.setdefault(term, len(columns)) for term in vec]] = list(vec.values())
+    ids = np.fromiter(
+        (columns.setdefault(t, len(columns)) for u in units for t in u.tokens), np.int64,
+        int(lengths.sum()))
+    tf = np.bincount(np.repeat(np.arange(L) * len(columns), lengths) + ids,
+                     minlength=L * len(columns)).reshape(L, len(columns))
+    df = np.count_nonzero(tf, axis=0)
+    n_real = np.count_nonzero(lengths)
+    idf = {n: math.log((n_real + 1) / (n + 1)) + 1.0 for n in set(df.tolist())}
+    terms = tf * np.array([idf[n] for n in df.tolist()])  # M, as tfidf_vectors weighs each term
     dot = terms @ terms.T
     norms = np.diagonal(dot)
     # dot != 0 implies both norms are positive, so nothing divides by zero.
@@ -117,43 +124,33 @@ def build_graph(units: Sequence[TextualUnit] | UnitizedInput, threshold: float =
     cos[cos < threshold] = 0.0
     weights = np.triu(cos, 1)
     weights += weights.T  # each entry plus an exact zero: a bitwise mirror
-    np.fill_diagonal(weights, [1.0 if vec else 0.0 for vec in vectors])
+    np.fill_diagonal(weights, lengths > 0)
     return SimilarityGraph(size=L, weights=weights)
-
-
-# Below the smallest normal float64 a ".9g" string and the float's repr
-# can differ in digits (5e-324 formats as 4.94065646e-324).
-_NORMAL_MIN = sys.float_info.min
 
 
 def write_graph(graph: SimilarityGraph, path) -> None:
     """Serialize to JSON with values kept to 9 significant digits.
 
     The bytes are those of ``write_json`` on the values rounded through
-    ``float(f"{v:.9g}")``, but each unordered pair is formatted once and
-    mirrored, and the row text is written directly: JSON-encoding
-    L * L rounded floats took twice as long. A ``.9g`` string is the
-    float's repr except for a bare "0" or "1" (repr adds ".0") and for
-    subnormals, which go through ``repr(float(text))``.
+    ``float(f"{v:.9g}")``, but each unordered pair is formatted once, by
+    one ``"%.9g"`` call over the upper triangle, and mirrored. A ``.9g``
+    string is the float's repr except for a bare "0", "-0" or "1" (repr
+    adds ".0") and for subnormals (5e-324 formats as 4.94065646e-324).
+    Only a value below the smallest normal float or above 1 - 1e-9 can
+    give one of those, so only those values go through ``repr(float(text))``.
     """
-    weights = graph.weights
     L = graph.size
     upper = np.triu_indices(L)
+    values = graph.weights[upper]
+    texts = ("%.9g " * len(values) % tuple(values.tolist())).split()
+    for i in np.flatnonzero((values < sys.float_info.min) | (values > 1.0 - 1e-9)).tolist():
+        texts[i] = repr(float(texts[i]))
     text = np.empty((L, L), dtype=object)
-    text[upper] = [_json_number(v) for v in weights[upper].tolist()]
+    text[upper] = texts
     text.T[upper] = text[upper]
     rows = ", ".join("[" + ", ".join(row) + "]" for row in text.tolist())
     with atomic_write(path, encoding="utf-8") as fh:
         fh.write(f'{{"size": {L}, "weights": [{rows}]}}\n')
-
-
-def _json_number(v: float) -> str:
-    text = f"{v:.9g}"
-    if text == "0" or text == "1":
-        return text + ".0"
-    if 0.0 < v < _NORMAL_MIN:
-        return repr(float(text))
-    return text
 
 
 def read_graph(path) -> SimilarityGraph:

@@ -68,6 +68,21 @@ def random_unitized(rng, num_docs=2, paras_per_doc=2, words=4, L=6, T=8, set_id=
     return ao.unitize(make_docset(set_id, docs), "paragraph", L, T)
 
 
+@st.composite
+def unit_grids(draw, words="abcdef"):
+    """A ``UnitizedInput`` with 1-token and T-token units, repeated tokens
+    from a small vocabulary, pad slots, and sets of one real unit among pads."""
+    T = draw(st.integers(1, 12))
+    length = st.sampled_from([1, T]) | st.integers(1, T)
+    tokens = draw(st.lists(length.flatmap(
+        lambda n: st.lists(st.sampled_from(words), min_size=n, max_size=n)), min_size=1,
+        max_size=7))
+    L = len(tokens) + draw(st.integers(0, 4))
+    units = [ao.TextualUnit(0, i, list(t), " ".join(t)) for i, t in enumerate(tokens)]
+    units += [ao.TextualUnit(-1, i, [], "") for i in range(len(tokens), L)]
+    return ao.UnitizedInput(units, L=L, T=T, mode="paragraph", doc_boundaries=None)
+
+
 def small_weights(inp, seed=0, d_model=16, num_layers=2, num_heads=2, max_len=6, sigma=1.0):
     vocab = vocab_of(inp)
     cfg = ao.ModelConfig(

@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import attnorigin as ao
-from attnorigin.cli.main import main
+from attnorigin.cli.main import main, summary_path
+from attnorigin.cli.report import rouge_f_row
 from attnorigin.graphattn import EOS_SENT_TOKEN, EOS_TOKEN, SPECIAL_TOKENS, build_vocab
+from attnorigin.rouge import evaluate_summary
 from conftest import JSON_VALUES, PLANTED_MIX, json_paths, replaced, write_planted_run
 
 
@@ -794,6 +796,48 @@ def test_analyze_reports_gold_rouge_line(tmp_path, capsys):
                  "--unitized", str(tmp_path / "units.jsonl"), "--out", str(rep)]) == 0
     out = capsys.readouterr().out
     assert "rouge_f=" in out and "gold_sets=2" in out
+
+
+def test_analyze_gold_rouge_line_is_the_mean_of_one_pair_scores(tmp_path, planted_run, capsys):
+    """Sets with and without a gold summary in one file, one with an empty
+    generated summary: the line holds the mean of one-pair scores."""
+    records = ao.read_unitized(planted_run.units)
+    for record, gold in zip(records, ["W1 w2 w3. W4 w5 w0.", None, "W7 w8.", "W9 w9 w1 w2."]):
+        record.gold_summary = gold
+    ao.write_unitized(records, planted_run.units)
+    vocab = json.loads((planted_run.gen / "vocab.json").read_text())
+    spath = planted_run.gen / "p2.summary.json"
+    spath.write_text(json.dumps({**json.loads(spath.read_text()),
+                                 "tokens": [vocab.index(EOS_TOKEN)]}))
+    capsys.readouterr()
+    assert analyze_planted(planted_run, tmp_path / "rep") == 0
+    scores = []
+    for record in records[::2] + records[3:]:
+        tokens = json.loads(summary_path(planted_run.gen, record.set_id).read_text())["tokens"]
+        text = " ".join(vocab[t] for t in tokens if vocab[t] not in SPECIAL_TOKENS)
+        scores.append(evaluate_summary(text, record.gold_summary))
+    assert scores[1].r1.f1 == 0.0 and scores[0].r1.f1 > 0.0
+    mean_f = [sum(getattr(t, v).f1 for t in scores) / len(scores) for v in ("r1", "r2", "rl")]
+    line = f"rouge_f={rouge_f_row(*mean_f)} gold_sets=3"
+    assert capsys.readouterr().out.splitlines()[-1] == line
+
+
+def test_analyze_scores_each_gold_summary_against_its_own_set_only(tmp_path, monkeypatch,
+                                                                      capsys):
+    """Gold ROUGE work grows with the set count, not with its square."""
+    run = write_planted_run(tmp_path / "planted", num_sets=200)
+    records = ao.read_unitized(run.units)
+    for record in records:
+        record.gold_summary = "W1 w2 w3."
+    ao.write_unitized(records, run.units)
+    pairs = []  # (candidate, reference) pairs per gold scoring call
+    counts = ao.rouge.rouge_counts  # the reference metric holds its own binding
+    monkeypatch.setattr(ao.rouge, "rouge_counts",
+                        lambda c, r: pairs.append(len(c) * len(r)) or counts(c, r))
+    capsys.readouterr()
+    assert analyze_planted(run, tmp_path / "rep") == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" gold_sets=200")
+    assert sum(pairs) == 200
 
 
 def test_analyze_limit(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """The public names of ``attnorigin`` and its CLI options are part of its contract."""
 
+import re
 import types
+from pathlib import Path
 
 import attnorigin
 from attnorigin.cli.main import OPTIONS
@@ -52,3 +54,16 @@ def test_cli_options_are_pinned():
     """An added or removed CLI option fails here and shows in the diff."""
     options = {command: [spec.name for spec in specs] for command, specs in OPTIONS.items()}
     assert options == CLI_OPTIONS
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run():
+    """Every ```python block of the README runs as written, in one namespace."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,9 @@ from attnorigin.graphattn import (
     DecoderState,
     _decode_block,
     _log_softmax,
+    _padded_shift,
     _prepare,
+    _shifted_attention,
     _sigmoid,
     _softmax,
     decode_step,
@@ -35,6 +38,7 @@ from conftest import (
     random_unitized,
     sentinel_paragraphs,
     small_weights,
+    unit_grids,
     unitized_and_graph,
     vocab_of,
 )
@@ -125,6 +129,46 @@ def test_encode_pad_rows_zero(two_doc_input):
     encoded = ao.encode_units(inp, weights, graph)
     for i in np.flatnonzero(inp.unit_pad):
         assert not encoded[i].any()
+
+
+def per_unit_encode(inp, weights, graph):
+    """``encode_units`` with each unit's mean taken on its own: embedding[ids].mean(axis=0)."""
+    cfg = weights.config
+    u = np.zeros((inp.L, cfg.d_model))
+    for i, unit in enumerate(inp.units[: inp.num_real_units]):
+        ids = [weights.token_id(t) for t in unit.tokens]
+        u[i] = weights.embedding[ids].mean(axis=0) + weights.pos_encoding[i]
+    real = ~inp.unit_pad
+    x = np.zeros_like(u)
+    e = (u @ u.T)[real] / math.sqrt(cfg.d_model)
+    shift = _padded_shift(graph.weights, inp.unit_pad, cfg.sigma, cfg.shift_form)
+    x[real] = _shifted_attention(e, shift[real]) @ u
+    return x
+
+
+# d_model 1 is left out: numpy sums the reference's lone column pairwise, not in
+# token order, so a one-column mean may differ from the gathered sum by an ulp.
+@settings(max_examples=200)
+@given(inp=unit_grids(), d_model=st.sampled_from([2, 3, 8]), data=st.data())
+def test_encode_units_match_the_per_unit_means_bitwise(inp, d_model, data):
+    weights = small_weights(inp, d_model=d_model, num_heads=1)
+    # embedding rows of very different sizes make any other summation order show
+    exponents = data.draw(st.lists(st.integers(-8, 8), min_size=len(weights.vocab),
+                                   max_size=len(weights.vocab)))
+    weights.embedding *= 10.0 ** np.array(exponents)[:, None]
+    graph = ao.build_graph(inp)
+    got = ao.encode_units(inp, weights, graph)
+    assert got.tobytes() == per_unit_encode(inp, weights, graph).tobytes()
+
+
+def test_encode_rejects_a_token_outside_the_vocabulary(two_doc_input):
+    inp, graph = two_doc_input
+    vocab = ["brooks" if t == "rivers" else t for t in vocab_of(inp)]
+    cfg = ao.ModelConfig(d_model=8, num_heads=2, vocab_size=len(vocab), num_units=inp.L)
+    weights = ao.make_synthetic_weights(0, cfg, vocab=vocab)
+    with pytest.raises(ao.graphattn.VocabularyError,
+                       match="token 'rivers' not in model vocabulary"):
+        ao.encode_units(inp, weights, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +345,18 @@ def test_shift_rejects_bad_sigma_and_index():
     for rows in ([0, 2], [-1, 0], [1, 0, 1, 5]):
         with pytest.raises(ValueError, match="central index"):
             ao.graph_shifted_attention(np.zeros((len(rows), 2)), graph, np.array(rows), sigma=1.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, 1e-200, math.inf, math.nan])
+def test_shift_rejects_the_sigmas_that_model_config_rejects(sigma):
+    graph = identity_graph(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sigma") as shift_error:
+            ao.graph_shifted_attention(np.zeros(2), graph, s=0, sigma=sigma)
+    with pytest.raises(ValueError) as config_error:
+        ao.ModelConfig(d_model=8, num_heads=2, sigma=sigma)
+    assert str(shift_error.value) == str(config_error.value)
 
 
 def test_shift_forms_agree_on_binary_graphs():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import attnorigin as ao
 from attnorigin.textunits import TextualUnit
+from conftest import unit_grids
 
 
 def unit(idx, tokens):
@@ -186,6 +187,38 @@ def test_graph_matches_the_pairwise_oracle(data):
             assert got[i, j] == 1.0
 
 
+def dense_graph(units, threshold):
+    """The graph of the dense (L, terms) matrix of ``tfidf_vectors``, columns
+    numbered by first appearance, through the same matrix steps as
+    ``build_graph``."""
+    vectors = ao.tfidf_vectors(units)
+    columns = {}
+    for vec in vectors:
+        for term in vec:
+            columns.setdefault(term, len(columns))
+    terms = np.zeros((len(vectors), len(columns)))
+    for i, vec in enumerate(vectors):
+        for term, weight in vec.items():
+            terms[i, columns[term]] = weight
+    dot = terms @ terms.T
+    norms = np.diagonal(dot)
+    cos = np.divide(dot, np.sqrt(np.outer(norms, norms)), out=np.zeros(dot.shape),
+                    where=dot != 0.0)
+    np.clip(cos, 0.0, 1.0, out=cos)
+    cos[cos < threshold] = 0.0
+    weights = np.triu(cos, 1)
+    weights += weights.T
+    np.fill_diagonal(weights, [1.0 if vec else 0.0 for vec in vectors])
+    return weights
+
+
+@settings(max_examples=300)
+@given(inp=unit_grids(), threshold=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.99))
+def test_graph_bytes_match_the_dense_tfidf_matrix(inp, threshold):
+    got = ao.build_graph(inp, threshold=threshold).weights
+    assert got.tobytes() == dense_graph(inp.units, threshold).tobytes()
+
+
 def test_graph_rejects_bad_threshold():
     with pytest.raises(ValueError):
         ao.build_graph([unit(0, ["a"])], threshold=1.0)
@@ -248,7 +281,7 @@ EDGE_VALUES = [0.0, 1.0, 1e-4, 9.9999999996e-05, 0.99999999996, 5e-324, 1e-310,
 @given(data=st.data())
 def test_graph_file_bytes_match_the_json_encoder(tmp_path_factory, data):
     L = data.draw(st.integers(1, 7))
-    values = st.sampled_from(EDGE_VALUES) | st.floats(0.0, 1.0)
+    values = st.sampled_from(EDGE_VALUES + [-0.0]) | st.floats(0.0, 1.0)
     weights = np.eye(L)
     for i, j in zip(*np.triu_indices(L, 1)):
         weights[i, j] = weights[j, i] = data.draw(values)
@@ -269,3 +302,14 @@ def test_graph_file_keeps_edge_value_bytes(tmp_path):
     text = path.read_text()
     assert "[1.0, 0.0, 1.0, 0.0001, 0.0001, 1.0, 5e-324, 1e-310, 2.22507386e-308, 0.1, " \
            "0.333333333]" in text
+
+
+def test_graph_file_writes_negative_zero_as_the_json_encoder_does(tmp_path):
+    weights = np.eye(3)
+    weights[0, 1] = weights[1, 0] = -0.0
+    weights[1, 2] = weights[2, 1] = 0.5
+    path = tmp_path / "g.json"
+    ao.write_graph(ao.SimilarityGraph(size=3, weights=weights), path)
+    assert path.read_bytes() == old_graph_bytes(weights)
+    assert path.read_text() == ('{"size": 3, "weights": '
+                                '[[1.0, -0.0, 0.0], [-0.0, 1.0, 0.5], [0.0, 0.5, 1.0]]}\n')
