@@ -3,7 +3,8 @@
 The beam decoder walks parent links backward from the winning beam to
 pick, for each generated token, the attention distribution recorded on
 the ancestor that actually produced it. Token-level distributions are
-then pooled per generated sentence (mean by default).
+then pooled per generated sentence (mean by default). ``analyze`` reads
+from a tensor file only the header and those ancestor slices.
 
 The binary tensor format is: magic bytes ``AWD1``, five little-endian
 uint32 dims (beams, tokens, layers, heads, units), then float32
@@ -17,6 +18,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -77,28 +79,80 @@ def write_awd(tensor: AwdTensor, path) -> None:
         fh.write(values.data)
 
 
+def _read_header(fh) -> tuple[int, ...]:
+    """The dims of an open tensor file, after checking its magic, the
+    element cap and that the file size matches the dims."""
+    header = fh.read(24)
+    if header[:4] != AWD_MAGIC:
+        raise BadMagicError(f"bad magic {header[:4]!r}, expected {AWD_MAGIC!r}")
+    if len(header) < 24:
+        raise TruncatedPayloadError(f"header truncated at {len(header)} bytes")
+    dims = struct.unpack("<5I", header[4:])
+    total = math.prod(dims)
+    if total > MAX_ELEMENTS:
+        raise DimOverflowError(f"dims {dims} imply {total} elements, cap is {MAX_ELEMENTS}")
+    payload = os.fstat(fh.fileno()).st_size - 24
+    if payload != 4 * total:
+        raise TruncatedPayloadError(
+            f"payload has {payload} bytes, dims {dims} require {4 * total}"
+        )
+    return dims
+
+
+def _read_into(fh, out: np.ndarray, offset: int, dims) -> None:
+    """Fill ``out`` from byte ``offset`` of an unbuffered tensor file.
+
+    The file size was checked against ``dims`` first, so the file ends
+    early only if it shrank meanwhile.
+    """
+    view = out.reshape(-1).view(np.uint8)
+    fh.seek(offset)
+    done = 0
+    while done < view.size:
+        got = fh.readinto(view[done:])
+        if not got:
+            raise TruncatedPayloadError(
+                f"payload has {os.fstat(fh.fileno()).st_size - 24} bytes, dims {dims} "
+                f"require {4 * math.prod(dims)}"
+            )
+        done += got
+
+
 def read_awd(path) -> AwdTensor:
     """Read a tensor file into one payload-sized array; the header and
     the file size are checked before it is allocated."""
-    with open(path, "rb") as fh:
-        header = fh.read(24)
-        if header[:4] != AWD_MAGIC:
-            raise BadMagicError(f"bad magic {header[:4]!r}, expected {AWD_MAGIC!r}")
-        if len(header) < 24:
-            raise TruncatedPayloadError(f"header truncated at {len(header)} bytes")
-        dims = struct.unpack("<5I", header[4:])
-        total = math.prod(dims)
-        if total > MAX_ELEMENTS:
-            raise DimOverflowError(f"dims {dims} imply {total} elements, cap is {MAX_ELEMENTS}")
-        payload = os.fstat(fh.fileno()).st_size - 24
-        if payload == 4 * total:
-            values = np.empty(dims, dtype="<f4")
-            payload = fh.readinto(values)  # short only if the file shrank meanwhile
-        if payload != 4 * total:
-            raise TruncatedPayloadError(
-                f"payload has {payload} bytes, dims {dims} require {4 * total}"
-            )
+    with open(path, "rb", buffering=0) as fh:
+        dims = _read_header(fh)
+        values = np.empty(dims, dtype="<f4")
+        _read_into(fh, values, 24, dims)
     return AwdTensor(values=values)
+
+
+def _winning_path(dims: Sequence[int], beam_trace: Sequence[Sequence[int]],
+                  winning_beam: int, length: int | None) -> list[int]:
+    """The ancestor slot of each of the winner's first ``length`` tokens (see
+    ``beam_decode_awd``), after checking the whole trace against ``dims``."""
+    bs, sl = dims[:2]
+    if len(beam_trace) != sl:
+        raise BeamTraceError(f"trace has {len(beam_trace)} steps, tensor has {sl}")
+    if not 0 <= winning_beam < bs:
+        raise BeamTraceError(f"winning beam {winning_beam} outside [0, {bs})")
+    n = sl if length is None else length
+    if not 0 <= n <= sl:
+        raise BeamTraceError(f"length {n} outside [0, {sl}]")
+    ancestors = [0] * n
+    slot = winning_beam
+    for t in range(sl - 1, -1, -1):
+        row = beam_trace[t]
+        if len(row) != bs:
+            raise BeamTraceError(f"trace row {t} has {len(row)} entries, expected {bs}")
+        parent = row[slot]
+        if not 0 <= parent < bs:
+            raise BeamTraceError(f"trace step {t}: parent {parent} outside [0, {bs})")
+        if t < n:
+            ancestors[t] = parent
+        slot = parent
+    return ancestors
 
 
 def beam_decode_awd(
@@ -115,26 +169,29 @@ def beam_decode_awd(
     ancestor slot for every step; ``length`` truncates to the winning
     hypothesis when it finished before the last step.
     """
-    bs, sl, dl, mh, L = awd.dims
-    if len(beam_trace) != sl:
-        raise BeamTraceError(f"trace has {len(beam_trace)} steps, tensor has {sl}")
-    if not 0 <= winning_beam < bs:
-        raise BeamTraceError(f"winning beam {winning_beam} outside [0, {bs})")
-    n = sl if length is None else length
-    if not 0 <= n <= sl:
-        raise BeamTraceError(f"length {n} outside [0, {sl}]")
-    aligned = np.empty((n, dl, mh, L), dtype=awd.values.dtype)
-    slot = winning_beam
-    for t in range(sl - 1, -1, -1):
-        row = beam_trace[t]
-        if len(row) != bs:
-            raise BeamTraceError(f"trace row {t} has {len(row)} entries, expected {bs}")
-        parent = row[slot]
-        if not 0 <= parent < bs:
-            raise BeamTraceError(f"trace step {t}: parent {parent} outside [0, {bs})")
-        if t < n:
-            aligned[t] = awd.values[parent, t]
-        slot = parent
+    ancestors = _winning_path(awd.dims, beam_trace, winning_beam, length)
+    return awd.values[np.array(ancestors, dtype=np.intp), np.arange(len(ancestors))]
+
+
+def _read_winning_path(path, beam_trace: Sequence[Sequence[int]], winning_beam: int,
+                       length: int | None = None) -> np.ndarray:
+    """``beam_decode_awd(read_awd(path), ...)``, reading from the file only
+    the header and the winner's ``(ancestor, step)`` slices.
+
+    Slices are stored ``[beam][token]``, so the steps of one run of equal
+    ancestors are contiguous and take one read. Errors are those of
+    ``read_awd`` and then those of ``beam_decode_awd``.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        dims = _read_header(fh)
+        ancestors = _winning_path(dims, beam_trace, winning_beam, length)
+        sl, step = dims[1], 4 * math.prod(dims[2:])
+        aligned = np.empty((len(ancestors),) + dims[2:], dtype="<f4")
+        t = 0
+        for ancestor, run in groupby(ancestors):
+            end = t + sum(1 for _ in run)
+            _read_into(fh, aligned[t:end], 24 + (ancestor * sl + t) * step, dims)
+            t = end
     return aligned
 
 

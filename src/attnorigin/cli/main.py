@@ -387,16 +387,15 @@ def _read_vocab(awd_dir: Path, summaries_dir: Path) -> list[str]:
     raise ValueError(f"no vocab.json in {' or '.join(map(str, directories))}")
 
 
-def _check_simplex(aligned: np.ndarray, unit_pad: np.ndarray) -> None:
-    """Reject attention slices that are not distributions over the real units."""
-    if 0 in aligned.shape[1:3]:
-        raise ValueError(f"tensor has {aligned.shape[1]} layers and {aligned.shape[2]} heads; "
+def _check_simplex(values: np.ndarray, unit_pad: np.ndarray) -> None:
+    """Reject float64 attention slices that are not distributions over the real units."""
+    if 0 in values.shape[1:3]:
+        raise ValueError(f"tensor has {values.shape[1]} layers and {values.shape[2]} heads; "
                          "need at least one of each")
-    if aligned.shape[-1] != unit_pad.shape[0]:
+    if values.shape[-1] != unit_pad.shape[0]:
         raise ValueError(
-            f"tensor has {aligned.shape[-1]} units, unitized input has {unit_pad.shape[0]}"
+            f"tensor has {values.shape[-1]} units, unitized input has {unit_pad.shape[0]}"
         )
-    values = aligned.astype(np.float64)
     if not np.isfinite(values).all():
         raise ValueError("non-finite attention values")
     if values.size == 0:
@@ -433,7 +432,7 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
 
     batch = []
     single = 0  # summaries of at most one sentence
-    golds = []  # summary quality against gold summaries, when the corpus carries them
+    generated, golds = [], []  # token pairs for summary quality, when the corpus has golds
     for record in records:
         try:
             spath = summary_path(summaries_dir, record.set_id)
@@ -445,10 +444,10 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
                 raise ValueError(
                     f"token id {bad[0]} outside the vocabulary of size {len(vocab)}"
                 )
-            tensor = awdmod.read_awd(awd_path(awd_dir, record.set_id))
-            aligned = awdmod.beam_decode_awd(
-                tensor, summary.beam_trace, summary.winning_beam, length=len(summary.tokens)
-            )
+            aligned = awdmod._read_winning_path(
+                awd_path(awd_dir, record.set_id), summary.beam_trace, summary.winning_beam,
+                length=len(summary.tokens),
+            ).astype(np.float64)
             _check_simplex(aligned, record.unitized.unit_pad)
             spans = awdmod.split_summary_sentences(summary.tokens, eoss_id)
             sent_awd = awdmod.aggregate_to_sentences(
@@ -468,7 +467,8 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
         single += len(sentences) <= 1
         if record.gold_summary:
             text = " ".join(word for sentence in sentences for word in sentence)
-            golds.append(rouge.evaluate_summary(text, record.gold_summary))
+            generated.append(textunits.tokenize(text))
+            golds.append(textunits.tokenize(record.gold_summary))
         batch.append(
             origin.SummaryAnalysis(
                 set_id=record.set_id,
@@ -513,9 +513,8 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
         written.append(str(path))
     print(f"sets={len(batch)} cells={report.sample_count} wrote={','.join(written)}")
     if golds:
-        mean_f = [
-            sum(getattr(t, v).f1 for t in golds) / len(golds) for v in origin.VARIANTS
-        ]
+        f1 = rouge.scores_from_counts(rouge.paired_rouge_counts(generated, golds))[..., 2]
+        mean_f = [sum(column) / len(golds) for column in f1.T.tolist()]  # sums in set order
         print(f"rouge_f={reportmod.rouge_f_row(*mean_f)} gold_sets={len(golds)}")
     return 0
 

@@ -55,11 +55,16 @@ class VocabularyError(ValueError):
 
 def _check_sigma(sigma: float) -> None:
     """Reject a graph-shift scale that is not positive and finite, or whose
-    2 * sigma**2, the shift's denominator, underflows to 0."""
+    2 * sigma**2, the shift's denominator, underflows to 0 or has an
+    infinite reciprocal."""
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    if 2.0 * sigma * sigma == 0:
+    sigma = float(sigma)  # Python floats, so no numpy warning below
+    denominator = 2.0 * sigma * sigma
+    if denominator == 0:
         raise ValueError(f"sigma {sigma} is too small: 2 * sigma**2 underflows to 0")
+    if 1.0 / denominator == math.inf:
+        raise ValueError(f"sigma {sigma} is too small: 1 / (2 * sigma**2) overflows")
 
 
 @dataclass(frozen=True)

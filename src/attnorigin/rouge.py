@@ -1,14 +1,41 @@
 """ROUGE-1/2/L scores over token sequences, all read from one counting kernel.
 
-``rouge_counts`` works on arrays of token ids. Only candidate tokens get
-ids; every other reference token shares one dropped id. ROUGE-N counts
-are one ``np.bincount`` per side over n-gram ids, and clipped matches
-are the elementwise minimum of the two count matrices. ROUGE-L takes the
-LCS from Hyyrö's bit-parallel recurrence (Hyyrö 2004) on ``uint64``
-words, one numpy step per candidate token position for every
-(candidate, reference) pair at once. No stemming or stopword removal;
-text is lowercased by the shared tokenizer, which keeps the metric
-deterministic.
+``rouge_counts(candidates, references)`` returns an int64 ``(C, R, 3, 3)``
+array: candidate, reference, variant (ROUGE-1, ROUGE-2, ROUGE-L), then
+matches, candidate total and reference total. ``paired_rouge_counts``
+returns the ``(N, 3, 3)`` counts of candidate i against reference i only;
+both share every step below except the pairing.
+
+The kernel works on arrays of token ids. Only candidate tokens get ids;
+every other reference token shares one dropped id. Each n-gram order
+numbers the (previous order's id, next token id) pairs of the candidates
+densely with ``np.unique``, and ``np.searchsorted`` maps the references'
+pairs onto those ids, so no key grows past the product of two counts.
+Per-sequence n-gram counts are one ``np.bincount`` per side, and the
+clipped ROUGE-1/2 matches are the elementwise minimum of the two count
+matrices: ``np.minimum(cand[:, None], ref[None])`` for every pair,
+``np.minimum(cand, ref)`` paired. The ROUGE-L match is the LCS length
+from Hyyrö's bit-parallel recurrence (Hyyrö 2004) on ``⌈longest
+reference / 64⌉`` ``uint64`` words: one numpy step per candidate token
+position covers every pair at once, the addition carries from word to
+word, and cleared bits are counted with ``np.unpackbits``. Paired, each
+step gathers only reference i's match masks for candidate i.
+
+Candidates are processed in chunks so that each chunk's count block and
+LCS mask table stay within ``_CHUNK_ELEMENTS`` (2 MiB; a chunk holds at
+least one candidate). Paired chunks also take only their own references,
+so work and memory grow linearly with the number of pairs.
+``scores_from_counts`` turns counts into precision, recall and F1 with
+the same float operations as ``RougeScore.from_counts``. The reference
+metric makes one kernel call per set and sums each unit's sentence
+scores in sentence order, so its values are bit-identical to scoring
+each cell on its own. ``rouge_l``, ``rouge_triple`` and ``lcs_length``
+read the kernel; ``rouge_n`` reads the same id-based n-gram counter for
+any ``n``. A call pays a fixed numpy cost of a few tenths of a
+millisecond, so score many pairs with one call.
+
+No stemming or stopword removal; text is lowercased by the shared
+tokenizer, which keeps the metric deterministic.
 """
 
 from __future__ import annotations
@@ -105,20 +132,24 @@ def _counts(side: _Tokens, grams: np.ndarray, size: int) -> np.ndarray:
     return counts.reshape(shape)[:, :size]
 
 
-def _clipped(cand: _Tokens, ref: _Tokens,
-             grams: tuple[np.ndarray, np.ndarray, int]) -> np.ndarray:
-    """(C, R) clipped n-gram matches of every candidate against every reference."""
+def _clipped(cand: _Tokens, ref: _Tokens, grams: tuple[np.ndarray, np.ndarray, int],
+             paired: bool = False) -> np.ndarray:
+    """(C, R) clipped n-gram matches of every candidate against every reference,
+    or (C,) of candidate i against reference i when ``paired``."""
     gc, gr, size = grams
-    return np.minimum(_counts(cand, gc, size)[:, None], _counts(ref, gr, size)[None]).sum(-1)
+    cc, rc = _counts(cand, gc, size), _counts(ref, gr, size)
+    return (np.minimum(cc, rc) if paired else np.minimum(cc[:, None], rc[None])).sum(-1)
 
 
 def _lcs(cand: _Tokens, ref: _Tokens, unigrams: tuple[np.ndarray, np.ndarray, int],
-         words: int) -> np.ndarray:
-    """(C, R) LCS lengths by Hyyrö's recurrence, references as ``words`` uint64 words.
+         paired: bool = False) -> np.ndarray:
+    """(C, R) LCS lengths by Hyyrö's recurrence, or (C,) of candidate i against
+    reference i when ``paired``; references are held as uint64 words.
 
     Bit j of a pair's state clears once the LCS grows at reference position j.
     """
     gc, gr, v = unigrams
+    words = -(-int(ref.lengths.max(initial=0)) // 64)
     pos = ref.lengths[ref.seq] - ref.rest
     masks = np.zeros((v + 1, len(ref.lengths), words), dtype=np.uint64)
     bits = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64))
@@ -127,9 +158,11 @@ def _lcs(cand: _Tokens, ref: _Tokens, unigrams: tuple[np.ndarray, np.ndarray, in
     masks[v] = 0  # so the dropped id, which also pads candidates, never matches
     tokens = np.full((len(cand.lengths), int(cand.lengths.max(initial=0))), v)
     tokens[cand.seq, cand.lengths[cand.seq] - cand.rest] = gc
-    state = np.full((len(cand.lengths),) + low.shape, ~np.uint64(0))
+    # a step reads each pair's reference masks for the candidate's token at that position
+    pairs = np.arange(len(cand.lengths)) if paired else slice(None)
+    state = np.full(low.shape if paired else (len(cand.lengths),) + low.shape, ~np.uint64(0))
     for t in tokens.T:
-        u = state & masks[t]
+        u = state & masks[t, pairs]
         total = state + u  # each word's sum before the carry from the word below
         carry = False
         for w in range(1, words):
@@ -140,16 +173,53 @@ def _lcs(cand: _Tokens, ref: _Tokens, unigrams: tuple[np.ndarray, np.ndarray, in
     return np.unpackbits((~state & low).view(np.uint8), axis=-1).sum(-1, dtype=np.int64)
 
 
-def _chunks(lengths: Sequence[int], refs: int, words: int) -> Iterator[tuple[int, int]]:
+def _chunks(lengths: Sequence[int], refs: int, words: int,
+            paired: bool = False) -> Iterator[tuple[int, int]]:
     """Consecutive candidate ranges whose count block and mask table, bounded through
-    the range's token count, fit in ``_CHUNK_ELEMENTS``; each holds one candidate at least."""
+    the range's token count, fit in ``_CHUNK_ELEMENTS``; each holds one candidate at least.
+
+    A range of c candidates against ``refs`` references holds a (c, refs, n-grams) count
+    block and a (tokens, refs, words) mask table; paired, c n-gram rows and c references.
+    """
     start, tokens = 0, 0
     for i, n in enumerate(lengths):
-        if i > start and refs * (i + 1 - start + words) * (tokens + n + 1) > _CHUNK_ELEMENTS:
+        c = i + 1 - start
+        rows = c * (1 + words) if paired else refs * (c + words)
+        if i > start and rows * (tokens + n + 1) > _CHUNK_ELEMENTS:
             yield start, i
             start, tokens = i, 0
         tokens += n
     yield start, len(lengths)
+
+
+def _rouge_counts(candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]],
+                  paired: bool) -> np.ndarray:
+    """Body of ``rouge_counts`` and ``paired_rouge_counts``: the chunks share one
+    vocabulary of the candidates' tokens; paired, each chunk takes its own references."""
+    vocab = {t: i for i, t in enumerate(dict.fromkeys(chain.from_iterable(candidates)))}
+    lengths = [len(c) for c in candidates]
+    ref_lengths = np.array([len(r) for r in references], dtype=np.int64)
+    words = -(-int(ref_lengths.max(initial=0)) // 64)
+    shift = np.array([0, 1, 0])  # variants count unigrams, bigrams and tokens
+    cand_totals = np.maximum(np.array(lengths, dtype=np.int64)[:, None] - shift, 0)
+    ref_totals = np.maximum(ref_lengths[:, None] - shift, 0)
+    if paired:
+        out = np.empty((len(candidates), 3, 3), dtype=np.int64)
+        out[..., 1], out[..., 2] = cand_totals, ref_totals
+    else:
+        out = np.empty((len(candidates), len(references), 3, 3), dtype=np.int64)
+        out[..., 1], out[..., 2] = cand_totals[:, None], ref_totals
+    ref = None if paired else _tokens(references, vocab)
+    for a, b in _chunks(lengths, len(references), words, paired):
+        cand = _tokens(candidates[a:b], vocab)
+        if paired:
+            ref = _tokens(references[a:b], vocab)
+        orders = _ngram_ids(cand, ref, len(vocab))
+        unigrams = next(orders)
+        out[a:b, ..., 0, 0] = _clipped(cand, ref, unigrams, paired)
+        out[a:b, ..., 1, 0] = _clipped(cand, ref, next(orders), paired)
+        out[a:b, ..., 2, 0] = _lcs(cand, ref, unigrams, paired)
+    return out
 
 
 def rouge_counts(candidates: Sequence[Sequence[str]],
@@ -158,22 +228,17 @@ def rouge_counts(candidates: Sequence[Sequence[str]],
     over candidate, reference, variant (ROUGE-1, ROUGE-2, ROUGE-L) and (matches,
     candidate total, reference total). Candidates go in chunks, so each chunk's
     temporaries stay near ``_CHUNK_ELEMENTS`` elements besides the output."""
-    vocab = {t: i for i, t in enumerate(dict.fromkeys(chain.from_iterable(candidates)))}
-    lengths = [len(c) for c in candidates]
-    ref = _tokens(references, vocab)
-    words = -(-int(ref.lengths.max(initial=0)) // 64)
-    shift = np.array([0, 1, 0])  # variants count unigrams, bigrams and tokens
-    out = np.empty((len(candidates), len(references), 3, 3), dtype=np.int64)
-    out[..., 1] = np.maximum(np.array(lengths, dtype=np.int64)[:, None] - shift, 0)[:, None]
-    out[..., 2] = np.maximum(ref.lengths[:, None] - shift, 0)
-    for a, b in _chunks(lengths, len(references), words):
-        cand = _tokens(candidates[a:b], vocab)
-        orders = _ngram_ids(cand, ref, len(vocab))
-        unigrams = next(orders)
-        out[a:b, :, 0, 0] = _clipped(cand, ref, unigrams)
-        out[a:b, :, 1, 0] = _clipped(cand, ref, next(orders))
-        out[a:b, :, 2, 0] = _lcs(cand, ref, unigrams, words)
-    return out
+    return _rouge_counts(candidates, references, paired=False)
+
+
+def paired_rouge_counts(candidates: Sequence[Sequence[str]],
+                        references: Sequence[Sequence[str]]) -> np.ndarray:
+    """Counts of candidate i against reference i only: an int64 (N, 3, 3) array
+    whose row i equals ``rouge_counts([candidates[i]], [references[i]])[0, 0]``.
+    Work and memory grow linearly with N; pairs go in chunks as in ``rouge_counts``."""
+    if len(candidates) != len(references):
+        raise ValueError(f"{len(candidates)} candidates but {len(references)} references")
+    return _rouge_counts(candidates, references, paired=True)
 
 
 def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> RougeScore:

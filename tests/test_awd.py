@@ -1,11 +1,14 @@
 """Tests for tensor alignment, sentence aggregation, and the binary format."""
 
+import itertools
+import math
 import struct
 
 import numpy as np
 import pytest
 
 import attnorigin as ao
+from attnorigin import awd as awdmod
 from attnorigin.awd import (
     AWD_MAGIC,
     AwdFormatError,
@@ -156,6 +159,107 @@ def test_beam_decode_rejects_bad_trace():
         ao.beam_decode_awd(tensor, [[0, 0], [0, 0]], winning_beam=5)
     with pytest.raises(BeamTraceError, match="length"):
         ao.beam_decode_awd(tensor, [[0, 0], [0, 0]], winning_beam=0, length=9)
+
+
+# ---------------------------------------------------------------------------
+# _read_winning_path: beam_decode_awd(read_awd(...)) from the winner's slices only
+# ---------------------------------------------------------------------------
+
+class ByteCountingFile:
+    """An open file that counts the bytes its reads return."""
+
+    def __init__(self, fh, counts):
+        self._fh, self._counts = fh, counts
+
+    def read(self, size=-1):
+        data = self._fh.read(size)
+        self._counts.append(len(data))
+        return data
+
+    def readinto(self, buffer):
+        got = self._fh.readinto(buffer)
+        self._counts.append(got)
+        return got
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_read_winning_path_equals_decoding_the_whole_tensor(tmp_path, monkeypatch):
+    """Same bytes as ``beam_decode_awd(read_awd(...))``; the file gives up the
+    header and the winner's slices, one read per run of equal ancestors."""
+    rng = np.random.default_rng(7)
+    reads = []
+    monkeypatch.setattr(awdmod, "open",
+                        lambda *a, **k: ByteCountingFile(open(*a, **k), reads), raising=False)
+    path = tmp_path / "t.awd"
+    for case in range(60):
+        bs, sl = int(rng.integers(1, 5)), int(rng.integers(0, 9))
+        dims = (bs, sl, int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 6)))
+        ao.write_awd(random_tensor(rng, *dims), path)
+        trace, winner = rng.integers(0, bs, size=(sl, bs)).tolist(), int(rng.integers(0, bs))
+        for length in (None, sl, sl // 2, 0):
+            reads.clear()
+            expected = ao.beam_decode_awd(ao.read_awd(path), trace, winner, length=length)
+            assert sum(reads) == 24 + 4 * math.prod(dims), case  # read_awd reads everything
+            reads.clear()
+            got = awdmod._read_winning_path(path, trace, winner, length=length)
+            assert got.dtype == expected.dtype and got.shape == expected.shape, case
+            assert got.tobytes() == expected.tobytes(), case
+            ancestors = awdmod._winning_path(dims, trace, winner, length)
+            assert reads == [24] + [got[:1].nbytes * len(list(run))
+                                    for _, run in itertools.groupby(ancestors)], case
+
+
+@pytest.mark.parametrize("blob, trace, winner, length", [
+    (AWD_MAGIC + struct.pack("<5I", 1, 1, 1, 1, 4) + b"\x00" * 8, [[0]], 0, 1),
+    (AWD_MAGIC + struct.pack("<5I", 1, 1, 1, 1, 1) + b"\x00" * 5, [[0]], 0, 1),
+    (AWD_MAGIC + b"\x01\x00", [[0]], 0, 1),
+    (b"AW", [[0]], 0, 1),
+    (b"XXXX" + struct.pack("<5I", 1, 1, 1, 1, 1) + b"\x00" * 4, [[0]], 0, 1),
+    (AWD_MAGIC + struct.pack("<5I", 4096, 4096, 64, 64, 64), [[0]], 0, 1),
+    (AWD_MAGIC + struct.pack("<5I", 2, 2, 1, 1, 1) + b"\x00" * 16, [[0, 0], [2, 0]], 0, 2),
+    (AWD_MAGIC + struct.pack("<5I", 2, 2, 1, 1, 1) + b"\x00" * 16, [[0, 0]], 0, 1),
+    (AWD_MAGIC + struct.pack("<5I", 2, 2, 1, 1, 1) + b"\x00" * 16, [[0, 0], [0]], 0, 1),
+    (AWD_MAGIC + struct.pack("<5I", 2, 2, 1, 1, 1) + b"\x00" * 16, [[0, 0], [0, 0]], 5, 1),
+    (AWD_MAGIC + struct.pack("<5I", 2, 2, 1, 1, 1) + b"\x00" * 16, [[0, 0], [0, 0]], 0, 9),
+    (AWD_MAGIC + struct.pack("<5I", 2, 2, 1, 1, 1) + b"\x00" * 12, [[0, 0], [2, 0]], 0, 2),
+], ids=["short-payload", "trailing-bytes", "short-header", "short-magic", "bad-magic",
+        "dims-overflow", "bad-parent", "short-trace", "short-row", "bad-winner", "long-length",
+        "short-payload-and-bad-trace"])
+def test_read_winning_path_raises_what_read_then_decode_raise(tmp_path, blob, trace, winner,
+                                                              length):
+    path = tmp_path / "bad.awd"
+    path.write_bytes(blob)
+    with pytest.raises((AwdFormatError, BeamTraceError)) as expected:
+        ao.beam_decode_awd(ao.read_awd(path), trace, winner, length=length)
+    with pytest.raises(type(expected.value)) as got:
+        awdmod._read_winning_path(path, trace, winner, length=length)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_read_winning_path_reports_a_file_that_shrinks_during_the_read(tmp_path, monkeypatch):
+    rng = np.random.default_rng(9)
+    path = tmp_path / "t.awd"
+    ao.write_awd(random_tensor(rng, bs=2, sl=3, dl=1, mh=1, L=4), path)
+    walk = awdmod._winning_path
+
+    def walk_then_truncate(*args):
+        with open(path, "r+b") as fh:
+            fh.truncate(24 + 16 * 4)
+        return walk(*args)
+
+    monkeypatch.setattr(awdmod, "_winning_path", walk_then_truncate)
+    with pytest.raises(TruncatedPayloadError,
+                       match=r"payload has 64 bytes, dims \(2, 3, 1, 1, 4\) require 96"):
+        awdmod._read_winning_path(path, [[0, 0], [0, 0], [1, 1]], 0)
 
 
 # ---------------------------------------------------------------------------

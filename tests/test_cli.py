@@ -831,13 +831,13 @@ def test_analyze_scores_each_gold_summary_against_its_own_set_only(tmp_path, mon
         record.gold_summary = "W1 w2 w3."
     ao.write_unitized(records, run.units)
     pairs = []  # (candidate, reference) pairs per gold scoring call
-    counts = ao.rouge.rouge_counts  # the reference metric holds its own binding
-    monkeypatch.setattr(ao.rouge, "rouge_counts",
-                        lambda c, r: pairs.append(len(c) * len(r)) or counts(c, r))
+    counts = ao.rouge.paired_rouge_counts
+    monkeypatch.setattr(ao.rouge, "paired_rouge_counts",
+                        lambda c, r: pairs.append(len(c)) or counts(c, r))
     capsys.readouterr()
     assert analyze_planted(run, tmp_path / "rep") == 0
     assert capsys.readouterr().out.splitlines()[-1].endswith(" gold_sets=200")
-    assert sum(pairs) == 200
+    assert pairs == [200]  # one call
 
 
 def test_analyze_limit(tmp_path, capsys):

@@ -64,7 +64,10 @@ def test_config_validates_sigma():
         ao.ModelConfig(d_model=8, num_heads=2, sigma=0.0)
     with pytest.raises(ValueError, match=r"sigma 1e-200 is too small: 2 \* sigma\*\*2 underflows"):
         ao.ModelConfig(d_model=8, num_heads=2, sigma=1e-200)
-    ao.ModelConfig(d_model=8, num_heads=2, sigma=1e-160)  # 2 * sigma**2 is subnormal, not 0
+    with pytest.raises(ValueError,
+                       match=r"sigma 1e-160 is too small: 1 / \(2 \* sigma\*\*2\) overflows"):
+        ao.ModelConfig(d_model=8, num_heads=2, sigma=1e-160)  # 2 * sigma**2 is subnormal
+    ao.ModelConfig(d_model=8, num_heads=2, sigma=1e-154)  # the smallest decade still accepted
     ao.ModelConfig(d_model=8, num_heads=2, sigma=1e200)  # the shift vanishes
 
 
@@ -347,7 +350,8 @@ def test_shift_rejects_bad_sigma_and_index():
             ao.graph_shifted_attention(np.zeros((len(rows), 2)), graph, np.array(rows), sigma=1.0)
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0, 1e-200, math.inf, math.nan])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, 1e-200, 1e-160, np.float64(1e-160), math.inf,
+                                   math.nan])
 def test_shift_rejects_the_sigmas_that_model_config_rejects(sigma):
     graph = identity_graph(2)
     with warnings.catch_warnings():

@@ -284,6 +284,70 @@ def test_rouge_counts_empty_sides():
     assert rouge_counts([["a"]], []).shape == (1, 0, 3, 3)
 
 
+def one_pair_counts(cands, refs):
+    """The (N, 3, 3) counts of ``paired_rouge_counts``, one ``rouge_counts`` call per pair."""
+    rows = [rouge_counts([c], [r])[0, 0] for c, r in zip(cands, refs)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 3, 3)
+
+
+# Candidates use words 0 to words - 1; word ``words`` occurs only in references.
+@settings(max_examples=40)
+@given(st.integers(1, 6).flatmap(lambda words: st.tuples(id_lists(words), id_lists(words + 1))))
+@example(([[i % 3 for i in range(n)] for n in EDGES] + [[], [0, 1]],
+          [[i * 7 % 4 for i in range(n)] for n in EDGES[::-1]] + [[0] * 64, []]))
+@example(([[3] * 64, [0, 1] * 32], [[3] * 65, [1, 0] * 64 + [1]]))
+@example(([[]], [[]]))
+@example(([], []))
+def test_paired_rouge_counts_equal_one_pair_calls_up_to_200_tokens(sides):
+    n = min(map(len, sides))
+    cands, refs = word_lists(sides[0][:n]), word_lists(sides[1][:n])
+    counts = rouge.paired_rouge_counts(cands, refs)
+    assert counts.dtype == np.int64 and counts.shape == (n, 3, 3)
+    assert np.array_equal(counts, one_pair_counts(cands, refs))
+
+
+def test_paired_rouge_counts_same_array_in_one_pair_chunks(monkeypatch):
+    rng = np.random.default_rng(61)
+    sizes = [0, 6, 70, 200]
+    cands = [random_tokens(rng, max_len=int(rng.choice(sizes)), alphabet=5) for _ in range(9)]
+    refs = [random_tokens(rng, max_len=int(rng.choice(sizes)), alphabet=6) for _ in range(9)]
+    expected = rouge.paired_rouge_counts(cands, refs)
+    monkeypatch.setattr(rouge, "_CHUNK_ELEMENTS", 1)
+    lengths = [len(c) for c in cands]
+    assert len(list(rouge._chunks(lengths, len(refs), 4, paired=True))) == len(cands)
+    assert np.array_equal(rouge.paired_rouge_counts(cands, refs), expected)
+    assert np.array_equal(expected, one_pair_counts(cands, refs))
+
+
+def test_paired_rouge_counts_memory_stays_bounded():
+    """400 pairs, each candidate 128 words of its own, each reference 100 words drawn from
+    every candidate's: one unchunked (N, V) int64 count block would take
+    400 * 51200 * 8 bytes (156 MiB), and the (N, N, 3, 3) output of ``rouge_counts``
+    11 MiB. The kernel's dict of 51,200 candidate words peaks near 6 MiB. numpy
+    reports its buffers to tracemalloc."""
+    rng = np.random.default_rng(67)
+    n = 400
+    cands = [[f"w{c * 128 + i}" for i in range(128)] for c in range(n)]
+    ids = rng.integers(0, n * 128, size=(n, 100))
+    refs = word_lists(ids)
+    tracemalloc.start()
+    try:
+        counts = rouge.paired_rouge_counts(cands, refs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    # each candidate word once, so a ROUGE-1 match is a distinct reference word in its range
+    owned = [len(np.unique(row[row // 128 == i])) for i, row in enumerate(ids)]
+    assert counts[:, 0, 0].tolist() == owned
+    assert counts[:, 0, 1:].tolist() == [[128, 100]] * n
+
+
+def test_paired_rouge_counts_need_one_reference_per_candidate():
+    with pytest.raises(ValueError, match="2 candidates but 1 references"):
+        rouge.paired_rouge_counts([["a"], ["b"]], [["a"]])
+
+
 def test_scores_from_counts_bit_identical_to_scalar_formula():
     grid = [(m, c, r) for c in range(9) for r in range(9) for m in range(min(c, r) + 1)]
     expected = np.array([scalar_scores(*t) for t in grid])
