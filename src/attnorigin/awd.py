@@ -40,15 +40,15 @@ class AwdFormatError(ValueError):
 
 
 class BadMagicError(AwdFormatError):
-    pass
+    """The file does not start with the ``AWD1`` magic."""
 
 
 class DimOverflowError(AwdFormatError):
-    pass
+    """The header's dims imply more than ``MAX_ELEMENTS`` values."""
 
 
 class TruncatedPayloadError(AwdFormatError):
-    pass
+    """The file is shorter than its header, or than its dims imply."""
 
 
 class BeamTraceError(ValueError):
@@ -72,6 +72,7 @@ class SentenceAwd:
 
 
 def write_awd(tensor: AwdTensor, path) -> None:
+    """Write ``tensor`` in the binary tensor format, atomically."""
     values = np.ascontiguousarray(tensor.values, dtype="<f4")
     with atomic_write(path, "wb") as fh:
         fh.write(AWD_MAGIC)

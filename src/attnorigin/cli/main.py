@@ -271,8 +271,9 @@ def _checked_graph(
 ) -> simgraph.SimilarityGraph:
     """Read one set's graph; check it and the set's units against the model."""
     inp = record.unitized
-    unknown = weights.unknown_tokens(
-        set(graphattn.SPECIAL_TOKENS).union(*(u.tokens for u in inp.units)))
+    if not inp.num_real_units:
+        raise ValueError(f"set {record.set_id!r} has no units; no attention targets")
+    unknown = weights.unknown_tokens(t for u in inp.units for t in u.tokens)
     if unknown:
         raise ValueError(
             f"set {record.set_id!r}: token {unknown[0]!r} not in the model vocabulary")
@@ -312,6 +313,10 @@ def cmd_generate(opts: dict[str, Any]) -> int:
 
     if opts["weights"] is not None:
         weights = graphattn.read_weights(opts["weights"])
+        missing = weights.unknown_tokens(graphattn.SPECIAL_TOKENS)
+        if missing:
+            raise ValueError(f"{opts['weights']}: token {missing[0]!r} not in the model "
+                             "vocabulary")
         if model:  # --sigma and --shift-form override the file
             weights.config = dataclasses.replace(weights.config, **model)
             weights.validate()
@@ -466,8 +471,7 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
             raise ValueError(f"set {record.set_id!r}: {exc}") from None
         single += len(sentences) <= 1
         if record.gold_summary:
-            text = " ".join(word for sentence in sentences for word in sentence)
-            generated.append(textunits.tokenize(text))
+            generated.append([word for sentence in sentences for word in sentence])
             golds.append(textunits.tokenize(record.gold_summary))
         batch.append(
             origin.SummaryAnalysis(

@@ -718,7 +718,9 @@ def generate_sets(
     group at a time: up to min(GROUP_SETS, max(1, GROUP_HYPOTHESES //
     beam_size)) consecutive sets with the same unit count L. The options,
     the end markers and the graph sizes are checked before anything is
-    decoded.
+    decoded. Results equal decoding each set alone, except that at beam 2
+    or more a recorded value may differ by 1 float32 ulp, since the sets'
+    rows share one matrix product.
 
     Each step is one ``_decode_block`` call over every decoding set's
     leading slots, as many as the fullest set holds hypotheses: kernel
@@ -970,6 +972,7 @@ def make_concentrator_weights(
 # ---------------------------------------------------------------------------
 
 def write_weights(weights: DecoderWeights, path) -> None:
+    """Write a weights file that ``read_weights`` reads back bit for bit."""
     obj = {
         "config": weights.config.to_json(),
         "vocab": weights.vocab,

@@ -23,6 +23,7 @@ rejected, never correlated.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +103,42 @@ def reference_metric(
 # Pearson correlation
 # ---------------------------------------------------------------------------
 
+def _coefficient(sxy: float, sxx: float, syy: float) -> float | None:
+    """Pearson coefficient from centered sums of products and squares; None
+    when a side is constant. Raises ValueError when an overflowed or
+    subnormal sum has lost the coefficient."""
+    if sxx == 0.0 or syy == 0.0:
+        return None
+    tiny = sys.float_info.min
+    if tiny <= sxx * syy < math.inf:
+        r = sxy / math.sqrt(sxx * syy)
+    elif not (math.isfinite(sxy) and math.isfinite(sxx) and math.isfinite(syy)):
+        raise ValueError("Pearson sums overflow float64")
+    elif min(sxx, syy) >= tiny:
+        r = sxy / math.sqrt(sxx) / math.sqrt(syy)
+    else:
+        raise ValueError("Pearson sums underflow float64")
+    return min(1.0, max(-1.0, r))
+
+
+def _check_spread(comoment: np.ndarray, varies: np.ndarray) -> None:
+    """Reject a varying column whose sum of squared deviations underflowed
+    to zero, which would read as constant."""
+    if (np.diagonal(comoment)[varies] == 0.0).any():
+        raise ValueError("Pearson sums underflow float64")
+
+
+def _centered_sums(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    dx = x - x.mean()
+    dy = y - y.mean()
+    return float(dx @ dy), float(dx @ dx), float(dy @ dy)
+
+
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    """``v`` times the power of two that brings its largest magnitude into [0.5, 1)."""
+    return np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+
+
 def pearson(x, y) -> float | None:
     """Sample Pearson coefficient, or None when either side is constant."""
     x = np.asarray(x, dtype=np.float64)
@@ -110,14 +147,14 @@ def pearson(x, y) -> float | None:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
         raise ValueError(f"need at least 2 samples, got {x.size}")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
-        return None
-    r = float(dx @ dy) / math.sqrt(sxx * syy)
-    return min(1.0, max(-1.0, r))
+    varies = (x != x[0]).any() and (y != y[0]).any()
+    with np.errstate(over="ignore", invalid="ignore"):
+        sxy, sxx, syy = _centered_sums(x, y)
+        if varies and not sys.float_info.min <= sxx * syy < math.inf:
+            # The coefficient is scale-free, and exact power-of-two scaling
+            # keeps the sums of huge or tiny inputs finite and normal.
+            sxy, sxx, syy = _centered_sums(_unit_scaled(x), _unit_scaled(y))
+    return _coefficient(sxy, sxx, syy)
 
 
 @dataclass
@@ -160,11 +197,13 @@ class PearsonAccumulator:
         # coefficients are flagged undefined; a computed mean of identical
         # values is not always exact, so pin it to the shared value.
         first = cols[0]
-        mean = np.where((cols == first).all(axis=0), first, cols.mean(axis=0))
-        centered = cols - mean
-        self.merge(
-            PearsonAccumulator(count=cols.shape[0], mean=mean, comoment=centered.T @ centered)
-        )
+        varies = (cols != first).any(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # result() rejects overflowed sums
+            mean = np.where(varies, cols.mean(axis=0), first)
+            centered = cols - mean
+            comoment = centered.T @ centered
+        _check_spread(comoment, varies)
+        self.merge(PearsonAccumulator(count=cols.shape[0], mean=mean, comoment=comoment))
 
     def merge(self, other: "PearsonAccumulator") -> None:
         if other.count == 0:
@@ -176,22 +215,22 @@ class PearsonAccumulator:
             raise ValueError(f"column count mismatch: {self.mean.size} vs {other.mean.size}")
         # never in place: merged arrays may be shared with ``other``
         n = self.count + other.count
-        delta = other.mean - self.mean
         w = self.count * other.count / n
-        self.comoment = self.comoment + (other.comoment + np.outer(delta, delta) * w)
-        self.mean = self.mean + delta * other.count / n
+        with np.errstate(over="ignore", invalid="ignore"):  # result() rejects overflowed sums
+            delta = other.mean - self.mean
+            self.comoment = self.comoment + (other.comoment + np.outer(delta, delta) * w)
+            self.mean = self.mean + delta * other.count / n
         self.count = n
+        _check_spread(self.comoment, delta != 0.0)
 
     def result(self, i: int = 0, j: int = 1) -> float | None:
         """Coefficient between columns i and j over everything seen; None
-        when undefined."""
+        when undefined. Raises ValueError when the sums overflowed or
+        underflowed."""
         if self.count < 2:
             return None
-        sxx, syy = float(self.comoment[i, i]), float(self.comoment[j, j])
-        if sxx == 0.0 or syy == 0.0:
-            return None
-        r = float(self.comoment[i, j]) / math.sqrt(sxx * syy)
-        return min(1.0, max(-1.0, r))
+        return _coefficient(float(self.comoment[i, j]), float(self.comoment[i, i]),
+                            float(self.comoment[j, j]))
 
 
 # ---------------------------------------------------------------------------

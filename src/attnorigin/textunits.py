@@ -361,6 +361,7 @@ def docset_to_json(docset: MultiDocSet) -> dict:
 
 
 def write_corpus(sets: list[MultiDocSet], path) -> None:
+    """Write a JSONL corpus, one set per line, that ``read_corpus`` reads back."""
     _write_jsonl((docset_to_json(docset) for docset in sets), path)
 
 
@@ -434,6 +435,7 @@ def unitized_from_json(obj: dict) -> UnitizedRecord:
 
 
 def write_unitized(records: list[UnitizedRecord], path) -> None:
+    """Write a unitized JSONL file, one set per line, that ``read_unitized`` reads back."""
     _write_jsonl((unitized_to_json(record) for record in records), path)
 
 

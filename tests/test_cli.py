@@ -353,6 +353,33 @@ def test_generate_rejects_more_units_than_model_positions(tmp_path, capsys):
     assert line == "error: set 'set0': 4 units exceed the model's 3 positions"
 
 
+def test_generate_names_the_weights_file_whose_vocabulary_lacks_a_special_token(tmp_path,
+                                                                             capsys):
+    units = graphs_only(tmp_path)
+    records = ao.read_unitized(units)
+    vocab = [t for t in build_vocab(t for r in records for u in r.unitized.units
+                                    for t in u.tokens) if t != EOS_SENT_TOKEN]
+    cfg = ao.ModelConfig(d_model=16, num_layers=1, num_heads=2, vocab_size=len(vocab),
+                         num_units=6, max_len=8)
+    wpath = tmp_path / "weights.json"
+    ao.write_weights(ao.make_synthetic_weights(3, cfg, vocab=vocab), wpath)
+    line = generate_error(tmp_path, capsys, units, ["--weights", str(wpath)])
+    assert line == f"error: {wpath}: token '<eoss>' not in the model vocabulary"
+
+
+def test_generate_names_a_set_without_units(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus)
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"set_id": "empty", "documents": [{"text": "   "}]}) + "\n")
+    units = tmp_path / "units.jsonl"
+    assert main(["preprocess", "--corpus", str(corpus), "--out", str(units),
+                 "--units", "6", "--tokens", "10"]) == 0
+    assert main(["graph", "--unitized", str(units), "--out", str(tmp_path / "graphs")]) == 0
+    line = generate_error(tmp_path, capsys, units)
+    assert line == "error: set 'empty' has no units; no attention targets"
+
+
 @pytest.mark.parametrize("scaled, flags, set_id", [
     ("all", ["--beam-size", "4"], "set0"),
     ("set1", ["--beam-size", "2"], "set1"),  # both sets in one kernel call: set1's is row 1
@@ -879,7 +906,8 @@ def test_analyze_rejects_an_empty_layer_selection(tmp_path, capsys):
 
 
 def test_analyze_tokenizes_summary_words_like_the_units(tmp_path, capsys):
-    """A vocabulary that keeps case gives the report of its lowercased twin."""
+    """A vocabulary that keeps case or punctuation gives the report and the
+    ``rouge_f=`` line of its tokenized twin."""
     run_pipeline(tmp_path)
     gen = tmp_path / "gen"
     vocab = json.loads((gen / "vocab.json").read_text())
@@ -898,13 +926,18 @@ def test_analyze_tokenizes_summary_words_like_the_units(tmp_path, capsys):
 
     lower = analyze(tmp_path / "rep_lower")
     assert json.loads((tmp_path / "rep_lower" / "report.json").read_text())["layers"][0]["r1"]
+    assert "rouge_f=" in lower
     cased = [t if t in SPECIAL_TOKENS else t.capitalize() for t in vocab]
-    assert cased != vocab and len(set(cased)) == len(cased)
-    (gen / "vocab.json").write_text(json.dumps(cased))
-    assert analyze(tmp_path / "rep_cased") == lower
-    for name in ("report.json", "report.csv"):
-        assert (tmp_path / "rep_cased" / name).read_bytes() == \
-            (tmp_path / "rep_lower" / name).read_bytes()
+    punctuated = list(cased)  # "gamma" "." read as "Gamma." and a blank entry
+    punctuated[vocab.index("gamma")] = "Gamma."
+    punctuated[vocab.index(".")] = " "
+    for name, twin in [("rep_cased", cased), ("rep_punctuated", punctuated)]:
+        assert twin != vocab and len(set(twin)) == len(twin)
+        (gen / "vocab.json").write_text(json.dumps(twin))
+        assert analyze(tmp_path / name) == lower
+        for report in ("report.json", "report.csv"):
+            assert (tmp_path / name / report).read_bytes() == \
+                (tmp_path / "rep_lower" / report).read_bytes()
 
 
 def test_concentrator_weights_give_single_hot_posbias_row(tmp_path):

@@ -1,5 +1,7 @@
 """The public names of ``attnorigin`` and its CLI options are part of its contract."""
 
+import importlib
+import pkgutil
 import re
 import types
 from pathlib import Path
@@ -67,3 +69,32 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def _word(name: str) -> re.Pattern:
+    return re.compile(rf"(?<!\w){re.escape(name)}(?!\w)")
+
+
+def test_readme_names_every_public_name():
+    """The README names every public name."""
+    text = README.read_text(encoding="utf-8")
+    assert [name for name in PUBLIC_NAMES if not _word(name).search(text)] == []
+
+
+def _private_names() -> set[str]:
+    """Every ``_``-prefixed, non-dunder name of a module or class in the package."""
+    names = set()
+    for info in pkgutil.walk_packages(attnorigin.__path__, "attnorigin."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            names.add(name)
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                names.update(vars(value))
+    return {name for name in names if re.fullmatch(r"_[A-Za-z]\w*", name)
+            and not name.endswith("__")}
+
+
+def test_readme_names_no_private_identifier():
+    """The README states the contract; private helpers are free to change."""
+    text = README.read_text(encoding="utf-8")
+    assert sorted(name for name in _private_names() if _word(name).search(text)) == []

@@ -222,6 +222,40 @@ def test_pearson_affine_invariance():
     assert abs(ao.pearson(-2.0 * x + 1.0, y) + base) < 1e-12
 
 
+# Finite inputs whose squared deviations overflow, or whose sums of squares
+# (or their product) fall below the normal floats.
+EXTREME_PAIRS = [
+    ([0.0, 1e160], [0.0, 1e160]),
+    ([0.0, 1e-160, 0.0], [0.0, 1e-160, 0.0]),
+    ([1e-200, 2e-200, 0.0], [1e-200, 0.0, 3e-200]),
+    ([0.0, 1e160, 3e159], [1e-160, 0.0, 5e-161]),
+    ([1e308, 1.7e308, -1e308], [1.0, 2.0, 3.5]),
+]
+
+
+@pytest.mark.parametrize("x, y", EXTREME_PAIRS)
+def test_pearson_of_huge_or_tiny_inputs_is_that_of_the_scaled_inputs(x, y):
+    """The coefficient is scale-free, so it is that of each side divided by
+    its largest magnitude; no numpy warning is raised on the way."""
+    got = ao.pearson(x, y)
+    expected = oracle_pearson([a / max(map(abs, x)) for a in x],
+                              [b / max(map(abs, y)) for b in y])
+    assert got is not None and abs(got - expected) < 1e-12
+
+
+@pytest.mark.parametrize("x, y", EXTREME_PAIRS)
+def test_accumulator_rejects_sums_that_lost_the_coefficient(x, y):
+    whole = PearsonAccumulator()
+    one_by_one = PearsonAccumulator()
+    with pytest.raises(ValueError, match="Pearson sums (overflow|underflow) float64"):
+        whole.update(x, y)
+        whole.result()
+    with pytest.raises(ValueError, match="Pearson sums (overflow|underflow) float64"):
+        for a, b in zip(x, y):
+            one_by_one.update([a], [b])
+        one_by_one.result()
+
+
 # ---------------------------------------------------------------------------
 # PearsonAccumulator
 # ---------------------------------------------------------------------------
