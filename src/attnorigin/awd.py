@@ -216,7 +216,8 @@ def split_summary_sentences(tokens: Sequence[int], eos_sentence_id: int) -> Sent
 def aggregate_to_sentences(
     aligned: np.ndarray, spans: SentenceSpans, method: str = AGGREGATION_MEAN
 ) -> SentenceAwd:
-    """Pool token-level distributions over sentence spans.
+    """Pool token-level distributions over sentence spans; the float32 slices
+    that a tensor file holds are averaged in float64 without a float64 copy.
 
     The mean keeps each (layer, head) slice on the probability simplex.
     The median does not, so median slices are renormalized to sum 1
@@ -225,7 +226,7 @@ def aggregate_to_sentences(
     """
     if method not in (AGGREGATION_MEAN, AGGREGATION_MEDIAN):
         raise ValueError(f"unknown aggregation {method!r}")
-    aligned = np.asarray(aligned, dtype=np.float64)
+    aligned = np.asarray(aligned)
     sl = aligned.shape[0]
     expected_start = 0
     for start, end in spans:
@@ -239,8 +240,9 @@ def aggregate_to_sentences(
     for s, (start, end) in enumerate(spans):
         window = aligned[start:end]
         if method == AGGREGATION_MEAN:
-            out[s] = window.mean(axis=0)
+            out[s] = window.mean(axis=0, dtype=np.float64)
         else:
+            window = window.astype(np.float64)
             med = np.median(window, axis=0)
             sums = med.sum(axis=-1, keepdims=True)
             mean = window.mean(axis=0)

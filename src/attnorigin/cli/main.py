@@ -25,7 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .. import awd as awdmod
-from .. import graphattn, origin, rouge, simgraph, textunits
+from .. import graphattn, origin, simgraph, textunits
 from . import heatmap as heatmapmod
 from . import report as reportmod
 
@@ -393,7 +393,8 @@ def _read_vocab(awd_dir: Path, summaries_dir: Path) -> list[str]:
 
 
 def _check_simplex(values: np.ndarray, unit_pad: np.ndarray) -> None:
-    """Reject float64 attention slices that are not distributions over the real units."""
+    """Reject attention slices that are not distributions over the real units; sums
+    are taken in float64, so a non-finite value shows as a non-finite row sum."""
     if 0 in values.shape[1:3]:
         raise ValueError(f"tensor has {values.shape[1]} layers and {values.shape[2]} heads; "
                          "need at least one of each")
@@ -401,17 +402,18 @@ def _check_simplex(values: np.ndarray, unit_pad: np.ndarray) -> None:
         raise ValueError(
             f"tensor has {values.shape[-1]} units, unitized input has {unit_pad.shape[0]}"
         )
-    if not np.isfinite(values).all():
+    sums = values.sum(axis=-1, dtype=np.float64)
+    if not np.isfinite(sums).all():
         raise ValueError("non-finite attention values")
     if values.size == 0:
         return
     low = values.min()
     if low < 0.0:
         raise ValueError(f"negative attention value {low:.3g}")
-    off = np.abs(values.sum(axis=-1) - 1.0).max()
+    off = np.abs(sums - 1.0).max()
     if off > SIMPLEX_TOLERANCE:
         raise ValueError(f"attention sums {off:.3g} away from 1 (tolerance {SIMPLEX_TOLERANCE})")
-    pad_mass = values[..., unit_pad].sum(axis=-1).max()
+    pad_mass = values[..., unit_pad].sum(axis=-1, dtype=np.float64).max()
     if pad_mass > SIMPLEX_TOLERANCE:
         raise ValueError(f"attention puts {pad_mass:.3g} mass on pad units")
 
@@ -435,7 +437,7 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
     except ValueError:
         raise ValueError(f"vocabulary lacks the {graphattn.EOS_SENT_TOKEN!r} marker")
 
-    batch = []
+    sets = []  # (record, attention, generated sentences, unit sentences) per set
     single = 0  # summaries of at most one sentence
     generated, golds = [], []  # token pairs for summary quality, when the corpus has golds
     for record in records:
@@ -452,7 +454,7 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
             aligned = awdmod._read_winning_path(
                 awd_path(awd_dir, record.set_id), summary.beam_trace, summary.winning_beam,
                 length=len(summary.tokens),
-            ).astype(np.float64)
+            )
             _check_simplex(aligned, record.unitized.unit_pad)
             spans = awdmod.split_summary_sentences(summary.tokens, eoss_id)
             sent_awd = awdmod.aggregate_to_sentences(
@@ -466,24 +468,31 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
             kept = [i for i, sentence in enumerate(words) if sentence]
             sent_awd.values = sent_awd.values[kept]
             sentences = [words[i] for i in kept]
-            metric = origin.reference_metric(sentences, record.unitized)
+            units = origin.unit_sentences(record.unitized)
         except (ValueError, OSError) as exc:
             raise ValueError(f"set {record.set_id!r}: {exc}") from None
         single += len(sentences) <= 1
         if record.gold_summary:
             generated.append([word for sentence in sentences for word in sentence])
             golds.append(textunits.tokenize(record.gold_summary))
-        batch.append(
-            origin.SummaryAnalysis(
-                set_id=record.set_id,
-                sent_awd=sent_awd,
-                origin=metric,
-                unit_pad=record.unitized.unit_pad,
-                doc_positions=origin.doc_positions_from_boundaries(
-                    record.unitized.doc_boundaries, record.unitized.L
-                ),
-            )
+        sets.append((record, sent_awd, sentences, units))
+
+    # one grouped ROUGE call scores every set's reference metric and every gold summary
+    metrics, gold_scores = origin.reference_metrics(
+        [sentences for _, _, sentences, _ in sets], [units for *_, units in sets],
+        (generated, golds))
+    batch = [
+        origin.SummaryAnalysis(
+            set_id=record.set_id,
+            sent_awd=sent_awd,
+            origin=metric,
+            unit_pad=record.unitized.unit_pad,
+            doc_positions=origin.doc_positions_from_boundaries(
+                record.unitized.doc_boundaries, record.unitized.L
+            ),
         )
+        for (record, sent_awd, _, _), metric in zip(sets, metrics)
+    ]
 
     num_layers = batch[0].sent_awd.dims[1]
     layers = _parse_layers(opts["layers"], num_layers)
@@ -517,7 +526,7 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
         written.append(str(path))
     print(f"sets={len(batch)} cells={report.sample_count} wrote={','.join(written)}")
     if golds:
-        f1 = rouge.scores_from_counts(rouge.paired_rouge_counts(generated, golds))[..., 2]
+        f1 = gold_scores[..., 2]
         mean_f = [sum(column) / len(golds) for column in f1.T.tolist()]  # sums in set order
         print(f"rouge_f={reportmod.rouge_f_row(*mean_f)} gold_sets={len(golds)}")
     return 0

@@ -2,7 +2,10 @@
 
 For every generated sentence and every input unit, the reference metric
 holds the mean ROUGE-1/2/L of the sentence against the unit's own
-sentences. Pooled Pearson coefficients relate those scores to the
+sentences. ``reference_metrics`` scores many sets in one grouped ROUGE
+call, which the kernel runs in chunks of consecutive sets, and sums each
+unit's sentence scores in sentence order; ``reference_metric`` is its
+one-set call. Pooled Pearson coefficients relate those scores to the
 sentence-aggregated attention weights per decoding layer and head;
 head-to-head and layer-to-layer correlation matrices and a
 positional-bias heatmap complete the report.
@@ -14,10 +17,11 @@ then every (layer, head). A ``PearsonAccumulator`` holds the array's
 centered co-moment matrix; per-summary accumulators give the
 per-summary diagnostics and merge exactly into the pooled one (Chan,
 Golub & LeVeque 1979), so summaries could be processed concurrently and
-merged deterministically. Coefficients match a direct computation on
-concatenated vectors to within 1e-12, not bit for bit, since the
-summation order differs. Non-finite attention or metric values are
-rejected, never correlated.
+merged deterministically. Each report table reads its coefficients from
+the co-moments as one array operation. Coefficients match a direct
+computation on concatenated vectors to within 1e-12, not bit for bit,
+since the summation order differs. Non-finite attention or metric values
+are rejected, never correlated.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .awd import SentenceAwd
 # rouge_triple is not called here; the benchmark tracer patches it on this module by name.
-from .rouge import rouge_counts, rouge_triple, scores_from_counts  # noqa: F401
+from .rouge import grouped_rouge_counts, rouge_triple, scores_from_counts  # noqa: F401
 from .textunits import UnitizedInput, split_sentences, tokenize
 
 VARIANTS = ("r1", "r2", "rl")
@@ -72,6 +76,64 @@ class OriginMetric:
         return self.values[:, :, VARIANTS.index(variant), F1]
 
 
+def unit_sentences(inp: UnitizedInput) -> list[list[list[str]]]:
+    """Each unit's sentences as token lists; a pad unit has none."""
+    if inp.num_real_units < 1:
+        raise ValueError("input has no non-pad units")
+    return [
+        [] if unit.is_pad else [tokenize(s) for s in split_sentences(unit.original_text)]
+        for unit in inp.units
+    ]
+
+
+def reference_metrics(
+    summaries: list[list[list[str]]],
+    units: list[list[list[list[str]]]],
+    pairs: tuple[list[list[str]], list[list[str]]] = ([], []),
+) -> tuple[list[OriginMetric], np.ndarray]:
+    """Reference metrics of many sets, and the ROUGE of extra pairs, from one
+    ``grouped_rouge_counts`` call.
+
+    Set i pairs the generated sentences ``summaries[i]`` with its
+    ``units[i]`` from ``unit_sentences``; extra candidate k is scored
+    against extra reference k only. Returns one ``OriginMetric`` per set
+    and the extra pairs' (K, 3, 3) precision, recall and F1. One
+    ``scores_from_counts`` covers every pair, and one ``np.bincount`` per
+    score column sums each unit's sentence scores in sentence order, so
+    each value is bit-identical to scoring its cell on its own.
+    """
+    extra_cands, extra_refs = pairs
+    if len(extra_cands) != len(extra_refs):
+        raise ValueError(f"{len(extra_cands)} candidates but {len(extra_refs)} references")
+    ref_counts = [[len(refs) for refs in set_units] for set_units in units]
+    groups = np.arange(len(summaries) + len(extra_cands))
+    ones = [1] * len(extra_cands)
+    counts = grouped_rouge_counts(
+        [s for sentences in summaries for s in sentences] + list(extra_cands),
+        [ref for set_units in units for refs in set_units for ref in refs] + list(extra_refs),
+        np.repeat(groups, [len(s) for s in summaries] + ones),
+        np.repeat(groups, [sum(n) for n in ref_counts] + ones),
+    )
+    scores = scores_from_counts(counts)
+    # each pair's cell: sets in order, then (sentence, unit) row-major
+    bins, cells = [np.zeros(0, dtype=np.int64)], 0
+    for sentences, n in zip(summaries, ref_counts):
+        owners = np.repeat(np.arange(len(n)), n)
+        bins.append((cells + np.arange(len(sentences))[:, None] * len(n) + owners).ravel())
+        cells += len(sentences) * len(n)
+    bins = np.concatenate(bins)
+    columns = scores[: len(bins)].reshape(len(bins), len(VARIANTS) * 3).T
+    sums = np.stack([np.bincount(bins, column, minlength=cells) for column in columns], axis=-1)
+    metrics, start = [], 0
+    for sentences, n in zip(summaries, ref_counts):
+        end = start + len(sentences) * len(n)
+        per_unit = np.maximum(np.array(n, dtype=np.float64), 1.0)
+        values = sums[start:end].reshape(len(sentences), len(n), len(VARIANTS), 3)
+        metrics.append(OriginMetric(values=values / per_unit[:, None, None]))
+        start = end
+    return metrics, scores[len(bins):]
+
+
 def reference_metric(
     summary_sentences: list[list[str]], inp: UnitizedInput
 ) -> OriginMetric:
@@ -79,24 +141,10 @@ def reference_metric(
 
     Every non-pad unit is split into sentences; a cell averages the
     ROUGE scores of the generated sentence against all of them,
-    componentwise per variant. One ``rouge_counts`` call scores every
-    generated sentence against every unit sentence, and each cell sums
-    its unit's scores in sentence order. Zero generated sentences give
-    an empty metric.
+    componentwise per variant. This is ``reference_metrics`` for one set.
+    Zero generated sentences give an empty metric.
     """
-    if inp.num_real_units < 1:
-        raise ValueError("input has no non-pad units")
-    unit_sentences = [
-        [] if unit.is_pad else [tokenize(s) for s in split_sentences(unit.original_text)]
-        for unit in inp.units
-    ]
-    owners = [j for j, refs in enumerate(unit_sentences) for _ in refs]
-    scores = scores_from_counts(
-        rouge_counts(summary_sentences, [ref for refs in unit_sentences for ref in refs]))
-    values = np.zeros((len(summary_sentences), len(unit_sentences), len(VARIANTS), 3))
-    np.add.at(values, (slice(None), owners), scores)  # in index order, as the loop added
-    counts = np.array([max(len(refs), 1) for refs in unit_sentences], dtype=np.float64)
-    return OriginMetric(values=values / counts[:, None, None])
+    return reference_metrics([summary_sentences], [unit_sentences(inp)])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +169,29 @@ def _coefficient(sxy: float, sxx: float, syy: float) -> float | None:
     return min(1.0, max(-1.0, r))
 
 
+def _coefficients(comoment: np.ndarray, i, j) -> list:
+    """``_coefficient`` of columns i and j for every broadcast pair of index arrays,
+    read from an (..., k, k) co-moment array, as nested lists.
+
+    A zero second moment reads None. Where ``sxx * syy`` is a positive, normal,
+    finite float and ``sxy`` finite, the coefficient is ``sxy / sqrt(sxx * syy)``
+    clamped to [-1, 1] with the same float operations; every other cell goes
+    through ``_coefficient`` in row-major order, so lost sums raise as there.
+    """
+    i, j = np.broadcast_arrays(i, j)
+    sxy, sxx, syy = comoment[..., i, j], comoment[..., i, i], comoment[..., j, j]
+    with np.errstate(all="ignore"):
+        prod = sxx * syy
+        r = np.minimum(1.0, np.maximum(-1.0, sxy / np.sqrt(prod)))
+    out = r.astype(object)
+    undefined = (sxx == 0.0) | (syy == 0.0)
+    out[undefined] = None
+    fast = (prod >= sys.float_info.min) & (prod < math.inf) & np.isfinite(sxy)
+    for k in zip(*np.nonzero(~(fast | undefined))):
+        out[k] = _coefficient(float(sxy[k]), float(sxx[k]), float(syy[k]))
+    return out.tolist()
+
+
 def _check_spread(comoment: np.ndarray, varies: np.ndarray) -> None:
     """Reject a varying column whose sum of squared deviations underflowed
     to zero, which would read as constant."""
@@ -128,9 +199,14 @@ def _check_spread(comoment: np.ndarray, varies: np.ndarray) -> None:
         raise ValueError("Pearson sums underflow float64")
 
 
+def _centered(v: np.ndarray) -> np.ndarray:
+    """``v`` minus its mean; a constant ``v`` centers to exact zeros, since the
+    computed mean of identical values is not always exact."""
+    return v - (v.mean() if (v != v[0]).any() else v[0])
+
+
 def _centered_sums(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    dx = x - x.mean()
-    dy = y - y.mean()
+    dx, dy = _centered(x), _centered(y)
     return float(dx @ dy), float(dx @ dx), float(dy @ dy)
 
 
@@ -448,39 +524,45 @@ def build_report(
         raise ValueError("no usable cells in batch")
 
     # column indices in _cell_columns order
-    layer_col = [len(VARIANTS) + layer for layer in range(dl)]
-    first_head = len(VARIANTS) + dl
-    head_col = [[first_head + layer * mh + head for head in range(mh)] for layer in range(dl)]
+    metric_col = [c for c, v in enumerate(VARIANTS) if v in variants]
+    layer_col = np.arange(len(VARIANTS), len(VARIANTS) + dl)
+    head_col = len(VARIANTS) + dl + np.arange(dl * mh).reshape(dl, mh)
+    sel = np.array(selected)
 
-    def versus_metric(acc: PearsonAccumulator, col: int) -> dict:
-        return {v: acc.result(c, col) if v in variants else None for c, v in enumerate(VARIANTS)}
-
-    def matrix(cols: list[int]) -> list[list[float | None]]:
-        return [[pooled.result(i, j) for j in cols] for i in cols]
+    def by_variant(row: list) -> dict:
+        values = iter(row)
+        return {v: next(values) if v in variants else None for v in VARIANTS}
 
     posbias = None
     if all(a.doc_positions is not None for a in batch):
         posbias = positional_bias(batch, selected[-1] if posbias_layer is None else posbias_layer)
 
+    # pooled cells in report order, then the per-summary ones from each summary's
+    # co-moments of the metric and selected layer columns only
+    pooled_moments = pooled.comoment if pooled.count >= 2 else np.zeros_like(pooled.comoment)
+    per_layer = _coefficients(pooled_moments, metric_col, layer_col[sel][:, None])
+    per_head = _coefficients(pooled_moments, metric_col, head_col[sel].reshape(-1, 1))
+    head_matrix = _coefficients(pooled_moments, head_col[sel][:, :, None], head_col[sel][:, None])
+    layer_matrix = _coefficients(pooled_moments, layer_col[:, None], layer_col)
+    cols = np.concatenate([metric_col, layer_col[sel]]).astype(np.intp)
+    summary_moments = np.zeros((len(batch), len(cols), len(cols)))
+    for k, acc in enumerate(per_set):
+        if acc.count >= 2:
+            summary_moments[k] = acc.comoment[np.ix_(cols, cols)]
+    per_summary = _coefficients(summary_moments, np.arange(len(metric_col)),
+                                len(metric_col) + np.arange(len(sel))[:, None])
+
     return CorrelationReport(
-        per_layer=[
-            {"layer": layer + 1, **versus_metric(pooled, layer_col[layer])}
-            for layer in selected
-        ],
-        per_head=[
-            {"layer": layer + 1, "head": head, **versus_metric(pooled, head_col[layer][head])}
-            for layer in selected
-            for head in range(mh)
-        ],
-        head_matrix=[
-            {"layer": layer + 1, "matrix": matrix(head_col[layer])} for layer in selected
-        ],
-        layer_matrix=matrix(layer_col),
+        per_layer=[{"layer": layer + 1, **by_variant(row)}
+                   for layer, row in zip(selected, per_layer)],
+        per_head=[{"layer": layer + 1, "head": head, **by_variant(per_head[i * mh + head])}
+                  for i, layer in enumerate(selected) for head in range(mh)],
+        head_matrix=[{"layer": layer + 1, "matrix": matrix}
+                     for layer, matrix in zip(selected, head_matrix)],
+        layer_matrix=layer_matrix,
         sample_count=pooled.count,
         posbias=posbias,
-        per_summary=[
-            {"set_id": a.set_id, "layer": layer + 1, **versus_metric(acc, layer_col[layer])}
-            for a, acc in zip(batch, per_set)
-            for layer in selected
-        ],
+        per_summary=[{"set_id": a.set_id, "layer": layer + 1, **by_variant(row)}
+                     for a, rows in zip(batch, per_summary)
+                     for layer, row in zip(selected, rows)],
     )

@@ -21,7 +21,9 @@ from attnorigin.cli.main import main, summary_path
 from attnorigin.cli.report import rouge_f_row
 from attnorigin.graphattn import EOS_SENT_TOKEN, EOS_TOKEN, SPECIAL_TOKENS, build_vocab
 from attnorigin.rouge import evaluate_summary
-from conftest import JSON_VALUES, PLANTED_MIX, json_paths, replaced, write_planted_run
+from conftest import (JSON_VALUES, PLANTED_MIX, json_paths, make_docset, replaced,
+                      write_planted_run)
+from test_rouge import spy_on_chunks
 
 
 def write_corpus(path, num_sets=2):
@@ -849,6 +851,21 @@ def test_analyze_gold_rouge_line_is_the_mean_of_one_pair_scores(tmp_path, plante
     assert capsys.readouterr().out.splitlines()[-1] == line
 
 
+def spy_on_grouped_rouge(monkeypatch):
+    """(candidates per group, references per group, pairs scored) of each grouped
+    ROUGE call that ``origin`` makes, once patched in."""
+    calls = []
+    grouped = ao.origin.grouped_rouge_counts
+
+    def spy(candidates, references, candidate_groups, reference_groups):
+        counts = grouped(candidates, references, candidate_groups, reference_groups)
+        calls.append((np.bincount(candidate_groups), np.bincount(reference_groups), len(counts)))
+        return counts
+
+    monkeypatch.setattr(ao.origin, "grouped_rouge_counts", spy)
+    return calls
+
+
 def test_analyze_scores_each_gold_summary_against_its_own_set_only(tmp_path, monkeypatch,
                                                                       capsys):
     """Gold ROUGE work grows with the set count, not with its square."""
@@ -857,14 +874,76 @@ def test_analyze_scores_each_gold_summary_against_its_own_set_only(tmp_path, mon
     for record in records:
         record.gold_summary = "W1 w2 w3."
     ao.write_unitized(records, run.units)
-    pairs = []  # (candidate, reference) pairs per gold scoring call
-    counts = ao.rouge.paired_rouge_counts
-    monkeypatch.setattr(ao.rouge, "paired_rouge_counts",
-                        lambda c, r: pairs.append(len(c)) or counts(c, r))
+    calls = spy_on_grouped_rouge(monkeypatch)
     capsys.readouterr()
     assert analyze_planted(run, tmp_path / "rep") == 0
     assert capsys.readouterr().out.splitlines()[-1].endswith(" gold_sets=200")
-    assert pairs == [200]  # one call
+    assert len(calls) == 1  # one call
+    cand_sizes, ref_sizes, rows = calls[0]
+    # the last 200 groups pair each generated summary with its own gold summary only
+    assert cand_sizes[-200:].tolist() == ref_sizes[-200:].tolist() == [1] * 200
+    assert rows == int(cand_sizes[:-200] @ ref_sizes[:-200]) + 200
+
+
+def write_sentence_run(root, num_sets):
+    """Sets shaped like sentence mode at beam 1 with max_len 8: two documents of ten
+    three-sentence paragraphs give 60 sentence units of 12 words; each summary is one
+    sentence of 8 words with attention spread evenly over the real units, and each set
+    has a three-sentence gold summary. Returns the unitized path and the output directory."""
+    rng = np.random.default_rng(79)
+    words = [f"w{i}" for i in range(400)]
+    gen = root / "gen"
+    gen.mkdir(parents=True)
+    vocab = build_vocab(words)
+    ao.textunits.write_json(vocab, gen / "vocab.json")
+
+    def text(sentences):
+        return " ".join(" ".join(rng.choice(words, 12)) + "." for _ in range(sentences))
+
+    records = []
+    for k in range(num_sets):
+        docs = [[text(3) for _ in range(10)] for _ in range(2)]
+        inp = ao.unitize(make_docset(f"s{k}", docs), "sentence", L=60, T=30)
+        records.append(ao.UnitizedRecord(f"s{k}", inp, gold_summary=text(3)))
+        tokens = [vocab.index(w) for w in rng.choice(words, 8)]
+        values = np.zeros((1, 8, 2, 2, inp.L), dtype=np.float32)
+        values[..., ~inp.unit_pad] = 1.0 / inp.num_real_units
+        ao.write_awd(ao.AwdTensor(values=values), gen / f"s{k}.awd")
+        ao.awd.write_summary(ao.awd.SummaryRecord(f"s{k}", tokens, [[0]] * 8, 0),
+                             gen / f"s{k}.summary.json")
+    ao.write_unitized(records, root / "units.jsonl")
+    return root / "units.jsonl", gen
+
+
+def test_analyze_scores_a_sentence_mode_file_in_one_kernel_call(tmp_path, monkeypatch, capsys):
+    """24 sentence-mode sets with gold summaries: every reference pair and every gold
+    pair goes through one grouped ROUGE call, which runs as one chunk."""
+    units, gen = write_sentence_run(tmp_path / "run", 24)
+    calls = spy_on_grouped_rouge(monkeypatch)
+    chunks = spy_on_chunks(monkeypatch)
+    capsys.readouterr()
+    assert main(["analyze", "--awd", str(gen), "--summaries", str(gen), "--unitized", str(units),
+                 "--out", str(tmp_path / "rep")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" gold_sets=24")
+    assert len(calls) == 1
+    cand_sizes, ref_sizes, rows = calls[0]
+    assert cand_sizes.tolist() == [1] * 48 and ref_sizes[24:].tolist() == [1] * 24
+    assert rows == int(ref_sizes[:24].sum()) + 24
+    assert chunks == [(0, 48)]
+
+
+def test_analyze_names_the_first_of_two_faulty_sets(tmp_path, capsys):
+    """p1's attention is found non-finite after its files are read; p2 lacks its summary
+    file, which the loop finds first thing. The earlier set in the file is named."""
+    run = write_planted_run(tmp_path / "planted")
+    path = run.gen / "p1.awd"
+    values = ao.read_awd(path).values
+    values[..., 0] = np.nan
+    ao.write_awd(ao.AwdTensor(values=values), path)
+    (run.gen / "p2.summary.json").unlink()
+    capsys.readouterr()
+    assert analyze_planted(run, tmp_path / "rep") == 1
+    assert capsys.readouterr().err.splitlines() == ["error: set 'p1': non-finite attention values"]
 
 
 def test_analyze_limit(tmp_path, capsys):

@@ -179,6 +179,16 @@ def test_pearson_constant_is_undefined():
     assert ao.pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) is None
 
 
+def test_pearson_constant_with_an_inexact_mean_is_undefined_like_the_accumulator():
+    # the computed mean of three 0.1s is not 0.1, so unpinned deviations are not zero
+    assert np.mean([0.1, 0.1, 0.1]) != 0.1
+    acc = ao.PearsonAccumulator()
+    acc.update([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
+    assert acc.result() is None
+    assert ao.pearson([0.1, 0.1, 0.1], [1.0, 2.0, 3.0]) is None
+    assert ao.pearson([1.0, 2.0, 3.0], [0.1, 0.1, 0.1]) is None
+
+
 def test_pearson_rejects_bad_inputs():
     with pytest.raises(ValueError):
         ao.pearson([1.0, 2.0], [1.0])
@@ -254,6 +264,29 @@ def test_accumulator_rejects_sums_that_lost_the_coefficient(x, y):
         for a, b in zip(x, y):
             one_by_one.update([a], [b])
         one_by_one.result()
+
+
+def test_report_coefficients_equal_one_coefficient_call_per_cell():
+    """The vectorized table read gives ``_coefficient``'s value, bit for bit, on every
+    cell: ordinary ones, zero second moments, and products of second moments that are
+    subnormal or overflow, which take ``_coefficient``'s own path."""
+    from attnorigin.origin import _coefficient, _coefficients
+
+    rng = np.random.default_rng(83)
+    spread = np.array([1.0, 0.0, 1e-200, 1e200, 4.0, 3e-160, 2.5e160])
+    corr = np.corrcoef(rng.normal(size=(len(spread), 40)))
+    comoment = corr * np.outer(np.sqrt(spread), np.sqrt(spread))
+    stack = np.stack([comoment, comoment * 0.5, np.zeros_like(comoment)])
+    cols = np.arange(len(spread))
+    got = _coefficients(stack, cols[:, None], cols)
+    expected = [[[_coefficient(*map(float, (m[i, j], m[i, i], m[j, j]))) for j in cols]
+                 for i in cols] for m in stack]
+    assert got == expected
+    assert [type(v) for v in got[0][0]] == [float, type(None)] + [float] * 5
+    with pytest.raises(ValueError, match="Pearson sums underflow float64"):
+        _coefficients(np.array([[1e-310, 0.0], [0.0, 1.0]]), [0], [1])
+    with pytest.raises(ValueError, match="Pearson sums overflow float64"):
+        _coefficients(np.array([[np.inf, 1.0], [1.0, 1.0]]), [0], [1])
 
 
 # ---------------------------------------------------------------------------

@@ -249,14 +249,29 @@ def test_rouge_counts_match_oracles_up_to_200_tokens(sides):
                 *oracle_clipped_ngram_counts(cand, ref, n))
 
 
+def spy_on_chunks(monkeypatch):
+    """The candidate ranges that ``rouge._chunks`` yields, in order, once patched in."""
+    ranges = []
+    chunks = rouge._chunks
+
+    def spy(*args):
+        for chunk in chunks(*args):
+            ranges.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(rouge, "_chunks", spy)
+    return ranges
+
+
 def test_rouge_counts_same_array_in_one_candidate_chunks(monkeypatch):
     rng = np.random.default_rng(53)
     cands = [random_tokens(rng, max_len=int(rng.choice([6, 70, 200])), alphabet=5) for _ in range(7)]
     refs = [random_tokens(rng, max_len=int(rng.choice([6, 70, 200])), alphabet=6) for _ in range(9)]
     expected = rouge_counts(cands, refs)
+    chunks = spy_on_chunks(monkeypatch)
     monkeypatch.setattr(rouge, "_CHUNK_ELEMENTS", 1)
-    assert len(list(rouge._chunks([len(c) for c in cands], len(refs), 1))) == len(cands)
     assert np.array_equal(rouge_counts(cands, refs), expected)
+    assert chunks == [(i, i + 1) for i in range(len(cands))]
 
 
 def test_rouge_counts_memory_stays_bounded():
@@ -312,10 +327,10 @@ def test_paired_rouge_counts_same_array_in_one_pair_chunks(monkeypatch):
     cands = [random_tokens(rng, max_len=int(rng.choice(sizes)), alphabet=5) for _ in range(9)]
     refs = [random_tokens(rng, max_len=int(rng.choice(sizes)), alphabet=6) for _ in range(9)]
     expected = rouge.paired_rouge_counts(cands, refs)
+    chunks = spy_on_chunks(monkeypatch)
     monkeypatch.setattr(rouge, "_CHUNK_ELEMENTS", 1)
-    lengths = [len(c) for c in cands]
-    assert len(list(rouge._chunks(lengths, len(refs), 4, paired=True))) == len(cands)
     assert np.array_equal(rouge.paired_rouge_counts(cands, refs), expected)
+    assert chunks == [(i, i + 1) for i in range(len(cands))]
     assert np.array_equal(expected, one_pair_counts(cands, refs))
 
 
@@ -346,6 +361,86 @@ def test_paired_rouge_counts_memory_stays_bounded():
 def test_paired_rouge_counts_need_one_reference_per_candidate():
     with pytest.raises(ValueError, match="2 candidates but 1 references"):
         rouge.paired_rouge_counts([["a"], ["b"]], [["a"]])
+
+
+def test_grouped_rouge_counts_reject_bad_group_ids():
+    with pytest.raises(ValueError, match="need one group id per candidate"):
+        rouge.grouped_rouge_counts([["a"], ["b"]], [["a"]], [0], [0])
+    with pytest.raises(ValueError, match="reference group ids decrease"):
+        rouge.grouped_rouge_counts([["a"]], [["a"], ["b"]], [0], [1, 0])
+
+
+# Each group: a gap of 1-3 from the previous group id, candidates over words 0 to
+# words - 1, references that may also hold word ``words``.
+@settings(max_examples=40)
+@given(st.integers(1, 6).flatmap(lambda words: st.lists(
+    st.tuples(st.integers(1, 3), id_lists(words), id_lists(words + 1)), max_size=4)))
+@example([(1, [[0, 1, 0, 1, 0]], []), (2, [], [[0] * 70]),
+          (1, [[0, 0, 1, 2] * 20, []], [[1, 0] * 40 + [3], [3, 3], [2] * 129])])
+@example([(3, [[i % 3 for i in range(n)] for n in EDGES], [[i * 7 % 4 for i in range(n)]
+                                                           for n in EDGES[::-1]])])
+@example([])
+def test_grouped_rouge_counts_equal_one_call_per_group(groups):
+    cands, refs, cand_groups, ref_groups = [], [], [], []
+    expected = [np.zeros((0, 3, 3), dtype=np.int64)]
+    group = 0
+    for gap, group_cands, group_refs in groups:
+        group += gap
+        group_cands, group_refs = word_lists(group_cands), word_lists(group_refs)
+        cands += group_cands
+        refs += group_refs
+        cand_groups += [group] * len(group_cands)
+        ref_groups += [group] * len(group_refs)
+        expected.append(rouge_counts(group_cands, group_refs).reshape(-1, 3, 3))
+    counts = rouge.grouped_rouge_counts(cands, refs, cand_groups, ref_groups)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.concatenate(expected))
+
+
+def test_grouped_rouge_counts_same_array_in_one_candidate_chunks(monkeypatch):
+    """Groups split across chunks, and a chunk spanning a group with references only."""
+    rng = np.random.default_rng(73)
+    sizes = [0, 6, 70, 200]
+    cands = [random_tokens(rng, max_len=int(rng.choice(sizes)), alphabet=5) for _ in range(8)]
+    refs = [random_tokens(rng, max_len=int(rng.choice(sizes)), alphabet=6) for _ in range(10)]
+    cand_groups, ref_groups = [0, 0, 0, 2, 5, 5, 7, 9], [0, 0, 1, 1, 2, 2, 2, 5, 8, 9]
+    expected = rouge.grouped_rouge_counts(cands, refs, cand_groups, ref_groups)
+    assert len(expected) == 3 * 2 + 1 * 3 + 2 * 1 + 0 + 1 * 1
+    chunks = spy_on_chunks(monkeypatch)
+    monkeypatch.setattr(rouge, "_CHUNK_ELEMENTS", 1)
+    assert np.array_equal(rouge.grouped_rouge_counts(cands, refs, cand_groups, ref_groups),
+                          expected)
+    assert chunks == [(i, i + 1) for i in range(len(cands))]
+
+
+def test_grouped_rouge_counts_memory_follows_the_chunk_budget():
+    """1,000 sets shaped like sentence mode's (two generated sentences of 12 tokens
+    against 60 unit sentences of 20 tokens), from a shared lexicon of 2,000 words.
+    In one chunk, the 1.2 million reference tokens alone would fill about ten int64
+    arrays (92 MiB). Beyond the (120,000, 3, 3) int64 output, the peak stays within
+    a few chunk budgets and does not grow with the set count. numpy reports its
+    buffers to tracemalloc."""
+    rng = np.random.default_rng(71)
+    lexicon = [f"w{i}" for i in range(2000)]
+    pool = [[lexicon[i] for i in row] for row in rng.integers(0, 2000, size=(600, 20))]
+
+    def transient(sets):
+        cands = [[lexicon[i] for i in row] for row in rng.integers(0, 2000, size=(2 * sets, 12))]
+        refs = [pool[i] for i in rng.integers(0, len(pool), size=60 * sets)]
+        tracemalloc.start()
+        try:
+            counts = rouge.grouped_rouge_counts(cands, refs, np.repeat(np.arange(sets), 2),
+                                                np.repeat(np.arange(sets), 60))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (120 * sets, 3, 3)
+        return peak - counts.nbytes
+
+    budget = rouge._CHUNK_ELEMENTS * 8
+    small, large = transient(100), transient(1000)
+    assert large < 4 * budget
+    assert large < small + budget
 
 
 def test_scores_from_counts_bit_identical_to_scalar_formula():
