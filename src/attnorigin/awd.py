@@ -3,8 +3,9 @@
 The beam decoder walks parent links backward from the winning beam to
 pick, for each generated token, the attention distribution recorded on
 the ancestor that actually produced it. Token-level distributions are
-then pooled per generated sentence (mean by default). ``analyze`` reads
-from a tensor file only the header and those ancestor slices.
+then pooled per generated sentence (mean by default).
+``read_winning_path``, which ``analyze`` uses, reads from a tensor file
+only the header and those ancestor slices.
 
 The binary tensor format is: magic bytes ``AWD1``, five little-endian
 uint32 dims (beams, tokens, layers, heads, units), then float32
@@ -174,8 +175,8 @@ def beam_decode_awd(
     return awd.values[np.array(ancestors, dtype=np.intp), np.arange(len(ancestors))]
 
 
-def _read_winning_path(path, beam_trace: Sequence[Sequence[int]], winning_beam: int,
-                       length: int | None = None) -> np.ndarray:
+def read_winning_path(path, beam_trace: Sequence[Sequence[int]], winning_beam: int,
+                      length: int | None = None) -> np.ndarray:
     """``beam_decode_awd(read_awd(path), ...)``, reading from the file only
     the header and the winner's ``(ancestor, step)`` slices.
 

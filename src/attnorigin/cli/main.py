@@ -451,7 +451,7 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
                 raise ValueError(
                     f"token id {bad[0]} outside the vocabulary of size {len(vocab)}"
                 )
-            aligned = awdmod._read_winning_path(
+            aligned = awdmod.read_winning_path(
                 awd_path(awd_dir, record.set_id), summary.beam_trace, summary.winning_beam,
                 length=len(summary.tokens),
             )

@@ -14,7 +14,6 @@ import json
 import io
 
 from ..origin import CorrelationReport, VARIANTS
-from ..rouge import RougeTriple
 from ..textunits import atomic_write, read_json, write_json
 
 
@@ -25,10 +24,6 @@ def format_slashed(values, decimals: int = 2) -> str:
 def rouge_f_row(r1_f1: float, r2_f1: float, rl_f1: float) -> str:
     """Render three F1 fractions as a slash-separated percentage row."""
     return format_slashed([100.0 * r1_f1, 100.0 * r2_f1, 100.0 * rl_f1])
-
-
-def rouge_triple_row(triple: RougeTriple) -> str:
-    return rouge_f_row(triple.r1.f1, triple.r2.f1, triple.rl.f1)
 
 
 def correlation_row(r1: float | None, r2: float | None, rl: float | None) -> str:

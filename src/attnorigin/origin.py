@@ -17,11 +17,13 @@ then every (layer, head). A ``PearsonAccumulator`` holds the array's
 centered co-moment matrix; per-summary accumulators give the
 per-summary diagnostics and merge exactly into the pooled one (Chan,
 Golub & LeVeque 1979), so summaries could be processed concurrently and
-merged deterministically. Each report table reads its coefficients from
-the co-moments as one array operation. Coefficients match a direct
-computation on concatenated vectors to within 1e-12, not bit for bit,
-since the summation order differs. Non-finite attention or metric values
-are rejected, never correlated.
+merged deterministically. Coefficients have one reader,
+``_coefficients``: each report table is one call on the co-moments,
+``PearsonAccumulator.result`` one cell, and ``pearson`` is one
+accumulator update and ``result`` on its inputs scaled by powers of
+two. Coefficients match a direct computation on concatenated vectors
+to within 1e-12, not bit for bit, since the summation order differs.
+Non-finite attention or metric values are rejected, never correlated.
 """
 
 from __future__ import annotations
@@ -151,44 +153,33 @@ def reference_metric(
 # Pearson correlation
 # ---------------------------------------------------------------------------
 
-def _coefficient(sxy: float, sxx: float, syy: float) -> float | None:
-    """Pearson coefficient from centered sums of products and squares; None
-    when a side is constant. Raises ValueError when an overflowed or
-    subnormal sum has lost the coefficient."""
-    if sxx == 0.0 or syy == 0.0:
-        return None
-    tiny = sys.float_info.min
-    if tiny <= sxx * syy < math.inf:
-        r = sxy / math.sqrt(sxx * syy)
-    elif not (math.isfinite(sxy) and math.isfinite(sxx) and math.isfinite(syy)):
-        raise ValueError("Pearson sums overflow float64")
-    elif min(sxx, syy) >= tiny:
-        r = sxy / math.sqrt(sxx) / math.sqrt(syy)
-    else:
-        raise ValueError("Pearson sums underflow float64")
-    return min(1.0, max(-1.0, r))
-
-
 def _coefficients(comoment: np.ndarray, i, j) -> list:
-    """``_coefficient`` of columns i and j for every broadcast pair of index arrays,
-    read from an (..., k, k) co-moment array, as nested lists.
+    """Pearson coefficients of columns i and j for every broadcast pair of index
+    arrays, read from an (..., k, k) co-moment array, as nested lists.
 
-    A zero second moment reads None. Where ``sxx * syy`` is a positive, normal,
-    finite float and ``sxy`` finite, the coefficient is ``sxy / sqrt(sxx * syy)``
-    clamped to [-1, 1] with the same float operations; every other cell goes
-    through ``_coefficient`` in row-major order, so lost sums raise as there.
+    A zero second moment reads None. Otherwise the coefficient is
+    ``sxy / sqrt(sxx * syy)`` clamped to [-1, 1], or ``sxy / sqrt(sxx) / sqrt(syy)``
+    where that product leaves the normal range while each moment is normal and
+    finite. Any other cell has lost its coefficient to overflowed or subnormal
+    sums: the first such cell in row-major order raises ValueError.
     """
     i, j = np.broadcast_arrays(i, j)
     sxy, sxx, syy = comoment[..., i, j], comoment[..., i, i], comoment[..., j, j]
+    tiny = sys.float_info.min
+    finite = np.isfinite(sxy) & np.isfinite(sxx) & np.isfinite(syy)
+    undefined = (sxx == 0.0) | (syy == 0.0)
     with np.errstate(all="ignore"):
         prod = sxx * syy
-        r = np.minimum(1.0, np.maximum(-1.0, sxy / np.sqrt(prod)))
-    out = r.astype(object)
-    undefined = (sxx == 0.0) | (syy == 0.0)
+        r = sxy / np.sqrt(prod)
+    fast = (prod >= tiny) & (prod < math.inf) & np.isfinite(sxy)
+    split = ~(fast | undefined) & finite & (np.minimum(sxx, syy) >= tiny)
+    lost = ~(fast | split | undefined)
+    if lost.any():
+        k = np.argmax(lost)  # flat index of the first lost cell
+        raise ValueError(f"Pearson sums {'underflow' if finite.flat[k] else 'overflow'} float64")
+    r[split] = sxy[split] / np.sqrt(sxx[split]) / np.sqrt(syy[split])
+    out = np.minimum(1.0, np.maximum(-1.0, r)).astype(object)
     out[undefined] = None
-    fast = (prod >= sys.float_info.min) & (prod < math.inf) & np.isfinite(sxy)
-    for k in zip(*np.nonzero(~(fast | undefined))):
-        out[k] = _coefficient(float(sxy[k]), float(sxx[k]), float(syy[k]))
     return out.tolist()
 
 
@@ -199,38 +190,27 @@ def _check_spread(comoment: np.ndarray, varies: np.ndarray) -> None:
         raise ValueError("Pearson sums underflow float64")
 
 
-def _centered(v: np.ndarray) -> np.ndarray:
-    """``v`` minus its mean; a constant ``v`` centers to exact zeros, since the
-    computed mean of identical values is not always exact."""
-    return v - (v.mean() if (v != v[0]).any() else v[0])
-
-
-def _centered_sums(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    dx, dy = _centered(x), _centered(y)
-    return float(dx @ dy), float(dx @ dx), float(dy @ dy)
-
-
 def _unit_scaled(v: np.ndarray) -> np.ndarray:
     """``v`` times the power of two that brings its largest magnitude into [0.5, 1)."""
     return np.ldexp(v, -np.frexp(np.abs(v).max())[1])
 
 
 def pearson(x, y) -> float | None:
-    """Sample Pearson coefficient, or None when either side is constant."""
+    """Sample Pearson coefficient, or None when either side is constant.
+
+    The coefficient is scale-free, so each side is first scaled by a power
+    of two (``_unit_scaled``); the accumulator's sums of finite scaled inputs
+    can neither overflow nor underflow.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
         raise ValueError(f"need at least 2 samples, got {x.size}")
-    varies = (x != x[0]).any() and (y != y[0]).any()
-    with np.errstate(over="ignore", invalid="ignore"):
-        sxy, sxx, syy = _centered_sums(x, y)
-        if varies and not sys.float_info.min <= sxx * syy < math.inf:
-            # The coefficient is scale-free, and exact power-of-two scaling
-            # keeps the sums of huge or tiny inputs finite and normal.
-            sxy, sxx, syy = _centered_sums(_unit_scaled(x), _unit_scaled(y))
-    return _coefficient(sxy, sxx, syy)
+    acc = PearsonAccumulator()
+    acc.update(_unit_scaled(x), _unit_scaled(y))
+    return acc.result()
 
 
 @dataclass
@@ -248,11 +228,6 @@ class PearsonAccumulator:
     count: int = 0
     mean: np.ndarray | None = None  # (k,)
     comoment: np.ndarray | None = None  # (k, k) centered sums of products
-
-    @property
-    def m2x(self) -> float:
-        """Second moment of the first column (``x`` in ``update(x, y)``)."""
-        return 0.0 if self.count == 0 else float(self.comoment[0, 0])
 
     def update(self, x, y=None) -> None:
         if y is None:
@@ -305,8 +280,7 @@ class PearsonAccumulator:
         underflowed."""
         if self.count < 2:
             return None
-        return _coefficient(float(self.comoment[i, j]), float(self.comoment[i, i]),
-                            float(self.comoment[j, j]))
+        return _coefficients(self.comoment, [i], [j])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +480,17 @@ def build_report(
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
 
+    # column indices in _cell_columns order
+    metric_col = [c for c, v in enumerate(VARIANTS) if v in variants]
+    layer_col = np.arange(len(VARIANTS), len(VARIANTS) + dl)
+    head_col = len(VARIANTS) + dl + np.arange(dl * mh).reshape(dl, mh)
+    sel = np.array(selected)
+    # each summary's co-moments of the metric and selected layer columns only
+    cols = np.concatenate([metric_col, layer_col[sel]]).astype(np.intp)
+    summary_moments = np.zeros((len(batch), len(cols), len(cols)))
+
     pooled = PearsonAccumulator()
-    per_set = []
-    for analysis in batch:
+    for k, analysis in enumerate(batch):
         s, set_dl, set_mh, _ = analysis.sent_awd.dims
         if (set_dl, set_mh) != (dl, mh):
             raise ValueError(
@@ -519,15 +501,10 @@ def build_report(
         if s:
             acc.update(_cell_columns(analysis))
         pooled.merge(acc)
-        per_set.append(acc)
+        if acc.count >= 2:
+            summary_moments[k] = acc.comoment[np.ix_(cols, cols)]
     if pooled.count == 0:
         raise ValueError("no usable cells in batch")
-
-    # column indices in _cell_columns order
-    metric_col = [c for c, v in enumerate(VARIANTS) if v in variants]
-    layer_col = np.arange(len(VARIANTS), len(VARIANTS) + dl)
-    head_col = len(VARIANTS) + dl + np.arange(dl * mh).reshape(dl, mh)
-    sel = np.array(selected)
 
     def by_variant(row: list) -> dict:
         values = iter(row)
@@ -537,18 +514,11 @@ def build_report(
     if all(a.doc_positions is not None for a in batch):
         posbias = positional_bias(batch, selected[-1] if posbias_layer is None else posbias_layer)
 
-    # pooled cells in report order, then the per-summary ones from each summary's
-    # co-moments of the metric and selected layer columns only
     pooled_moments = pooled.comoment if pooled.count >= 2 else np.zeros_like(pooled.comoment)
     per_layer = _coefficients(pooled_moments, metric_col, layer_col[sel][:, None])
     per_head = _coefficients(pooled_moments, metric_col, head_col[sel].reshape(-1, 1))
     head_matrix = _coefficients(pooled_moments, head_col[sel][:, :, None], head_col[sel][:, None])
     layer_matrix = _coefficients(pooled_moments, layer_col[:, None], layer_col)
-    cols = np.concatenate([metric_col, layer_col[sel]]).astype(np.intp)
-    summary_moments = np.zeros((len(batch), len(cols), len(cols)))
-    for k, acc in enumerate(per_set):
-        if acc.count >= 2:
-            summary_moments[k] = acc.comoment[np.ix_(cols, cols)]
     per_summary = _coefficients(summary_moments, np.arange(len(metric_col)),
                                 len(metric_col) + np.arange(len(sel))[:, None])
 

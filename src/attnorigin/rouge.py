@@ -5,9 +5,9 @@ reference_groups)`` scores every candidate against every reference of its
 own group and returns an int64 ``(P, 3, 3)`` array: pair, variant
 (ROUGE-1, ROUGE-2, ROUGE-L), then matches, candidate total and reference
 total. Pairs go by group, then candidate, then reference.
-``rouge_counts`` is the one-group call, reshaped to ``(C, R, 3, 3)``, and
-``paired_rouge_counts`` the call with one group per (candidate i,
-reference i) pair.
+``rouge_counts`` is the one-group call, reshaped to ``(C, R, 3, 3)``;
+one group per (candidate i, reference i) pair scores each candidate
+against its own reference only.
 
 The kernel works on arrays of token ids. Only candidate tokens get ids;
 every other reference token shares one dropped id. Each n-gram order
@@ -318,17 +318,6 @@ def rouge_counts(candidates: Sequence[Sequence[str]],
     counts = grouped_rouge_counts(candidates, references, np.zeros(len(candidates), np.int64),
                                   np.zeros(len(references), np.int64))
     return counts.reshape(len(candidates), len(references), 3, 3)
-
-
-def paired_rouge_counts(candidates: Sequence[Sequence[str]],
-                        references: Sequence[Sequence[str]]) -> np.ndarray:
-    """Counts of candidate i against reference i only: an int64 (N, 3, 3) array
-    whose row i equals ``rouge_counts([candidates[i]], [references[i]])[0, 0]``;
-    ``grouped_rouge_counts`` with one group per pair."""
-    if len(candidates) != len(references):
-        raise ValueError(f"{len(candidates)} candidates but {len(references)} references")
-    return grouped_rouge_counts(candidates, references, np.arange(len(candidates)),
-                                np.arange(len(references)))
 
 
 def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> RougeScore:

@@ -173,10 +173,6 @@ class UnitizedInput:
         lengths = np.array([len(u.tokens) for u in self.units])
         self.pad_mask = np.arange(self.T) >= lengths[:, None]
 
-    @property
-    def token_budget(self) -> int:
-        return self.L * self.T
-
 
 def _collect_units(docset: MultiDocSet, mode: str) -> list[tuple[int, str]]:
     """Flatten a doc set into (doc_index, unit text) pairs in document order."""
@@ -196,14 +192,12 @@ def unitize(
     mode: str,
     L: int,
     T: int,
-    tokenizer: Callable[[str], list[str]] = tokenize,
 ) -> UnitizedInput:
     """Turn a document set into a padded L x T textual-unit grid.
 
     Units are taken in document order, then unit order. Tokens beyond T
     and units beyond L are dropped (leading content is kept); missing
-    units and tokens are padded. ``tokenizer`` may be swapped for any
-    callable with the same contract (e.g. a subword model).
+    units and tokens are padded.
     """
     _check_grid(docset.set_id, L, T)
     pairs = _collect_units(docset, mode)
@@ -212,7 +206,7 @@ def unitize(
             f"set {docset.set_id!r}: sentence mode found no sentences in any document"
         )
     units = [
-        TextualUnit(doc_index=d, unit_index=idx, tokens=tokenizer(text)[:T], original_text=text)
+        TextualUnit(doc_index=d, unit_index=idx, tokens=tokenize(text)[:T], original_text=text)
         for idx, (d, text) in enumerate(pairs[:L])
     ]
     return _padded(docset.set_id, units, L, T, mode, {u.unit_index: u.doc_index for u in units})

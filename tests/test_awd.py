@@ -162,7 +162,7 @@ def test_beam_decode_rejects_bad_trace():
 
 
 # ---------------------------------------------------------------------------
-# _read_winning_path: beam_decode_awd(read_awd(...)) from the winner's slices only
+# read_winning_path: beam_decode_awd(read_awd(...)) from the winner's slices only
 # ---------------------------------------------------------------------------
 
 class ByteCountingFile:
@@ -209,7 +209,7 @@ def test_read_winning_path_equals_decoding_the_whole_tensor(tmp_path, monkeypatc
             expected = ao.beam_decode_awd(ao.read_awd(path), trace, winner, length=length)
             assert sum(reads) == 24 + 4 * math.prod(dims), case  # read_awd reads everything
             reads.clear()
-            got = awdmod._read_winning_path(path, trace, winner, length=length)
+            got = awdmod.read_winning_path(path, trace, winner, length=length)
             assert got.dtype == expected.dtype and got.shape == expected.shape, case
             assert got.tobytes() == expected.tobytes(), case
             ancestors = awdmod._winning_path(dims, trace, winner, length)
@@ -240,7 +240,7 @@ def test_read_winning_path_raises_what_read_then_decode_raise(tmp_path, blob, tr
     with pytest.raises((AwdFormatError, BeamTraceError)) as expected:
         ao.beam_decode_awd(ao.read_awd(path), trace, winner, length=length)
     with pytest.raises(type(expected.value)) as got:
-        awdmod._read_winning_path(path, trace, winner, length=length)
+        awdmod.read_winning_path(path, trace, winner, length=length)
     assert type(got.value) is type(expected.value)
     assert str(got.value) == str(expected.value)
 
@@ -259,7 +259,7 @@ def test_read_winning_path_reports_a_file_that_shrinks_during_the_read(tmp_path,
     monkeypatch.setattr(awdmod, "_winning_path", walk_then_truncate)
     with pytest.raises(TruncatedPayloadError,
                        match=r"payload has 64 bytes, dims \(2, 3, 1, 1, 4\) require 96"):
-        awdmod._read_winning_path(path, [[0, 0], [0, 0], [1, 1]], 0)
+        awdmod.read_winning_path(path, [[0, 0], [0, 0], [1, 1]], 0)
 
 
 # ---------------------------------------------------------------------------

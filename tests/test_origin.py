@@ -1,6 +1,7 @@
 """Tests for the reference metric, Pearson machinery, and bias reports."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from attnorigin.origin import (
     MissingDocBoundariesError,
     PearsonAccumulator,
     SummaryAnalysis,
+    _coefficients,
     doc_positions_from_boundaries,
 )
 from conftest import make_docset
@@ -194,6 +196,11 @@ def test_pearson_rejects_bad_inputs():
         ao.pearson([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         ao.pearson([1.0], [1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite input"):
+            ao.pearson([1.0, bad, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="non-finite input"):
+            ao.pearson([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
 
 
 def test_pearson_affine_integer_grids_exact_sign():
@@ -266,12 +273,27 @@ def test_accumulator_rejects_sums_that_lost_the_coefficient(x, y):
         one_by_one.result()
 
 
-def test_report_coefficients_equal_one_coefficient_call_per_cell():
-    """The vectorized table read gives ``_coefficient``'s value, bit for bit, on every
-    cell: ordinary ones, zero second moments, and products of second moments that are
-    subnormal or overflow, which take ``_coefficient``'s own path."""
-    from attnorigin.origin import _coefficient, _coefficients
+def scalar_coefficient(sxy, sxx, syy):
+    """One cell's coefficient from centered sums of products and squares: None
+    when a side is constant; raises when overflowed or subnormal sums lost it."""
+    if sxx == 0.0 or syy == 0.0:
+        return None
+    tiny = sys.float_info.min
+    if tiny <= sxx * syy < math.inf:
+        r = sxy / math.sqrt(sxx * syy)
+    elif not (math.isfinite(sxy) and math.isfinite(sxx) and math.isfinite(syy)):
+        raise ValueError("Pearson sums overflow float64")
+    elif min(sxx, syy) >= tiny:
+        r = sxy / math.sqrt(sxx) / math.sqrt(syy)
+    else:
+        raise ValueError("Pearson sums underflow float64")
+    return min(1.0, max(-1.0, r))
 
+
+def test_report_coefficients_equal_one_coefficient_call_per_cell():
+    """The table read gives the scalar formula's value, bit for bit, on every cell:
+    ordinary ones, zero second moments, and products of second moments that are
+    subnormal or overflow; ``result`` reads the same value for one cell."""
     rng = np.random.default_rng(83)
     spread = np.array([1.0, 0.0, 1e-200, 1e200, 4.0, 3e-160, 2.5e160])
     corr = np.corrcoef(rng.normal(size=(len(spread), 40)))
@@ -279,14 +301,32 @@ def test_report_coefficients_equal_one_coefficient_call_per_cell():
     stack = np.stack([comoment, comoment * 0.5, np.zeros_like(comoment)])
     cols = np.arange(len(spread))
     got = _coefficients(stack, cols[:, None], cols)
-    expected = [[[_coefficient(*map(float, (m[i, j], m[i, i], m[j, j]))) for j in cols]
+    expected = [[[scalar_coefficient(*map(float, (m[i, j], m[i, i], m[j, j]))) for j in cols]
                  for i in cols] for m in stack]
     assert got == expected
     assert [type(v) for v in got[0][0]] == [float, type(None)] + [float] * 5
+    acc = PearsonAccumulator(count=40, mean=np.zeros(len(spread)), comoment=comoment)
+    one_by_one = [[acc.result(i, j) for j in cols] for i in cols]
+    assert one_by_one == expected[0]
+    assert [type(v) for v in one_by_one[0]] == [float, type(None)] + [float] * 5
     with pytest.raises(ValueError, match="Pearson sums underflow float64"):
         _coefficients(np.array([[1e-310, 0.0], [0.0, 1.0]]), [0], [1])
     with pytest.raises(ValueError, match="Pearson sums overflow float64"):
         _coefficients(np.array([[np.inf, 1.0], [1.0, 1.0]]), [0], [1])
+    # the first lost cell in row-major order names the error: cell (0, 1)
+    # underflows (subnormal product and moment), cell (2, 1) overflows
+    comoment = np.array([[1e-310, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, np.inf]])
+    for i, first in (([0, 2], "underflow"), ([2, 0], "overflow")):
+        with pytest.raises(ValueError, match=f"Pearson sums {first} float64"):
+            _coefficients(comoment, i, [1, 1])
+        with pytest.raises(ValueError, match=f"Pearson sums {first} float64"):
+            _coefficients(comoment, np.array(i)[:, None], [1, 1, 1])
+    # the leading axis of a stack of co-moment tables comes first
+    swapped = comoment[[2, 1, 0]][:, [2, 1, 0]]
+    with pytest.raises(ValueError, match="Pearson sums underflow float64"):
+        _coefficients(np.stack([comoment, swapped]), [0], [1])
+    with pytest.raises(ValueError, match="Pearson sums overflow float64"):
+        _coefficients(np.stack([swapped, comoment]), [0], [1])
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +388,7 @@ def test_accumulator_constant_input_undefined():
     acc = PearsonAccumulator()
     acc.update(np.full(5, 1.0 / 3.0), np.arange(5.0))
     acc.update(np.full(4, 1.0 / 3.0), np.arange(4.0))
-    assert acc.m2x == 0.0
+    assert acc.comoment[0, 0] == 0.0
     assert acc.result() is None
 
 

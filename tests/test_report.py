@@ -8,7 +8,6 @@ import pytest
 from attnorigin.cli import heatmap as hm
 from attnorigin.cli import report as rp
 from attnorigin.origin import CorrelationReport, PosBiasHeatmap
-from attnorigin.rouge import RougeScore, RougeTriple
 
 
 def make_report(posbias=True):
@@ -39,14 +38,6 @@ def make_report(posbias=True):
 
 def test_rouge_row_renders_percentages():
     assert rp.rouge_f_row(0.4506, 0.1684, 0.4135) == "45.06/16.84/41.35"
-
-
-def test_rouge_triple_row():
-    def score(f1):
-        return RougeScore(precision=f1, recall=f1, f1=f1)
-
-    triple = RougeTriple(r1=score(0.4506), r2=score(0.1684), rl=score(0.4135))
-    assert rp.rouge_triple_row(triple) == "45.06/16.84/41.35"
 
 
 def test_correlation_row_two_decimals():

@@ -300,7 +300,8 @@ def test_rouge_counts_empty_sides():
 
 
 def one_pair_counts(cands, refs):
-    """The (N, 3, 3) counts of ``paired_rouge_counts``, one ``rouge_counts`` call per pair."""
+    """The (N, 3, 3) counts of candidate i against reference i, one ``rouge_counts`` call
+    per pair."""
     rows = [rouge_counts([c], [r])[0, 0] for c, r in zip(cands, refs)]
     return np.array(rows, dtype=np.int64).reshape(len(rows), 3, 3)
 
@@ -314,9 +315,10 @@ def one_pair_counts(cands, refs):
 @example(([[]], [[]]))
 @example(([], []))
 def test_paired_rouge_counts_equal_one_pair_calls_up_to_200_tokens(sides):
+    """One group per (candidate i, reference i) pair scores each pair on its own."""
     n = min(map(len, sides))
     cands, refs = word_lists(sides[0][:n]), word_lists(sides[1][:n])
-    counts = rouge.paired_rouge_counts(cands, refs)
+    counts = rouge.grouped_rouge_counts(cands, refs, np.arange(n), np.arange(n))
     assert counts.dtype == np.int64 and counts.shape == (n, 3, 3)
     assert np.array_equal(counts, one_pair_counts(cands, refs))
 
@@ -326,17 +328,19 @@ def test_paired_rouge_counts_same_array_in_one_pair_chunks(monkeypatch):
     sizes = [0, 6, 70, 200]
     cands = [random_tokens(rng, max_len=int(rng.choice(sizes)), alphabet=5) for _ in range(9)]
     refs = [random_tokens(rng, max_len=int(rng.choice(sizes)), alphabet=6) for _ in range(9)]
-    expected = rouge.paired_rouge_counts(cands, refs)
+    n = len(cands)
+    expected = rouge.grouped_rouge_counts(cands, refs, np.arange(n), np.arange(n))
     chunks = spy_on_chunks(monkeypatch)
     monkeypatch.setattr(rouge, "_CHUNK_ELEMENTS", 1)
-    assert np.array_equal(rouge.paired_rouge_counts(cands, refs), expected)
+    assert np.array_equal(rouge.grouped_rouge_counts(cands, refs, np.arange(n), np.arange(n)),
+                          expected)
     assert chunks == [(i, i + 1) for i in range(len(cands))]
     assert np.array_equal(expected, one_pair_counts(cands, refs))
 
 
 def test_paired_rouge_counts_memory_stays_bounded():
-    """400 pairs, each candidate 128 words of its own, each reference 100 words drawn from
-    every candidate's: one unchunked (N, V) int64 count block would take
+    """400 pairs, one group each, each candidate 128 words of its own, each reference
+    100 words drawn from every candidate's: one unchunked (N, V) int64 count block would take
     400 * 51200 * 8 bytes (156 MiB), and the (N, N, 3, 3) output of ``rouge_counts``
     11 MiB. The kernel's dict of 51,200 candidate words peaks near 6 MiB. numpy
     reports its buffers to tracemalloc."""
@@ -347,7 +351,7 @@ def test_paired_rouge_counts_memory_stays_bounded():
     refs = word_lists(ids)
     tracemalloc.start()
     try:
-        counts = rouge.paired_rouge_counts(cands, refs)
+        counts = rouge.grouped_rouge_counts(cands, refs, np.arange(n), np.arange(n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -356,11 +360,6 @@ def test_paired_rouge_counts_memory_stays_bounded():
     owned = [len(np.unique(row[row // 128 == i])) for i, row in enumerate(ids)]
     assert counts[:, 0, 0].tolist() == owned
     assert counts[:, 0, 1:].tolist() == [[128, 100]] * n
-
-
-def test_paired_rouge_counts_need_one_reference_per_candidate():
-    with pytest.raises(ValueError, match="2 candidates but 1 references"):
-        rouge.paired_rouge_counts([["a"], ["b"]], [["a"]])
 
 
 def test_grouped_rouge_counts_reject_bad_group_ids():
