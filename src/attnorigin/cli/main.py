@@ -439,7 +439,7 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
 
     sets = []  # (record, attention, generated sentences, unit sentences) per set
     single = 0  # summaries of at most one sentence
-    generated, golds = [], []  # token pairs for summary quality, when the corpus has golds
+    gold_summaries, gold_units = [], []  # one-sentence sets against one-sentence units
     for record in records:
         try:
             spath = summary_path(summaries_dir, record.set_id)
@@ -473,14 +473,14 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
             raise ValueError(f"set {record.set_id!r}: {exc}") from None
         single += len(sentences) <= 1
         if record.gold_summary:
-            generated.append([word for sentence in sentences for word in sentence])
-            golds.append(textunits.tokenize(record.gold_summary))
+            gold_summaries.append([[word for sentence in sentences for word in sentence]])
+            gold_units.append([[textunits.tokenize(record.gold_summary)]])
         sets.append((record, sent_awd, sentences, units))
 
     # one grouped ROUGE call scores every set's reference metric and every gold summary
-    metrics, gold_scores = origin.reference_metrics(
-        [sentences for _, _, sentences, _ in sets], [units for *_, units in sets],
-        (generated, golds))
+    metrics = origin.reference_metrics(
+        [sentences for _, _, sentences, _ in sets] + gold_summaries,
+        [units for *_, units in sets] + gold_units)
     batch = [
         origin.SummaryAnalysis(
             set_id=record.set_id,
@@ -525,10 +525,10 @@ def cmd_analyze(opts: dict[str, Any]) -> int:
         reportmod.write_report_csv(report, path)
         written.append(str(path))
     print(f"sets={len(batch)} cells={report.sample_count} wrote={','.join(written)}")
-    if golds:
-        f1 = gold_scores[..., 2]
-        mean_f = [sum(column) / len(golds) for column in f1.T.tolist()]  # sums in set order
-        print(f"rouge_f={reportmod.rouge_f_row(*mean_f)} gold_sets={len(golds)}")
+    if gold_units:
+        f1 = [metric.values[0, 0, :, origin.F1].tolist() for metric in metrics[len(sets):]]
+        mean_f = [sum(column) / len(f1) for column in zip(*f1)]  # sums in set order
+        print(f"rouge_f={reportmod.rouge_f_row(*mean_f)} gold_sets={len(f1)}")
     return 0
 
 
@@ -580,6 +580,9 @@ def main(argv: list[str] | None = None) -> int:
         return COMMANDS[args.command](opts)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -5,10 +5,12 @@ holds the mean ROUGE-1/2/L of the sentence against the unit's own
 sentences. ``reference_metrics`` scores many sets in one grouped ROUGE
 call, which the kernel runs in chunks of consecutive sets, and sums each
 unit's sentence scores in sentence order; ``reference_metric`` is its
-one-set call. Pooled Pearson coefficients relate those scores to the
-sentence-aggregated attention weights per decoding layer and head;
-head-to-head and layer-to-layer correlation matrices and a
-positional-bias heatmap complete the report.
+one-set call. A gold summary is a set too: the summary's words as one
+sentence against one unit of one sentence, the gold tokens. Pooled
+Pearson coefficients relate those scores to the sentence-aggregated
+attention weights per decoding layer and head; head-to-head and
+layer-to-layer correlation matrices and a positional-bias heatmap
+complete the report.
 
 Every coefficient comes from one pass over the batch. Each summary's
 (sentence, non-pad unit) cells become the rows of one column array: the
@@ -89,51 +91,41 @@ def unit_sentences(inp: UnitizedInput) -> list[list[list[str]]]:
 
 
 def reference_metrics(
-    summaries: list[list[list[str]]],
-    units: list[list[list[list[str]]]],
-    pairs: tuple[list[list[str]], list[list[str]]] = ([], []),
-) -> tuple[list[OriginMetric], np.ndarray]:
-    """Reference metrics of many sets, and the ROUGE of extra pairs, from one
-    ``grouped_rouge_counts`` call.
+    summaries: list[list[list[str]]], units: list[list[list[list[str]]]]
+) -> list[OriginMetric]:
+    """Reference metrics of many sets from one ``grouped_rouge_counts`` call.
 
     Set i pairs the generated sentences ``summaries[i]`` with its
-    ``units[i]`` from ``unit_sentences``; extra candidate k is scored
-    against extra reference k only. Returns one ``OriginMetric`` per set
-    and the extra pairs' (K, 3, 3) precision, recall and F1. One
-    ``scores_from_counts`` covers every pair, and one ``np.bincount`` per
-    score column sums each unit's sentence scores in sentence order, so
-    each value is bit-identical to scoring its cell on its own.
+    ``units[i]`` from ``unit_sentences``, and gives one ``OriginMetric``.
+    A summary's ROUGE against a gold summary is the one-sentence set
+    ``[words]`` against the one unit ``[[gold]]``, read at cell
+    ``[0, 0]``. One ``scores_from_counts`` covers every pair, and one
+    ``np.bincount`` sums each unit's sentence scores in sentence order,
+    so each value is bit-identical to scoring its cell on its own.
     """
-    extra_cands, extra_refs = pairs
-    if len(extra_cands) != len(extra_refs):
-        raise ValueError(f"{len(extra_cands)} candidates but {len(extra_refs)} references")
     ref_counts = [[len(refs) for refs in set_units] for set_units in units]
-    groups = np.arange(len(summaries) + len(extra_cands))
-    ones = [1] * len(extra_cands)
+    groups = np.arange(len(summaries))
     counts = grouped_rouge_counts(
-        [s for sentences in summaries for s in sentences] + list(extra_cands),
-        [ref for set_units in units for refs in set_units for ref in refs] + list(extra_refs),
-        np.repeat(groups, [len(s) for s in summaries] + ones),
-        np.repeat(groups, [sum(n) for n in ref_counts] + ones),
+        [s for sentences in summaries for s in sentences],
+        [ref for set_units in units for refs in set_units for ref in refs],
+        np.repeat(groups, [len(s) for s in summaries]),
+        np.repeat(groups, [sum(n) for n in ref_counts]),
     )
-    scores = scores_from_counts(counts)
-    # each pair's cell: sets in order, then (sentence, unit) row-major
-    bins, cells = [np.zeros(0, dtype=np.int64)], 0
-    for sentences, n in zip(summaries, ref_counts):
-        owners = np.repeat(np.arange(len(n)), n)
-        bins.append((cells + np.arange(len(sentences))[:, None] * len(n) + owners).ravel())
-        cells += len(sentences) * len(n)
-    bins = np.concatenate(bins)
-    columns = scores[: len(bins)].reshape(len(bins), len(VARIANTS) * 3).T
-    sums = np.stack([np.bincount(bins, column, minlength=cells) for column in columns], axis=-1)
+    # Pairs go set, sentence, unit, unit sentence, so each (sentence, unit)
+    # cell owns the next run of pairs, one per sentence of its unit.
+    per_cell = [k for sentences, n in zip(summaries, ref_counts) for _ in sentences for k in n]
+    cell = np.repeat(np.arange(len(per_cell)), per_cell)
+    width = len(VARIANTS) * 3
+    sums = np.bincount((cell[:, None] * width + np.arange(width)).ravel(),
+                       scores_from_counts(counts).ravel(), minlength=len(per_cell) * width)
     metrics, start = [], 0
     for sentences, n in zip(summaries, ref_counts):
-        end = start + len(sentences) * len(n)
+        end = start + len(sentences) * len(n) * width
         per_unit = np.maximum(np.array(n, dtype=np.float64), 1.0)
         values = sums[start:end].reshape(len(sentences), len(n), len(VARIANTS), 3)
         metrics.append(OriginMetric(values=values / per_unit[:, None, None]))
         start = end
-    return metrics, scores[len(bins):]
+    return metrics
 
 
 def reference_metric(
@@ -146,7 +138,7 @@ def reference_metric(
     componentwise per variant. This is ``reference_metrics`` for one set.
     Zero generated sentences give an empty metric.
     """
-    return reference_metrics([summary_sentences], [unit_sentences(inp)])[0][0]
+    return reference_metrics([summary_sentences], [unit_sentences(inp)])[0]
 
 
 # ---------------------------------------------------------------------------

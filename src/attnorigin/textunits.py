@@ -197,14 +197,10 @@ def unitize(
 
     Units are taken in document order, then unit order. Tokens beyond T
     and units beyond L are dropped (leading content is kept); missing
-    units and tokens are padded.
+    units and tokens are padded, so a set without units is all pads.
     """
     _check_grid(docset.set_id, L, T)
     pairs = _collect_units(docset, mode)
-    if mode == SENTENCE_MODE and not pairs:
-        raise ValueError(
-            f"set {docset.set_id!r}: sentence mode found no sentences in any document"
-        )
     units = [
         TextualUnit(doc_index=d, unit_index=idx, tokens=tokenize(text)[:T], original_text=text)
         for idx, (d, text) in enumerate(pairs[:L])
@@ -275,7 +271,7 @@ def _read_jsonl(path, parse: Callable[[object], object]) -> list:
                 line = raw.decode("utf-8")  # a UnicodeDecodeError is a ValueError
                 if line.strip():
                     items.append(parse(json.loads(line)))
-            except (ValueError, TypeError, KeyError) as exc:
+            except (ValueError, TypeError, KeyError, RecursionError) as exc:
                 raise CorpusFormatError(str(exc), line=lineno) from None
     return items
 
@@ -319,13 +315,13 @@ def write_json(obj, path, indent: int | None = None) -> None:
 
 def read_json(path, what: str):
     """Parse the JSON file at ``path``, which should hold a ``what``.
-    Invalid UTF-8 or JSON raises one ValueError naming the file; the
-    caller checks the schema."""
+    Invalid UTF-8 or JSON, or nesting too deep to parse, raises one
+    ValueError naming the file; the caller checks the schema."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return json.loads(data.decode("utf-8"))  # a UnicodeDecodeError is a ValueError
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed {what}: {exc}") from None
 
 

@@ -369,17 +369,34 @@ def test_generate_names_the_weights_file_whose_vocabulary_lacks_a_special_token(
     assert line == f"error: {wpath}: token '<eoss>' not in the model vocabulary"
 
 
-def test_generate_names_a_set_without_units(tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["paragraph", "sentence"])
+def test_generate_names_a_set_without_units(tmp_path, capsys, mode):
     corpus = tmp_path / "corpus.jsonl"
     write_corpus(corpus)
     with open(corpus, "a", encoding="utf-8") as fh:
         fh.write(json.dumps({"set_id": "empty", "documents": [{"text": "   "}]}) + "\n")
     units = tmp_path / "units.jsonl"
     assert main(["preprocess", "--corpus", str(corpus), "--out", str(units),
-                 "--units", "6", "--tokens", "10"]) == 0
+                 "--units", "6", "--tokens", "10", "--mode", mode]) == 0
     assert main(["graph", "--unitized", str(units), "--out", str(tmp_path / "graphs")]) == 0
     line = generate_error(tmp_path, capsys, units)
     assert line == "error: set 'empty' has no units; no attention targets"
+
+
+def test_generate_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):
+    """An allocation the machine cannot hold gives one error line, not a traceback."""
+    units = graphs_only(tmp_path)
+    message = ("Unable to allocate 7.45 TiB for an array with shape (1000000000, 1024) "
+               "and data type float64")
+
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(ao.graphattn, "generate_sets", out_of_memory)
+    capsys.readouterr()
+    assert main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
+                 "--out", str(tmp_path / "gen")] + GEN_FLAGS) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: out of memory: {message}"]
 
 
 @pytest.mark.parametrize("scaled, flags, set_id", [
@@ -496,6 +513,37 @@ def test_generate_rejects_malformed_weights_file(tmp_path, capsys, edit, needle)
     wpath.write_text(edit(wpath.read_text()))
     line = generate_error(tmp_path, capsys, units, ["--weights", str(wpath)])
     assert line.startswith(f"error: {wpath}: ") and needle in line
+
+
+@pytest.mark.parametrize("kind", ["corpus", "unitized", "graph", "weights", "summary",
+                                  "vocab", "report"])
+def test_deeply_nested_json_fails_cleanly(tmp_path, capsys, kind):
+    """JSON nested past the interpreter's recursion limit gives one error line
+    naming the file, or the line of a JSON-lines file."""
+    run_pipeline(tmp_path)
+    units, gen, report = tmp_path / "units.jsonl", tmp_path / "gen", tmp_path / "rep/report.json"
+    weights = small_weights_file(tmp_path, ao.read_unitized(units))
+    generate = ["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
+                "--out", str(tmp_path / "gen2")]
+    analyze = ["analyze", "--awd", str(gen), "--summaries", str(gen), "--unitized", str(units),
+               "--out", str(tmp_path / "rep2")]
+    path, argv = {
+        "corpus": (tmp_path / "corpus.jsonl",
+                   ["preprocess", "--corpus", str(tmp_path / "corpus.jsonl"),
+                    "--out", str(tmp_path / "units2.jsonl")]),
+        "unitized": (units, ["graph", "--unitized", str(units), "--out", str(tmp_path / "g2")]),
+        "graph": (tmp_path / "graphs" / "set0.graph.json", generate + GEN_FLAGS),
+        "weights": (weights, generate + ["--weights", str(weights)]),
+        "summary": (gen / "set0.summary.json", analyze),
+        "vocab": (gen / "vocab.json", analyze),
+        "report": (report, ["heatmap", "--report", str(report), "--out", str(tmp_path / "h.svg")]),
+    }[kind]
+    path.write_text("[" * 100_000 + "\n")
+    capsys.readouterr()
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    where = "line 1: " if path.suffix == ".jsonl" else f"{path}: malformed "
+    assert len(lines) == 1 and lines[0].startswith("error: ") and where in lines[0]
 
 
 def test_analyze_set_id_mismatch(tmp_path, capsys):

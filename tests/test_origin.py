@@ -16,7 +16,10 @@ from attnorigin.origin import (
     SummaryAnalysis,
     _coefficients,
     doc_positions_from_boundaries,
+    reference_metrics,
+    unit_sentences,
 )
+from attnorigin.rouge import rouge_counts, scores_from_counts
 from conftest import make_docset
 from test_rouge import dp_lcs_length, oracle_clipped_ngram_counts, scalar_scores
 
@@ -145,6 +148,34 @@ def test_reference_metric_sums_many_sentences_per_unit_like_the_cell_loop(
     summary = [[f"w{i}" for i in words] for words in summary]
     assert np.array_equal(ao.reference_metric(summary, inp).values,
                           cell_loop_reference_metric(summary, inp))
+
+
+@settings(max_examples=60)
+@given(candidate=st.lists(st.sampled_from("abcdef"), max_size=200),
+       reference=st.lists(st.sampled_from("abcdef"), max_size=200))
+def test_reference_metrics_gold_set_is_its_pair_score(candidate, reference):
+    """A one-sentence set against one unit of one sentence, the shape of a gold
+    summary, reads its pair's precision, recall and F1 bit for bit."""
+    got = reference_metrics([[candidate]], [[[reference]]])[0].values[0, 0]
+    expected = scores_from_counts(rouge_counts([candidate], [reference])[0, 0])
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_reference_metrics_one_call_matches_one_call_per_set():
+    """A set with pad units, a set with no kept sentences and a gold-shaped set
+    in one call give, set by set, what ``reference_metric`` gives."""
+    inputs = [para_input(["Alpha beta. Gamma alpha beta", "beta delta"]),
+              para_input(["alpha beta gamma"]),
+              para_input(["alpha gamma beta beta"], L=1)]
+    summaries = [[["alpha", "beta"], ["gamma", "delta"], []], [], [["beta", "alpha", "gamma"]]]
+    units = [unit_sentences(inp) for inp in inputs]
+    assert units[2] == [[["alpha", "gamma", "beta", "beta"]]]
+    metrics = reference_metrics(summaries, units)
+    assert len(metrics) == len(inputs)
+    for metric, summary, inp in zip(metrics, summaries, inputs):
+        expected = ao.reference_metric(summary, inp).values
+        assert metric.values.shape == expected.shape
+        assert metric.values.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -194,13 +194,12 @@ def test_unitize_rejects_bad_args():
         ao.unitize(docset, "chapter", L=2, T=4)
 
 
-def test_unitize_sentence_mode_rejects_empty_corpus():
+def test_unitize_empty_set_is_all_pads_in_both_modes():
+    """A set without units is an all-pad grid; generate and analyze reject it by name."""
     docset = ao.MultiDocSet(set_id="s", documents=[ao.RawDocument("d", "", [])])
-    with pytest.raises(ValueError, match="sentence"):
-        ao.unitize(docset, "sentence", L=2, T=4)
-    # paragraph mode tolerates the empty set (all-pad grid)
-    inp = ao.unitize(docset, "paragraph", L=2, T=4)
-    assert inp.num_real_units == 0
+    for mode in ("paragraph", "sentence"):
+        inp = ao.unitize(docset, mode, L=2, T=4)
+        assert inp.num_real_units == 0 and inp.unit_pad.all() and inp.doc_boundaries == {}
 
 
 def test_unitize_deterministic_bit_identical():
