@@ -23,11 +23,7 @@ def _intensity(value: float) -> int:
     return min(255, max(0, level))
 
 
-def render_heatmap_svg(
-    normalized: list[list[float]],
-    row_label: str = "unit position in document",
-    col_label: str = "summary sentence",
-) -> str:
+def render_heatmap_svg(normalized: list[list[float]]) -> str:
     """SVG text for a column-normalized grid with axis labels."""
     rows = len(normalized)
     cols = len(normalized[0]) if rows else 0
@@ -67,12 +63,13 @@ def render_heatmap_svg(
     center_x = MARGIN_LEFT + (cols * CELL) // 2
     parts.append(
         f'<text x="{center_x}" y="{label_y}" font-size="12" '
-        f'font-family="monospace" text-anchor="middle">{col_label}</text>'
+        f'font-family="monospace" text-anchor="middle">summary sentence</text>'
     )
     axis_y = MARGIN_TOP + (rows * CELL) // 2
     parts.append(
         f'<text x="12" y="{axis_y}" font-size="12" font-family="monospace" '
-        f'text-anchor="middle" transform="rotate(-90 12 {axis_y})">{row_label}</text>'
+        f'text-anchor="middle" transform="rotate(-90 12 {axis_y})">'
+        'unit position in document</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -164,6 +164,8 @@ def _read_config_file(path: str, allowed: set[str]) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: malformed config file: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

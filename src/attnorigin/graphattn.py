@@ -320,11 +320,6 @@ def _padded_shift(
     return np.where(unit_pad[..., None, :], np.inf, _graph_shift(g, sigma, shift_form))
 
 
-def _row_offsets(batch: tuple[int, ...], L: int) -> np.ndarray:
-    """Each graph's first row in a stack of graphs flattened to (rows, L), shaped batch + (1,)."""
-    return np.arange(0, math.prod(batch) * L, L).reshape(batch + (1,))
-
-
 def _shifted_attention(e: np.ndarray, shift_rows: np.ndarray) -> np.ndarray:
     """Core of ``graph_shifted_attention``: softmax over units of ``e`` minus the
     gathered ``_padded_shift`` rows, so the pads get 0."""
@@ -432,56 +427,29 @@ def central_paragraph(
     return s if y.ndim == 2 else int(s.reshape(()))
 
 
-class GraphStack(NamedTuple):
-    """The graphs of several sets with L units each, as one batch.
-
-    ``weights`` (..., L, L) and ``unit_pad`` (..., L) carry leading batch
-    axes that broadcast against the leading axes of the logits given to
-    ``graph_shifted_attention``: ``stack_graphs`` shapes them (sets, 1, L, L)
-    and (sets, 1, L), so the 1 spans the attention heads of
-    (sets, heads, p, L) logits.
-    """
-
-    size: int
-    weights: np.ndarray
-    unit_pad: np.ndarray
-
-
-def stack_graphs(graphs) -> GraphStack:
-    """One ``GraphStack`` of graphs that all have the same size."""
-    weights = np.stack([graph.weights for graph in graphs])[:, None]
-    unit_pad = np.stack([graph.unit_pad for graph in graphs])[:, None]
-    return GraphStack(weights.shape[-1], weights, unit_pad)
-
-
 def graph_shifted_attention(
     e: np.ndarray,
-    graph: SimilarityGraph | GraphStack,
+    graph: SimilarityGraph,
     s: int | np.ndarray,
     sigma: float,
     shift_form: str = SHIFT_SIM_SQUARED,
 ) -> np.ndarray:
-    """Attention distribution from logits shifted by the graph penalty.
+    """Attention distribution from logits shifted by one graph's penalty.
 
-    ``e`` holds logits over units: (L,) with one central index ``s``,
-    or (..., p, L) with ``s`` holding one index per row p. A stack of
-    graphs shifts each batch of rows by its own graph: ``s`` then has
-    the stack's leading axes, e.g. (sets, 1, p) for (sets, heads, p, L)
-    logits. Pad units (zero graph diagonal) are masked out before the
-    softmax; raises if every unit of a graph is padded.
+    ``e`` holds logits over the graph's units: (L,) with one central
+    index ``s``, or (..., p, L) with ``s`` holding one index per row p,
+    so a stack of rows such as (heads, p, L) shares the graph. Pad units
+    (zero graph diagonal) are masked out before the softmax; raises if
+    every unit is padded.
     """
     _check_sigma(sigma)
     s = np.asarray(s)
     if ((s < 0) | (s >= graph.size)).any():
         raise ValueError(f"central index out of range [0, {graph.size}): {s}")
-    if graph.unit_pad.all(axis=-1).any():
+    if graph.unit_pad.all():
         raise ValueError("all units are padded; no attention targets")
     shift = _padded_shift(graph.weights, graph.unit_pad, sigma, shift_form)
-    if shift.ndim == 2:
-        return _shifted_attention(e, shift[s])
-    # s indexes each graph's rows: offset it to the graph's first row of the stack
-    batch, L = shift.shape[:-2], graph.size
-    return _shifted_attention(e, shift.reshape(-1, L)[s + _row_offsets(batch, L)])
+    return _shifted_attention(e, shift[s])
 
 
 def _global_context(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -537,16 +505,17 @@ class _Group(NamedTuple):
 def _prepare(encoded: np.ndarray, graphs, weights: DecoderWeights) -> _Group:
     """The ``_Group`` of sets with encoded units ``encoded`` (G, L, d) and ``graphs``."""
     cfg = weights.config
-    stack = stack_graphs(graphs)
-    if stack.unit_pad.all(axis=-1).any():
+    unit_pad = np.stack([graph.unit_pad for graph in graphs])
+    if unit_pad.all(axis=-1).any():
         raise ValueError("all units are padded; no attention targets")
+    G, L = unit_pad.shape
     x = encoded[:, None]
-    keys = np.empty((cfg.num_layers, len(x), cfg.num_heads, stack.size, cfg.d_head))
+    keys = np.empty((cfg.num_layers, G, cfg.num_heads, L, cfg.d_head))
     for layer, w_k in enumerate(weights.w_k):
         keys[layer] = x @ w_k
-    shift = _padded_shift(stack.weights, stack.unit_pad, cfg.sigma, cfg.shift_form)
-    return _Group(x, keys, shift.reshape(-1, stack.size),
-                  _row_offsets(stack.weights.shape[:-2], stack.size))
+    shift = _padded_shift(np.stack([graph.weights for graph in graphs]), unit_pad, cfg.sigma,
+                          cfg.shift_form)
+    return _Group(x, keys, shift.reshape(G * L, L), np.arange(0, G * L, L).reshape(G, 1, 1))
 
 
 # The kernel's sublayers; the central-unit FFN is the core ``_central_paragraph``.

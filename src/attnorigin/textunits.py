@@ -382,8 +382,11 @@ def unitized_to_json(record: UnitizedRecord) -> dict:
 
 def _unit_from_json(set_id: str, u: dict) -> TextualUnit:
     """One non-pad unit; plain ``if``s keep the per-unit checks cheap."""
-    doc_index, unit_index = u.get("doc_index", 0), u["unit_index"]
-    tokens, text = u["tokens"], u["original_text"]
+    try:
+        doc_index, unit_index = u.get("doc_index", 0), u["unit_index"]
+        tokens, text = u["tokens"], u["original_text"]
+    except KeyError as exc:
+        raise ValueError(f"set {set_id!r}: missing unit key {exc.args[0]!r}") from None
     if type(doc_index) is not int or type(unit_index) is not int:
         raise ValueError(f"set {set_id!r}: unit {unit_index!r}: doc_index and unit_index "
                          "must be integers")

@@ -1159,6 +1159,24 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "unknown option" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("channel", ["flag", "env"])
+def test_config_file_that_is_not_utf8_names_the_file(tmp_path, capsys, monkeypatch, channel):
+    units = graphs_only(tmp_path)
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_bytes(b"tau = 0.1\n\xff\n")
+    argv = ["graph", "--unitized", str(units), "--out", str(tmp_path / "g2")]
+    if channel == "flag":
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("ATTNORIGIN_CONFIG", str(cfg))
+    capsys.readouterr()
+    code = main(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert lines[0].startswith(f"error: {cfg}: malformed config file: 'utf-8' codec can't decode")
+    assert not (tmp_path / "g2").exists()
+
+
 def test_generate_adds_no_default_of_its_own(tmp_path, capsys, monkeypatch):
     """No model or generation flag gives the run with the library's defaults spelled out."""
     units = graphs_only(tmp_path)

@@ -29,7 +29,6 @@ from attnorigin.graphattn import (
     _softmax,
     decode_step,
     encode_units,
-    stack_graphs,
     start_state,
 )
 from attnorigin.simgraph import SimilarityGraph
@@ -588,9 +587,10 @@ def test_decode_block_at_bench_shape(shift_form):
 def reference_decode_block(ids, start, cache, x, weights, graphs):
     """The kernel as the four public primitives, checks included: the byte oracle.
 
-    ``x`` holds each set's encoded units (G, L, d) and ``graphs`` a
-    ``stack_graphs`` stack; the unit keys and graph shifts are recomputed
-    at every layer of every call.
+    ``x`` holds each set's encoded units (G, L, d) and ``graphs`` each
+    set's graph; graph attention runs set by set on that set's own graph,
+    and the unit keys and graph shifts are recomputed at every layer of
+    every call.
     """
     cfg = weights.config
     (sets, n, q), end, L = ids.shape, start + ids.shape[2], x.shape[1]
@@ -613,7 +613,8 @@ def reference_decode_block(ids, start, cache, x, weights, graphs):
         s = ao.central_paragraph(h, ffn, L).reshape(sets, 1, n * q)
         e = ao.unscaled_attention(h.reshape(sets, 1, n * q, -1), x, weights.w_q[layer],
                                   weights.w_k[layer])  # (G, mh, n * q, L)
-        beta = ao.graph_shifted_attention(e, graphs, s, cfg.sigma, cfg.shift_form)
+        beta = np.stack([ao.graph_shifted_attention(e[g], graphs[g], s[g, 0], cfg.sigma,
+                                                    cfg.shift_form) for g in range(sets)])
         betas[:, :, layer] = beta.reshape(sets, -1, n, q, L)[..., -1, :].transpose(0, 2, 1, 3)
         contexts = ao.global_context(beta, x)  # (G, mh, n * q, d)
         h = h + contexts.transpose(0, 2, 1, 3).reshape(rows, -1) @ weights.w_g[layer]
@@ -627,7 +628,7 @@ def reference_kernel(encoded, graphs):
     """``reference_decode_block`` behind the kernel's signature, checked call by call.
 
     It finds each decoding set of the group by its encoded units among
-    ``encoded`` and stacks that set's graph. Every call also runs the
+    ``encoded`` and passes that set's graph. Every call also runs the
     kernel on a copy of the cache and requires the same logits, betas
     and cache bytes; the reference's results are returned.
     """
@@ -639,8 +640,7 @@ def reference_kernel(encoded, graphs):
                  for set_x in x]
         kernel_cache = cache.copy()
         got = kernel(ids, start, kernel_cache, group, weights)
-        want = reference_decode_block(ids, start, cache, x, weights,
-                                      stack_graphs([graphs[i] for i in which]))
+        want = reference_decode_block(ids, start, cache, x, weights, [graphs[i] for i in which])
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want], start
         assert kernel_cache.tobytes() == cache.tobytes(), start
         return want
@@ -733,7 +733,7 @@ def test_cores_and_group_arrays_equal_the_public_primitives_bitwise(
     for graph, units in zip(graphs, encoded):
         units[graph.unit_pad] = 0.0
     group = _prepare(encoded, graphs, weights)
-    stack = stack_graphs(graphs)
+    pad = np.stack([graph.unit_pad for graph in graphs])[:, None, None]
     y = rng.normal(scale=2.0, size=(sets * p, d))
     ffn = (weights.cp_w1[0], weights.cp_b1[0], weights.cp_w2[0], weights.cp_b2[0])
 
@@ -749,10 +749,11 @@ def test_cores_and_group_arrays_equal_the_public_primitives_bitwise(
         inline = ((ys @ weights.w_q[layer]) @ np.swapaxes(k, -1, -2)) / math.sqrt(d_head)
         assert e.tobytes() == public.tobytes() == inline.tobytes()
         beta = ao.graphattn._shifted_attention(e, group.shift[s + group.offsets])
-        public = ao.graph_shifted_attention(e, stack, s, sigma, shift_form)
+        public = np.stack([ao.graph_shifted_attention(e[g], graph, s[g, 0], sigma, shift_form)
+                           for g, graph in enumerate(graphs)])
         rows = np.stack([graph.weights[s_g[0]] for graph, s_g in zip(graphs, s)])[:, None]
         shift = ao.graphattn._graph_shift(rows, sigma, shift_form)
-        masked = _softmax(np.where(stack.unit_pad[..., None, :], -np.inf, e - shift))
+        masked = _softmax(np.where(pad, -np.inf, e - shift))
         assert beta.tobytes() == public.tobytes() == masked.tobytes()
         context = ao.graphattn._global_context(beta, group.x)
         assert context.tobytes() == ao.global_context(beta, encoded[:, None]).tobytes()

@@ -140,8 +140,8 @@ def test_heatmap_intensity_mapping_2x3():
 
 
 def test_heatmap_axis_labels_present():
-    svg = hm.render_heatmap_svg([[0.5, 0.5]], row_label="rows", col_label="cols")
-    assert ">rows</text>" in svg and ">cols</text>" in svg
+    svg = hm.render_heatmap_svg([[0.5, 0.5]])
+    assert ">unit position in document</text>" in svg and ">summary sentence</text>" in svg
     assert ">0</text>" in svg and ">1</text>" in svg
 
 

@@ -368,11 +368,15 @@ def test_unitized_rejects_out_of_order_units():
      "doc_boundaries maps unit 2 to 0, not its doc_index 1"),
     (lambda obj: obj["doc_boundaries"].update({"2": -3}),
      "doc_boundaries maps unit 2 to -3, not its doc_index 1"),
+    (lambda obj: obj["units"][1].pop("tokens"), "missing unit key 'tokens'"),
+    (lambda obj: obj["units"][0].pop("unit_index"), "missing unit key 'unit_index'"),
+    (lambda obj: obj["units"][2].pop("original_text"), "missing unit key 'original_text'"),
 ], ids=["empty-tokens", "negative-doc-index", "boundary-past-units", "missing-boundary",
         "unit-not-object", "boundaries-not-object", "gold-not-string", "float-doc-index",
         "bool-unit-index", "float-boundary", "bool-boundary", "signed-boundary-key",
         "string-tokens", "int-token", "int-original-text", "float-L",
-        "boundary-disagrees-with-doc-index", "negative-boundary"])
+        "boundary-disagrees-with-doc-index", "negative-boundary", "missing-tokens",
+        "missing-unit-index", "missing-original-text"])
 def test_unitized_rejects_inconsistent_units(tmp_path, edit, message):
     docset = make_docset("s1", [["the cat sat", "a dog"], ["third doc para"]])
     good = unitized_to_json(UnitizedRecord(set_id="s0", unitized=ao.unitize(
