@@ -9,7 +9,9 @@ only the header and those ancestor slices.
 
 The binary tensor format is: magic bytes ``AWD1``, five little-endian
 uint32 dims (beams, tokens, layers, heads, units), then float32
-little-endian values in [beam][token][layer][head][unit] order.
+little-endian values in [beam][token][layer][head][unit] order. This
+module alone knows that layout: ``write_awd`` writes a whole tensor and
+``open_recorder`` a decoding set's tensor slice by slice.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import dataclasses
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .graphattn import AwdTensor
 from .textunits import atomic_write, read_json, write_json
 
 AWD_MAGIC = b"AWD1"
+HEADER_BYTES = 24  # the magic and five uint32 dims
 MAX_ELEMENTS = 1 << 31
 
 SentenceSpans = list[tuple[int, int]]
@@ -72,28 +76,90 @@ class SentenceAwd:
         return self.values.shape
 
 
+def _header(dims: Sequence[int]) -> bytes:
+    return AWD_MAGIC + struct.pack("<5I", *dims)
+
+
+def _write_at(fh, data, offset: int) -> None:
+    """Write all of ``data`` from byte ``offset`` of an unbuffered tensor file."""
+    view = memoryview(data).cast("B")
+    fh.seek(offset)
+    while view:
+        view = view[fh.write(view):]
+
+
 def write_awd(tensor: AwdTensor, path) -> None:
     """Write ``tensor`` in the binary tensor format, atomically."""
     values = np.ascontiguousarray(tensor.values, dtype="<f4")
     with atomic_write(path, "wb") as fh:
-        fh.write(AWD_MAGIC)
-        fh.write(struct.pack("<5I", *values.shape))
+        fh.write(_header(values.shape))
         fh.write(values.data)
+
+
+class _FileRecorder:
+    """Writes one decoding set's tensor into an open, unbuffered tensor file.
+
+    ``dims`` are (beams, max_steps, layers, heads, units). ``record`` puts
+    each slot's slice of a step at its place in a tensor of ``max_steps``
+    tokens; ``finish`` writes the header of the ``steps`` tokens decoded,
+    first moving beam blocks 1, 2, ... down to ``steps`` tokens and
+    truncating the file when the set stopped early.
+    """
+
+    def __init__(self, fh, dims: Sequence[int]):
+        self._fh = fh
+        self._dims = tuple(dims)
+        self._slice = 4 * math.prod(self._dims[2:])
+        self._finished = False
+
+    def record(self, step: int, slices: np.ndarray) -> None:
+        """Write step ``step``'s slices, (beams, layers, heads, units)."""
+        beams, max_steps = self._dims[:2]
+        data = np.ascontiguousarray(slices, dtype="<f4")
+        for slot in range(beams):
+            _write_at(self._fh, data[slot], HEADER_BYTES + (slot * max_steps + step) * self._slice)
+
+    def finish(self, steps: int) -> None:
+        """Close the tensor at ``steps`` tokens, each recorded for every slot."""
+        beams, max_steps = self._dims[:2]
+        block = steps * self._slice
+        if steps < max_steps:
+            moved = np.empty(block, dtype=np.uint8)
+            for slot in range(1, beams):  # front to back: no block overwrites one not yet moved
+                _read_into(self._fh, moved, HEADER_BYTES + slot * max_steps * self._slice,
+                           self._dims)
+                _write_at(self._fh, moved, HEADER_BYTES + slot * block)
+            self._fh.truncate(HEADER_BYTES + beams * block)
+        _write_at(self._fh, _header((beams, steps) + self._dims[2:]), 0)
+        self._finished = True
+
+
+@contextmanager
+def open_recorder(path, dims: Sequence[int]) -> Iterator[_FileRecorder]:
+    """A recorder of the tensor file at ``path``, ``dims`` as ``_FileRecorder``
+    takes them. A clean exit after ``finish`` replaces ``path`` as
+    ``atomic_write`` does; an error, or an exit before ``finish``, leaves
+    ``path`` as it was and no temporary file."""
+    with atomic_write(path, "w+b", buffering=0) as fh:
+        recorder = _FileRecorder(fh, dims)
+        yield recorder
+        if not recorder._finished:
+            raise ValueError(f"{path}: tensor file closed before it was finished")
 
 
 def _read_header(fh) -> tuple[int, ...]:
     """The dims of an open tensor file, after checking its magic, the
     element cap and that the file size matches the dims."""
-    header = fh.read(24)
+    header = fh.read(HEADER_BYTES)
     if header[:4] != AWD_MAGIC:
         raise BadMagicError(f"bad magic {header[:4]!r}, expected {AWD_MAGIC!r}")
-    if len(header) < 24:
+    if len(header) < HEADER_BYTES:
         raise TruncatedPayloadError(f"header truncated at {len(header)} bytes")
     dims = struct.unpack("<5I", header[4:])
     total = math.prod(dims)
     if total > MAX_ELEMENTS:
         raise DimOverflowError(f"dims {dims} imply {total} elements, cap is {MAX_ELEMENTS}")
-    payload = os.fstat(fh.fileno()).st_size - 24
+    payload = os.fstat(fh.fileno()).st_size - HEADER_BYTES
     if payload != 4 * total:
         raise TruncatedPayloadError(
             f"payload has {payload} bytes, dims {dims} require {4 * total}"
@@ -114,7 +180,7 @@ def _read_into(fh, out: np.ndarray, offset: int, dims) -> None:
         got = fh.readinto(view[done:])
         if not got:
             raise TruncatedPayloadError(
-                f"payload has {os.fstat(fh.fileno()).st_size - 24} bytes, dims {dims} "
+                f"payload has {os.fstat(fh.fileno()).st_size - HEADER_BYTES} bytes, dims {dims} "
                 f"require {4 * math.prod(dims)}"
             )
         done += got
@@ -126,7 +192,7 @@ def read_awd(path) -> AwdTensor:
     with open(path, "rb", buffering=0) as fh:
         dims = _read_header(fh)
         values = np.empty(dims, dtype="<f4")
-        _read_into(fh, values, 24, dims)
+        _read_into(fh, values, HEADER_BYTES, dims)
     return AwdTensor(values=values)
 
 
@@ -192,7 +258,7 @@ def read_winning_path(path, beam_trace: Sequence[Sequence[int]], winning_beam: i
         t = 0
         for ancestor, run in groupby(ancestors):
             end = t + sum(1 for _ in run)
-            _read_into(fh, aligned[t:end], 24 + (ancestor * sl + t) * step, dims)
+            _read_into(fh, aligned[t:end], HEADER_BYTES + (ancestor * sl + t) * step, dims)
             t = end
     return aligned
 

@@ -339,9 +339,12 @@ def cmd_generate(opts: dict[str, Any]) -> int:
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    def recorder(i, dims):  # each set's tensor file is written while the set decodes
+        return awdmod.open_recorder(awd_path(out_dir, records[i].set_id), dims)
+
     tokens = unfinished = 0
     results = graphattn.generate_sets([record.unitized for record in records], weights, graphs,
-                                      gen)
+                                      gen, recorder)
     for record in records:
         try:
             result = next(results)
@@ -352,10 +355,8 @@ def cmd_generate(opts: dict[str, Any]) -> int:
         summary = awdmod.SummaryRecord(record.set_id, result.tokens, result.beam_trace,
                                        result.winning_beam)
         awdmod.write_summary(summary, summary_path(out_dir, record.set_id))
-        awdmod.write_awd(result.awd, awd_path(out_dir, record.set_id))
         tokens += len(result.tokens)
         unfinished += weights.eos_id not in result.tokens
-        del result  # a set's tensor is a view of its group's: free it before the next group
 
     textunits.write_json(weights.vocab, vocab_path(out_dir))
     if unfinished:

@@ -9,13 +9,15 @@ Each exported primitive checks its inputs and then runs a private core;
 the kernel runs the cores on arrays built once per lockstep group (each
 layer's unit keys and every graph row's shift, +inf on pad units) and
 checks its logits and betas once per call. Beam search runs consecutive
-sets of a file in lockstep groups of at most GROUP_HYPOTHESES hypotheses
-and GROUP_SETS sets, or one set when its beam is wider, and reorders the
-beam cache in place between steps. Every step records the
-resulting attention distribution (one probability vector over units per
-layer and head), and beam search collects those vectors into a dense
-tensor per set indexed [beam][token][layer][head][unit] together with a
-parent-beam trace.
+sets of a file in lockstep groups of at most GROUP_SETS sets whose
+hypotheses' state fits GROUP_BYTES, or one set when its beam alone does
+not, and reorders the beam cache in place between steps. Every step
+records the resulting attention distribution (one probability vector
+over units per layer and head) of every beam slot, and hands each set's
+slices to that set's recorder, which builds a dense tensor indexed
+[beam][token][layer][head][unit] (in memory by default; ``awd`` has one
+that writes the tensor file as the set decodes), beside a parent-beam
+trace. A group keeps only its current and previous step's slices.
 
 There is no training loop; weights are loaded from files or built
 synthetically (random, or a "concentrator" construction whose attention
@@ -26,8 +28,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from contextlib import AbstractContextManager, ExitStack, nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,7 +62,10 @@ def _check_sigma(sigma: float) -> None:
     infinite reciprocal."""
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    sigma = float(sigma)  # Python floats, so no numpy warning below
+    try:
+        sigma = float(sigma)  # Python floats, so no numpy warning below
+    except OverflowError:
+        raise ValueError("sigma is an integer too large for float64") from None
     denominator = 2.0 * sigma * sigma
     if denominator == 0:
         raise ValueError(f"sigma {sigma} is too small: 2 * sigma**2 underflows to 0")
@@ -237,7 +243,7 @@ class AwdTensor:
 class GenerationResult:
     tokens: list[int]
     beam_trace: list[list[int]]  # (sl, bs) parent slot per step
-    awd: AwdTensor
+    awd: AwdTensor | None  # what the set's recorder's ``finish`` returned
     winning_beam: int
     score: float
 
@@ -626,13 +632,27 @@ def decode_step(
 # Beam search
 # ---------------------------------------------------------------------------
 
-# A lockstep group holds consecutive sets of the same unit count,
-# min(GROUP_SETS, max(1, GROUP_HYPOTHESES // beam_size)) of them: up to 8
-# hypotheses unless one set's beam is wider, and never more than 4 sets.
-# A group's decode state is then never larger than two beam-4 sets',
-# however many sets the file holds.
-GROUP_HYPOTHESES = 8
+# A lockstep group holds consecutive sets of the same unit count L: as many
+# as keep its hypotheses' state within GROUP_BYTES, never more than
+# GROUP_SETS, and one set when its beam alone needs more. A hypothesis holds
+# its float64 key and value cache, 16 * layers * max_steps * d_model bytes,
+# and, with the default recorder, its float32 recorded tensor,
+# 4 * max_steps * layers * heads * L bytes; any other recorder is taken to
+# keep its tensor elsewhere (``awd.open_recorder`` writes it to the file).
+# Beside that, a group keeps two steps of its slots' slices. At d_model 64,
+# 8 layers, 8 heads, L 30 and 32 steps a hypothesis takes 256 KiB, or 496
+# KiB with its tensor: 16 or 8 hypotheses, 4 or 2 beam-4 sets, per group.
+GROUP_BYTES = 4 << 20
 GROUP_SETS = 4
+
+
+def _group_size(cfg: ModelConfig, beam_size: int, max_steps: int, L: int,
+                in_memory: bool) -> int:
+    """The most sets of L units and ``beam_size`` hypotheses one group holds."""
+    hypothesis = 16 * cfg.num_layers * max_steps * cfg.d_model
+    if in_memory:
+        hypothesis += 4 * max_steps * cfg.num_layers * cfg.num_heads * L
+    return min(GROUP_SETS, max(1, GROUP_BYTES // (hypothesis * beam_size)))
 
 
 def _normalized(logprob: np.ndarray, length: int, alpha: float) -> np.ndarray:
@@ -678,18 +698,47 @@ def _reorder_slots(cache: np.ndarray, parent_rows: np.ndarray, step: int) -> Non
             block[g, j, :step] = block[g, sources, :step]
 
 
+class _TensorRecorder:
+    """Collects a set's recorded slices into an ``AwdTensor`` in memory."""
+
+    def __init__(self, dims: Sequence[int]):
+        self.values = np.empty(dims, dtype=np.float32)
+
+    def record(self, step: int, slices: np.ndarray) -> None:
+        self.values[:, step] = slices
+
+    def finish(self, steps: int) -> AwdTensor:
+        return AwdTensor(values=self.values[:, :steps])
+
+
+def _in_memory(index: int, dims: Sequence[int]) -> AbstractContextManager[_TensorRecorder]:
+    return nullcontext(_TensorRecorder(dims))
+
+
 def generate_sets(
     inputs, weights: DecoderWeights, graphs, gen: GenerationConfig = GenerationConfig(),
+    recorder: Callable[[int, tuple[int, ...]], AbstractContextManager] = _in_memory,
 ) -> Iterator[GenerationResult]:
     """Beam search over every set of a file, with a cached decoder recording attention.
 
     Yields one ``GenerationResult`` per set, in input order, one lockstep
-    group at a time: up to min(GROUP_SETS, max(1, GROUP_HYPOTHESES //
-    beam_size)) consecutive sets with the same unit count L. The options,
+    group at a time: up to ``_group_size`` consecutive sets with the same
+    unit count L, at most GROUP_SETS and within GROUP_BYTES. The options,
     the end markers and the graph sizes are checked before anything is
     decoded. Results equal decoding each set alone, except that at beam 2
     or more a recorded value may differ by 1 float32 ulp, since the sets'
     rows share one matrix product.
+
+    ``recorder(i, dims)`` gives the context manager of the recorder of the
+    set at position i, dims (beam_size, max_steps, layers, heads, L). A
+    group enters its sets' recorders when it starts and leaves them,
+    together, before its results are yielded, or when it fails. Each step
+    calls ``record(step, slices)`` with the float32 slices (beam_size,
+    layers, heads, L) of every slot of every set still decoding, and the
+    group's end calls ``finish(steps)`` with the set's decoded steps; what
+    that returns is the result's ``awd``. By default that is an
+    ``AwdTensor`` built in memory; ``awd.open_recorder`` writes the tensor
+    file instead.
 
     Each step is one ``_decode_block`` call over every decoding set's
     leading slots, as many as the fullest set holds hypotheses: kernel
@@ -720,27 +769,34 @@ def generate_sets(
     for inp, graph in zip(inputs, graphs):
         if graph.size != inp.L:
             raise ValueError(f"graph size {graph.size} != input unit count {inp.L}")
-    return _generate_groups(inputs, weights, graphs, gen, max_steps)
+    return _generate_groups(inputs, weights, graphs, gen, max_steps, recorder)
 
 
-def _generate_groups(inputs, weights, graphs, gen, max_steps):
-    size = min(GROUP_SETS, max(1, GROUP_HYPOTHESES // gen.beam_size))
+def _generate_groups(inputs, weights, graphs, gen, max_steps, recorder):
+    cfg = weights.config
     start = 0
     while start < len(inputs):
+        L = inputs[start].L
+        size = _group_size(cfg, gen.beam_size, max_steps, L, recorder is _in_memory)
         end = start + 1
-        while end < min(start + size, len(inputs)) and inputs[end].L == inputs[start].L:
+        while end < min(start + size, len(inputs)) and inputs[end].L == L:
             end += 1
-        yield from _beam_search(inputs[start:end], weights, graphs[start:end], gen, max_steps,
-                                start)
+        dims = (gen.beam_size, max_steps, cfg.num_layers, cfg.num_heads, L)
+        with ExitStack() as stack:  # an error leaves every recorder of the group
+            recorders = [stack.enter_context(recorder(i, dims)) for i in range(start, end)]
+            results = _beam_search(inputs[start:end], weights, graphs[start:end], gen,
+                                   max_steps, start, recorders)
+        yield from results
         start = end
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow shows as the kernel's one error
 def _beam_search(
     inputs: list[UnitizedInput], weights: DecoderWeights, graphs: list[SimilarityGraph],
-    gen: GenerationConfig, max_steps: int, first: int,
+    gen: GenerationConfig, max_steps: int, first: int, recorders: list,
 ) -> list[GenerationResult]:
-    """Beam search over the group of sets from position ``first`` of the file on."""
+    """Beam search over the group of sets from position ``first`` of the file on,
+    recording set g's slices with ``recorders[g]``."""
     cfg = weights.config
     banned_cols = [1 + weights.pad_id, 1 + weights.bos_id]
     G, bs, V = len(inputs), gen.beam_size, cfg.vocab_size
@@ -748,8 +804,8 @@ def _beam_search(
     group = _prepare(encoded, graphs, weights)  # of the sets still decoding
     # Self-attention keys and values by decoding set and slot (zeros: an empty slot stays finite).
     cache = np.zeros((2, cfg.num_layers, G, bs, max_steps, cfg.d_model))
-    awd = np.empty((G, bs, max_steps, cfg.num_layers, cfg.num_heads, inputs[0].L),
-                   dtype=np.float32)
+    # The slices recorded at even and odd steps, by set and slot.
+    recorded = np.empty((2, G, bs, cfg.num_layers, cfg.num_heads, inputs[0].L), dtype=np.float32)
     # Per set and slot: <bos> and the token ids (-1 pads a finished slot), log-probability,
     # normalized score, whether it ended and its parent slot.
     seqs = np.full((G, bs, 1 + max_steps), weights.bos_id)
@@ -772,11 +828,14 @@ def _beam_search(
                                           cache[:, :, :a, :n], group, weights)
         except ValueError as exc:  # the kernel names the set by its row
             raise ValueError(exc.args[0], first + int(sets[exc.args[1]])) from None
-        awd[sets, :n, step] = betas  # a finished or empty slot's slice is replaced below
+        now, last = recorded[step % 2], recorded[1 - step % 2]
+        now[sets, :n] = betas  # a finished or empty slot's slice is replaced below
         fg, fj = np.nonzero(valid & finished[sets])
-        awd[sets[fg], fj, step] = awd[sets[fg], parents[sets[fg], fj], step - 1]
+        now[sets[fg], fj] = last[sets[fg], parents[sets[fg], fj]]
         eg, ej = np.nonzero(~valid)
-        awd[sets[eg], ej, step] = awd[sets[eg], ej % counts[sets[eg]], step]
+        now[sets[eg], ej] = now[sets[eg], ej % counts[sets[eg]]]
+        for g in sets:
+            recorders[g].record(step, now[g])
 
         totals = np.full((a, bs, 1 + V), -np.inf)  # log-probability of each grid cell
         totals[:, :, 0] = logprobs[sets]
@@ -812,7 +871,7 @@ def _beam_search(
         results.append(GenerationResult(
             tokens=[tok for tok in seqs[g, best, 1:steps[g] + 1].tolist() if tok >= 0],
             beam_trace=traces[g, :steps[g]].tolist(),
-            awd=AwdTensor(values=awd[g, :, :steps[g]]),
+            awd=recorders[g].finish(int(steps[g])),
             winning_beam=best,
             score=float(scores[g, best]),
         ))

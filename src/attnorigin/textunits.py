@@ -299,9 +299,15 @@ def atomic_write(path, mode: str = "w", **open_kwargs) -> Iterator[IO]:
 
 
 def _write_jsonl(objs, path) -> None:
+    """Write one set's JSON object per line; text that UTF-8 cannot encode,
+    such as a lone surrogate, raises a ValueError naming the set."""
     with atomic_write(path, encoding="utf-8") as fh:
         for obj in objs:
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            line = json.dumps(obj, ensure_ascii=False) + "\n"
+            try:
+                fh.write(line)
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"set {obj['set_id']!r}: {exc}") from None
 
 
 def write_json(obj, path, indent: int | None = None) -> None:
@@ -327,7 +333,8 @@ def read_json(path, what: str):
 
 def number_array(value, what: str) -> np.ndarray:
     """Nested JSON lists as a float64 array; a leaf that is not a JSON
-    number (a boolean, string, null or object) raises ValueError."""
+    number (a boolean, string, null or object), or an integer too large
+    for float64, raises ValueError."""
     level = [value]
     while level:
         nested = []
@@ -337,7 +344,10 @@ def number_array(value, what: str) -> np.ndarray:
             elif type(v) is not float and type(v) is not int:
                 raise ValueError(f"{what} must hold only JSON numbers, not {v!r}")
         level = nested
-    return np.array(value, dtype=np.float64)
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer too large for float64") from None
 
 
 def docset_to_json(docset: MultiDocSet) -> dict:

@@ -21,6 +21,7 @@ from attnorigin.awd import (
     write_summary,
 )
 from attnorigin.graphattn import AwdTensor
+from conftest import random_unitized
 
 
 def random_tensor(rng, bs=2, sl=3, dl=2, mh=2, L=4):
@@ -112,6 +113,79 @@ def test_errors_are_distinct_types():
     assert issubclass(DimOverflowError, AwdFormatError)
     assert issubclass(TruncatedPayloadError, AwdFormatError)
     assert BadMagicError is not DimOverflowError
+
+
+# ---------------------------------------------------------------------------
+# open_recorder: a tensor file written while its set decodes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("steps", [1, 3, 5])
+def test_recorder_writes_what_write_awd_writes(tmp_path, steps):
+    """Slices recorded step by step and finished at ``steps`` of 5 give the bytes
+    of ``write_awd`` of those steps; the file keeps a temporary name until the
+    recorder is left, and no temporary file remains."""
+    tensor = random_tensor(np.random.default_rng(steps), bs=3, sl=5, dl=2, mh=2, L=4)
+    path = tmp_path / "rec.awd"
+    with awdmod.open_recorder(path, tensor.dims) as recorder:
+        for step in range(steps):
+            recorder.record(step, tensor.values[:, step])
+        recorder.finish(steps)
+        assert not path.exists()
+    awdmod.write_awd(AwdTensor(values=tensor.values[:, :steps]), tmp_path / "want.awd")
+    assert path.read_bytes() == (tmp_path / "want.awd").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rec.awd", "want.awd"]
+
+
+def test_recorder_left_unfinished_or_by_an_error_leaves_the_old_file(tmp_path):
+    path = tmp_path / "rec.awd"
+    path.write_bytes(b"old")
+    with pytest.raises(ValueError, match="closed before it was finished"):
+        with awdmod.open_recorder(path, (1, 2, 1, 1, 3)) as recorder:
+            recorder.record(0, np.full((1, 1, 1, 3), 1 / 3, dtype=np.float32))
+    with pytest.raises(KeyboardInterrupt):
+        with awdmod.open_recorder(path, (1, 2, 1, 1, 3)):
+            raise KeyboardInterrupt
+    assert [p.name for p in tmp_path.iterdir()] == ["rec.awd"]
+    assert path.read_bytes() == b"old"
+
+
+def test_one_group_records_each_set_as_write_awd_of_its_one_set_beam(tmp_path, monkeypatch):
+    """Beam 3 puts two 6-unit sets in one lockstep group: s0 ends on <eos> after
+    2 of 6 steps while s1 runs to max_len. Each file that ``open_recorder``
+    writes while the group decodes equals ``write_awd`` of the set's
+    ``generate_with_beam`` tensor byte for byte."""
+    rng = np.random.default_rng(54)
+    inputs = [random_unitized(rng, L=6, set_id=f"s{i}") for i in range(2)]
+    graphs = [ao.build_graph(inp) for inp in inputs]
+    vocab = ao.graphattn.build_vocab(t for inp in inputs for u in inp.units for t in u.tokens)
+    cfg = ao.ModelConfig(d_model=8, num_layers=2, num_heads=2, vocab_size=len(vocab),
+                         num_units=6, max_len=6)
+    weights = ao.make_synthetic_weights(54, cfg, vocab=vocab)
+    weights.w_out = weights.w_out * 4.0  # sharper outputs, so that a set can end on <eos>
+    gen = ao.GenerationConfig(beam_size=3, max_len=6)
+    groups = []
+    search = ao.graphattn._beam_search
+
+    def spy(inputs, *args):
+        groups.append(len(inputs))
+        return search(inputs, *args)
+
+    monkeypatch.setattr(ao.graphattn, "_beam_search", spy)
+    results = list(ao.graphattn.generate_sets(
+        inputs, weights, graphs, gen,
+        lambda i, dims: awdmod.open_recorder(tmp_path / f"s{i}.awd", dims)))
+    monkeypatch.undo()
+    assert groups == [2]
+    assert [len(result.beam_trace) for result in results] == [2, 6]
+    assert results[0].tokens[-1] == weights.eos_id
+    for i, (inp, graph, result) in enumerate(zip(inputs, graphs, results)):
+        want = ao.generate_with_beam(inp, weights, graph, gen)
+        assert result.awd is None
+        assert (result.tokens, result.beam_trace, result.winning_beam) == (
+            want.tokens, want.beam_trace, want.winning_beam)
+        ao.write_awd(want.awd, tmp_path / "want.awd")
+        assert (tmp_path / f"s{i}.awd").read_bytes() == (tmp_path / "want.awd").read_bytes(), i
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s0.awd", "s1.awd", "want.awd"]
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,23 @@ def test_preprocess_locates_invalid_utf8(tmp_path, capsys):
     assert not (tmp_path / "u.jsonl").exists()
 
 
+def test_preprocess_names_the_set_whose_text_utf8_cannot_encode(tmp_path, capsys):
+    """A lone surrogate, a valid JSON escape, cannot go into the UTF-8 unitized
+    file: one error line names its set, and no file is written."""
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus)
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"set_id": "lone", "documents": [{"text": "Half \ud800 pair."}]})
+                 + "\n")
+    assert "\\ud800" in corpus.read_text()
+    code = main(["preprocess", "--corpus", str(corpus), "--out", str(tmp_path / "u.jsonl")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert lines[0].startswith(
+        "error: set 'lone': 'utf-8' codec can't encode character '\\ud800'"), lines[0]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+
 def test_preprocess_defaults_by_mode(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     write_corpus(corpus, num_sets=1)
@@ -258,9 +275,11 @@ def generate_error(tmp_path, capsys, units, flags=GEN_FLAGS):
     ({(5, 5): 1.0}, "unit 5 is a pad unit of set 'set1' but has graph diagonal 1", "set1"),
     ({(0, 1): True, (1, 0): True}, "weights must hold only JSON numbers, not True", "set0"),
     ({(0, 1): "0.5", (1, 0): "0.5"}, "weights must hold only JSON numbers, not '0.5'", "set0"),
+    ({(0, 1): 10**400, (1, 0): 10**400}, "weights holds an integer too large for float64",
+     "set0"),
 ], ids=["nan", "asymmetric", "above-one", "negative", "half-diagonal", "linked-pad",
         "half-diagonal-last-set", "real-unit-as-pad", "pad-as-real-unit", "bool-weight",
-        "string-weight"])
+        "string-weight", "huge-int-weight"])
 def test_generate_rejects_invalid_graph(tmp_path, capsys, cells, reason, set_id):
     units = graphs_only(tmp_path)
     gpath = tmp_path / "graphs" / f"{set_id}.graph.json"
@@ -313,22 +332,74 @@ def test_generate_checks_every_graph_before_writing(tmp_path, capsys):
 
 
 def test_generate_writes_each_group_before_decoding_the_next(tmp_path, monkeypatch):
-    """At beam 5 each set is its own lockstep group; set0's files precede set1's decoding."""
+    """With a 1-byte group budget each set is its own lockstep group; set0's files
+    precede set1's decoding, and each group's tensor file is open, under a
+    temporary name, as it decodes."""
     units = graphs_only(tmp_path)
     out = tmp_path / "gen"
     seen = []  # the output files present as each group starts decoding
     search = ao.graphattn._beam_search
 
     def spy(inputs, *args):
-        seen.append(sorted(path.name for path in out.iterdir()))
+        seen.append(sorted(re.sub(r"\.[0-9a-f]{12}\.tmp$", ".*.tmp", path.name)
+                           for path in out.iterdir()))
         return search(inputs, *args)
 
     monkeypatch.setattr(ao.graphattn, "_beam_search", spy)
-    flags = list(GEN_FLAGS)
-    flags[3] = "5"  # beam size
+    monkeypatch.setattr(ao.graphattn, "GROUP_BYTES", 1)
     assert main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
-                 "--out", str(out)] + flags) == 0
-    assert seen == [[], ["set0.awd", "set0.summary.json"]]
+                 "--out", str(out)] + GEN_FLAGS) == 0
+    assert seen == [["set0.awd.*.tmp"], ["set0.awd", "set0.summary.json", "set1.awd.*.tmp"]]
+    assert sorted(path.name for path in out.iterdir()) == [
+        "set0.awd", "set0.summary.json", "set1.awd", "set1.summary.json", "vocab.json"]
+
+
+def test_generate_counts_only_the_decoder_cache_in_the_group_budget(tmp_path, monkeypatch):
+    """``generate`` writes each tensor to its file, so a group budget of four
+    hypotheses' key/value caches holds both beam-2 sets, tensors aside."""
+    units = graphs_only(tmp_path)
+    groups = []
+    search = ao.graphattn._beam_search
+
+    def spy(inputs, weights, graphs, gen, max_steps, first, recorders):
+        groups.append(list(range(first, first + len(inputs))))
+        return search(inputs, weights, graphs, gen, max_steps, first, recorders)
+
+    monkeypatch.setattr(ao.graphattn, "_beam_search", spy)
+    # 2 sets x beam 2 x 16 bytes x 2 layers x 5 steps x d_model 32
+    monkeypatch.setattr(ao.graphattn, "GROUP_BYTES", 2 * 2 * 16 * 2 * 5 * 32)
+    assert GEN_FLAGS[2:] == ["--beam-size", "2", "--max-len", "5", "--d-model", "32",
+                             "--num-layers", "2", "--num-heads", "4", "--model-max-len", "8"]
+    assert main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
+                 "--out", str(tmp_path / "gen")] + GEN_FLAGS) == 0
+    assert groups == [[0, 1]]
+    monkeypatch.setattr(ao.graphattn, "GROUP_BYTES", 2 * 2 * 16 * 2 * 5 * 32 - 1)
+    groups.clear()
+    assert main(["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
+                 "--out", str(tmp_path / "gen")] + GEN_FLAGS) == 0
+    assert groups == [[0], [1]]
+
+
+def test_generate_through_a_symlinked_tensor_file_replaces_its_target(tmp_path):
+    """A symlinked ``<set>.awd`` stays a link and its target gets the new
+    tensor; no temporary file remains beside either."""
+    units = graphs_only(tmp_path)
+    out = tmp_path / "gen"
+    argv = ["generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
+            "--out", str(out)] + GEN_FLAGS
+    assert main(argv) == 0
+    want = (out / "set0.awd").read_bytes()
+    target = tmp_path / "elsewhere" / "target.awd"
+    target.parent.mkdir()
+    target.write_bytes(b"stale")
+    (out / "set0.awd").unlink()
+    (out / "set0.awd").symlink_to(target)
+    assert main(argv) == 0
+    assert (out / "set0.awd").is_symlink() and os.readlink(out / "set0.awd") == str(target)
+    assert target.read_bytes() == want
+    assert [path.name for path in target.parent.iterdir()] == ["target.awd"]
+    assert sorted(path.name for path in out.iterdir()) == [
+        "set0.awd", "set0.summary.json", "set1.awd", "set1.summary.json", "vocab.json"]
 
 
 def small_weights_file(tmp_path, records, num_units=6, max_len=8):
@@ -399,16 +470,21 @@ def test_generate_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.splitlines() == [f"error: out of memory: {message}"]
 
 
-@pytest.mark.parametrize("scaled, flags, set_id", [
-    ("all", ["--beam-size", "4"], "set0"),
-    ("set1", ["--beam-size", "2"], "set1"),  # both sets in one kernel call: set1's is row 1
+@pytest.mark.parametrize("scaled, flags, set_id, alone", [
+    ("all", ["--beam-size", "4"], "set0", False),
+    ("set1", ["--beam-size", "2"], "set1", False),  # both sets in one kernel call: set1's is row 1
     # set1's own group, after set0's files: one step, so set0 never feeds set1's tokens back
-    ("set1", ["--beam-size", "4", "--max-len", "1"], "set1"),
-])
-def test_generate_names_the_set_whose_decoder_state_overflows(tmp_path, capsys, scaled,
-                                                              flags, set_id):
+    ("set1", ["--beam-size", "4", "--max-len", "1"], "set1", True),
+], ids=["all-flags0-set0", "set1-flags1-set1", "set1-flags2-set1"])
+def test_generate_names_the_set_whose_decoder_state_overflows(tmp_path, capsys, monkeypatch,
+                                                              scaled, flags, set_id, alone):
     """Finite weights whose products overflow give one error line naming the
-    set, no numpy warnings, and leave numpy's error state as it was."""
+    set, no numpy warnings, and leave numpy's error state as it was. The
+    failing group leaves no tensor file, whole or temporary; the groups
+    before it keep theirs. ``alone`` puts each set in its own group (a
+    1-byte group budget); otherwise both sets share one."""
+    if alone:
+        monkeypatch.setattr(ao.graphattn, "GROUP_BYTES", 1)
     units = graphs_only(tmp_path)
     records = ao.read_unitized(units)
     weights = ao.read_weights(small_weights_file(tmp_path, records))
@@ -425,6 +501,8 @@ def test_generate_names_the_set_whose_decoder_state_overflows(tmp_path, capsys, 
     assert capsys.readouterr().err.splitlines() == [
         f"error: set '{set_id}': non-finite decoder state"]
     assert np.geterr() == errstate
+    kept = ["set0.awd", "set0.summary.json"] if set_id == "set1" and alone else []
+    assert sorted(path.name for path in (tmp_path / "gen").iterdir()) == kept
 
 
 @pytest.mark.parametrize("option, value", [
@@ -503,10 +581,14 @@ def edit_json(change):
      "w_q must hold only JSON numbers, not True"),
     (edit_json(lambda obj: obj["params"]["cp_b2"].__setitem__(0, "0.5")),
      "cp_b2 must hold only JSON numbers, not '0.5'"),
+    (edit_json(lambda obj: obj["params"]["cp_b2"].__setitem__(0, 10**400)),
+     "malformed weights file: cp_b2 holds an integer too large for float64"),
+    (edit_json(lambda obj: obj["config"].update(sigma=10**400)),
+     "malformed weights file: sigma is an integer too large for float64"),
 ], ids=["truncated", "not-object", "missing-key", "zero-heads", "indivisible", "wrong-shape",
         "float-layers", "bool-heads", "bool-sigma", "nan-sigma", "tiny-sigma", "int-vocab-entry",
         "duplicate-vocab-entry", "zero-d-model", "zero-layers", "zero-max-len", "bool-param",
-        "string-param"])
+        "string-param", "huge-int-param", "huge-int-sigma"])
 def test_generate_rejects_malformed_weights_file(tmp_path, capsys, edit, needle):
     units = graphs_only(tmp_path)
     wpath = small_weights_file(tmp_path, ao.read_unitized(units))
@@ -804,6 +886,23 @@ def test_module_entry_point_runs_with_warnings_as_errors():
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == "" and "preprocess" in done.stdout
+
+
+def test_generate_closes_every_file_in_development_mode(tmp_path):
+    """A two-set ``generate``, one group with two tensor files open at once, run
+    with ``-X dev`` and ResourceWarning an error: exit 0 and no such warning."""
+    units = graphs_only(tmp_path)
+    src = Path(ao.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "attnorigin.cli.main",
+         "generate", "--unitized", str(units), "--graphs", str(tmp_path / "graphs"),
+         "--out", str(tmp_path / "gen")] + GEN_FLAGS,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "ResourceWarning" not in done.stderr, done.stderr
+    assert "generated=2" in done.stdout
 
 
 def test_bench_tracer_installs_with_warnings_as_errors():
@@ -1196,9 +1295,9 @@ def test_generate_adds_no_default_of_its_own(tmp_path, capsys, monkeypatch):
         configs = []  # what the decoder gets: a short run may not show every option
         decode = ao.graphattn.generate_sets
 
-        def spy(inputs, weights, graphs, gen):
+        def spy(inputs, weights, graphs, gen, *rest):
             configs.append((weights.config, gen))
-            return decode(inputs, weights, graphs, gen)
+            return decode(inputs, weights, graphs, gen, *rest)
 
         monkeypatch.setattr(ao.graphattn, "generate_sets", spy)
         capsys.readouterr()

@@ -1223,10 +1223,13 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
     """``generate_sets`` over a mixed file equals the per-set reference beam.
 
     Tokens, traces and winners are exact, scores within 1e-12 and AWD
-    bytes equal. At beam sizes 1-5 the groups hold min(4, max(1, 8 // beam))
-    consecutive sets of one L: beams 1 and 2 cut the six 6-unit sets at
-    four and the change to 7 units splits a group. Scaled-up output weights
-    end some sets early with <eos> while the rest of their group runs on.
+    bytes equal. GROUP_BYTES is set to eight 6-unit hypotheses with their
+    tensors, so at beam sizes 1-5 the groups hold min(4, max(1,
+    GROUP_BYTES // (beam * hypothesis bytes))) consecutive sets of one L,
+    between 1 and 4, fewer at 7 units than at 6; a group of four cuts the
+    six 6-unit sets at four and the change to 7 units splits a group.
+    Scaled-up output weights end some sets early with <eos> while the rest
+    of their group runs on.
 
     A kernel row is a beam slot: a group's first call has one row per
     set, and every later call one per hypothesis, ``beam`` of them, since
@@ -1242,11 +1245,17 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
     weights = ao.make_synthetic_weights(1, cfg, vocab=vocab)
     weights.w_out = weights.w_out * 4.0
     assert len(vocab) - 2 > 5  # tokens but <pad> and <bos>, against the largest beam
-    groups = {1: [4, 2, 3, 2], 2: [4, 2, 3, 2], 3: [2, 2, 2, 2, 1, 2], 4: [2, 2, 2, 2, 1, 2]}
+
+    def hypothesis_bytes(L):  # float64 key/value cache and float32 tensor, 6 steps
+        return 16 * cfg.num_layers * 6 * cfg.d_model + 4 * 6 * cfg.num_layers * cfg.num_heads * L
+
+    budget = 8 * hypothesis_bytes(6)
+    runs = [(6, 6), (3, 7), (2, 6)]  # consecutive sets of one L
     ran_on = 0  # groups in which one set ended with <eos> before another
     carried = 0  # multi-set calls with a finished slot's row
     for beam in range(1, 6):
         gen = ao.GenerationConfig(beam_size=beam, max_len=6, length_penalty=0.6)
+        monkeypatch.setattr(ao.graphattn, "GROUP_BYTES", budget)
         calls = spy_on_kernel(monkeypatch)
         got = list(ao.graphattn.generate_sets(inputs, weights, graphs, gen))
         monkeypatch.undo()
@@ -1258,14 +1267,19 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
             assert result.winning_beam == want.winning_beam, (beam, i)
             assert abs(result.score - want.score) <= 1e-12, (beam, i)
             assert result.awd.values.tobytes() == want.awd.values.tobytes(), (beam, i)
-        assert max(sets * rows for sets, rows, *_ in calls) <= max(8, beam)
+        assert all(sets * rows * hypothesis_bytes(L) <= max(budget, beam * hypothesis_bytes(L))
+                   for sets, rows, L, *_ in calls)
         assert max(sets for sets, *_ in calls) <= 4
         assert [rows for _, rows, _, start, _ in calls] == [
             1 if start == 0 else beam for _, _, _, start, _ in calls], beam
         carried += sum(sets > 1 and np.isin(last, [weights.eos_id, -1]).any()
                        for sets, _, _, _, last in calls)
         sizes = [sets for sets, _, _, start, _ in calls if start == 0]
-        assert sizes == groups.get(beam, [1] * len(inputs)), beam
+        want_sizes = []
+        for run, L in runs:
+            size = min(4, max(1, budget // (beam * hypothesis_bytes(L))))
+            want_sizes += [min(size, run - i) for i in range(0, run, size)]
+        assert sizes == want_sizes, beam
         start = 0
         for size in sizes:
             lengths = [len(result.beam_trace) for result in got[start:start + size]]
@@ -1273,6 +1287,23 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
             start += size
     assert ran_on >= 5, ran_on
     assert carried >= 1, carried
+
+
+def test_group_size_keeps_the_hypotheses_state_within_the_byte_budget():
+    """At d_model 64, 8 layers, 8 heads, L 30 and 32 steps a hypothesis holds a
+    256 KiB key/value cache and a 240 KiB tensor: four beam-4 sets fit the
+    4 MiB budget when the tensor is kept elsewhere, two when it stays in
+    memory. Fewer units give the in-memory tensor more room, a wider model
+    less; a beam too wide for the budget still gets a group of its own."""
+    size = ao.graphattn._group_size
+    cfg = ao.ModelConfig(d_model=64, num_layers=8, num_heads=8, max_len=32)
+    assert ao.graphattn.GROUP_BYTES == 16 * 16 * 8 * 32 * 64
+    assert [size(cfg, beam, 32, 30, False) for beam in (1, 4, 5, 8, 9, 17)] == [4, 4, 3, 2, 1, 1]
+    assert [size(cfg, beam, 32, 30, True) for beam in (1, 2, 3, 4, 5, 9)] == [4, 4, 2, 2, 1, 1]
+    assert size(cfg, 4, 32, 10, True) == 3  # (256 + 80) KiB a hypothesis
+    assert size(cfg, 4, 8, 30, True) == 4  # a quarter of the steps
+    wide = ao.ModelConfig(d_model=256, num_layers=8, num_heads=8, max_len=32)
+    assert [size(wide, beam, 32, 30, False) for beam in (1, 2, 4)] == [4, 2, 1]
 
 
 def test_lockstep_beam_one_makes_one_call_per_group_step(monkeypatch):
