@@ -2,13 +2,14 @@
 
 Pipeline: unitize documents (textunits), build a TF-IDF similarity
 graph (simgraph), generate summaries with a graph-informed decoder
-while recording attention (graphattn), align and aggregate the recorded
-tensor (awd), and correlate attention with a ROUGE reference metric
-(origin). The cli package ties the steps together.
+(graphattn), record, align and aggregate its attention tensor (awd),
+and correlate attention with a ROUGE reference metric (origin). The cli
+package ties the steps together.
 """
 
 from .awd import (
     AwdFormatError,
+    AwdTensor,
     BadMagicError,
     BeamTraceError,
     DimOverflowError,
@@ -21,12 +22,10 @@ from .awd import (
     write_awd,
 )
 from .graphattn import (
-    AwdTensor,
     DecoderWeights,
     GenerationConfig,
     GenerationResult,
     ModelConfig,
-    SimilarityGraph,
     central_paragraph,
     decode_step,
     encode_units,
@@ -57,7 +56,8 @@ from .origin import (
     summary_correlations,
 )
 from .rouge import RougeScore, RougeTriple, evaluate_summary, rouge_l, rouge_n
-from .simgraph import build_graph, cosine_similarity, read_graph, tfidf_vectors, write_graph
+from .simgraph import (SimilarityGraph, build_graph, cosine_similarity, read_graph,
+                       tfidf_vectors, write_graph)
 from .textunits import (
     MultiDocSet,
     RawDocument,

@@ -1,9 +1,11 @@
-"""Align recorded attention tensors with beam outcomes; aggregate to sentences.
+"""Record attention tensors, align them with beam outcomes; aggregate to sentences.
 
-The beam decoder walks parent links backward from the winning beam to
-pick, for each generated token, the attention distribution recorded on
-the ancestor that actually produced it. Token-level distributions are
-then pooled per generated sentence (mean by default).
+The decoder hands a set's slices to a recorder of this module, which
+builds the ``AwdTensor`` in memory (``in_memory``) or writes its file
+(``open_recorder``). Alignment walks parent links backward from the
+winning beam to pick, for each generated token, the distribution
+recorded on the ancestor that actually produced it; token-level
+distributions are then pooled per generated sentence (mean by default).
 ``read_winning_path``, which ``analyze`` uses, reads from a tensor file
 only the header and those ancestor slices.
 
@@ -20,14 +22,13 @@ import dataclasses
 import math
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graphattn import AwdTensor
 from .textunits import atomic_write, read_json, write_json
 
 AWD_MAGIC = b"AWD1"
@@ -58,6 +59,26 @@ class TruncatedPayloadError(AwdFormatError):
 
 class BeamTraceError(ValueError):
     """Raised when a beam trace is inconsistent with the tensor dims."""
+
+
+@dataclass
+class AwdTensor:
+    """Recorded attention distributions, float32.
+
+    Index order is [beam][token][layer][head][unit]; every unit-axis
+    slice is a probability vector (pad units carry zero mass).
+    """
+
+    values: np.ndarray  # (bs, sl, dl, mh, L)
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.float32)
+        if self.values.ndim != 5:
+            raise ValueError(f"awd tensor must have 5 dims, got {self.values.ndim}")
+
+    @property
+    def dims(self) -> tuple[int, int, int, int, int]:
+        return self.values.shape
 
 
 @dataclass
@@ -94,6 +115,25 @@ def write_awd(tensor: AwdTensor, path) -> None:
     with atomic_write(path, "wb") as fh:
         fh.write(_header(values.shape))
         fh.write(values.data)
+
+
+class _TensorRecorder:
+    """Collects a set's recorded slices into an ``AwdTensor`` in memory."""
+
+    def __init__(self, dims: Sequence[int]):
+        self.values = np.empty(dims, dtype=np.float32)
+
+    def record(self, step: int, slices: np.ndarray) -> None:
+        self.values[:, step] = slices
+
+    def finish(self, steps: int) -> AwdTensor:  # an array of the decoded steps alone
+        values = self.values
+        return AwdTensor(values=values if steps == values.shape[1] else values[:, :steps].copy())
+
+
+def in_memory(index: int, dims: Sequence[int]) -> AbstractContextManager[_TensorRecorder]:
+    """The default recorder: ``finish`` returns the set's tensor, built in memory."""
+    return nullcontext(_TensorRecorder(dims))
 
 
 class _FileRecorder:

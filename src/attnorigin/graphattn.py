@@ -10,14 +10,13 @@ the kernel runs the cores on arrays built once per lockstep group (each
 layer's unit keys and every graph row's shift, +inf on pad units) and
 checks its logits and betas once per call. Beam search runs consecutive
 sets of a file in lockstep groups of at most GROUP_SETS sets whose
-hypotheses' state fits GROUP_BYTES, or one set when its beam alone does
+key/value caches fit GROUP_BYTES, or one set when its beam alone does
 not, and reorders the beam cache in place between steps. Every step
 records the resulting attention distribution (one probability vector
 over units per layer and head) of every beam slot, and hands each set's
-slices to that set's recorder, which builds a dense tensor indexed
-[beam][token][layer][head][unit] (in memory by default; ``awd`` has one
-that writes the tensor file as the set decodes), beside a parent-beam
-trace. A group keeps only its current and previous step's slices.
+slices to that set's recorder, beside a parent-beam trace. The recorders
+come from ``awd``, which owns the recorded tensor; a group keeps only
+its current and previous step's slices.
 
 There is no training loop; weights are loaded from files or built
 synthetically (random, or a "concentrator" construction whose attention
@@ -28,12 +27,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from contextlib import AbstractContextManager, ExitStack, nullcontext
+from contextlib import AbstractContextManager, ExitStack
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from .awd import AwdTensor, in_memory
 from .simgraph import SimilarityGraph
 from .textunits import UnitizedInput, number_array, read_json, write_json
 
@@ -217,26 +217,6 @@ class DecoderWeights:
     @property
     def eos_sent_id(self) -> int:
         return self.token_id(EOS_SENT_TOKEN)
-
-
-@dataclass
-class AwdTensor:
-    """Recorded attention distributions, float32.
-
-    Index order is [beam][token][layer][head][unit]; every unit-axis
-    slice is a probability vector (pad units carry zero mass).
-    """
-
-    values: np.ndarray  # (bs, sl, dl, mh, L)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32)
-        if self.values.ndim != 5:
-            raise ValueError(f"awd tensor must have 5 dims, got {self.values.ndim}")
-
-    @property
-    def dims(self) -> tuple[int, int, int, int, int]:
-        return self.values.shape
 
 
 @dataclass
@@ -633,25 +613,20 @@ def decode_step(
 # ---------------------------------------------------------------------------
 
 # A lockstep group holds consecutive sets of the same unit count L: as many
-# as keep its hypotheses' state within GROUP_BYTES, never more than
-# GROUP_SETS, and one set when its beam alone needs more. A hypothesis holds
-# its float64 key and value cache, 16 * layers * max_steps * d_model bytes,
-# and, with the default recorder, its float32 recorded tensor,
-# 4 * max_steps * layers * heads * L bytes; any other recorder is taken to
-# keep its tensor elsewhere (``awd.open_recorder`` writes it to the file).
-# Beside that, a group keeps two steps of its slots' slices. At d_model 64,
-# 8 layers, 8 heads, L 30 and 32 steps a hypothesis takes 256 KiB, or 496
-# KiB with its tensor: 16 or 8 hypotheses, 4 or 2 beam-4 sets, per group.
+# as keep their hypotheses' float64 key and value caches, 16 * layers *
+# max_steps * d_model bytes each, within GROUP_BYTES, never more than
+# GROUP_SETS, and one set when its beam alone needs more. Beside that, a
+# group keeps two steps of its slots' slices. What a recorder keeps is not
+# counted: the default one's tensors are the results the caller receives.
+# At d_model 64, 8 layers and 32 steps a hypothesis's cache takes 256 KiB:
+# 16 hypotheses, 4 beam-4 sets, per group.
 GROUP_BYTES = 4 << 20
 GROUP_SETS = 4
 
 
-def _group_size(cfg: ModelConfig, beam_size: int, max_steps: int, L: int,
-                in_memory: bool) -> int:
-    """The most sets of L units and ``beam_size`` hypotheses one group holds."""
+def _group_size(cfg: ModelConfig, beam_size: int, max_steps: int) -> int:
+    """The most sets of ``beam_size`` hypotheses one group holds."""
     hypothesis = 16 * cfg.num_layers * max_steps * cfg.d_model
-    if in_memory:
-        hypothesis += 4 * max_steps * cfg.num_layers * cfg.num_heads * L
     return min(GROUP_SETS, max(1, GROUP_BYTES // (hypothesis * beam_size)))
 
 
@@ -698,32 +673,15 @@ def _reorder_slots(cache: np.ndarray, parent_rows: np.ndarray, step: int) -> Non
             block[g, j, :step] = block[g, sources, :step]
 
 
-class _TensorRecorder:
-    """Collects a set's recorded slices into an ``AwdTensor`` in memory."""
-
-    def __init__(self, dims: Sequence[int]):
-        self.values = np.empty(dims, dtype=np.float32)
-
-    def record(self, step: int, slices: np.ndarray) -> None:
-        self.values[:, step] = slices
-
-    def finish(self, steps: int) -> AwdTensor:
-        return AwdTensor(values=self.values[:, :steps])
-
-
-def _in_memory(index: int, dims: Sequence[int]) -> AbstractContextManager[_TensorRecorder]:
-    return nullcontext(_TensorRecorder(dims))
-
-
 def generate_sets(
     inputs, weights: DecoderWeights, graphs, gen: GenerationConfig = GenerationConfig(),
-    recorder: Callable[[int, tuple[int, ...]], AbstractContextManager] = _in_memory,
+    recorder: Callable[[int, tuple[int, ...]], AbstractContextManager] = in_memory,
 ) -> Iterator[GenerationResult]:
     """Beam search over every set of a file, with a cached decoder recording attention.
 
     Yields one ``GenerationResult`` per set, in input order, one lockstep
-    group at a time: up to ``_group_size`` consecutive sets with the same
-    unit count L, at most GROUP_SETS and within GROUP_BYTES. The options,
+    group at a time: consecutive sets with the same unit count L, at most
+    ``_group_size`` of them, whichever the recorder. The options,
     the end markers and the graph sizes are checked before anything is
     decoded. Results equal decoding each set alone, except that at beam 2
     or more a recorded value may differ by 1 float32 ulp, since the sets'
@@ -736,9 +694,9 @@ def generate_sets(
     calls ``record(step, slices)`` with the float32 slices (beam_size,
     layers, heads, L) of every slot of every set still decoding, and the
     group's end calls ``finish(steps)`` with the set's decoded steps; what
-    that returns is the result's ``awd``. By default that is an
-    ``AwdTensor`` built in memory; ``awd.open_recorder`` writes the tensor
-    file instead.
+    that returns is the result's ``awd``. By default (``awd.in_memory``)
+    that is an ``AwdTensor`` of the decoded steps, built in memory;
+    ``awd.open_recorder`` writes the tensor file instead.
 
     Each step is one ``_decode_block`` call over every decoding set's
     leading slots, as many as the fullest set holds hypotheses: kernel
@@ -769,15 +727,15 @@ def generate_sets(
     for inp, graph in zip(inputs, graphs):
         if graph.size != inp.L:
             raise ValueError(f"graph size {graph.size} != input unit count {inp.L}")
-    return _generate_groups(inputs, weights, graphs, gen, max_steps, recorder)
+    size = _group_size(weights.config, gen.beam_size, max_steps)
+    return _generate_groups(inputs, weights, graphs, gen, max_steps, size, recorder)
 
 
-def _generate_groups(inputs, weights, graphs, gen, max_steps, recorder):
+def _generate_groups(inputs, weights, graphs, gen, max_steps, size, recorder):
     cfg = weights.config
     start = 0
     while start < len(inputs):
         L = inputs[start].L
-        size = _group_size(cfg, gen.beam_size, max_steps, L, recorder is _in_memory)
         end = start + 1
         while end < min(start + size, len(inputs)) and inputs[end].L == L:
             end += 1

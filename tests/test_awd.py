@@ -188,6 +188,24 @@ def test_one_group_records_each_set_as_write_awd_of_its_one_set_beam(tmp_path, m
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s0.awd", "s1.awd", "want.awd"]
 
 
+@pytest.mark.parametrize("ends_early", [True, False])
+def test_in_memory_tensor_owns_exactly_its_decoded_steps(ends_early):
+    """The default recorder's tensor of a beam-2 set that ends on <eos> after 3
+    of 8 steps is an array of those 3 steps, not a view of the 8-step
+    buffer it was recorded in; a set that runs to max_len gets that buffer."""
+    inp = random_unitized(np.random.default_rng(3), L=4, set_id="s0")
+    vocab = ao.graphattn.build_vocab(t for u in inp.units for t in u.tokens)
+    cfg = ao.ModelConfig(d_model=32, num_layers=2, num_heads=2, vocab_size=len(vocab),
+                         num_units=4, max_len=8)
+    script = [5, vocab.index("<eos>")] if ends_early else [5] * 8
+    weights = ao.make_concentrator_weights(cfg, target=1, vocab=vocab, token_script=script)
+    result = ao.generate_with_beam(inp, weights, ao.build_graph(inp),
+                                   ao.GenerationConfig(beam_size=2, max_len=8))
+    values = result.awd.values
+    assert values.shape == (2, 3 if ends_early else 8, 2, 2, 4)
+    assert values.base is None and values.flags.c_contiguous
+
+
 # ---------------------------------------------------------------------------
 # beam_decode_awd
 # ---------------------------------------------------------------------------

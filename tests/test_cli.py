@@ -1341,6 +1341,98 @@ def test_unparsable_option_value(tmp_path, capsys):
     assert "cannot parse" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def shared_run(tmp_path_factory):
+    """One pipeline run of the two-set corpus with a 2-layer model; read only."""
+    return run_pipeline(tmp_path_factory.mktemp("shared"))
+
+
+def analyze_argv(run, out, *flags, gen=None, units=None):
+    gen = gen or run / "gen"
+    return ["analyze", "--awd", gen, "--summaries", gen,
+            "--unitized", units or run / "units.jsonl", "--out", out, *flags]
+
+
+def empty_file(tmp):
+    (tmp / "empty.jsonl").write_text("")
+    return tmp / "empty.jsonl"
+
+
+def config_file(tmp, text):
+    (tmp / "opts.cfg").write_text(text)
+    return tmp / "opts.cfg"
+
+
+def vocab_without_eoss(run, tmp):
+    """A copy of the run's generate output whose vocabulary renames <eoss>."""
+    gen = tmp / "gen"
+    shutil.copytree(run / "gen", gen)
+    vocab = json.loads((gen / "vocab.json").read_text())
+    (gen / "vocab.json").write_text(json.dumps(
+        ["<end-of-sentence>" if token == EOS_SENT_TOKEN else token for token in vocab]))
+    return gen
+
+
+def preprocess_argv(run, out, *flags):
+    return ["preprocess", "--corpus", run / "corpus.jsonl", "--out", out, *flags]
+
+
+# (argv, the one error line's message) from the shared run and an empty directory;
+# each stage writes to ``out`` under that directory. A message of None is a clean run.
+STAGE_ERRORS = {
+    "posbias-layer-0": lambda run, tmp, out: (
+        analyze_argv(run, out, "--posbias-layer", "0"), "--posbias-layer outside [1, 2]"),
+    "posbias-layer-3": lambda run, tmp, out: (
+        analyze_argv(run, out, "--posbias-layer", "3"), "--posbias-layer outside [1, 2]"),
+    "posbias-layer-1": lambda run, tmp, out: (
+        analyze_argv(run, out, "--posbias-layer", "1"), None),
+    "layers-not-integers": lambda run, tmp, out: (
+        analyze_argv(run, out, "--layers", "1,x"),
+        "--layers must be 'all' or a comma list of integers, got '1,x'"),
+    "layers-0": lambda run, tmp, out: (
+        analyze_argv(run, out, "--layers", "0"), "--layers entry 0 outside [1, 2]"),
+    "format-xml": lambda run, tmp, out: (
+        analyze_argv(run, out, "--format", "xml"),
+        "--format must be a comma subset of {json,csv}"),
+    "units-0": lambda run, tmp, out: (
+        preprocess_argv(run, out, "--units", "0"), "--units and --tokens must be >= 1"),
+    "tau-1": lambda run, tmp, out: (
+        ["graph", "--unitized", run / "units.jsonl", "--out", out, "--tau", "1"],
+        "--tau must be in [0, 1)"),
+    "config-line-without-equals": lambda run, tmp, out: (
+        preprocess_argv(run, out, "--config", config_file(tmp, "units 3\n")),
+        f"{tmp / 'opts.cfg'}:1: expected key=value, got 'units 3'"),
+    "config-missing": lambda run, tmp, out: (
+        preprocess_argv(run, out, "--config", tmp / "absent.cfg"),
+        f"cannot read config file: [Errno 2] No such file or directory: "
+        f"{str(tmp / 'absent.cfg')!r}"),
+    "generate-no-sets": lambda run, tmp, out: (
+        ["generate", "--unitized", empty_file(tmp), "--graphs", run / "graphs", "--out", out,
+         *GEN_FLAGS], "no sets to generate for"),
+    "analyze-no-sets": lambda run, tmp, out: (
+        analyze_argv(run, out, units=empty_file(tmp)), "no sets to analyze"),
+    "vocab-without-eoss": lambda run, tmp, out: (
+        analyze_argv(run, out, gen=vocab_without_eoss(run, tmp)),
+        f"vocabulary lacks the {EOS_SENT_TOKEN!r} marker"),
+}
+
+
+@pytest.mark.parametrize("case", list(STAGE_ERRORS))
+def test_stage_error_paths_give_one_error_line(shared_run, tmp_path, capsys, case):
+    """Each rejected option or input gives exit 1, one ``error:`` line and no output."""
+    out = tmp_path / "out"
+    argv, message = STAGE_ERRORS[case](shared_run, tmp_path, out)
+    capsys.readouterr()
+    code = main([str(arg) for arg in argv])
+    err = capsys.readouterr().err.splitlines()
+    if message is None:
+        assert code == 0 and not [line for line in err if line.startswith("error:")]
+        assert "posbias" in json.loads((out / "report.json").read_text())
+    else:
+        assert (code, err) == (1, [f"error: {message}"])
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # JSON files, set file names and output directories
 # ---------------------------------------------------------------------------

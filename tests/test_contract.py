@@ -1,6 +1,8 @@
 """The public names of ``attnorigin`` and its CLI options are part of its contract."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 import re
 import types
@@ -98,3 +100,62 @@ def test_readme_names_no_private_identifier():
     """The README states the contract; private helpers are free to change."""
     text = README.read_text(encoding="utf-8")
     assert sorted(name for name in _private_names() if _word(name).search(text)) == []
+
+
+# The package modules each module imports, by name relative to the package
+# ("" is the package itself). An added edge fails here and shows in the diff.
+MODULE_IMPORTS = {
+    "": {"awd", "graphattn", "origin", "rouge", "simgraph", "textunits"},
+    "awd": {"textunits"},
+    "cli": set(),
+    "cli.heatmap": set(),
+    "cli.main": {"awd", "cli.heatmap", "cli.report", "graphattn", "origin", "simgraph",
+                 "textunits"},
+    "cli.report": {"origin", "textunits"},
+    "graphattn": {"awd", "simgraph", "textunits"},
+    "origin": {"awd", "rouge", "textunits"},
+    "rouge": {"textunits"},
+    "simgraph": {"textunits"},
+    "textunits": set(),
+}
+
+PACKAGE_DIR = Path(attnorigin.__file__).parent
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """The package modules that the relative imports of the module at ``path`` name."""
+    parts = path.relative_to(PACKAGE_DIR).with_suffix("").parts
+    package = list(parts[:-1])  # of a module; an __init__ is its own package
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            base = package[:len(package) - node.level + 1]
+            if node.module:
+                imported.add(".".join(base + node.module.split(".")))
+            else:
+                imported.update(".".join(base + [alias.name]) for alias in node.names)
+    return imported
+
+
+def test_module_imports_are_pinned():
+    """Each module imports the package modules it is listed with, and no other."""
+    imports = {}
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        parts = path.relative_to(PACKAGE_DIR).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        imports[name] = _relative_imports(path)
+    assert imports == MODULE_IMPORTS
+
+
+def test_package_names_are_imported_from_their_defining_module():
+    """``attnorigin/__init__.py`` imports each class and function from the module
+    that defines it, not through another module that imports it."""
+    misplaced = []
+    for node in ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                value = getattr(attnorigin, alias.asname or alias.name)
+                if ((inspect.isclass(value) or inspect.isfunction(value))
+                        and value.__module__ != f"attnorigin.{node.module}"):
+                    misplaced.append((alias.name, node.module, value.__module__))
+    assert misplaced == []

@@ -1223,11 +1223,11 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
     """``generate_sets`` over a mixed file equals the per-set reference beam.
 
     Tokens, traces and winners are exact, scores within 1e-12 and AWD
-    bytes equal. GROUP_BYTES is set to eight 6-unit hypotheses with their
-    tensors, so at beam sizes 1-5 the groups hold min(4, max(1,
-    GROUP_BYTES // (beam * hypothesis bytes))) consecutive sets of one L,
-    between 1 and 4, fewer at 7 units than at 6; a group of four cuts the
-    six 6-unit sets at four and the change to 7 units splits a group.
+    bytes equal. GROUP_BYTES is set to eight hypotheses' key/value caches,
+    so at beam sizes 1-5 the groups hold min(4, max(1, GROUP_BYTES //
+    (beam * cache bytes))) = 4, 4, 2, 2 and 1 consecutive sets of one L; a
+    group of four cuts the six 6-unit sets at four and the change to 7
+    units splits a group.
     Scaled-up output weights end some sets early with <eos> while the rest
     of their group runs on.
 
@@ -1246,11 +1246,9 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
     weights.w_out = weights.w_out * 4.0
     assert len(vocab) - 2 > 5  # tokens but <pad> and <bos>, against the largest beam
 
-    def hypothesis_bytes(L):  # float64 key/value cache and float32 tensor, 6 steps
-        return 16 * cfg.num_layers * 6 * cfg.d_model + 4 * 6 * cfg.num_layers * cfg.num_heads * L
-
-    budget = 8 * hypothesis_bytes(6)
-    runs = [(6, 6), (3, 7), (2, 6)]  # consecutive sets of one L
+    hypothesis = 16 * cfg.num_layers * 6 * cfg.d_model  # float64 key/value cache, 6 steps
+    budget = 8 * hypothesis
+    runs = [6, 3, 2]  # lengths of the runs of consecutive sets of one L: 6, 7, 6
     ran_on = 0  # groups in which one set ended with <eos> before another
     carried = 0  # multi-set calls with a finished slot's row
     for beam in range(1, 6):
@@ -1267,17 +1265,18 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
             assert result.winning_beam == want.winning_beam, (beam, i)
             assert abs(result.score - want.score) <= 1e-12, (beam, i)
             assert result.awd.values.tobytes() == want.awd.values.tobytes(), (beam, i)
-        assert all(sets * rows * hypothesis_bytes(L) <= max(budget, beam * hypothesis_bytes(L))
-                   for sets, rows, L, *_ in calls)
+        assert all(sets * rows * hypothesis <= max(budget, beam * hypothesis)
+                   for sets, rows, *_ in calls)
         assert max(sets for sets, *_ in calls) <= 4
         assert [rows for _, rows, _, start, _ in calls] == [
             1 if start == 0 else beam for _, _, _, start, _ in calls], beam
         carried += sum(sets > 1 and np.isin(last, [weights.eos_id, -1]).any()
                        for sets, _, _, _, last in calls)
         sizes = [sets for sets, _, _, start, _ in calls if start == 0]
+        size = [4, 4, 2, 2, 1][beam - 1]
+        assert size == min(4, max(1, budget // (beam * hypothesis)))
         want_sizes = []
-        for run, L in runs:
-            size = min(4, max(1, budget // (beam * hypothesis_bytes(L))))
+        for run in runs:
             want_sizes += [min(size, run - i) for i in range(0, run, size)]
         assert sizes == want_sizes, beam
         start = 0
@@ -1290,20 +1289,17 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
 
 
 def test_group_size_keeps_the_hypotheses_state_within_the_byte_budget():
-    """At d_model 64, 8 layers, 8 heads, L 30 and 32 steps a hypothesis holds a
-    256 KiB key/value cache and a 240 KiB tensor: four beam-4 sets fit the
-    4 MiB budget when the tensor is kept elsewhere, two when it stays in
-    memory. Fewer units give the in-memory tensor more room, a wider model
-    less; a beam too wide for the budget still gets a group of its own."""
+    """At d_model 64, 8 layers and 32 steps a hypothesis holds a 256 KiB
+    key/value cache: four beam-4 sets fit the 4 MiB budget, whatever the
+    recorder. Fewer steps give more hypotheses room, a wider model fewer;
+    a beam too wide for the budget still gets a group of its own."""
     size = ao.graphattn._group_size
     cfg = ao.ModelConfig(d_model=64, num_layers=8, num_heads=8, max_len=32)
     assert ao.graphattn.GROUP_BYTES == 16 * 16 * 8 * 32 * 64
-    assert [size(cfg, beam, 32, 30, False) for beam in (1, 4, 5, 8, 9, 17)] == [4, 4, 3, 2, 1, 1]
-    assert [size(cfg, beam, 32, 30, True) for beam in (1, 2, 3, 4, 5, 9)] == [4, 4, 2, 2, 1, 1]
-    assert size(cfg, 4, 32, 10, True) == 3  # (256 + 80) KiB a hypothesis
-    assert size(cfg, 4, 8, 30, True) == 4  # a quarter of the steps
+    assert [size(cfg, beam, 32) for beam in (1, 4, 5, 8, 9, 17)] == [4, 4, 3, 2, 1, 1]
+    assert [size(cfg, beam, 8) for beam in (4, 16, 17, 64, 65)] == [4, 4, 3, 1, 1]
     wide = ao.ModelConfig(d_model=256, num_layers=8, num_heads=8, max_len=32)
-    assert [size(wide, beam, 32, 30, False) for beam in (1, 2, 4)] == [4, 2, 1]
+    assert [size(wide, beam, 32) for beam in (1, 2, 4)] == [4, 2, 1]
 
 
 def test_lockstep_beam_one_makes_one_call_per_group_step(monkeypatch):
@@ -1324,11 +1320,11 @@ def test_lockstep_beam_one_makes_one_call_per_group_step(monkeypatch):
     assert all((sets, rows) == (4, 1) for sets, rows, *_ in calls)
 
 
-def bench_shape_pair(seed=16):
-    """Two paragraph sets (L 30, T 60, with pads) and seeded synthetic weights
-    at the benchmark's decoder shape: d 64, 8 layers, 8 heads, max_len 32."""
+def bench_shape_pair(seed=16, sets=2):
+    """Two (or ``sets``) paragraph sets (L 30, T 60, with pads) and seeded synthetic
+    weights at the benchmark's decoder shape: d 64, 8 layers, 8 heads, max_len 32."""
     rng = np.random.default_rng(seed)
-    inputs = [random_sentence_set(rng, f"s{i}", "paragraph", 30, 60) for i in range(2)]
+    inputs = [random_sentence_set(rng, f"s{i}", "paragraph", 30, 60) for i in range(sets)]
     assert all(inp.unit_pad.any() for inp in inputs)
     graphs = [ao.build_graph(inp) for inp in inputs]
     vocab = ao.graphattn.build_vocab(t for inp in inputs for u in inp.units for t in u.tokens)
@@ -1359,6 +1355,28 @@ def test_beam_four_pairs_two_sets_per_call(monkeypatch):
         ulps = (result.awd.values.view(np.int32).astype(np.int64)
                 - alone.awd.values.view(np.int32))
         assert np.abs(ulps).max() <= 1, i
+
+
+def test_every_recorder_gets_the_same_groups(monkeypatch, tmp_path):
+    """At the benchmark's shape the default recorder and ``awd.open_recorder``
+    make the same ``_decode_block`` calls: four beam-4 sets decode as one
+    group either way, and record the same tensor bytes."""
+    inputs, graphs, weights = bench_shape_pair(sets=4)
+    gen = ao.GenerationConfig(beam_size=4, max_len=32)
+    to_file = (lambda i, dims: ao.awd.open_recorder(tmp_path / f"s{i}.awd", dims),)
+    shapes, runs = [], []
+    for recorder in ((), to_file):
+        calls = spy_on_kernel(monkeypatch)
+        runs.append(list(ao.graphattn.generate_sets(inputs, weights, graphs, gen, *recorder)))
+        monkeypatch.undo()
+        shapes.append([(sets, rows, L, start) for sets, rows, L, start, _ in calls])
+    assert shapes[0] == shapes[1]
+    assert shapes[0][0] == (4, 1, 30, 0)
+    for i, (in_memory, streamed) in enumerate(zip(*runs, strict=True)):
+        assert streamed.awd is None
+        assert streamed.tokens == in_memory.tokens, i
+        assert (ao.read_awd(tmp_path / f"s{i}.awd").values.tobytes()
+                == in_memory.awd.values.tobytes()), i
 
 
 def gather_slots(cache, parent_rows, step):
