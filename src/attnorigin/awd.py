@@ -385,13 +385,9 @@ def _ints(values, what: str) -> list[int]:
 
 def read_summary(path) -> SummaryRecord:
     """Read and check a summary file; errors name the file."""
-    obj = read_json(path, "summary file")
-    try:
-        return SummaryRecord(
-            set_id=obj["set_id"],
-            tokens=_ints(obj["tokens"], "tokens"),
-            beam_trace=[_ints(row, "beam_trace row") for row in obj["beam_trace"]],
-            winning_beam=_ints([obj["winning_beam"]], "winning_beam")[0],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed summary file: {exc}") from None
+    return read_json(path, "summary file", lambda obj: SummaryRecord(
+        set_id=obj["set_id"],
+        tokens=_ints(obj["tokens"], "tokens"),
+        beam_trace=[_ints(row, "beam_trace row") for row in obj["beam_trace"]],
+        winning_beam=_ints([obj["winning_beam"]], "winning_beam")[0],
+    ))

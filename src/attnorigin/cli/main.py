@@ -186,11 +186,10 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict[str, Any]:
     An option that no channel sets and that has no CLI default is None.
     """
     specs = OPTIONS[command]
-    allowed = {spec.name for spec in specs}
     file_values: dict[str, str] = {}
     config_path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
-    if config_path:
-        file_values = _read_config_file(config_path, allowed)
+    if config_path:  # a config file cannot name another one
+        file_values = _read_config_file(config_path, {spec.name for spec in specs} - {"config"})
     resolved: dict[str, Any] = {}
     for spec in specs:
         value = getattr(args, spec.name)
@@ -387,11 +386,7 @@ def _read_vocab(awd_dir: Path, summaries_dir: Path) -> list[str]:
     for directory in directories:
         path = vocab_path(directory)
         if path.exists():
-            vocab = textunits.read_json(path, "vocabulary")
-            try:
-                return graphattn.check_vocab(vocab)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+            return textunits.read_json(path, "vocabulary", graphattn.check_vocab)
     raise ValueError(f"no vocab.json in {' or '.join(map(str, directories))}")
 
 

@@ -510,7 +510,7 @@ def _self_attention(
     h: np.ndarray, layer: int, start: int, cache: np.ndarray, causal: np.ndarray,
     weights: DecoderWeights,
 ) -> np.ndarray:
-    """Causal self-attention of the rows ``h`` (G * n * q, d) over the cache.
+    """Causal self-attention of each set's rows ``h`` (G, n * q, d) over the cache.
 
     Writes the new positions' keys and values into the layer's cache
     (G, n, steps, d) and returns ``h`` plus the projected attention output.
@@ -524,24 +524,23 @@ def _self_attention(
     queries = (h @ weights.sa_wq[layer]).reshape(sets, n, q, -1)
     attn = _softmax(queries @ k.transpose(0, 1, 3, 2) / math.sqrt(weights.config.d_model)
                     + causal)
-    return h + (attn @ v).reshape(len(h), -1) @ weights.sa_wo[layer]
+    return h + (attn @ v).reshape(h.shape) @ weights.sa_wo[layer]
 
 
 def _graph_attention(
     h: np.ndarray, s: np.ndarray, layer: int, group: _Group, weights: DecoderWeights
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Graph attention of every set's rows against its own units, all heads as one batch.
+    """Graph attention of every set's rows ``h`` (G, rows per set, d) against its
+    own units, all heads as one batch.
 
     ``s`` holds the rows' central units (G, 1, rows per set). Returns ``h``
     plus the concatenated, projected head contexts, and the betas
     (G, heads, rows per set, L).
     """
-    sets = len(group.x)
-    e = _attention_logits(h.reshape(sets, 1, -1, h.shape[-1]), weights.w_q[layer],
-                          group.keys[layer])
+    e = _attention_logits(h[:, None], weights.w_q[layer], group.keys[layer])
     beta = _shifted_attention(e, group.shift[s + group.offsets])
-    contexts = _global_context(beta, group.x)  # (G, mh, rows per set, d)
-    return h + contexts.transpose(0, 2, 1, 3).reshape(len(h), -1) @ weights.w_g[layer], beta
+    contexts = _global_context(beta, group.x).transpose(0, 2, 1, 3)  # (G, rows per set, mh, d)
+    return h + contexts.reshape(*h.shape[:2], -1) @ weights.w_g[layer], beta
 
 
 def _position_ffn(h: np.ndarray, layer: int, weights: DecoderWeights) -> np.ndarray:
@@ -571,7 +570,7 @@ def _decode_block(
     """
     cfg = weights.config
     (sets, n, q), end, L = ids.shape, start + ids.shape[2], group.x.shape[-2]
-    h = (weights.embedding[ids] + weights.pos_encoding[start:end]).reshape(sets * n * q, -1)
+    h = (weights.embedding[ids] + weights.pos_encoding[start:end]).reshape(sets, n * q, -1)
     causal = np.triu(np.full((q, end), -np.inf), k=start + 1)
     betas = np.empty((sets, n, cfg.num_layers, cfg.num_heads, L))
     for layer in range(cfg.num_layers):
@@ -619,7 +618,13 @@ def decode_step(
 # group keeps two steps of its slots' slices. What a recorder keeps is not
 # counted: the default one's tensors are the results the caller receives.
 # At d_model 64, 8 layers and 32 steps a hypothesis's cache takes 256 KiB:
-# 16 hypotheses, 4 beam-4 sets, per group.
+# 16 hypotheses, 4 beam-4 sets, per group. GROUP_SETS bounds what each set
+# holds beside its caches, which the budget does not count: its unit keys,
+# 8 * layers * L * d_model bytes (240 KiB at L 60), its graph shift rows,
+# 8 * L**2, its encoded units, two steps of slices and its score grids. At
+# 8 layers, L 60, d_model 64, beam 1 and 8 steps the budget alone admits 64
+# sets; over 24 sets, peak RSS was 49.2 MiB at GROUP_SETS 4, 51.5 at 8,
+# 54.2 at 12 and 60.8 at 64 (2-core machine, numpy 2.4).
 GROUP_BYTES = 4 << 20
 GROUP_SETS = 4
 
@@ -683,9 +688,11 @@ def generate_sets(
     group at a time: consecutive sets with the same unit count L, at most
     ``_group_size`` of them, whichever the recorder. The options,
     the end markers and the graph sizes are checked before anything is
-    decoded. Results equal decoding each set alone, except that at beam 2
-    or more a recorded value may differ by 1 float32 ulp, since the sets'
-    rows share one matrix product.
+    decoded. Results equal decoding each set alone byte for byte: the
+    kernel keeps each set's rows apart, (sets, rows, d), so every weight
+    product is a stacked one that runs at the shape a set alone has
+    (batch invariance; H. He and Thinking Machines Lab, "Defeating
+    Nondeterminism in LLM Inference", 2025).
 
     ``recorder(i, dims)`` gives the context manager of the recorder of the
     set at position i, dims (beam_size, max_steps, layers, heads, L). A
@@ -977,16 +984,12 @@ def check_vocab(vocab) -> list[str]:
     return vocab
 
 
+def _weights_from_json(obj) -> DecoderWeights:
+    config = ModelConfig.from_json(obj["config"])
+    params = {name: number_array(obj["params"][name], name) for name in _param_shapes(config)}
+    return DecoderWeights(config=config, vocab=check_vocab(obj["vocab"]), **params)
+
+
 def read_weights(path) -> DecoderWeights:
     """Read and validate a weights file; errors name the file."""
-    obj = read_json(path, "weights file")
-    try:
-        config = ModelConfig.from_json(obj["config"])
-        params = {
-            name: number_array(obj["params"][name], name) for name in _param_shapes(config)
-        }
-        return DecoderWeights(config=config, vocab=check_vocab(obj["vocab"]), **params)
-    except KeyError as exc:
-        raise ValueError(f"{path}: weights file missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed weights file: {exc}") from None
+    return read_json(path, "weights file", _weights_from_json)

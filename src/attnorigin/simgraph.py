@@ -153,14 +153,12 @@ def write_graph(graph: SimilarityGraph, path) -> None:
         fh.write(f'{{"size": {L}, "weights": [{rows}]}}\n')
 
 
+def _graph_from_json(obj) -> SimilarityGraph:
+    if type(obj["size"]) is not int:
+        raise ValueError(f"graph size must be an integer, not {obj['size']!r}")
+    return SimilarityGraph(size=obj["size"], weights=number_array(obj["weights"], "weights"))
+
+
 def read_graph(path) -> SimilarityGraph:
     """Read and validate a graph file; errors name the file."""
-    obj = read_json(path, "graph file")
-    try:
-        if type(obj["size"]) is not int:
-            raise ValueError(f"graph size must be an integer, not {obj['size']!r}")
-        return SimilarityGraph(size=obj["size"], weights=number_array(obj["weights"], "weights"))
-    except KeyError as exc:
-        raise ValueError(f"{path}: graph file missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_json(path, "graph file", _graph_from_json)

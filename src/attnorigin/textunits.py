@@ -319,15 +319,21 @@ def write_json(obj, path, indent: int | None = None) -> None:
         fh.write(text)
 
 
-def read_json(path, what: str):
-    """Parse the JSON file at ``path``, which should hold a ``what``.
-    Invalid UTF-8 or JSON, or nesting too deep to parse, raises one
-    ValueError naming the file; the caller checks the schema."""
+def read_json(path, what: str, parse: Callable[[object], object] | None = None):
+    """``parse`` of the JSON file at ``path``, which should hold a ``what``
+    (the parsed object itself without ``parse``). Every fault raises one
+    ValueError naming the file: a ``KeyError`` from ``parse`` gives
+    ``<path>: <what> missing key '<key>'``; invalid UTF-8 or JSON, nesting
+    too deep to parse, and a ``TypeError``, ``ValueError`` or
+    ``RecursionError`` from ``parse`` give ``<path>: malformed <what>: ...``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return json.loads(data.decode("utf-8"))  # a UnicodeDecodeError is a ValueError
-    except (ValueError, RecursionError) as exc:
+        obj = json.loads(data.decode("utf-8"))  # a UnicodeDecodeError is a ValueError
+        return obj if parse is None else parse(obj)
+    except KeyError as exc:
+        raise ValueError(f"{path}: {what} missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed {what}: {exc}") from None
 
 

@@ -517,5 +517,6 @@ def test_summary_file_round_trip(tmp_path):
 def test_summary_file_rejects_missing_keys(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"set_id": "s", "tokens": [1]}')
-    with pytest.raises(ValueError, match="malformed"):
+    with pytest.raises(ValueError) as info:
         read_summary(path)
+    assert str(info.value) == f"{path}: summary file missing key 'beam_trace'"

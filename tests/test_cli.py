@@ -1259,6 +1259,25 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("channel", ["flag", "env"])
+def test_config_file_cannot_name_another_config_file(tmp_path, capsys, monkeypatch, channel):
+    """``config`` is an unknown key inside a config file, not a file that is silently skipped."""
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, num_sets=1)
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("units = 3\nconfig = /nonexistent/other.cfg\n")
+    out = tmp_path / "u.jsonl"
+    argv = ["preprocess", "--corpus", str(corpus), "--out", str(out)]
+    if channel == "flag":
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("ATTNORIGIN_CONFIG", str(cfg))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {cfg}:2: unknown option 'config'"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("channel", ["flag", "env"])
 def test_config_file_that_is_not_utf8_names_the_file(tmp_path, capsys, monkeypatch, channel):
     units = graphs_only(tmp_path)
     cfg = tmp_path / "opts.cfg"
@@ -1468,6 +1487,68 @@ def test_truncated_json_file_gives_one_error_naming_it_once(tmp_path, capsys, ki
     assert lines[0].count(str(path)) == 1 and f"malformed {kind}" in lines[0]
     if kind == "summary":
         assert lines[0].startswith("error: set 'set1': ")
+    assert not Path(argv[-1]).exists()
+
+
+def replace_json(change):
+    def write(path):
+        obj = json.loads(path.read_text())
+        change(obj)
+        path.write_text(json.dumps(obj))
+    return write
+
+
+READ_RULE_WHAT = {"summary": "summary file", "graph": "graph file", "weights": "weights file",
+                  "vocabulary": "vocabulary"}
+# Faults of any JSON file, each worded "<path>: malformed <what>: <the parser's message>".
+READ_RULE_DECODING = {
+    "utf8": lambda path: path.write_bytes(b'{"set_id": "\xff"}'),
+    "json": lambda path: path.write_text('{"size": 1,'),
+    "nesting": lambda path: path.write_text("[" * 100_000),
+}
+# Schema faults and the error after "<path>: "; a vocabulary is a list, so it has no keys.
+READ_RULE_SCHEMA = {
+    ("summary", "missing-key"): (replace_json(lambda obj: obj.pop("beam_trace")),
+                                 "summary file missing key 'beam_trace'"),
+    ("graph", "missing-key"): (replace_json(lambda obj: obj.pop("weights")),
+                               "graph file missing key 'weights'"),
+    ("weights", "missing-key"): (replace_json(lambda obj: obj.pop("vocab")),
+                                 "weights file missing key 'vocab'"),
+    ("summary", "wrong-type"): (replace_json(lambda obj: obj.update(tokens="abc")),
+                                "malformed summary file: tokens must be a list"),
+    ("graph", "wrong-type"): (replace_json(lambda obj: obj.update(size="6")),
+                              "malformed graph file: graph size must be an integer, not '6'"),
+    ("weights", "wrong-type"): (
+        replace_json(lambda obj: obj["config"].update(num_layers="1")),
+        "malformed weights file: config num_layers must be an integer, not '1'"),
+    ("vocabulary", "wrong-type"): (lambda path: path.write_text('{"0": "<pad>"}'),
+                                   "malformed vocabulary: vocab must be a list of distinct "
+                                   "strings"),
+}
+
+
+@pytest.mark.parametrize("kind, fault", [(kind, fault) for kind in READ_RULE_WHAT
+                                         for fault in READ_RULE_DECODING]
+                         + list(READ_RULE_SCHEMA))
+def test_every_json_file_follows_the_one_reading_rule(shared_run, tmp_path, capsys, kind,
+                                                      fault):
+    """Each bad JSON file gives exit 1 and one ``error:`` line holding its path once:
+    ``<path>: <what> missing key '<key>'`` for a missing key and
+    ``<path>: malformed <what>: ...`` for every other fault."""
+    write, tail = READ_RULE_SCHEMA.get((kind, fault), (READ_RULE_DECODING.get(fault), None))
+    root = tmp_path / "run"
+    shutil.copytree(shared_run, root)
+    path, argv = json_file_and_reader(root, kind)
+    write(path)
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].count(str(path)) == 1, lines
+    head = f"error: set 'set1': {path}: " if kind == "summary" else f"error: {path}: "
+    if tail is None:
+        assert lines[0].startswith(f"{head}malformed {READ_RULE_WHAT[kind]}: "), lines
+    else:
+        assert lines == [head + tail]
     assert not Path(argv[-1]).exists()
 
 

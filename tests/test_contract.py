@@ -147,6 +147,28 @@ def test_module_imports_are_pinned():
     assert imports == MODULE_IMPORTS
 
 
+def _caught(handler: ast.ExceptHandler) -> set[str]:
+    """The names of the exception classes an ``except`` clause catches."""
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {node.id for node in names if isinstance(node, ast.Name)}
+
+
+def test_only_textunits_words_a_bad_files_schema_error():
+    """A reader outside ``textunits`` passes its schema check to ``read_json`` or
+    ``_read_jsonl`` as a callback, so no ``read_*`` or ``_read_*`` function of
+    another module catches a ``KeyError`` or ``TypeError`` itself."""
+    own = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        if path.name == "textunits.py":
+            continue
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, ast.FunctionDef) and func.name.lstrip("_").startswith("read_"):
+                own += [(path.name, func.name) for node in ast.walk(func)
+                        if isinstance(node, ast.ExceptHandler)
+                        and _caught(node) & {"KeyError", "TypeError"}]
+    assert own == []
+
+
 def test_package_names_are_imported_from_their_defining_module():
     """``attnorigin/__init__.py`` imports each class and function from the module
     that defines it, not through another module that imports it."""

@@ -590,12 +590,13 @@ def reference_decode_block(ids, start, cache, x, weights, graphs):
     ``x`` holds each set's encoded units (G, L, d) and ``graphs`` each
     set's graph; graph attention runs set by set on that set's own graph,
     and the unit keys and graph shifts are recomputed at every layer of
-    every call.
+    every call. The states are (G, n * q, d), so every weight product
+    runs set by set at the shape a set decoded alone has, and the
+    central-unit FFN takes one set's (n * q, d) rows at a time.
     """
     cfg = weights.config
     (sets, n, q), end, L = ids.shape, start + ids.shape[2], x.shape[1]
-    rows = sets * n * q
-    h = (weights.embedding[ids] + weights.pos_encoding[start:end]).reshape(rows, -1)
+    h = (weights.embedding[ids] + weights.pos_encoding[start:end]).reshape(sets, n * q, -1)
     causal = np.triu(np.full((q, end), -np.inf), k=start + 1)
     betas = np.empty((sets, n, cfg.num_layers, cfg.num_heads, L))
     keys, values = cache
@@ -606,18 +607,18 @@ def reference_decode_block(ids, start, cache, x, weights, graphs):
         k, v = keys[layer, ..., :end, :], values[layer, ..., :end, :]
         queries = (h @ weights.sa_wq[layer]).reshape(sets, n, q, -1)
         attn = _softmax(queries @ k.transpose(0, 1, 3, 2) / math.sqrt(cfg.d_model) + causal)
-        h = h + (attn @ v).reshape(rows, -1) @ weights.sa_wo[layer]
+        h = h + (attn @ v).reshape(h.shape) @ weights.sa_wo[layer]
 
         ffn = (weights.cp_w1[layer], weights.cp_b1[layer], weights.cp_w2[layer],
                weights.cp_b2[layer])
-        s = ao.central_paragraph(h, ffn, L).reshape(sets, 1, n * q)
-        e = ao.unscaled_attention(h.reshape(sets, 1, n * q, -1), x, weights.w_q[layer],
+        s = np.stack([ao.central_paragraph(rows, ffn, L) for rows in h])[:, None]
+        e = ao.unscaled_attention(h[:, None], x, weights.w_q[layer],
                                   weights.w_k[layer])  # (G, mh, n * q, L)
         beta = np.stack([ao.graph_shifted_attention(e[g], graphs[g], s[g, 0], cfg.sigma,
                                                     cfg.shift_form) for g in range(sets)])
         betas[:, :, layer] = beta.reshape(sets, -1, n, q, L)[..., -1, :].transpose(0, 2, 1, 3)
         contexts = ao.global_context(beta, x)  # (G, mh, n * q, d)
-        h = h + contexts.transpose(0, 2, 1, 3).reshape(rows, -1) @ weights.w_g[layer]
+        h = h + contexts.transpose(0, 2, 1, 3).reshape(sets, n * q, -1) @ weights.w_g[layer]
 
         inner = np.maximum(h @ weights.ff_w1[layer] + weights.ff_b1[layer], 0.0)
         h = h + inner @ weights.ff_w2[layer] + weights.ff_b2[layer]
@@ -1336,9 +1337,7 @@ def bench_shape_pair(seed=16, sets=2):
 def test_beam_four_pairs_two_sets_per_call(monkeypatch):
     """At the benchmark's shape two beam-4 sets decode as one group: every call
     carries both sets, one row each at step 0 and four after it. Each set's
-    tokens, trace, winner and score equal decoding it alone, and its AWD
-    float32 values are at most 1 ulp apart (the batched products may round
-    the last bit differently), compared as int32 views."""
+    tokens, trace, winner, score and AWD bytes equal decoding it alone."""
     inputs, graphs, weights = bench_shape_pair()
     gen = ao.GenerationConfig(beam_size=4, max_len=32)
     calls = spy_on_kernel(monkeypatch)
@@ -1352,9 +1351,57 @@ def test_beam_four_pairs_two_sets_per_call(monkeypatch):
         assert result.beam_trace == alone.beam_trace, i
         assert result.winning_beam == alone.winning_beam, i
         assert result.score == alone.score, i
-        ulps = (result.awd.values.view(np.int32).astype(np.int64)
-                - alone.awd.values.view(np.int32))
-        assert np.abs(ulps).max() <= 1, i
+        assert result.awd.values.tobytes() == alone.awd.values.tobytes(), i
+
+
+@pytest.mark.parametrize("n, q, start", [(1, 1, 0), (4, 1, 0), (1, 3, 0), (4, 1, 5)],
+                         ids=["bos-one-row", "bos-four-rows", "block", "later-step"])
+def test_decode_block_gives_each_set_the_bytes_it_gets_alone(n, q, start):
+    """Batch invariance: a set's logits, betas and cache rows from one
+    ``_decode_block`` call over three sets equal its own call's byte for
+    byte, also with one row per set, where a single 2-D product over every
+    set's rows rounds differently from the set's own product."""
+    inputs, graphs, weights = bench_shape_pair(sets=3)
+    cfg = weights.config
+    encoded = np.stack([encode_units(inp, weights, graph) for inp, graph in zip(inputs, graphs)])
+    rng = np.random.default_rng(5)
+    ids = rng.integers(4, cfg.vocab_size, size=(3, n, start + q))
+    ids[..., 0] = weights.bos_id
+    runs = []
+    for which in ([0, 1, 2], [0], [1], [2]):
+        cache = np.zeros((2, cfg.num_layers, len(which), n, start + q, cfg.d_model))
+        group = _prepare(encoded[which], [graphs[g] for g in which], weights)
+        if start:
+            _decode_block(ids[which, :, :start], 0, cache, group, weights)
+        logits, betas = _decode_block(ids[which, :, start:], start, cache, group, weights)
+        runs.append((logits, betas, cache))
+    (logits, betas, cache), alone = runs[0], runs[1:]
+    for g, (own_logits, own_betas, own_cache) in enumerate(alone):
+        assert logits[g].tobytes() == own_logits[0].tobytes(), g
+        assert betas[g].tobytes() == own_betas[0].tobytes(), g
+        assert cache[:, :, g].tobytes() == own_cache[:, :, 0].tobytes(), g
+
+
+@pytest.mark.parametrize("beam", [1, 4])
+def test_a_sets_results_do_not_depend_on_the_sets_beside_it(monkeypatch, beam):
+    """One file decoded three ways, grouped, one set per group and in reverse
+    order, gives each set the same tokens, trace, winner, score and AWD bytes.
+    With one 2-D product over the group's rows, seed 0 at beam 4 moved one
+    float32 value of the first set's tensor."""
+    inputs, graphs, weights = bench_shape_pair(seed=0, sets=3)
+    gen = ao.GenerationConfig(beam_size=beam, max_len=32)
+    calls = spy_on_kernel(monkeypatch)
+    grouped = list(ao.graphattn.generate_sets(inputs, weights, graphs, gen))
+    assert calls[0][0] == 3
+    reverse = list(ao.graphattn.generate_sets(inputs[::-1], weights, graphs[::-1], gen))[::-1]
+    monkeypatch.setattr(ao.graphattn, "GROUP_SETS", 1)
+    calls.clear()
+    alone = list(ao.graphattn.generate_sets(inputs, weights, graphs, gen))
+    assert {sets for sets, *_ in calls} == {1}
+    for i, results in enumerate(zip(grouped, alone, reverse, strict=True)):
+        assert len({r.awd.values.tobytes() for r in results}) == 1, i
+        assert len({(tuple(r.tokens), str(r.beam_trace), r.winning_beam, r.score)
+                    for r in results}) == 1, i
 
 
 def test_every_recorder_gets_the_same_groups(monkeypatch, tmp_path):

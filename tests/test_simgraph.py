@@ -264,7 +264,7 @@ def test_graph_file_rejects_values_that_are_not_json_numbers(tmp_path, obj, need
     path.write_text(json.dumps(obj))
     with pytest.raises(ValueError) as info:
         ao.read_graph(path)
-    assert str(info.value) == f"{path}: {needle}"
+    assert str(info.value) == f"{path}: malformed graph file: {needle}"
 
 
 def old_graph_bytes(weights):
