@@ -11,7 +11,8 @@ layer's unit keys and every graph row's shift, +inf on pad units) and
 checks its logits and betas once per call. Beam search runs consecutive
 sets of a file in lockstep groups of at most GROUP_SETS sets whose
 key/value caches fit GROUP_BYTES, or one set when its beam alone does
-not, and reorders the beam cache in place between steps. Every step
+not, and reorders the beam cache in place between steps; a set whose
+beams have all finished rides along until its group ends. Every step
 records the resulting attention distribution (one probability vector
 over units per layer and head) of every beam slot, and hands each set's
 slices to that set's recorder, beside a parent-beam trace. The recorders
@@ -469,23 +470,19 @@ def start_state(
 
 
 class _Group(NamedTuple):
-    """What stays fixed while a lockstep group decodes, for its sets still decoding.
+    """What stays fixed while a lockstep group decodes, built once per group
+    and never copied: an ended set's arrays stay until the group ends.
 
     ``x`` holds the encoded units (sets, 1, L, d), the 1 spanning the
     heads, and ``keys`` each layer's unit keys ``x @ w_k`` (layers, sets,
-    heads, L, d_head). ``shift`` holds the ``_padded_shift`` rows of every
-    set the group started with, (sets * L, L), and ``offsets`` (sets, 1, 1)
-    each decoding set's first row in it.
+    heads, L, d_head). ``shift`` holds every set's ``_padded_shift`` rows,
+    (sets * L, L), and ``offsets`` (sets, 1, 1) each set's first row in it.
     """
 
     x: np.ndarray
     keys: np.ndarray
     shift: np.ndarray
     offsets: np.ndarray
-
-    def keep(self, kept: np.ndarray) -> "_Group":
-        """The arrays of the sets ``kept`` (a mask), sliced rather than recomputed."""
-        return _Group(self.x[kept], self.keys[:, kept], self.shift, self.offsets[kept])
 
 
 def _prepare(encoded: np.ndarray, graphs, weights: DecoderWeights) -> _Group:
@@ -614,9 +611,11 @@ def decode_step(
 # A lockstep group holds consecutive sets of the same unit count L: as many
 # as keep their hypotheses' float64 key and value caches, 16 * layers *
 # max_steps * d_model bytes each, within GROUP_BYTES, never more than
-# GROUP_SETS, and one set when its beam alone needs more. Beside that, a
-# group keeps two steps of its slots' slices. What a recorder keeps is not
-# counted: the default one's tensors are the results the caller receives.
+# GROUP_SETS, and one set when its beam alone needs more. The caches and
+# unit keys are allocated once per group and never copied: a set that ends
+# keeps them until its group ends. Beside that, a group keeps two steps of
+# its slots' slices. What a recorder keeps is not counted: the default
+# one's tensors are the results the caller receives.
 # At d_model 64, 8 layers and 32 steps a hypothesis's cache takes 256 KiB:
 # 16 hypotheses, 4 beam-4 sets, per group. GROUP_SETS bounds what each set
 # holds beside its caches, which the budget does not count: its unit keys,
@@ -705,7 +704,7 @@ def generate_sets(
     that is an ``AwdTensor`` of the decoded steps, built in memory;
     ``awd.open_recorder`` writes the tensor file instead.
 
-    Each step is one ``_decode_block`` call over every decoding set's
+    Each step is one ``_decode_block`` call over every set's
     leading slots, as many as the fullest set holds hypotheses: kernel
     and cache row j of a set are its beam slot j, which first takes a
     copy of its parent slot's cache in place: ``_reorder_slots`` gathers
@@ -721,9 +720,13 @@ def generate_sets(
     last real distribution forward, which keeps the tensor rectangular
     (those slices fall outside the winner's length and are never
     consumed). While there are fewer hypotheses n than beam slots, slot
-    k records a copy of slot k mod n. A set leaves the group's decoding
-    when every beam has finished. A non-finite decoder state raises
-    ``ValueError(message, i)``, i the position of its first set.
+    k records a copy of slot k mod n. A set ends when every beam has
+    finished, and then rides along to its group's end as a finished slot
+    rides along to its set's end: its slots keep their frozen scores, are
+    fed what finished slots are fed, and its recorder gets no ``record``
+    call after its last step. A non-finite decoder state raises
+    ``ValueError(message, i)``, i the position of its first set; a riding
+    set's rows can raise it too.
     """
     inputs, graphs = list(inputs), list(graphs)
     if len(inputs) != len(graphs):
@@ -766,8 +769,8 @@ def _beam_search(
     banned_cols = [1 + weights.pad_id, 1 + weights.bos_id]
     G, bs, V = len(inputs), gen.beam_size, cfg.vocab_size
     encoded = np.stack([encode_units(inp, weights, graph) for inp, graph in zip(inputs, graphs)])
-    group = _prepare(encoded, graphs, weights)  # of the sets still decoding
-    # Self-attention keys and values by decoding set and slot (zeros: an empty slot stays finite).
+    group = _prepare(encoded, graphs, weights)
+    # Self-attention keys and values by set and slot (zeros: an empty slot stays finite).
     cache = np.zeros((2, cfg.num_layers, G, bs, max_steps, cfg.d_model))
     # The slices recorded at even and odd steps, by set and slot.
     recorded = np.empty((2, G, bs, cfg.num_layers, cfg.num_heads, inputs[0].L), dtype=np.float32)
@@ -779,56 +782,50 @@ def _beam_search(
     parents = np.zeros((G, bs), dtype=np.int64)
     counts = np.ones(G, dtype=np.int64)  # hypotheses per set, in its leading slots
     traces = np.zeros((G, max_steps, bs), dtype=np.int64)
-    steps = np.full(G, max_steps)
-    sets = np.arange(G)  # the sets still decoding
+    steps = np.full(G, max_steps)  # an ended set's last step + 1
     slots = np.arange(bs)
 
     for step in range(max_steps):
-        a, n = len(sets), counts[sets].max()
-        valid = slots < counts[sets, None]
+        n = counts.max()
+        valid = slots < counts[:, None]
         # Kernel row j of a set is its slot j, which takes its parent slot's cache.
-        _reorder_slots(cache, parents[sets, :n], step)
+        _reorder_slots(cache, parents[:, :n], step)
         try:
-            logits, betas = _decode_block(seqs[sets, :n, step, None], step,
-                                          cache[:, :, :a, :n], group, weights)
+            logits, betas = _decode_block(seqs[:, :n, step, None], step, cache[:, :, :, :n],
+                                          group, weights)
         except ValueError as exc:  # the kernel names the set by its row
-            raise ValueError(exc.args[0], first + int(sets[exc.args[1]])) from None
+            raise ValueError(exc.args[0], first + exc.args[1]) from None
         now, last = recorded[step % 2], recorded[1 - step % 2]
-        now[sets, :n] = betas  # a finished or empty slot's slice is replaced below
-        fg, fj = np.nonzero(valid & finished[sets])
-        now[sets[fg], fj] = last[sets[fg], parents[sets[fg], fj]]
+        now[:, :n] = betas  # a finished or empty slot's slice is replaced below
+        fg, fj = np.nonzero(valid & finished)
+        now[fg, fj] = last[fg, parents[fg, fj]]
         eg, ej = np.nonzero(~valid)
-        now[sets[eg], ej] = now[sets[eg], ej % counts[sets[eg]]]
-        for g in sets:
+        now[eg, ej] = now[eg, ej % counts[eg]]
+        for g in np.flatnonzero(steps > step):
             recorders[g].record(step, now[g])
 
-        totals = np.full((a, bs, 1 + V), -np.inf)  # log-probability of each grid cell
-        totals[:, :, 0] = logprobs[sets]
-        totals[:, :n, 1:] = logprobs[sets, :n, None] + _log_softmax(logits)
-        totals[~valid | finished[sets], 1:] = -np.inf  # all but the live slots
+        totals = np.full((G, bs, 1 + V), -np.inf)  # log-probability of each grid cell
+        totals[:, :, 0] = logprobs
+        totals[:, :n, 1:] = logprobs[:, :n, None] + _log_softmax(logits)
+        totals[~valid | finished, 1:] = -np.inf  # all but the live slots
         totals[:, :, banned_cols] = -np.inf
-        frozen = np.where(valid & finished[sets], scores[sets], -np.inf)
+        frozen = np.where(valid & finished, scores, -np.inf)
         grid = np.concatenate([frozen[..., None], _normalized(totals[..., 1:], step + 1,
                                                               gen.length_penalty)], axis=-1)
-        picked, cells, ranks = _best_cells(grid.reshape(a, -1), bs)
+        g, cells, ranks = _best_cells(grid.reshape(G, -1), bs)
         parent_slots, cols = np.divmod(cells, 1 + V)
-        g = sets[picked]
         seqs[g, ranks, :step + 1] = seqs[g, parent_slots, :step + 1]
         seqs[g, ranks, step + 1] = cols - 1
-        logprobs[g, ranks] = totals[picked, parent_slots, cols]
-        scores[g, ranks] = grid[picked, parent_slots, cols]
+        logprobs[g, ranks] = totals[g, parent_slots, cols]
+        scores[g, ranks] = grid[g, parent_slots, cols]
         finished[g, ranks] = (cols == 0) | (cols == 1 + weights.eos_id)
         parents[g, ranks] = parent_slots
         traces[g, step, ranks] = parent_slots
-        counts[sets] = np.bincount(picked, minlength=a)
-        ended = (finished[sets] | (slots >= counts[sets, None])).all(axis=1)
-        if ended.any():
-            steps[sets[ended]] = step + 1
-            sets = sets[~ended]
-            if not len(sets):
-                break
-            group = group.keep(~ended)
-            cache = cache[:, :, ~ended]
+        counts = np.bincount(g, minlength=G)
+        ended = (finished | (slots >= counts[:, None])).all(axis=1)
+        steps[ended & (steps > step)] = step + 1
+        if ended.all():
+            break
 
     results = []
     for g in range(G):

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -713,16 +714,13 @@ def random_stack(rng, sets, L, pads):
 @given(seed=st.integers(0, 2**32 - 1), sets=st.integers(1, 3), heads=st.sampled_from([1, 2, 4]),
        d_head=st.integers(1, 3), layers=st.integers(1, 2), p=st.integers(1, 4),
        L=st.integers(1, 7), pads=st.lists(st.integers(0, 6), min_size=3, max_size=3),
-       sigma=st.sampled_from([0.3, 1.0, 4.0]), shift_form=st.sampled_from(SHIFT_FORMS),
-       kept=st.lists(st.booleans(), min_size=3, max_size=3))
+       sigma=st.sampled_from([0.3, 1.0, 4.0]), shift_form=st.sampled_from(SHIFT_FORMS))
 def test_cores_and_group_arrays_equal_the_public_primitives_bitwise(
-        seed, sets, heads, d_head, layers, p, L, pads, sigma, shift_form, kept):
+        seed, sets, heads, d_head, layers, p, L, pads, sigma, shift_form):
     """On valid stacks every private core, fed the per-group arrays of
     ``_prepare``, gives the bits of its public function and of the
     primitive's maths written inline (``(q @ kᵀ) / sqrt(d_head)``, the
-    masked form ``np.where(pad, -inf, e - shift)``), and a group that
-    drops sets holds the arrays a fresh ``_prepare`` of the kept sets
-    builds.
+    masked form ``np.where(pad, -inf, e - shift)``).
     """
     rng = np.random.default_rng(seed)
     d = heads * d_head
@@ -758,16 +756,6 @@ def test_cores_and_group_arrays_equal_the_public_primitives_bitwise(
         assert beta.tobytes() == public.tobytes() == masked.tobytes()
         context = ao.graphattn._global_context(beta, group.x)
         assert context.tobytes() == ao.global_context(beta, encoded[:, None]).tobytes()
-
-    mask = np.array(kept[:sets])
-    if mask.any():
-        kept_group = group.keep(mask)
-        fresh = _prepare(encoded[mask], [g for g, k in zip(graphs, mask) if k], weights)
-        assert kept_group.x.tobytes() == fresh.x.tobytes()
-        assert kept_group.keys.tobytes() == fresh.keys.tobytes()
-        s_kept = s[mask]
-        assert (kept_group.shift[s_kept + kept_group.offsets].tobytes()
-                == fresh.shift[s_kept + fresh.offsets].tobytes())
 
 
 def test_decode_block_rejects_nonfinite_units(monkeypatch):
@@ -1198,18 +1186,44 @@ def test_beam_requires_eos_in_vocab(two_doc_input):
 # lockstep groups and top-k selection
 # ---------------------------------------------------------------------------
 
-def spy_on_kernel(monkeypatch):
+def spy_on_kernel(monkeypatch, caches=None):
     """Record (sets, rows per set, L, start, last token of each row) of every
-    ``_decode_block`` call."""
+    ``_decode_block`` call, and its cache into ``caches`` if given."""
     calls = []
     kernel = ao.graphattn._decode_block
 
     def spy(ids, start, cache, group, weights):
         calls.append((ids.shape[0], ids.shape[1], group.x.shape[-2], start, ids[..., -1]))
+        if caches is not None:
+            caches.append(cache)
         return kernel(ids, start, cache, group, weights)
 
     monkeypatch.setattr(ao.graphattn, "_decode_block", spy)
     return calls
+
+
+def spy_recorder(logs):
+    """A recorder factory that logs each set's ``record`` and ``finish`` calls
+    into ``logs[i]`` and hands them on to ``awd.in_memory``."""
+
+    class Spy:
+        def __init__(self, inner, log):
+            self.inner, self.log = inner, log
+
+        def record(self, step, slices):
+            self.log.append(("record", step))
+            self.inner.record(step, slices)
+
+        def finish(self, steps):
+            self.log.append(("finish", steps))
+            return self.inner.finish(steps)
+
+    @contextmanager
+    def recorder(i, dims):
+        with ao.awd.in_memory(i, dims) as inner:
+            yield Spy(inner, logs.setdefault(i, []))
+
+    return recorder
 
 
 def mixed_file(rng):
@@ -1230,7 +1244,10 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
     group of four cuts the six 6-unit sets at four and the change to 7
     units splits a group.
     Scaled-up output weights end some sets early with <eos> while the rest
-    of their group runs on.
+    of their group runs on. An ended set rides along to its group's end:
+    every call of a group carries all its sets and writes into the cache
+    buffer of its first call, and a set's recorder gets one ``record`` per
+    decoded step, in order, then ``finish``.
 
     A kernel row is a beam slot: a group's first call has one row per
     set, and every later call one per hypothesis, ``beam`` of them, since
@@ -1255,11 +1272,19 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
     for beam in range(1, 6):
         gen = ao.GenerationConfig(beam_size=beam, max_len=6, length_penalty=0.6)
         monkeypatch.setattr(ao.graphattn, "GROUP_BYTES", budget)
-        calls = spy_on_kernel(monkeypatch)
-        got = list(ao.graphattn.generate_sets(inputs, weights, graphs, gen))
+        caches, logs = [], {}
+        calls = spy_on_kernel(monkeypatch, caches)
+        got = list(ao.graphattn.generate_sets(inputs, weights, graphs, gen,
+                                              spy_recorder(logs)))
         monkeypatch.undo()
         assert len(got) == len(inputs)
+        for (sets, _, _, start, _), cache in zip(calls, caches, strict=True):
+            if start == 0:
+                group_sets, group_cache = sets, cache
+            assert sets == group_sets and np.shares_memory(cache, group_cache), beam
         for i, (inp, graph, result) in enumerate(zip(inputs, graphs, got)):
+            steps = len(result.beam_trace)
+            assert logs[i] == [("record", step) for step in range(steps)] + [("finish", steps)]
             want = reference_generate_with_beam(inp, weights, graph, gen)
             assert result.tokens == want.tokens, (beam, i)
             assert result.beam_trace == want.beam_trace, (beam, i)
