@@ -553,7 +553,8 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=OPTIONS) -> argparse.ArgumentParser:
+    """The CLI's parser, in which only the subcommands in ``commands`` get their options."""
     parser = argparse.ArgumentParser(
         prog="attnorigin",
         description="Attention-based source-origin analysis pipeline",
@@ -561,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, specs in OPTIONS.items():
         cmd_parser = sub.add_parser(command)
-        for spec in specs:
+        for spec in specs if command in commands else ():
             cmd_parser.add_argument(
                 f"--{spec.name.replace('_', '-')}",
                 dest=spec.name,
@@ -572,7 +573,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level parser takes no value, so a leading command name is the
+    # subcommand that parses the rest: no other needs its options.
+    args = build_parser(argv[:1] if argv[:1] and argv[0] in OPTIONS else OPTIONS).parse_args(argv)
     try:
         opts = resolve_options(args.command, args)
         return COMMANDS[args.command](opts)

@@ -9,9 +9,7 @@ JSON nulls, empty CSV fields, and "n/a" in rendered rows.
 
 from __future__ import annotations
 
-import csv
 import json
-import io
 
 from ..origin import CorrelationReport, VARIANTS
 from ..textunits import atomic_write, read_json, write_json
@@ -75,36 +73,35 @@ def _cell(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _variant_rows(writer, table: str, rows: list[dict], numbered: bool = False) -> None:
+# No field can need CSV quoting: table and variant names are fixed, layer,
+# head, i and j are integers or empty, and values are float reprs or counts.
+# So joined rows are the bytes csv.writer writes.
+
+def _variant_rows(table: str, rows: list[dict], numbered: bool = False) -> list[str]:
     """One row per (entry, variant); ``numbered`` puts the entry index in column i."""
-    for s, row in enumerate(rows):
-        for variant in VARIANTS:
-            writer.writerow([table, row["layer"], row.get("head", ""), s if numbered else "", "",
-                             variant, _cell(row[variant])])
+    return [f"{table},{row['layer']},{row.get('head', '')},{s if numbered else ''},,{variant},"
+            f"{_cell(row[variant])}" for s, row in enumerate(rows) for variant in VARIANTS]
 
 
-def _grid_rows(writer, table: str, grid, layer="", cell=_cell) -> None:
+def _grid_rows(table: str, grid, layer="", cell=_cell) -> list[str]:
     """One row per (i, j) cell of a nested-list grid."""
-    for i, grow in enumerate(grid):
-        for j, value in enumerate(grow):
-            writer.writerow([table, layer, "", i, j, "", cell(value)])
+    return [f"{table},{layer},,{i},{j},,{cell(value)}"
+            for i, grow in enumerate(grid) for j, value in enumerate(grow)]
 
 
 def report_to_csv(report: CorrelationReport) -> str:
     """Flat CSV: table,layer,head,i,j,variant,value (one coefficient per row)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["table", "layer", "head", "i", "j", "variant", "value"])
-    _variant_rows(writer, "per_layer", report.per_layer)
-    _variant_rows(writer, "per_head", report.per_head)
+    lines = ["table,layer,head,i,j,variant,value"]
+    lines += _variant_rows("per_layer", report.per_layer)
+    lines += _variant_rows("per_head", report.per_head)
     for entry in report.head_matrix:
-        _grid_rows(writer, "head_matrix", entry["matrix"], layer=entry["layer"])
-    _grid_rows(writer, "layer_matrix", report.layer_matrix)
-    _variant_rows(writer, "per_summary", report.per_summary, numbered=True)
+        lines += _grid_rows("head_matrix", entry["matrix"], layer=entry["layer"])
+    lines += _grid_rows("layer_matrix", report.layer_matrix)
+    lines += _variant_rows("per_summary", report.per_summary, numbered=True)
     if report.posbias is not None:
-        _grid_rows(writer, "posbias_counts", report.posbias.counts.tolist(), cell=str)
-        _grid_rows(writer, "posbias_normalized", report.posbias.normalized.tolist())
-    return buf.getvalue()
+        lines += _grid_rows("posbias_counts", report.posbias.counts.tolist(), cell=str)
+        lines += _grid_rows("posbias_normalized", report.posbias.normalized.tolist())
+    return "\n".join(lines) + "\n"
 
 
 def write_report_csv(report: CorrelationReport, path) -> None:

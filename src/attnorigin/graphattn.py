@@ -685,9 +685,11 @@ def generate_sets(
 
     Yields one ``GenerationResult`` per set, in input order, one lockstep
     group at a time: consecutive sets with the same unit count L, at most
-    ``_group_size`` of them, whichever the recorder. The options,
-    the end markers and the graph sizes are checked before anything is
-    decoded. Results equal decoding each set alone byte for byte: the
+    ``_group_size`` of them, whichever the recorder. Before anything is
+    decoded, it checks the options and the end markers, that each graph
+    has its input's size and pad units (zero diagonal), and that no input
+    has more real units than the model has positions. Results equal
+    decoding each set alone byte for byte: the
     kernel keeps each set's rows apart, (sets, rows, d), so every weight
     product is a stacked one that runs at the shape a set alone has
     (batch invariance; H. He and Thinking Machines Lab, "Defeating
@@ -734,9 +736,18 @@ def generate_sets(
     max_steps = gen.steps(weights.config)
     # Both end markers must exist before any decoding starts.
     _ = weights.eos_id, weights.eos_sent_id
-    for inp, graph in zip(inputs, graphs):
+    positions = weights.pos_encoding.shape[0]
+    for i, (inp, graph) in enumerate(zip(inputs, graphs)):
         if graph.size != inp.L:
             raise ValueError(f"graph size {graph.size} != input unit count {inp.L}")
+        if inp.num_real_units > positions:
+            raise ValueError(f"input {i}: {inp.num_real_units} units exceed the model's "
+                             f"{positions} positions")
+        if not np.array_equal(graph.unit_pad, inp.unit_pad):
+            unit = np.flatnonzero(graph.unit_pad != inp.unit_pad)[0]
+            kind = "pad" if inp.unit_pad[unit] else "non-pad"
+            raise ValueError(f"input {i}: unit {unit} is a {kind} unit but has graph diagonal "
+                             f"{graph.weights[unit, unit]:g}")
     size = _group_size(weights.config, gen.beam_size, max_steps)
     return _generate_groups(inputs, weights, graphs, gen, max_steps, size, recorder)
 

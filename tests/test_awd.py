@@ -1,5 +1,6 @@
 """Tests for tensor alignment, sentence aggregation, and the binary format."""
 
+import dataclasses
 import itertools
 import math
 import struct
@@ -21,6 +22,7 @@ from attnorigin.awd import (
     write_summary,
 )
 from attnorigin.graphattn import AwdTensor
+from attnorigin.textunits import write_json
 from conftest import random_unitized
 
 
@@ -458,6 +460,18 @@ def test_aggregate_span_concat_reproduces_whole_mean():
     assert np.allclose(weighted, aligned.mean(axis=0), atol=1e-12)
 
 
+@pytest.mark.parametrize("rows", [1, 9, 200])
+@pytest.mark.parametrize("slice_shape", [(3, 4, 7), (1, 1, 1), (8, 8, 30)])
+def test_aggregate_mean_equals_ndarray_mean_bit_for_bit(rows, slice_shape):
+    rng = np.random.default_rng(rows)
+    aligned = rng.random((rows + 3,) + slice_shape).astype(np.float32)
+    spans = [(0, 1), (1, rows + 1), (rows + 1, rows + 3)]
+    sent = ao.aggregate_to_sentences(aligned, spans)
+    for s, (start, end) in enumerate(spans):
+        expected = aligned[start:end].mean(axis=0, dtype=np.float64)
+        assert sent.values[s].tobytes() == expected.tobytes()
+
+
 def test_aggregate_rejects_bad_spans():
     aligned = np.full((3, 1, 1, 2), 0.5)
     with pytest.raises(ValueError):
@@ -512,6 +526,14 @@ def test_summary_file_round_trip(tmp_path):
     write_summary(record, path)
     back = read_summary(path)
     assert back == record
+
+
+def test_summary_file_is_write_json_of_asdict(tmp_path):
+    record = SummaryRecord(set_id="s\u00e9\"0", tokens=[4, 5, 3, 2, 0],
+                           beam_trace=[[0, 0], [0, 1], [1, 0], [0, 1], [1, 1]], winning_beam=1)
+    write_summary(record, tmp_path / "fast.json")
+    write_json(dataclasses.asdict(record), tmp_path / "reference.json")
+    assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
 
 def test_summary_file_rejects_missing_keys(tmp_path):

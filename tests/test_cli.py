@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import attnorigin as ao
-from attnorigin.cli.main import main, summary_path
+from attnorigin.cli.main import OPTIONS, build_parser, main, summary_path
 from attnorigin.cli.report import rouge_f_row
 from attnorigin.graphattn import EOS_SENT_TOKEN, EOS_TOKEN, SPECIAL_TOKENS, build_vocab
 from attnorigin.rouge import evaluate_summary
@@ -875,6 +875,33 @@ def test_generate_fuzzed_weights_file_fails_cleanly(tmp_path, capsys):
                 ["generate", "--unitized", units, "--graphs", tmp_path / "graphs",
                  "--out", out, "--weights", wpath, "--beam-size", "2", "--max-len", "5"],
                 out, max_examples=100)
+
+
+def _exit_and_output(call, capsys):
+    try:
+        call()
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+    raise AssertionError("the parser did not exit")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["bogus"], ["-h", "analyze"], ["analyze", "--help"], ["generate", "-h"],
+    ["graph", "--bogus", "1"], ["heatmap", "--report"], ["analyze", "--awd", "a", "generate"],
+    ["preprocess", "--mo", "x", "--mode"],
+])
+def test_main_parses_as_the_parser_with_every_command_option(argv, capsys):
+    """``main`` gives only the command it runs its options; help and usage
+    errors are those of the parser that has every command's options."""
+    assert _exit_and_output(lambda: main(argv), capsys) == \
+        _exit_and_output(lambda: build_parser().parse_args(argv), capsys)
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_one_command_parser_parses_as_the_full_parser(command):
+    argv = [command] + [arg for spec in OPTIONS[command]
+                        for arg in (f"--{spec.name.replace('_', '-')}", f"v-{spec.name}")]
+    assert build_parser([command]).parse_args(argv) == build_parser().parse_args(argv)
 
 
 def test_module_entry_point_runs_with_warnings_as_errors():

@@ -1542,6 +1542,39 @@ def test_generate_sets_checks_every_input_before_decoding(two_doc_input, monkeyp
     assert calls == []
 
 
+def test_generate_sets_rejects_a_graph_whose_pad_units_differ_from_the_input(monkeypatch):
+    """A graph that zeroes a real unit would give that unit no attention."""
+    inp, graph = unitized_and_graph([["alpha beta", "gamma delta", "epsilon zeta"]], L=4)
+    assert inp.num_real_units == 3
+    weights = small_weights(inp, max_len=3)
+    calls = spy_on_kernel(monkeypatch)
+    zeroed = graph.weights.copy()
+    zeroed[2, :] = zeroed[:, 2] = 0.0
+    with pytest.raises(ValueError, match=r"^input 1: unit 2 is a non-pad unit but has graph "
+                                         r"diagonal 0$"):
+        ao.graphattn.generate_sets([inp, inp], weights,
+                                   [graph, SimilarityGraph(size=4, weights=zeroed)])
+    filled = graph.weights.copy()
+    filled[3, 3] = 1.0
+    with pytest.raises(ValueError, match=r"^input 0: unit 3 is a pad unit but has graph "
+                                         r"diagonal 1$"):
+        ao.graphattn.generate_sets([inp], weights, [SimilarityGraph(size=4, weights=filled)])
+    assert calls == []
+
+
+def test_generate_sets_rejects_more_real_units_than_model_positions(monkeypatch):
+    inp, graph = unitized_and_graph([["alpha beta", "gamma delta", "epsilon zeta"]], L=4)
+    vocab = vocab_of(inp)
+    cfg = ao.ModelConfig(d_model=16, num_layers=1, num_heads=2, vocab_size=len(vocab),
+                         num_units=2, max_len=1)
+    weights = ao.make_synthetic_weights(0, cfg, vocab=vocab)
+    assert weights.pos_encoding.shape[0] == 2
+    calls = spy_on_kernel(monkeypatch)
+    with pytest.raises(ValueError, match=r"^input 0: 3 units exceed the model's 2 positions$"):
+        ao.graphattn.generate_sets([inp], weights, [graph])
+    assert calls == []
+
+
 def reference_best_cells(grid, k):
     """Per row, the full stable argsort of the negated row, cut at k, finite cells only."""
     rows, cols, ranks = [], [], []

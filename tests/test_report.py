@@ -1,5 +1,7 @@
 """Tests for report formatting, serialization fidelity, and SVG heatmaps."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from attnorigin.cli import heatmap as hm
 from attnorigin.cli import report as rp
-from attnorigin.origin import CorrelationReport, PosBiasHeatmap
+from attnorigin.origin import VARIANTS, CorrelationReport, PosBiasHeatmap
 
 
 def make_report(posbias=True):
@@ -113,6 +115,50 @@ def test_report_csv_and_json_carry_per_summary():
 def test_report_csv_skips_missing_posbias():
     text = rp.report_to_csv(make_report(posbias=False))
     assert "posbias" not in text
+
+
+def csv_writer_rendering(report):
+    """``report_to_csv``'s rows, written by ``csv.writer`` as the report writer once did."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+
+    def cell(value):
+        return "" if value is None else repr(float(value))
+
+    def variant_rows(table, rows, numbered=False):
+        for s, row in enumerate(rows):
+            for variant in VARIANTS:
+                writer.writerow([table, row["layer"], row.get("head", ""),
+                                 s if numbered else "", "", variant, cell(row[variant])])
+
+    def grid_rows(table, grid, layer="", render=cell):
+        for i, grow in enumerate(grid):
+            for j, value in enumerate(grow):
+                writer.writerow([table, layer, "", i, j, "", render(value)])
+
+    writer.writerow(["table", "layer", "head", "i", "j", "variant", "value"])
+    variant_rows("per_layer", report.per_layer)
+    variant_rows("per_head", report.per_head)
+    for entry in report.head_matrix:
+        grid_rows("head_matrix", entry["matrix"], layer=entry["layer"])
+    grid_rows("layer_matrix", report.layer_matrix)
+    variant_rows("per_summary", report.per_summary, numbered=True)
+    if report.posbias is not None:
+        grid_rows("posbias_counts", report.posbias.counts.tolist(), render=str)
+        grid_rows("posbias_normalized", report.posbias.normalized.tolist())
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("posbias", [True, False])
+def test_report_csv_equals_csv_writer_bytes(posbias):
+    report = make_report(posbias=posbias)
+    report.head_matrix.append({"layer": 6, "matrix": [[1.0, None], [None, -0.1 / 3]]})
+    report.layer_matrix = [[1.0, None], [None, 1.0]]
+    report.per_summary.append({"set_id": "set1", "layer": 6, "r1": None, "r2": 1e-300,
+                               "rl": -2.5e17})
+    text = rp.report_to_csv(report)
+    assert ",," in text and ",\n" in text  # null cells are rendered
+    assert text == csv_writer_rendering(report)
 
 
 # ---------------------------------------------------------------------------
