@@ -267,39 +267,6 @@ def cmd_graph(opts: dict[str, Any]) -> int:
     return 0
 
 
-def _checked_graph(
-    graphs_dir: Path, record: textunits.UnitizedRecord, weights: graphattn.DecoderWeights
-) -> simgraph.SimilarityGraph:
-    """Read one set's graph; check it and the set's units against the model."""
-    inp = record.unitized
-    if not inp.num_real_units:
-        raise ValueError(f"set {record.set_id!r} has no units; no attention targets")
-    unknown = weights.unknown_tokens(t for u in inp.units for t in u.tokens)
-    if unknown:
-        raise ValueError(
-            f"set {record.set_id!r}: token {unknown[0]!r} not in the model vocabulary")
-    positions = weights.pos_encoding.shape[0]
-    if inp.num_real_units > positions:
-        raise ValueError(
-            f"set {record.set_id!r}: {inp.num_real_units} units exceed the model's "
-            f"{positions} positions"
-        )
-    gpath = graph_path(graphs_dir, record.set_id)
-    if not gpath.exists():
-        raise ValueError(f"missing graph file for set {record.set_id!r}: {gpath}")
-    graph = simgraph.read_graph(gpath)
-    if graph.size != inp.L:
-        raise ValueError(
-            f"{gpath}: graph size {graph.size} != unit count {inp.L} of set {record.set_id!r}"
-        )
-    if not np.array_equal(graph.unit_pad, inp.unit_pad):
-        unit = np.flatnonzero(graph.unit_pad != inp.unit_pad)[0]
-        kind = "pad" if inp.unit_pad[unit] else "non-pad"
-        raise ValueError(f"{gpath}: unit {unit} is a {kind} unit of set {record.set_id!r} "
-                         f"but has graph diagonal {graph.weights[unit, unit]:g}")
-    return graph
-
-
 def cmd_generate(opts: dict[str, Any]) -> int:
     if (opts["weights"] is None) == (opts["seed"] is None):
         raise ValueError("exactly one of --weights or --seed is required")
@@ -332,30 +299,33 @@ def cmd_generate(opts: dict[str, Any]) -> int:
         weights = graphattn.make_synthetic_weights(opts["seed"], config, vocab=vocab)
 
     gen = graphattn.GenerationConfig(**_given(opts, _GEN_PARAMS))
-    # Every set's inputs are checked before the first output is written.
     max_steps = gen.steps(weights.config)
-    graphs = [_checked_graph(Path(opts["graphs"]), record, weights) for record in records]
+    graphs = []
+    for record in records:
+        gpath = graph_path(Path(opts["graphs"]), record.set_id)
+        if not gpath.exists():
+            raise ValueError(f"missing graph file for set {record.set_id!r}: {gpath}")
+        graphs.append(simgraph.read_graph(gpath))
     out_dir = Path(opts["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def recorder(i, dims):  # each set's tensor file is written while the set decodes
         return awdmod.open_recorder(awd_path(out_dir, records[i].set_id), dims)
 
     tokens = unfinished = 0
-    results = graphattn.generate_sets([record.unitized for record in records], weights, graphs,
-                                      gen, recorder)
-    for record in records:
-        try:
-            result = next(results)
-        except ValueError as exc:  # a non-finite decoder state carries its set's position
-            if len(exc.args) != 2:
-                raise
-            raise ValueError(f"set {records[exc.args[1]].set_id!r}: {exc.args[0]}") from None
-        summary = awdmod.SummaryRecord(record.set_id, result.tokens, result.beam_trace,
-                                       result.winning_beam)
-        awdmod.write_summary(summary, summary_path(out_dir, record.set_id))
-        tokens += len(result.tokens)
-        unfinished += weights.eos_id not in result.tokens
+    try:  # generate_sets checks every set before the first output is written
+        results = graphattn.generate_sets([record.unitized for record in records], weights,
+                                          graphs, gen, recorder)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for record, result in zip(records, results):
+            summary = awdmod.SummaryRecord(record.set_id, result.tokens, result.beam_trace,
+                                           result.winning_beam)
+            awdmod.write_summary(summary, summary_path(out_dir, record.set_id))
+            tokens += len(result.tokens)
+            unfinished += weights.eos_id not in result.tokens
+    except ValueError as exc:  # a set's fault carries its position
+        if len(exc.args) != 2:
+            raise
+        raise ValueError(f"set {records[exc.args[1]].set_id!r}: {exc.args[0]}") from None
 
     textunits.write_json(weights.vocab, vocab_path(out_dir))
     if unfinished:

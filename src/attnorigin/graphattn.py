@@ -439,11 +439,6 @@ def graph_shifted_attention(
     return _shifted_attention(e, shift[s])
 
 
-def _global_context(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Core of ``global_context``."""
-    return beta @ x
-
-
 def global_context(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Weighted sum of encoded unit vectors; no value projection.
 
@@ -455,7 +450,7 @@ def global_context(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
     off = np.abs(beta.sum(axis=-1) - 1.0).max()
     if not off <= 1e-6:
         raise ValueError(f"attention weights sum {off:.3g} away from 1")
-    return _global_context(beta, x)
+    return beta @ x
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +531,7 @@ def _graph_attention(
     """
     e = _attention_logits(h[:, None], weights.w_q[layer], group.keys[layer])
     beta = _shifted_attention(e, group.shift[s + group.offsets])
-    contexts = _global_context(beta, group.x).transpose(0, 2, 1, 3)  # (G, rows per set, mh, d)
+    contexts = (beta @ group.x).transpose(0, 2, 1, 3)  # (G, rows per set, mh, d)
     return h + contexts.reshape(*h.shape[:2], -1) @ weights.w_g[layer], beta
 
 
@@ -686,12 +681,15 @@ def generate_sets(
     Yields one ``GenerationResult`` per set, in input order, one lockstep
     group at a time: consecutive sets with the same unit count L, at most
     ``_group_size`` of them, whichever the recorder. Before anything is
-    decoded, it checks the options and the end markers, that each graph
-    has its input's size and pad units (zero diagonal), and that no input
-    has more real units than the model has positions. Results equal
-    decoding each set alone byte for byte: the
-    kernel keeps each set's rows apart, (sets, rows, d), so every weight
-    product is a stacked one that runs at the shape a set alone has
+    decoded, it checks the options, that the vocabulary holds the four
+    special tokens, and then each set in turn: it has at least one unit,
+    its unit tokens are in the vocabulary, its real units fit the model's
+    positions, its graph has its size, and the graph's zero-diagonal
+    units are its pad units. A set's fault raises ``ValueError(message,
+    i)``, i its position (``VocabularyError`` for a token). Results equal
+    decoding each set alone byte for byte: the kernel keeps each set's
+    rows apart, (sets, rows, d), so every weight product is a stacked one
+    that runs at the shape a set alone has
     (batch invariance; H. He and Thinking Machines Lab, "Defeating
     Nondeterminism in LLM Inference", 2025).
 
@@ -734,20 +732,26 @@ def generate_sets(
     if len(inputs) != len(graphs):
         raise ValueError(f"{len(inputs)} inputs but {len(graphs)} graphs")
     max_steps = gen.steps(weights.config)
-    # Both end markers must exist before any decoding starts.
-    _ = weights.eos_id, weights.eos_sent_id
+    missing = weights.unknown_tokens(SPECIAL_TOKENS)
+    if missing:
+        raise VocabularyError(f"token {missing[0]!r} not in the model vocabulary")
     positions = weights.pos_encoding.shape[0]
     for i, (inp, graph) in enumerate(zip(inputs, graphs)):
-        if graph.size != inp.L:
-            raise ValueError(f"graph size {graph.size} != input unit count {inp.L}")
+        if not inp.num_real_units:
+            raise ValueError("no units; no attention targets", i)
+        unknown = weights.unknown_tokens(t for u in inp.units for t in u.tokens)
+        if unknown:
+            raise VocabularyError(f"token {unknown[0]!r} not in the model vocabulary", i)
         if inp.num_real_units > positions:
-            raise ValueError(f"input {i}: {inp.num_real_units} units exceed the model's "
-                             f"{positions} positions")
+            raise ValueError(f"{inp.num_real_units} units exceed the model's {positions} "
+                             "positions", i)
+        if graph.size != inp.L:
+            raise ValueError(f"graph size {graph.size} != unit count {inp.L}", i)
         if not np.array_equal(graph.unit_pad, inp.unit_pad):
             unit = np.flatnonzero(graph.unit_pad != inp.unit_pad)[0]
             kind = "pad" if inp.unit_pad[unit] else "non-pad"
-            raise ValueError(f"input {i}: unit {unit} is a {kind} unit but has graph diagonal "
-                             f"{graph.weights[unit, unit]:g}")
+            raise ValueError(f"unit {unit} is a {kind} unit but has graph diagonal "
+                             f"{graph.weights[unit, unit]:g}", i)
     size = _group_size(weights.config, gen.beam_size, max_steps)
     return _generate_groups(inputs, weights, graphs, gen, max_steps, size, recorder)
 

@@ -271,8 +271,8 @@ def generate_error(tmp_path, capsys, units, flags=GEN_FLAGS):
     ({(5, 0): 0.2, (0, 5): 0.2}, "nonzero similarity", "set0"),  # unit 5 is a pad slot
     ({(0, 0): 0.5}, "diagonal", "set1"),
     ({(3, j): 0.0 for j in range(6)} | {(j, 3): 0.0 for j in range(6)},
-     "unit 3 is a non-pad unit of set 'set0' but has graph diagonal 0", "set0"),
-    ({(5, 5): 1.0}, "unit 5 is a pad unit of set 'set1' but has graph diagonal 1", "set1"),
+     "set 'set0': unit 3 is a non-pad unit but has graph diagonal 0", "set0"),
+    ({(5, 5): 1.0}, "set 'set1': unit 5 is a pad unit but has graph diagonal 1", "set1"),
     ({(0, 1): True, (1, 0): True}, "weights must hold only JSON numbers, not True", "set0"),
     ({(0, 1): "0.5", (1, 0): "0.5"}, "weights must hold only JSON numbers, not '0.5'", "set0"),
     ({(0, 1): 10**400, (1, 0): 10**400}, "weights holds an integer too large for float64",
@@ -289,7 +289,10 @@ def test_generate_rejects_invalid_graph(tmp_path, capsys, cells, reason, set_id)
         obj["weights"][i][j] = value
     gpath.write_text(json.dumps(obj))
     line = generate_error(tmp_path, capsys, units)
-    assert line.startswith(f"error: {gpath}: ") and reason in line
+    if reason.startswith("set "):  # a set's check names the set, not the file
+        assert line == f"error: {reason}"
+    else:
+        assert line.startswith(f"error: {gpath}: ") and reason in line
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -325,7 +328,7 @@ def test_generate_checks_every_graph_before_writing(tmp_path, capsys):
     gpath = tmp_path / "graphs" / "set1.graph.json"
     gpath.write_text(json.dumps({"size": 5, "weights": np.eye(5).tolist()}))
     line = generate_error(tmp_path, capsys, units)
-    assert line == f"error: {gpath}: graph size 5 != unit count 6 of set 'set1'"
+    assert line == "error: set 'set1': graph size 5 != unit count 6"
     gpath.unlink()
     line = generate_error(tmp_path, capsys, units)
     assert line.startswith("error: missing graph file for set 'set1'")
@@ -440,18 +443,51 @@ def test_generate_names_the_weights_file_whose_vocabulary_lacks_a_special_token(
     assert line == f"error: {wpath}: token '<eoss>' not in the model vocabulary"
 
 
-@pytest.mark.parametrize("mode", ["paragraph", "sentence"])
-def test_generate_names_a_set_without_units(tmp_path, capsys, mode):
-    corpus = tmp_path / "corpus.jsonl"
+def empty_set_units(root, mode="paragraph"):
+    """Preprocess and graph the two-set corpus plus a set ``empty`` without units."""
+    corpus = root / "corpus.jsonl"
     write_corpus(corpus)
     with open(corpus, "a", encoding="utf-8") as fh:
         fh.write(json.dumps({"set_id": "empty", "documents": [{"text": "   "}]}) + "\n")
-    units = tmp_path / "units.jsonl"
+    units = root / "units.jsonl"
     assert main(["preprocess", "--corpus", str(corpus), "--out", str(units),
                  "--units", "6", "--tokens", "10", "--mode", mode]) == 0
-    assert main(["graph", "--unitized", str(units), "--out", str(tmp_path / "graphs")]) == 0
+    assert main(["graph", "--unitized", str(units), "--out", str(root / "graphs")]) == 0
+    return units
+
+
+@pytest.mark.parametrize("mode", ["paragraph", "sentence"])
+def test_generate_names_a_set_without_units(tmp_path, capsys, mode):
+    units = empty_set_units(tmp_path, mode)
     line = generate_error(tmp_path, capsys, units)
-    assert line == "error: set 'empty' has no units; no attention targets"
+    assert line == "error: set 'empty': no units; no attention targets"
+
+
+@pytest.mark.parametrize("make_units, known, sizes, eye", [
+    (empty_set_units, None, {}, None),
+    (graphs_only, 1, {}, None),
+    (graphs_only, None, {"num_units": 3, "max_len": 2}, None),
+    (graphs_only, None, {}, ("set1", 5)),
+    (graphs_only, None, {}, ("set0", 6)),  # pad units 4 and 5 get diagonal 1
+], ids=["no-units", "unknown-token", "too-many-units", "graph-size", "pad-mismatch"])
+def test_generate_words_a_set_fault_as_the_library_does(tmp_path, capsys, make_units, known,
+                                                        sizes, eye):
+    """``generate``'s one error line is the set's name and ``generate_sets``'s
+    message for the same files. The weights know the first ``known`` sets'
+    tokens, and ``eye`` names a set whose graph becomes an identity of a size."""
+    units = make_units(tmp_path)
+    if eye:
+        set_id, size = eye
+        (tmp_path / "graphs" / f"{set_id}.graph.json").write_text(
+            json.dumps({"size": size, "weights": np.eye(size).tolist()}))
+    records = ao.read_unitized(units)
+    wpath = small_weights_file(tmp_path, records[:known], **sizes)
+    line = generate_error(tmp_path, capsys, units, ["--weights", str(wpath)])
+    graphs = [ao.read_graph(tmp_path / "graphs" / f"{r.set_id}.graph.json") for r in records]
+    with pytest.raises(ValueError) as info:
+        ao.graphattn.generate_sets([r.unitized for r in records], ao.read_weights(wpath), graphs)
+    message, i = info.value.args
+    assert line == f"error: set {records[i].set_id!r}: {message}"
 
 
 def test_generate_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):

@@ -754,7 +754,7 @@ def test_cores_and_group_arrays_equal_the_public_primitives_bitwise(
         shift = ao.graphattn._graph_shift(rows, sigma, shift_form)
         masked = _softmax(np.where(pad, -np.inf, e - shift))
         assert beta.tobytes() == public.tobytes() == masked.tobytes()
-        context = ao.graphattn._global_context(beta, group.x)
+        context = beta @ group.x
         assert context.tobytes() == ao.global_context(beta, encoded[:, None]).tobytes()
 
 
@@ -1550,15 +1550,15 @@ def test_generate_sets_rejects_a_graph_whose_pad_units_differ_from_the_input(mon
     calls = spy_on_kernel(monkeypatch)
     zeroed = graph.weights.copy()
     zeroed[2, :] = zeroed[:, 2] = 0.0
-    with pytest.raises(ValueError, match=r"^input 1: unit 2 is a non-pad unit but has graph "
-                                         r"diagonal 0$"):
+    with pytest.raises(ValueError) as info:
         ao.graphattn.generate_sets([inp, inp], weights,
                                    [graph, SimilarityGraph(size=4, weights=zeroed)])
+    assert info.value.args == ("unit 2 is a non-pad unit but has graph diagonal 0", 1)
     filled = graph.weights.copy()
     filled[3, 3] = 1.0
-    with pytest.raises(ValueError, match=r"^input 0: unit 3 is a pad unit but has graph "
-                                         r"diagonal 1$"):
+    with pytest.raises(ValueError) as info:
         ao.graphattn.generate_sets([inp], weights, [SimilarityGraph(size=4, weights=filled)])
+    assert info.value.args == ("unit 3 is a pad unit but has graph diagonal 1", 0)
     assert calls == []
 
 
@@ -1570,9 +1570,53 @@ def test_generate_sets_rejects_more_real_units_than_model_positions(monkeypatch)
     weights = ao.make_synthetic_weights(0, cfg, vocab=vocab)
     assert weights.pos_encoding.shape[0] == 2
     calls = spy_on_kernel(monkeypatch)
-    with pytest.raises(ValueError, match=r"^input 0: 3 units exceed the model's 2 positions$"):
+    with pytest.raises(ValueError) as info:
         ao.graphattn.generate_sets([inp], weights, [graph])
+    assert info.value.args == ("3 units exceed the model's 2 positions", 0)
     assert calls == []
+
+
+def entry_spy(entered):
+    """A recorder factory that notes each set's position as its recorder is entered."""
+    def recorder(i, dims):
+        entered.append(i)
+        return ao.awd.in_memory(i, dims)
+
+    return recorder
+
+
+@pytest.mark.parametrize("token", ao.graphattn.SPECIAL_TOKENS)
+def test_generate_sets_checks_the_special_tokens_before_any_recorder(monkeypatch, token):
+    """A vocabulary without ``<pad>`` or ``<bos>`` fails before the first group
+    enters its recorders, not inside its beam search."""
+    inp, graph = unitized_and_graph([["alpha beta", "gamma delta"]], L=4)
+    vocab = [t for t in vocab_of(inp) if t != token]
+    cfg = ao.ModelConfig(d_model=16, num_layers=1, num_heads=2, vocab_size=len(vocab),
+                         num_units=inp.L, max_len=3)
+    weights = ao.make_synthetic_weights(0, cfg, vocab=vocab)
+    calls, entered = spy_on_kernel(monkeypatch), []
+    with pytest.raises(ao.graphattn.VocabularyError) as info:
+        ao.graphattn.generate_sets([inp], weights, [graph], recorder=entry_spy(entered))
+    assert info.value.args == (f"token {token!r} not in the model vocabulary",)
+    assert calls == entered == []
+
+
+@pytest.mark.parametrize("words, message", [
+    ("omega psi", "token 'omega' not in the model vocabulary"),
+    ("   ", "no units; no attention targets"),
+], ids=["unknown-token", "no-units"])
+def test_generate_sets_checks_a_later_groups_set_before_decoding(monkeypatch, words, message):
+    """Set 1 has another unit count, so it would decode in the second group;
+    the call itself names its fault, before the first group starts."""
+    first, graph = unitized_and_graph([["alpha beta", "gamma delta"]], L=4)
+    second, other = unitized_and_graph([[words]], L=5)
+    weights = small_weights(first, max_len=3)
+    calls, entered = spy_on_kernel(monkeypatch), []
+    with pytest.raises(ValueError) as info:
+        ao.graphattn.generate_sets([first, second], weights, [graph, other],
+                                   recorder=entry_spy(entered))
+    assert info.value.args == (message, 1)
+    assert calls == entered == []
 
 
 def reference_best_cells(grid, k):
