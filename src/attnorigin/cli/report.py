@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from ..origin import CorrelationReport, VARIANTS
-from ..textunits import atomic_write, read_json, write_json
+from ..textunits import atomic_write, read_json
 
 
 def format_slashed(values, decimals: int = 2) -> str:
@@ -61,7 +61,9 @@ def dump_json(obj: dict) -> str:
 
 
 def write_report_json(report: CorrelationReport, path) -> None:
-    write_json(report_to_dict(report), path, indent=2)
+    text = dump_json(report_to_dict(report))
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def read_report_json(path) -> dict:

@@ -5,19 +5,19 @@ penalty derived from the similarity graph and a predicted central unit.
 One kernel advances the hypotheses of several sets through every layer,
 with causal self-attention over a key/value cache and graph attention
 (every set against its own units and graph, all heads as one batch).
-Each exported primitive checks its inputs and then runs a private core;
-the kernel runs the cores on arrays built once per lockstep group (each
-layer's unit keys and every graph row's shift, +inf on pad units) and
-checks its logits and betas once per call. Beam search runs consecutive
-sets of a file in lockstep groups of at most GROUP_SETS sets whose
-key/value caches fit GROUP_BYTES, or one set when its beam alone does
-not, and reorders the beam cache in place between steps; a set whose
-beams have all finished rides along until its group ends. Every step
-records the resulting attention distribution (one probability vector
-over units per layer and head) of every beam slot, and hands each set's
-slices to that set's recorder, beside a parent-beam trace. The recorders
-come from ``awd``, which owns the recorded tensor; a group keeps only
-its current and previous step's slices.
+Each exported primitive checks its inputs; the kernel runs the same
+maths on arrays built once per lockstep group (all layers' unit keys
+and every graph row's shift, +inf on pad units) and checks its logits
+and betas once per call. Beam search runs consecutive sets of a file in
+lockstep groups of at most GROUP_SETS sets whose key/value caches fit
+GROUP_BYTES, or one set when its beam alone does not, and between steps
+gives each slot its parent's cache in place, reading the parent from
+the beam trace; a set whose beams have all finished rides along until
+its group ends. Every step records the resulting attention distribution
+(one probability vector over units per layer and head) of every beam
+slot, and hands each set's slices to that set's recorder, beside the
+trace. The recorders come from ``awd``, which owns the recorded tensor;
+a group keeps only its current and previous step's slices.
 
 There is no training loop; weights are loaded from files or built
 synthetically (random, or a "concentrator" construction whose attention
@@ -307,12 +307,6 @@ def _padded_shift(
     return np.where(unit_pad[..., None, :], np.inf, _graph_shift(g, sigma, shift_form))
 
 
-def _shifted_attention(e: np.ndarray, shift_rows: np.ndarray) -> np.ndarray:
-    """Core of ``graph_shifted_attention``: softmax over units of ``e`` minus the
-    gathered ``_padded_shift`` rows, so the pads get 0."""
-    return _softmax(e - shift_rows, axis=-1)
-
-
 def sinusoidal_positions(rows: int, d_model: int) -> np.ndarray:
     """Standard fixed sine/cosine positional encodings."""
     pos = np.arange(rows, dtype=np.float64)[:, None]
@@ -339,6 +333,9 @@ def encode_units(
     L = inp.L
     if graph.size != L:
         raise ValueError(f"graph size {graph.size} != input unit count {L}")
+    positions = weights.pos_encoding.shape[0]
+    if inp.num_real_units > positions:
+        raise ValueError(f"{inp.num_real_units} units exceed the model's {positions} positions")
     unit_pad = inp.unit_pad
     real_units = inp.units[: inp.num_real_units]  # pads follow the real units
     lengths = np.array([len(unit.tokens) for unit in real_units], dtype=np.int64)[:, None]
@@ -358,12 +355,12 @@ def encode_units(
     real = ~unit_pad
     e = (u @ u.T)[real] / math.sqrt(cfg.d_model)
     shift = _padded_shift(graph.weights, unit_pad, cfg.sigma, cfg.shift_form)
-    x[real] = _shifted_attention(e, shift[real]) @ u
+    x[real] = _softmax(e - shift[real], axis=-1) @ u
     return x
 
 
-# Each public primitive checks its inputs and then runs its private core;
-# the decoder kernel calls the cores on arrays it prepared once per group.
+# ``unscaled_attention`` and ``central_paragraph`` run a private core after their
+# checks, which the decoder kernel calls on arrays it prepared once per group.
 
 def _attention_logits(y: np.ndarray, w_q: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Core of ``unscaled_attention``: ``keys`` are the units' ``x @ w_k`` (..., L, d_head)."""
@@ -436,7 +433,7 @@ def graph_shifted_attention(
     if graph.unit_pad.all():
         raise ValueError("all units are padded; no attention targets")
     shift = _padded_shift(graph.weights, graph.unit_pad, sigma, shift_form)
-    return _shifted_attention(e, shift[s])
+    return _softmax(e - shift[s], axis=-1)
 
 
 def global_context(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -488,12 +485,10 @@ def _prepare(encoded: np.ndarray, graphs, weights: DecoderWeights) -> _Group:
         raise ValueError("all units are padded; no attention targets")
     G, L = unit_pad.shape
     x = encoded[:, None]
-    keys = np.empty((cfg.num_layers, G, cfg.num_heads, L, cfg.d_head))
-    for layer, w_k in enumerate(weights.w_k):
-        keys[layer] = x @ w_k
     shift = _padded_shift(np.stack([graph.weights for graph in graphs]), unit_pad, cfg.sigma,
                           cfg.shift_form)
-    return _Group(x, keys, shift.reshape(G * L, L), np.arange(0, G * L, L).reshape(G, 1, 1))
+    return _Group(x, x @ weights.w_k[:, None], shift.reshape(G * L, L),
+                  np.arange(0, G * L, L).reshape(G, 1, 1))
 
 
 # The kernel's sublayers; the central-unit FFN is the core ``_central_paragraph``.
@@ -530,7 +525,7 @@ def _graph_attention(
     (G, heads, rows per set, L).
     """
     e = _attention_logits(h[:, None], weights.w_q[layer], group.keys[layer])
-    beta = _shifted_attention(e, group.shift[s + group.offsets])
+    beta = _softmax(e - group.shift[s + group.offsets], axis=-1)
     contexts = (beta @ group.x).transpose(0, 2, 1, 3)  # (G, rows per set, mh, d)
     return h + contexts.reshape(*h.shape[:2], -1) @ weights.w_g[layer], beta
 
@@ -790,12 +785,13 @@ def _beam_search(
     # The slices recorded at even and odd steps, by set and slot.
     recorded = np.empty((2, G, bs, cfg.num_layers, cfg.num_heads, inputs[0].L), dtype=np.float32)
     # Per set and slot: <bos> and the token ids (-1 pads a finished slot), log-probability,
-    # normalized score, whether it ended and its parent slot.
+    # normalized score and whether it ended.
     seqs = np.full((G, bs, 1 + max_steps), weights.bos_id)
     logprobs, scores = np.zeros((G, bs)), np.zeros((G, bs))
     finished = np.zeros((G, bs), dtype=bool)
-    parents = np.zeros((G, bs), dtype=np.int64)
     counts = np.ones(G, dtype=np.int64)  # hypotheses per set, in its leading slots
+    # Each step's parent slots. At a step, row step - 1 holds the parent of every slot that
+    # holds a hypothesis (zeros before the first step); an empty slot's outputs are dropped.
     traces = np.zeros((G, max_steps, bs), dtype=np.int64)
     steps = np.full(G, max_steps)  # an ended set's last step + 1
     slots = np.arange(bs)
@@ -804,7 +800,7 @@ def _beam_search(
         n = counts.max()
         valid = slots < counts[:, None]
         # Kernel row j of a set is its slot j, which takes its parent slot's cache.
-        _reorder_slots(cache, parents[:, :n], step)
+        _reorder_slots(cache, traces[:, step - 1, :n], step)
         try:
             logits, betas = _decode_block(seqs[:, :n, step, None], step, cache[:, :, :, :n],
                                           group, weights)
@@ -813,7 +809,7 @@ def _beam_search(
         now, last = recorded[step % 2], recorded[1 - step % 2]
         now[:, :n] = betas  # a finished or empty slot's slice is replaced below
         fg, fj = np.nonzero(valid & finished)
-        now[fg, fj] = last[fg, parents[fg, fj]]
+        now[fg, fj] = last[fg, traces[fg, step - 1, fj]]
         eg, ej = np.nonzero(~valid)
         now[eg, ej] = now[eg, ej % counts[eg]]
         for g in np.flatnonzero(steps > step):
@@ -824,9 +820,8 @@ def _beam_search(
         totals[:, :n, 1:] = logprobs[:, :n, None] + _log_softmax(logits)
         totals[~valid | finished, 1:] = -np.inf  # all but the live slots
         totals[:, :, banned_cols] = -np.inf
-        frozen = np.where(valid & finished, scores, -np.inf)
-        grid = np.concatenate([frozen[..., None], _normalized(totals[..., 1:], step + 1,
-                                                              gen.length_penalty)], axis=-1)
+        grid = _normalized(totals, step + 1, gen.length_penalty)
+        grid[..., 0] = np.where(valid & finished, scores, -np.inf)
         g, cells, ranks = _best_cells(grid.reshape(G, -1), bs)
         parent_slots, cols = np.divmod(cells, 1 + V)
         seqs[g, ranks, :step + 1] = seqs[g, parent_slots, :step + 1]
@@ -834,7 +829,6 @@ def _beam_search(
         logprobs[g, ranks] = totals[g, parent_slots, cols]
         scores[g, ranks] = grid[g, parent_slots, cols]
         finished[g, ranks] = (cols == 0) | (cols == 1 + weights.eos_id)
-        parents[g, ranks] = parent_slots
         traces[g, step, ranks] = parent_slots
         counts = np.bincount(g, minlength=G)
         ended = (finished | (slots >= counts[:, None])).all(axis=1)

@@ -290,6 +290,7 @@ class SummaryAnalysis:
     doc_positions: np.ndarray | None  # (L,) within-document unit position
 
     def __post_init__(self):
+        self.unit_pad = np.asarray(self.unit_pad, dtype=bool)
         s, dl, mh, L = self.sent_awd.dims
         if self.origin.num_sentences != s:
             raise ValueError(

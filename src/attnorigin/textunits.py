@@ -310,11 +310,11 @@ def _write_jsonl(objs, path) -> None:
                 raise ValueError(f"set {obj['set_id']!r}: {exc}") from None
 
 
-def write_json(obj, path, indent: int | None = None) -> None:
+def write_json(obj, path) -> None:
     """Write ``obj`` as one JSON document plus a newline, atomically.
     ``obj`` is encoded before the file is opened, so an unencodable
     value leaves no temporary file."""
-    text = json.dumps(obj, indent=indent) + "\n"
+    text = json.dumps(obj) + "\n"
     with atomic_write(path, encoding="utf-8") as fh:
         fh.write(text)
 

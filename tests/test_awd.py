@@ -542,3 +542,13 @@ def test_summary_file_rejects_missing_keys(tmp_path):
     with pytest.raises(ValueError) as info:
         read_summary(path)
     assert str(info.value) == f"{path}: summary file missing key 'beam_trace'"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AwdTensor(values=np.zeros((2, 2))), "awd tensor must have 5 dims, got 2"),
+    (lambda: ao.SentenceAwd(values=np.zeros(3)), "sentence tensor must have 4 dims, got 1"),
+], ids=["awd-tensor", "sentence-awd"])
+def test_awd_tensor_checks_give_their_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -1810,3 +1810,17 @@ def test_analyze_lone_eos_summary_has_no_sentence(tmp_path, planted_run):
     report = json.loads((tmp_path / "rep" / "report.json").read_text())
     per_set = len(planted_run.f1) // 4  # four sets of equal size, p0 first
     assert_planted_cells(report, planted_run.cells[per_set:], planted_run.f1[per_set:])
+
+
+def test_analyze_summary_without_tokens_has_null_rows_and_no_cells(tmp_path, planted_run):
+    spath = planted_run.gen / "p0.summary.json"
+    obj = json.loads(spath.read_text())
+    obj["tokens"] = []
+    spath.write_text(json.dumps(obj))
+    assert analyze_planted(planted_run, tmp_path / "rep") == 0
+    report = json.loads((tmp_path / "rep" / "report.json").read_text())
+    per_set = len(planted_run.f1) // 4  # four sets of equal size, p0 first
+    assert_planted_cells(report, planted_run.cells[per_set:], planted_run.f1[per_set:])
+    rows = [row for row in report["per_summary"] if row["set_id"] == "p0"]
+    assert len(rows) == len(PLANTED_MIX)
+    assert all(row[v] is None for row in rows for v in ("r1", "r2", "rl"))

@@ -1,5 +1,6 @@
 """Tests for the graph-informed decoder, synthetic weights, and beam search."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -25,7 +26,6 @@ from attnorigin.graphattn import (
     _log_softmax,
     _padded_shift,
     _prepare,
-    _shifted_attention,
     _sigmoid,
     _softmax,
     decode_step,
@@ -145,7 +145,7 @@ def per_unit_encode(inp, weights, graph):
     x = np.zeros_like(u)
     e = (u @ u.T)[real] / math.sqrt(cfg.d_model)
     shift = _padded_shift(graph.weights, inp.unit_pad, cfg.sigma, cfg.shift_form)
-    x[real] = _shifted_attention(e, shift[real]) @ u
+    x[real] = _softmax(e - shift[real], axis=-1) @ u
     return x
 
 
@@ -717,10 +717,10 @@ def random_stack(rng, sets, L, pads):
        sigma=st.sampled_from([0.3, 1.0, 4.0]), shift_form=st.sampled_from(SHIFT_FORMS))
 def test_cores_and_group_arrays_equal_the_public_primitives_bitwise(
         seed, sets, heads, d_head, layers, p, L, pads, sigma, shift_form):
-    """On valid stacks every private core, fed the per-group arrays of
-    ``_prepare``, gives the bits of its public function and of the
-    primitive's maths written inline (``(q @ kᵀ) / sqrt(d_head)``, the
-    masked form ``np.where(pad, -inf, e - shift)``).
+    """On valid stacks every private core and the kernel's shifted softmax,
+    fed the per-group arrays of ``_prepare``, give the bits of their public
+    function and of the primitive's maths written inline (``(q @ kᵀ) /
+    sqrt(d_head)``, the masked form ``np.where(pad, -inf, e - shift)``).
     """
     rng = np.random.default_rng(seed)
     d = heads * d_head
@@ -747,7 +747,7 @@ def test_cores_and_group_arrays_equal_the_public_primitives_bitwise(
         k = encoded[:, None] @ weights.w_k[layer]
         inline = ((ys @ weights.w_q[layer]) @ np.swapaxes(k, -1, -2)) / math.sqrt(d_head)
         assert e.tobytes() == public.tobytes() == inline.tobytes()
-        beta = ao.graphattn._shifted_attention(e, group.shift[s + group.offsets])
+        beta = _softmax(e - group.shift[s + group.offsets], axis=-1)
         public = np.stack([ao.graph_shifted_attention(e[g], graph, s[g, 0], sigma, shift_form)
                            for g, graph in enumerate(graphs)])
         rows = np.stack([graph.weights[s_g[0]] for graph, s_g in zip(graphs, s)])[:, None]
@@ -1563,6 +1563,7 @@ def test_generate_sets_rejects_a_graph_whose_pad_units_differ_from_the_input(mon
 
 
 def test_generate_sets_rejects_more_real_units_than_model_positions(monkeypatch):
+    """``encode_units`` and ``start_state`` give the same message, without the position."""
     inp, graph = unitized_and_graph([["alpha beta", "gamma delta", "epsilon zeta"]], L=4)
     vocab = vocab_of(inp)
     cfg = ao.ModelConfig(d_model=16, num_layers=1, num_heads=2, vocab_size=len(vocab),
@@ -1574,6 +1575,10 @@ def test_generate_sets_rejects_more_real_units_than_model_positions(monkeypatch)
         ao.graphattn.generate_sets([inp], weights, [graph])
     assert info.value.args == ("3 units exceed the model's 2 positions", 0)
     assert calls == []
+    for call in (encode_units, start_state):
+        with pytest.raises(ValueError) as info:
+            call(inp, weights, graph)
+        assert info.value.args == ("3 units exceed the model's 2 positions",)
 
 
 def entry_spy(entered):
@@ -1757,3 +1762,40 @@ def test_alpha_zero_ranks_by_raw_logprob():
         total += float(_log_softmax(logits)[tok])
         state.prefix_ids.append(tok)
     assert abs(result.score - total) < 1e-12
+
+
+def tiny_weights(**changes):
+    """Synthetic weights of a 1-layer, 1-head, d_model 4 model over 2 units,
+    with ``changes`` replacing fields."""
+    cfg = ao.ModelConfig(d_model=4, num_layers=1, num_heads=1, vocab_size=5, num_units=2,
+                         max_len=2)
+    weights = ao.make_synthetic_weights(0, cfg)
+    return dataclasses.replace(weights, **changes) if changes else weights
+
+
+def decode_all_pad():
+    weights = tiny_weights()
+    state = DecoderState(prefix_ids=[weights.bos_id], encoded=np.zeros((2, 4)))
+    decode_step(state, weights, SimilarityGraph(size=2, weights=np.zeros((2, 2))))
+
+
+SHIFT_FORM_MESSAGE = "shift_form must be one of ('sim-squared', 'diff-squared')"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ao.graph_shifted_attention(np.zeros(2), SimilarityGraph(size=2, weights=np.eye(2)),
+                                        0, 1.0, "cubed"), SHIFT_FORM_MESSAGE),
+    (lambda: ao.ModelConfig(d_model=4, num_heads=1, shift_form="cubed"), SHIFT_FORM_MESSAGE),
+    (lambda: ao.central_paragraph(np.zeros(4), tuple(tiny_weights().cp_w1[:1]), 0),
+     "L must be >= 1"),
+    (lambda: tiny_weights(vocab=ao.graphattn.SPECIAL_TOKENS),
+     "vocab has 4 entries, config says 5"),
+    (lambda: tiny_weights(embedding=np.full((5, 4), np.nan)),
+     "embedding contains non-finite values"),
+    (decode_all_pad, "all units are padded; no attention targets"),
+], ids=["shift-form", "config-shift-form", "central-L", "short-vocab", "non-finite",
+        "all-pad"])
+def test_graphattn_input_checks_give_their_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

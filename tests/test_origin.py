@@ -870,3 +870,73 @@ def test_build_report_variant_subset():
     report = ao.build_report([analysis], variants=("r2",))
     row = report.per_layer[0]
     assert row["r1"] is None and row["rl"] is None and row["r2"] is not None
+
+
+def test_summary_analysis_reads_an_int_or_list_pad_mask_as_bool():
+    rng = np.random.default_rng(28)
+    awd = rng.random((3, 4, 2, 2, 4))
+    awd[..., 3] = 0.0  # the last unit is a pad
+    awd /= awd.sum(axis=-1, keepdims=True)
+    metrics = rng.random((3, 4, 4))
+
+    def batch(pad):
+        return [SummaryAnalysis(set_id=f"s{k}", sent_awd=SentenceAwd(values=awd[k]),
+                                origin=metric_from_matrix(metrics[k]), unit_pad=pad,
+                                doc_positions=None)
+                for k in range(3)]
+
+    expected = ao.build_report(batch(np.array([False, False, False, True])))
+    assert expected.sample_count == 3 * 4 * 3
+    for pad in (np.array([0, 0, 0, 1]), [0, 0, 0, 1], [False, False, False, True]):
+        analyses = batch(pad)
+        assert ao.build_report(analyses) == expected
+        assert analyses[0].unit_pad.dtype == bool
+
+
+def one_analysis(sentences=2, units=3, pad=None, awd=None):
+    """A valid analysis of set 's' (2 sentences, 2 layers, 2 heads, 3 units), whose
+    metric rows, metric columns, pad mask or attention the keywords replace."""
+    return SummaryAnalysis(
+        set_id="s",
+        sent_awd=SentenceAwd(values=np.full((2, 2, 2, 3), 1 / 3) if awd is None else awd),
+        origin=metric_from_matrix(np.zeros((sentences, units))),
+        unit_pad=np.zeros(3, dtype=bool) if pad is None else pad,
+        doc_positions=None,
+    )
+
+
+def merge_three_columns_into_two():
+    acc = PearsonAccumulator()
+    acc.update(np.ones((2, 2)))
+    other = PearsonAccumulator()
+    other.update(np.ones((2, 3)))
+    acc.merge(other)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: one_analysis(sentences=3),
+     "set 's': 3 metric rows vs 2 attention sentences"),
+    (lambda: one_analysis(units=4), "set 's': 4 metric columns vs 3 attention units"),
+    (lambda: one_analysis(pad=np.zeros(4, dtype=bool)), "set 's': unit_pad shape (4,)"),
+    (lambda: one_analysis(awd=np.full((2, 2, 2, 3), np.nan)),
+     "set 's': non-finite attention values"),
+    (lambda: PearsonAccumulator().update(np.zeros(2)),
+     "expected an (n, k) column array, got shape (2,)"),
+    (lambda: PearsonAccumulator().update([1.0, 2.0], [1.0]), "length mismatch: 2 vs 1"),
+    (merge_three_columns_into_two, "column count mismatch: 2 vs 3"),
+    (lambda: ao.OriginMetric(values=np.zeros((2, 3))),
+     "metric values must be (S, L, 3, 3), got (2, 3)"),
+    (lambda: metric_from_matrix(np.zeros((1, 3))).f1_matrix("r3"),
+     "variant must be one of ('r1', 'r2', 'rl')"),
+    (lambda: ao.build_report([one_analysis()], variants=("r3",)),
+     "variant must be one of ('r1', 'r2', 'rl')"),
+    (lambda: ao.build_report([one_analysis()], layers=[2]), "layer 2 outside [0, 2)"),
+    (lambda: ao.argmax_paragraph(one_analysis().sent_awd, 2), "layer 2 outside [0, 2)"),
+    (lambda: ao.positional_bias([], 0), "empty batch"),
+], ids=["metric-rows", "metric-columns", "pad-shape", "non-finite", "column-array",
+        "pair-length", "merge-columns", "metric-shape", "f1-variant", "report-variant",
+        "report-layer", "argmax-layer", "posbias-empty"])
+def test_origin_input_checks_give_their_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

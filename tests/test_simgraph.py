@@ -313,3 +313,9 @@ def test_graph_file_writes_negative_zero_as_the_json_encoder_does(tmp_path):
     assert path.read_bytes() == old_graph_bytes(weights)
     assert path.read_text() == ('{"size": 3, "weights": '
                                 '[[1.0, -0.0, 0.0], [-0.0, 1.0, 0.5], [0.0, 0.5, 1.0]]}\n')
+
+
+def test_graph_rejects_weights_of_another_shape():
+    with pytest.raises(ValueError) as exc:
+        ao.SimilarityGraph(size=3, weights=np.eye(2))
+    assert str(exc.value) == "graph weights shape (2, 2) != (3, 3)"

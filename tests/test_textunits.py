@@ -421,12 +421,11 @@ def test_unitized_rejects_non_string_set_id(tmp_path):
         ao.read_unitized(path)
 
 
-@pytest.mark.parametrize("indent", [None, 2])
-def test_write_json_round_trips_with_one_trailing_newline(tmp_path, indent):
+def test_write_json_round_trips_with_one_trailing_newline(tmp_path):
     obj = {"set_id": "s\u00e9", "weights": [[1.0, 0.25]], "none": None}
     path = tmp_path / "obj.json"
-    textunits.write_json(obj, path, indent=indent)
-    assert path.read_bytes() == (json.dumps(obj, indent=indent) + "\n").encode()
+    textunits.write_json(obj, path)
+    assert path.read_bytes() == (json.dumps(obj) + "\n").encode()
     assert textunits.read_json(path, "test file") == obj
 
 
@@ -509,3 +508,22 @@ def test_read_corpus_fuzzed_values_fail_cleanly(tmp_path):
             assert len(sets) == 2 and all(isinstance(t, str) for t in texts)
 
     check()
+
+
+def unitized_line_without_L(tmp_path):
+    record = {"set_id": "s", "mode": "paragraph", "T": 4, "units": []}
+    path = tmp_path / "units.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    ao.read_unitized(path)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp_path: ao.UnitizedInput(
+        units=[ao.TextualUnit(0, 0, ["a", "b", "c"], "a b c")], L=1, T=2, mode="paragraph",
+        doc_boundaries={0: 0}), "unit 0 exceeds T=2"),
+    (unitized_line_without_L, "line 1: missing unitized key 'L'"),
+], ids=["unit-longer-than-T", "missing-L"])
+def test_unitized_input_checks_give_their_messages(tmp_path, call, message):
+    with pytest.raises(ValueError) as exc:
+        call(tmp_path)
+    assert str(exc.value) == message
