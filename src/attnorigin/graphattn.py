@@ -197,7 +197,7 @@ class DecoderWeights:
         try:
             return self._token_to_id[token]
         except KeyError:
-            raise VocabularyError(f"token {token!r} not in model vocabulary") from None
+            raise VocabularyError(f"token {token!r} not in the model vocabulary") from None
 
     def unknown_tokens(self, tokens: Iterable[str]) -> list[str]:
         """The distinct ``tokens`` outside the vocabulary, sorted."""
@@ -319,6 +319,28 @@ def sinusoidal_positions(rows: int, d_model: int) -> np.ndarray:
 # Primitive operations
 # ---------------------------------------------------------------------------
 
+def _check_units(inp: UnitizedInput, weights: DecoderWeights, graph: SimilarityGraph,
+                 *where) -> None:
+    """The unit checks ``encode_units`` and ``generate_sets`` share, in order: the
+    unit tokens are in the vocabulary, the real units fit the model's positions,
+    the graph has the set's size, and its zero-diagonal units are the pad units.
+    A fault raises ``ValueError(message, *where)``, a ``VocabularyError`` for a token."""
+    unknown = weights.unknown_tokens(t for u in inp.units for t in u.tokens)
+    if unknown:
+        raise VocabularyError(f"token {unknown[0]!r} not in the model vocabulary", *where)
+    positions = weights.pos_encoding.shape[0]
+    if inp.num_real_units > positions:
+        raise ValueError(f"{inp.num_real_units} units exceed the model's {positions} "
+                         "positions", *where)
+    if graph.size != inp.L:
+        raise ValueError(f"graph size {graph.size} != unit count {inp.L}", *where)
+    if not np.array_equal(graph.unit_pad, inp.unit_pad):
+        unit = np.flatnonzero(graph.unit_pad != inp.unit_pad)[0]
+        kind = "pad" if inp.unit_pad[unit] else "non-pad"
+        raise ValueError(f"unit {unit} is a {kind} unit but has graph diagonal "
+                         f"{graph.weights[unit, unit]:g}", *where)
+
+
 def encode_units(
     inp: UnitizedInput, weights: DecoderWeights, graph: SimilarityGraph
 ) -> np.ndarray:
@@ -327,24 +349,18 @@ def encode_units(
     Each unit starts as the mean of its token embeddings plus its
     positional encoding; attention logits between units are shifted by
     the graph penalty. Returns the (L, d_model) encoded units; pad
-    units encode to the zero vector.
+    units encode to the zero vector. The set is checked first, as
+    ``generate_sets`` checks it (``_check_units``).
     """
+    _check_units(inp, weights, graph)
     cfg = weights.config
     L = inp.L
-    if graph.size != L:
-        raise ValueError(f"graph size {graph.size} != input unit count {L}")
-    positions = weights.pos_encoding.shape[0]
-    if inp.num_real_units > positions:
-        raise ValueError(f"{inp.num_real_units} units exceed the model's {positions} positions")
     unit_pad = inp.unit_pad
     real_units = inp.units[: inp.num_real_units]  # pads follow the real units
     lengths = np.array([len(unit.tokens) for unit in real_units], dtype=np.int64)[:, None]
     tokens = np.arange(lengths.max(initial=0)) < lengths  # (units, longest unit)
     ids = np.zeros(tokens.shape, dtype=np.int64)
-    try:
-        ids[tokens] = [weights._token_to_id[t] for unit in real_units for t in unit.tokens]
-    except KeyError as exc:
-        raise VocabularyError(f"token {exc.args[0]!r} not in model vocabulary") from None
+    ids[tokens] = [weights._token_to_id[t] for unit in real_units for t in unit.tokens]
     # Each unit's tokens summed in order, as embedding[ids].mean(axis=0) does for
     # d_model > 1; -0.0 in the padded tail adds nothing, not even to a -0.0 sum.
     gathered = weights.embedding[ids]
@@ -680,13 +696,13 @@ def generate_sets(
     special tokens, and then each set in turn: it has at least one unit,
     its unit tokens are in the vocabulary, its real units fit the model's
     positions, its graph has its size, and the graph's zero-diagonal
-    units are its pad units. A set's fault raises ``ValueError(message,
-    i)``, i its position (``VocabularyError`` for a token). Results equal
-    decoding each set alone byte for byte: the kernel keeps each set's
-    rows apart, (sets, rows, d), so every weight product is a stacked one
-    that runs at the shape a set alone has
-    (batch invariance; H. He and Thinking Machines Lab, "Defeating
-    Nondeterminism in LLM Inference", 2025).
+    units are its pad units (``_check_units``, which ``encode_units``
+    shares). A set's fault raises ``ValueError(message, i)``, i its
+    position (``VocabularyError`` for a token). Results equal decoding
+    each set alone byte for byte: the kernel keeps each set's rows apart,
+    (sets, rows, d), so every weight product is a stacked one that runs
+    at the shape a set alone has (batch invariance; H. He and Thinking
+    Machines Lab, "Defeating Nondeterminism in LLM Inference", 2025).
 
     ``recorder(i, dims)`` gives the context manager of the recorder of the
     set at position i, dims (beam_size, max_steps, layers, heads, L). A
@@ -730,23 +746,10 @@ def generate_sets(
     missing = weights.unknown_tokens(SPECIAL_TOKENS)
     if missing:
         raise VocabularyError(f"token {missing[0]!r} not in the model vocabulary")
-    positions = weights.pos_encoding.shape[0]
     for i, (inp, graph) in enumerate(zip(inputs, graphs)):
         if not inp.num_real_units:
             raise ValueError("no units; no attention targets", i)
-        unknown = weights.unknown_tokens(t for u in inp.units for t in u.tokens)
-        if unknown:
-            raise VocabularyError(f"token {unknown[0]!r} not in the model vocabulary", i)
-        if inp.num_real_units > positions:
-            raise ValueError(f"{inp.num_real_units} units exceed the model's {positions} "
-                             "positions", i)
-        if graph.size != inp.L:
-            raise ValueError(f"graph size {graph.size} != unit count {inp.L}", i)
-        if not np.array_equal(graph.unit_pad, inp.unit_pad):
-            unit = np.flatnonzero(graph.unit_pad != inp.unit_pad)[0]
-            kind = "pad" if inp.unit_pad[unit] else "non-pad"
-            raise ValueError(f"unit {unit} is a {kind} unit but has graph diagonal "
-                             f"{graph.weights[unit, unit]:g}", i)
+        _check_units(inp, weights, graph, i)
     size = _group_size(weights.config, gen.beam_size, max_steps)
     return _generate_groups(inputs, weights, graphs, gen, max_steps, size, recorder)
 

@@ -20,12 +20,15 @@ centered co-moment matrix; per-summary accumulators give the
 per-summary diagnostics and merge exactly into the pooled one (Chan,
 Golub & LeVeque 1979), so summaries could be processed concurrently and
 merged deterministically. Coefficients have one reader,
-``_coefficients``: each report table is one call on the co-moments,
-``PearsonAccumulator.result`` one cell, and ``pearson`` is one
-accumulator update and ``result`` on its inputs scaled by powers of
-two. Coefficients match a direct computation on concatenated vectors
-to within 1e-12, not bit for bit, since the summation order differs.
-Non-finite attention or metric values are rejected, never correlated.
+``_coefficients``: each report table is one call on the co-moments of
+all columns, and the variant and layer choices only pick the printed
+cells. Fewer than two cells have all-zero co-moments, so they read
+``null`` by the zero-moment rule. ``PearsonAccumulator.result`` is one
+cell, and ``pearson`` is one accumulator update and ``result`` on its
+inputs scaled by powers of two. Coefficients match a direct computation
+on concatenated vectors to within 1e-12, not bit for bit, since the
+summation order differs. Non-finite attention or metric values are
+rejected, never correlated.
 """
 
 from __future__ import annotations
@@ -270,7 +273,7 @@ class PearsonAccumulator:
         """Coefficient between columns i and j over everything seen; None
         when undefined. Raises ValueError when the sums overflowed or
         underflowed."""
-        if self.count < 2:
+        if self.count == 0:
             return None
         return _coefficients(self.comoment, [i], [j])[0]
 
@@ -287,7 +290,7 @@ class SummaryAnalysis:
     sent_awd: SentenceAwd
     origin: OriginMetric
     unit_pad: np.ndarray  # (L,) bool
-    doc_positions: np.ndarray | None  # (L,) within-document unit position
+    doc_positions: np.ndarray | None  # (L,) int within-document unit position, >= 0 if not pad
 
     def __post_init__(self):
         self.unit_pad = np.asarray(self.unit_pad, dtype=bool)
@@ -304,6 +307,15 @@ class SummaryAnalysis:
             )
         if self.unit_pad.shape != (L,):
             raise ValueError(f"set {self.set_id!r}: unit_pad shape {self.unit_pad.shape}")
+        if self.doc_positions is not None:
+            positions = self.doc_positions = np.asarray(self.doc_positions)
+            if positions.dtype.kind not in "iu" or positions.shape != (L,):
+                raise ValueError(f"set {self.set_id!r}: doc_positions must be {L} integers, "
+                                 f"got {positions.dtype} {positions.shape}")
+            unplaced = np.flatnonzero((positions < 0) & ~self.unit_pad)
+            if unplaced.size:
+                raise ValueError(f"set {self.set_id!r}: non-pad unit {unplaced[0]} has "
+                                 f"doc position {positions[unplaced[0]]}")
         for name, values in (("attention", self.sent_awd.values), ("metric", self.origin.values)):
             if not np.isfinite(values).all():
                 raise ValueError(f"set {self.set_id!r}: non-finite {name} values")
@@ -455,8 +467,10 @@ def build_report(
 
     One pass accumulates each summary's cell co-moments and merges them
     into the pooled accumulator; every coefficient is read from those.
-    ``layers`` filters (0-based) which layers appear; ``posbias_layer``
-    picks the layer for the heatmap (default: the last selected layer).
+    ``variants`` and ``layers`` (0-based) only pick the printed cells, and
+    an unpicked variant reads None; fewer than two cells read None by the
+    zero-moment rule. ``posbias_layer`` picks the layer for the heatmap
+    (default: the last selected layer).
     The heatmap is built exactly when every summary has document
     boundaries.
     """
@@ -474,16 +488,15 @@ def build_report(
             raise ValueError(f"variant must be one of {VARIANTS}")
 
     # column indices in _cell_columns order
-    metric_col = [c for c, v in enumerate(VARIANTS) if v in variants]
-    layer_col = np.arange(len(VARIANTS), len(VARIANTS) + dl)
+    metric_col = np.arange(len(VARIANTS))
+    layer_col = len(VARIANTS) + np.arange(dl)
     head_col = len(VARIANTS) + dl + np.arange(dl * mh).reshape(dl, mh)
     sel = np.array(selected)
-    # each summary's co-moments of the metric and selected layer columns only
-    cols = np.concatenate([metric_col, layer_col[sel]]).astype(np.intp)
-    summary_moments = np.zeros((len(batch), len(cols), len(cols)))
+    k = len(VARIANTS) + dl  # each summary keeps its metric and layer columns' leading block
+    summary_moments = np.zeros((len(batch), k, k))
 
     pooled = PearsonAccumulator()
-    for k, analysis in enumerate(batch):
+    for i, analysis in enumerate(batch):
         s, set_dl, set_mh, _ = analysis.sent_awd.dims
         if (set_dl, set_mh) != (dl, mh):
             raise ValueError(
@@ -494,26 +507,23 @@ def build_report(
         if s:
             acc.update(_cell_columns(analysis))
         pooled.merge(acc)
-        if acc.count >= 2:
-            summary_moments[k] = acc.comoment[np.ix_(cols, cols)]
+        if acc.count:
+            summary_moments[i] = acc.comoment[:k, :k]
     if pooled.count == 0:
         raise ValueError("no usable cells in batch")
 
     def by_variant(row: list) -> dict:
-        values = iter(row)
-        return {v: next(values) if v in variants else None for v in VARIANTS}
+        return {v: r if v in variants else None for v, r in zip(VARIANTS, row)}
 
     posbias = None
     if all(a.doc_positions is not None for a in batch):
         posbias = positional_bias(batch, selected[-1] if posbias_layer is None else posbias_layer)
 
-    pooled_moments = pooled.comoment if pooled.count >= 2 else np.zeros_like(pooled.comoment)
-    per_layer = _coefficients(pooled_moments, metric_col, layer_col[sel][:, None])
-    per_head = _coefficients(pooled_moments, metric_col, head_col[sel].reshape(-1, 1))
-    head_matrix = _coefficients(pooled_moments, head_col[sel][:, :, None], head_col[sel][:, None])
-    layer_matrix = _coefficients(pooled_moments, layer_col[:, None], layer_col)
-    per_summary = _coefficients(summary_moments, np.arange(len(metric_col)),
-                                len(metric_col) + np.arange(len(sel))[:, None])
+    per_layer = _coefficients(pooled.comoment, metric_col, layer_col[sel][:, None])
+    per_head = _coefficients(pooled.comoment, metric_col, head_col[sel].reshape(-1, 1))
+    head_matrix = _coefficients(pooled.comoment, head_col[sel][:, :, None], head_col[sel][:, None])
+    layer_matrix = _coefficients(pooled.comoment, layer_col[:, None], layer_col)
+    per_summary = _coefficients(summary_moments, metric_col, layer_col[sel][:, None])
 
     return CorrelationReport(
         per_layer=[{"layer": layer + 1, **by_variant(row)}

@@ -92,8 +92,10 @@ def test_encode_all_pad_is_zero_matrix():
 def test_encode_complete_graph_is_unshifted(two_doc_input):
     inp, _ = two_doc_input
     weights = small_weights(inp)
-    ones = SimilarityGraph(size=inp.L, weights=np.ones((inp.L, inp.L)))
-    shifted = ao.encode_units(inp, weights, ones)
+    # weight 1 between every two real units; pad rows and columns stay 0
+    real = ~inp.unit_pad
+    complete = SimilarityGraph(size=inp.L, weights=np.outer(real, real).astype(np.float64))
+    shifted = ao.encode_units(inp, weights, complete)
 
     # manual self-attention without any shift term
     cfg = weights.config
@@ -105,7 +107,6 @@ def test_encode_complete_graph_is_unshifted(two_doc_input):
     logits = u @ u.T / math.sqrt(cfg.d_model)
     logits[:, inp.unit_pad] = -np.inf
     expected = np.zeros_like(u)
-    real = ~inp.unit_pad
     expected[real] = _softmax(logits[real], axis=-1) @ u
     assert np.allclose(shifted, expected, atol=1e-12)
 
@@ -170,7 +171,7 @@ def test_encode_rejects_a_token_outside_the_vocabulary(two_doc_input):
     cfg = ao.ModelConfig(d_model=8, num_heads=2, vocab_size=len(vocab), num_units=inp.L)
     weights = ao.make_synthetic_weights(0, cfg, vocab=vocab)
     with pytest.raises(ao.graphattn.VocabularyError,
-                       match="token 'rivers' not in model vocabulary"):
+                       match="token 'rivers' not in the model vocabulary"):
         ao.encode_units(inp, weights, graph)
 
 
@@ -1579,6 +1580,46 @@ def test_generate_sets_rejects_more_real_units_than_model_positions(monkeypatch)
         with pytest.raises(ValueError) as info:
             call(inp, weights, graph)
         assert info.value.args == ("3 units exceed the model's 2 positions",)
+
+
+def with_unit_fault(inp, graph, fault):
+    """Weights and a graph for the three-unit set ``inp`` (L 4) with one fault."""
+    vocab = vocab_of(inp)
+    weights = graph.weights.copy()
+    if fault == "unknown-token":
+        vocab = ["omega" if t == "alpha" else t for t in vocab]
+    elif fault == "graph-size":
+        weights = identity_graph(inp.L + 1).weights
+    elif fault == "real-unit-as-pad":
+        weights[2, :] = weights[:, 2] = 0.0
+    elif fault == "pad-unit-as-real":
+        weights[3, 3] = 1.0
+    cfg = ao.ModelConfig(d_model=16, num_layers=1, num_heads=2, vocab_size=len(vocab),
+                         num_units=inp.L, max_len=3)
+    return (ao.make_synthetic_weights(0, cfg, vocab=vocab),
+            SimilarityGraph(size=len(weights), weights=weights))
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("unknown-token", "token 'alpha' not in the model vocabulary"),
+    ("graph-size", "graph size 5 != unit count 4"),
+    ("real-unit-as-pad", "unit 2 is a non-pad unit but has graph diagonal 0"),
+    ("pad-unit-as-real", "unit 3 is a pad unit but has graph diagonal 1"),
+], ids=["unknown-token", "graph-size", "real-unit-as-pad", "pad-unit-as-real"])
+def test_encode_units_checks_a_set_as_generate_sets_does(fault, message):
+    """``encode_units`` and ``start_state`` reject what ``generate_sets``
+    rejects, with the same exception and message but no position; before,
+    a real unit marked as a pad unit got no attention in ``decode_step``."""
+    inp, graph = unitized_and_graph([["alpha beta", "gamma delta", "epsilon zeta"]], L=4)
+    assert inp.num_real_units == 3
+    weights, graph = with_unit_fault(inp, graph, fault)
+    with pytest.raises(ValueError) as batch:
+        ao.graphattn.generate_sets([inp], weights, [graph])
+    assert batch.value.args == (message, 0)
+    for call in (encode_units, start_state):
+        with pytest.raises(type(batch.value)) as info:
+            call(inp, weights, graph)
+        assert info.value.args == (message,)
 
 
 def entry_spy(entered):

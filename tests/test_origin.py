@@ -1,5 +1,6 @@
 """Tests for the reference metric, Pearson machinery, and bias reports."""
 
+import itertools
 import math
 import sys
 
@@ -872,6 +873,44 @@ def test_build_report_variant_subset():
     assert row["r1"] is None and row["rl"] is None and row["r2"] is not None
 
 
+def test_a_subset_report_prints_the_full_reports_cells():
+    """Each ``variants``/``layers`` choice prints the full report's cells bit
+    for bit and None for an unpicked variant; one set has one cell, one none."""
+    rng = np.random.default_rng(30)
+    dl, mh, L = 4, 3, 5
+    batch = []
+    for k, (sentences, pads) in enumerate([(3, 1), (2, 0), (1, 4), (0, 1), (4, 2)]):
+        awd = rng.random((sentences, dl, mh, L))
+        awd[..., L - pads:] = 0.0
+        awd /= awd.sum(axis=-1, keepdims=True)
+        batch.append(SummaryAnalysis(
+            set_id=f"s{k}", sent_awd=SentenceAwd(values=awd),
+            origin=ao.OriginMetric(values=rng.random((sentences, L, 3, 3))),
+            unit_pad=np.arange(L) >= L - pads, doc_positions=None,
+        ))
+    full = ao.build_report(batch)
+    variant_sets = [c for n in (1, 2, 3) for c in itertools.combinations(ao.origin.VARIANTS, n)]
+    for variants, layers in itertools.product(variant_sets, ([0], [3, 1], [2, 0, 3], None)):
+        report = ao.build_report(batch, variants=variants, layers=layers)
+        selected = range(dl) if layers is None else sorted(layers)
+
+        def picked(row):
+            return {k: None if k in ao.origin.VARIANTS and k not in variants else v
+                    for k, v in row.items()}
+
+        assert report.per_layer == [picked(full.per_layer[layer]) for layer in selected]
+        assert report.per_head == [picked(full.per_head[layer * mh + h])
+                                   for layer in selected for h in range(mh)]
+        assert report.head_matrix == [full.head_matrix[layer] for layer in selected]
+        assert report.per_summary == [picked(full.per_summary[k * dl + layer])
+                                      for k in range(len(batch)) for layer in selected]
+        assert report.layer_matrix == full.layer_matrix
+        assert report.sample_count == full.sample_count == 3 * 4 + 2 * 5 + 1 + 4 * 3
+    # the one-cell and the empty set read None
+    assert all(row[v] is None for row in full.per_summary if row["set_id"] in ("s2", "s3")
+               for v in ao.origin.VARIANTS)
+
+
 def test_summary_analysis_reads_an_int_or_list_pad_mask_as_bool():
     rng = np.random.default_rng(28)
     awd = rng.random((3, 4, 2, 2, 4))
@@ -891,6 +930,38 @@ def test_summary_analysis_reads_an_int_or_list_pad_mask_as_bool():
         analyses = batch(pad)
         assert ao.build_report(analyses) == expected
         assert analyses[0].unit_pad.dtype == bool
+
+
+def placed_analysis(positions, pad=(False,) * 6):
+    """Set 's': three sentences attending most to units 0, 4 and 5 of six."""
+    return SummaryAnalysis(set_id="s", sent_awd=SentenceAwd(values=one_hot_awd([0, 4, 5])),
+                           origin=metric_from_matrix(np.zeros((3, 6))),
+                           unit_pad=np.array(pad), doc_positions=positions)
+
+
+@pytest.mark.parametrize("positions, message", [
+    (np.array([0, 1, 2, -1, 0, 1]), "set 's': non-pad unit 3 has doc position -1"),
+    (np.array([0, 1, 2, 0, 1]), "set 's': doc_positions must be 6 integers, got int64 (5,)"),
+    (np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0]),
+     "set 's': doc_positions must be 6 integers, got float64 (6,)"),
+    (np.array([[0, 1, 2, 0, 1, 2]]), "set 's': doc_positions must be 6 integers, got int64 (1, 6)"),
+], ids=["real-unit-unplaced", "wrong-length", "float", "two-dimensional"])
+def test_summary_analysis_checks_doc_positions(positions, message):
+    """Before, an unplaced real unit gave plausible but wrong tallies (its -1
+    indexed the last row), and a wrong length or a float array an IndexError."""
+    with pytest.raises(ValueError) as exc:
+        placed_analysis(positions)
+    assert str(exc.value) == message
+
+
+def test_summary_analysis_reads_doc_positions_as_an_array():
+    """A list of ints tallies as the array does, and a pad unit may sit at -1."""
+    expected = ao.positional_bias([placed_analysis(np.array([0, 1, 2, 0, 1, 2]))], 0)
+    assert expected.counts.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    got = ao.positional_bias([placed_analysis([0, 1, 2, 0, 1, 2])], 0)
+    assert got.counts.tolist() == expected.counts.tolist()
+    padded = placed_analysis([0, 1, 2, -1, 1, 2], pad=[False] * 3 + [True] + [False] * 2)
+    assert ao.positional_bias([padded], 0).counts.tolist() == expected.counts.tolist()
 
 
 def one_analysis(sentences=2, units=3, pad=None, awd=None):
