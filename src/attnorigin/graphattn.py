@@ -485,6 +485,8 @@ class _Group(NamedTuple):
     heads, and ``keys`` each layer's unit keys ``x @ w_k`` (layers, sets,
     heads, L, d_head). ``shift`` holds every set's ``_padded_shift`` rows,
     (sets * L, L), and ``offsets`` (sets, 1, 1) each set's first row in it.
+    The beam loop adds the caches, two steps of float32 slices and the
+    beam state; a step's kernel outputs and score grid die with the step.
     """
 
     x: np.ndarray
@@ -620,16 +622,22 @@ def decode_step(
 # GROUP_SETS, and one set when its beam alone needs more. The caches and
 # unit keys are allocated once per group and never copied: a set that ends
 # keeps them until its group ends. Beside that, a group keeps two steps of
-# its slots' slices. What a recorder keeps is not counted: the default
-# one's tensors are the results the caller receives.
+# its slots' float32 slices and at most one step of kernel outputs (float64
+# betas and logits) and score grid: each step drops them before the next
+# kernel call. What a recorder keeps is not counted: the default one's
+# tensors are the results the caller receives.
 # At d_model 64, 8 layers and 32 steps a hypothesis's cache takes 256 KiB:
 # 16 hypotheses, 4 beam-4 sets, per group. GROUP_SETS bounds what each set
 # holds beside its caches, which the budget does not count: its unit keys,
 # 8 * layers * L * d_model bytes (240 KiB at L 60), its graph shift rows,
-# 8 * L**2, its encoded units, two steps of slices and its score grids. At
-# 8 layers, L 60, d_model 64, beam 1 and 8 steps the budget alone admits 64
-# sets; over 24 sets, peak RSS was 49.2 MiB at GROUP_SETS 4, 51.5 at 8,
-# 54.2 at 12 and 60.8 at 64 (2-core machine, numpy 2.4).
+# 8 * L**2, its encoded units, two steps of slices and one step's kernel
+# outputs and score grid. At L 30 and beam 4 the 4 MiB of caches make
+# 4.8 MiB of fixed state; one step's outputs are 0.23 MiB of betas and,
+# at 770 tokens, 0.09 MiB of logits, and a step peaks 0.47 MiB above the
+# fixed state, in its kernel call. At 8 layers, L 60, d_model 64, beam 1
+# and 8 steps the budget alone admits 64 sets; over 24 sets, peak RSS was
+# 49.2 MiB at GROUP_SETS 4, 51.5 at 8, 54.2 at 12 and 60.8 at 64 (2-core
+# machine, numpy 2.4).
 GROUP_BYTES = 4 << 20
 GROUP_SETS = 4
 
@@ -719,8 +727,11 @@ def generate_sets(
     leading slots, as many as the fullest set holds hypotheses: kernel
     and cache row j of a set are its beam slot j, which first takes a
     copy of its parent slot's cache in place: ``_reorder_slots`` gathers
-    only the slots that move. A finished slot rides along until its set
-    ends; only a live slot's outputs are kept. Hypotheses are
+    only the slots that move. A step's float64 kernel outputs and score
+    grid are dropped before the next kernel call, so a group holds its
+    caches, unit keys, two steps of float32 slices and the beam state,
+    plus at most one step of those. A finished slot rides along until
+    its set ends; only a live slot's outputs are kept. Hypotheses are
     ranked by log-probability divided by length to the power of the
     length penalty. Each step fills one (slots, 1 + V) score grid per
     set: column 0 keeps a finished hypothesis at its frozen score,
@@ -804,13 +815,12 @@ def _beam_search(
         valid = slots < counts[:, None]
         # Kernel row j of a set is its slot j, which takes its parent slot's cache.
         _reorder_slots(cache, traces[:, step - 1, :n], step)
-        try:
-            logits, betas = _decode_block(seqs[:, :n, step, None], step, cache[:, :, :, :n],
-                                          group, weights)
+        now, last = recorded[step % 2], recorded[1 - step % 2]
+        try:  # the float64 betas die once copied: a finished or empty slot's is replaced below
+            logits, now[:, :n] = _decode_block(seqs[:, :n, step, None], step,
+                                               cache[:, :, :, :n], group, weights)
         except ValueError as exc:  # the kernel names the set by its row
             raise ValueError(exc.args[0], first + exc.args[1]) from None
-        now, last = recorded[step % 2], recorded[1 - step % 2]
-        now[:, :n] = betas  # a finished or empty slot's slice is replaced below
         fg, fj = np.nonzero(valid & finished)
         now[fg, fj] = last[fg, traces[fg, step - 1, fj]]
         eg, ej = np.nonzero(~valid)
@@ -820,7 +830,8 @@ def _beam_search(
 
         totals = np.full((G, bs, 1 + V), -np.inf)  # log-probability of each grid cell
         totals[:, :, 0] = logprobs
-        totals[:, :n, 1:] = logprobs[:, :n, None] + _log_softmax(logits)
+        np.add(logprobs[:, :n, None], _log_softmax(logits), out=totals[:, :n, 1:])
+        del logits
         totals[~valid | finished, 1:] = -np.inf  # all but the live slots
         totals[:, :, banned_cols] = -np.inf
         grid = _normalized(totals, step + 1, gen.length_penalty)
@@ -834,6 +845,7 @@ def _beam_search(
         finished[g, ranks] = (cols == 0) | (cols == 1 + weights.eos_id)
         traces[g, step, ranks] = parent_slots
         counts = np.bincount(g, minlength=G)
+        del totals, grid, g, cells, ranks, parent_slots, cols  # the grid and picks die here
         ended = (finished | (slots >= counts[:, None])).all(axis=1)
         steps[ended & (steps > step)] = step + 1
         if ended.all():

@@ -6,6 +6,7 @@ import json
 import math
 import tracemalloc
 import warnings
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -1347,16 +1348,17 @@ def test_lockstep_beam_one_makes_one_call_per_group_step(monkeypatch):
     assert all((sets, rows) == (4, 1) for sets, rows, *_ in calls)
 
 
-def bench_shape_pair(seed=16, sets=2):
-    """Two (or ``sets``) paragraph sets (L 30, T 60, with pads) and seeded synthetic
-    weights at the benchmark's decoder shape: d 64, 8 layers, 8 heads, max_len 32."""
+def bench_shape_pair(seed=16, sets=2, mode="paragraph", L=30, T=60):
+    """Two (or ``sets``) sets of ``mode`` with L units of T tokens (paragraph,
+    30 and 60 by default), with pads, and seeded synthetic weights at the
+    benchmark's decoder shape: d 64, 8 layers, 8 heads, max_len 32."""
     rng = np.random.default_rng(seed)
-    inputs = [random_sentence_set(rng, f"s{i}", "paragraph", 30, 60) for i in range(sets)]
+    inputs = [random_sentence_set(rng, f"s{i}", mode, L, T) for i in range(sets)]
     assert all(inp.unit_pad.any() for inp in inputs)
     graphs = [ao.build_graph(inp) for inp in inputs]
     vocab = ao.graphattn.build_vocab(t for inp in inputs for u in inp.units for t in u.tokens)
     cfg = ao.ModelConfig(d_model=64, num_layers=8, num_heads=8, vocab_size=len(vocab),
-                         num_units=30, max_len=32)
+                         num_units=L, max_len=32)
     return inputs, graphs, ao.make_synthetic_weights(2, cfg, vocab=vocab)
 
 
@@ -1527,6 +1529,72 @@ def test_generate_sets_memory_is_the_group_state():
         tracemalloc.stop()
     assert [len(result.beam_trace) for result in results] == [32, 32]
     assert peak < cache + awd + keys + 2**20, peak
+
+
+@pytest.mark.parametrize("mode, L, T, beam, max_len", [
+    ("paragraph", 30, 60, 4, 32),  # paragraph-beam4
+    ("sentence", 60, 30, 1, 8),  # sentence-greedy
+])
+def test_no_kernel_output_outlives_its_step(monkeypatch, mode, L, T, beam, max_len):
+    """At both decoder workloads' shapes, one group of four sets, every
+    earlier ``_decode_block`` call's logits and betas are dead when the next
+    call starts: a step's kernel never runs beside the last step's outputs."""
+    inputs, graphs, weights = bench_shape_pair(sets=4, mode=mode, L=L, T=T)
+    kernel = ao.graphattn._decode_block
+    outputs = []  # weak references to the logits and betas of every call so far
+
+    def spy(ids, start, cache, group, weights):
+        alive = [i // 2 for i, ref in enumerate(outputs) if ref() is not None]
+        assert not alive, f"step {start}: outputs of steps {alive} alive"
+        logits, betas = kernel(ids, start, cache, group, weights)
+        outputs.extend([weakref.ref(logits), weakref.ref(betas)])
+        return logits, betas
+
+    monkeypatch.setattr(ao.graphattn, "_decode_block", spy)
+    gen = ao.GenerationConfig(beam_size=beam, max_len=max_len)
+    results = list(ao.graphattn.generate_sets(inputs, weights, graphs, gen))
+    assert len(outputs) == 2 * max_len
+    assert [len(result.beam_trace) for result in results] == [max_len] * 4
+
+
+def test_each_beam_step_peaks_at_its_kernel_call(monkeypatch):
+    """At the paragraph workload's shape (4 beam-4 sets, L 30, 32 steps) the
+    tracemalloc peak of each step above the group's fixed state, traced from
+    one kernel call to the next, stays within 1.25 times the kernel call's
+    own peak: its betas and logits and its temporaries, nothing left from
+    the step before. Measured: at most 1.02 times, and 1.56 when a step's
+    outputs and score grid lived on through the next kernel call. The
+    kernel's own peak is about twice its outputs (0.23 MiB of (4, 4, 8, 8,
+    30) float64 betas and (4, 4, V) logits), from graph attention's
+    temporaries, so a bound on the outputs' bytes alone would not hold."""
+    inputs, graphs, weights = bench_shape_pair(sets=4)
+    kernel = ao.graphattn._decode_block
+    fixed, steps, kernel_peaks = [], [], []  # kernel_peaks: (above its entry, above fixed)
+
+    def spy(*args):
+        current, peak = tracemalloc.get_traced_memory()
+        if not fixed:
+            fixed.append(current)
+        else:  # the last step's peak: its kernel call's, or its scoring's and the reorder's
+            steps.append(max(kernel_peaks[-1][1], peak - fixed[0]))
+        tracemalloc.reset_peak()
+        out = kernel(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+        kernel_peaks.append((peak - current, peak - fixed[0]))
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(ao.graphattn, "_decode_block", spy)
+    gen = ao.GenerationConfig(beam_size=4, max_len=32)
+    tracemalloc.start()
+    try:
+        results = list(ao.graphattn.generate_sets(inputs, weights, graphs, gen))
+    finally:
+        tracemalloc.stop()
+    assert [len(result.beam_trace) for result in results] == [32] * 4
+    assert len(steps) == 31
+    ratios = [peak / own for peak, (own, _) in zip(steps, kernel_peaks)]
+    assert max(ratios) <= 1.25, ratios
 
 
 def test_generate_sets_checks_every_input_before_decoding(two_doc_input, monkeypatch):

@@ -129,6 +129,21 @@ def test_split_sentences_matches_the_scanner(text):
     assert ao.split_sentences(text) == scanner_split_sentences(text)
 
 
+# Free text over terminators, whitespace (ASCII and not) and letters of
+# each case, non-ASCII capitals among them.
+TERMINATOR_TEXT = st.text(alphabet=".!? \t\n\r\x0b\x1c\x85\u2003\u3000aZéÉßǅΣσЖж", max_size=40)
+
+
+@settings(max_examples=500)
+@given(text=SENTENCE_TEXT | TERMINATOR_TEXT)
+def test_every_split_sentence_splits_back_to_itself(text):
+    """A sentence from ``split_sentences`` holds no boundary: split again, it
+    is the one sentence it was. In sentence mode every unit's text is such a
+    sentence."""
+    for sentence in ao.split_sentences(text):
+        assert ao.split_sentences(sentence) == [sentence], sentence
+
+
 def test_split_partitions_text_modulo_whitespace():
     texts = [
         "One two. Three four! Five six?",
