@@ -117,7 +117,11 @@ def write_awd(tensor: AwdTensor, path) -> None:
 
 
 class _TensorRecorder:
-    """Collects a set's recorded slices into an ``AwdTensor`` in memory."""
+    """Collects a set's recorded slices into an ``AwdTensor`` in memory.
+
+    ``record`` copies each step's slices into the tensor: the decoder
+    overwrites the array it passes at its next step.
+    """
 
     def __init__(self, dims: Sequence[int]):
         self.values = np.empty(dims, dtype=np.float32)
@@ -142,7 +146,9 @@ class _FileRecorder:
     each slot's slice of a step at its place in a tensor of ``max_steps``
     tokens; ``finish`` writes the header of the ``steps`` tokens decoded,
     first moving beam blocks 1, 2, ... down to ``steps`` tokens and
-    truncating the file when the set stopped early.
+    truncating the file when the set stopped early. ``record`` writes the
+    slices out before it returns and keeps no reference to them: the
+    decoder overwrites the array it passes at its next step.
     """
 
     def __init__(self, fh, dims: Sequence[int]):

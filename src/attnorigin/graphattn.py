@@ -17,7 +17,7 @@ its group ends. Every step records the resulting attention distribution
 (one probability vector over units per layer and head) of every beam
 slot, and hands each set's slices to that set's recorder, beside the
 trace. The recorders come from ``awd``, which owns the recorded tensor;
-a group keeps only its current and previous step's slices.
+a group keeps one step of slices, which the kernel writes its betas into.
 
 There is no training loop; weights are loaded from files or built
 synthetically (random, or a "concentrator" construction whose attention
@@ -485,8 +485,9 @@ class _Group(NamedTuple):
     heads, and ``keys`` each layer's unit keys ``x @ w_k`` (layers, sets,
     heads, L, d_head). ``shift`` holds every set's ``_padded_shift`` rows,
     (sets * L, L), and ``offsets`` (sets, 1, 1) each set's first row in it.
-    The beam loop adds the caches, two steps of float32 slices and the
-    beam state; a step's kernel outputs and score grid die with the step.
+    The beam loop adds the caches, one step of float32 slices, which the
+    kernel writes its betas into, and the beam state; a step's logits and
+    score grid die with the step.
     """
 
     x: np.ndarray
@@ -544,8 +545,9 @@ def _graph_attention(
     """
     e = _attention_logits(h[:, None], weights.w_q[layer], group.keys[layer])
     beta = _softmax(e - group.shift[s + group.offsets], axis=-1)
-    contexts = (beta @ group.x).transpose(0, 2, 1, 3)  # (G, rows per set, mh, d)
-    return h + contexts.reshape(*h.shape[:2], -1) @ weights.w_g[layer], beta
+    contexts = np.empty((*h.shape[:2], beta.shape[1], h.shape[-1]))  # (G, rows per set, mh, d)
+    np.matmul(beta, group.x, out=contexts.transpose(0, 2, 1, 3))  # the heads side by side
+    return h + contexts.reshape(h.shape[0], h.shape[1], -1) @ weights.w_g[layer], beta
 
 
 def _position_ffn(h: np.ndarray, layer: int, weights: DecoderWeights) -> np.ndarray:
@@ -559,7 +561,8 @@ def _vocab_projection(h: np.ndarray, weights: DecoderWeights) -> np.ndarray:
 
 def _decode_block(
     ids: np.ndarray, start: int, cache: np.ndarray, group: _Group, weights: DecoderWeights,
-) -> tuple[np.ndarray, np.ndarray]:
+    betas: np.ndarray,
+) -> np.ndarray:
     """Advance n hypotheses of each of G sets by q tokens ``ids`` (G, n, q)
     at positions start..start+q-1.
 
@@ -569,15 +572,16 @@ def _decode_block(
     and it receives the new ones. Each layer runs causal self-attention
     over the cache, the central-unit FFN, graph attention over every set,
     row and head, then a position-wise feed-forward, all with residual
-    connections. Returns the last position's (G, n, V) logits and
-    (G, n, layers, heads, L) betas. A non-finite state in any layer makes
-    them non-finite: raises ``ValueError(message, g)``, g the first such set.
+    connections. Writes the last position's betas into ``betas`` (G, n,
+    layers, heads, L), a float64 or float32 buffer the caller owns (a
+    float32 one rounds each value once), and returns its (G, n, V) logits.
+    A non-finite state in any layer makes them non-finite: raises
+    ``ValueError(message, g)``, g the first such set.
     """
     cfg = weights.config
     (sets, n, q), end, L = ids.shape, start + ids.shape[2], group.x.shape[-2]
     h = (weights.embedding[ids] + weights.pos_encoding[start:end]).reshape(sets, n * q, -1)
     causal = np.triu(np.full((q, end), -np.inf), k=start + 1)
-    betas = np.empty((sets, n, cfg.num_layers, cfg.num_heads, L))
     for layer in range(cfg.num_layers):
         h = _self_attention(h, layer, start, cache, causal, weights)
         ffn = (weights.cp_w1[layer], weights.cp_b1[layer], weights.cp_w2[layer],
@@ -590,7 +594,7 @@ def _decode_block(
     finite = np.isfinite(logits).all(axis=(1, 2)) & np.isfinite(betas).all(axis=(1, 2, 3, 4))
     if not finite.all():
         raise ValueError("non-finite decoder state", int(np.argmin(finite)))
-    return logits, betas
+    return logits
 
 
 def decode_step(
@@ -607,8 +611,9 @@ def decode_step(
     if p - 1 >= cfg.max_len:
         raise ValueError(f"decoded length {p - 1} reached max_len {cfg.max_len}")
     cache = np.empty((2, cfg.num_layers, 1, 1, p, cfg.d_model))
-    logits, betas = _decode_block(np.array([[state.prefix_ids]]), 0, cache,
-                                  _prepare(state.encoded[None], [graph], weights), weights)
+    betas = np.empty((1, 1, cfg.num_layers, cfg.num_heads, state.encoded.shape[0]))
+    logits = _decode_block(np.array([[state.prefix_ids]]), 0, cache,
+                           _prepare(state.encoded[None], [graph], weights), weights, betas)
     return logits[0, 0], betas[0, 0]
 
 
@@ -621,20 +626,20 @@ def decode_step(
 # max_steps * d_model bytes each, within GROUP_BYTES, never more than
 # GROUP_SETS, and one set when its beam alone needs more. The caches and
 # unit keys are allocated once per group and never copied: a set that ends
-# keeps them until its group ends. Beside that, a group keeps two steps of
-# its slots' float32 slices and at most one step of kernel outputs (float64
-# betas and logits) and score grid: each step drops them before the next
-# kernel call. What a recorder keeps is not counted: the default one's
+# keeps them until its group ends. Beside that, a group keeps one step of
+# its slots' float32 slices, which the kernel writes its betas into, and at
+# most one step of logits and score grid: each step drops them before the
+# next kernel call. What a recorder keeps is not counted: the default one's
 # tensors are the results the caller receives.
 # At d_model 64, 8 layers and 32 steps a hypothesis's cache takes 256 KiB:
 # 16 hypotheses, 4 beam-4 sets, per group. GROUP_SETS bounds what each set
 # holds beside its caches, which the budget does not count: its unit keys,
 # 8 * layers * L * d_model bytes (240 KiB at L 60), its graph shift rows,
-# 8 * L**2, its encoded units, two steps of slices and one step's kernel
-# outputs and score grid. At L 30 and beam 4 the 4 MiB of caches make
-# 4.8 MiB of fixed state; one step's outputs are 0.23 MiB of betas and,
-# at 770 tokens, 0.09 MiB of logits, and a step peaks 0.47 MiB above the
-# fixed state, in its kernel call. At 8 layers, L 60, d_model 64, beam 1
+# 8 * L**2, its encoded units, one step of slices and one step's logits
+# and score grid. At L 30 and beam 4 the 4 MiB of caches make 4.7 MiB of
+# fixed state, 0.12 MiB of it the slices; at 770 tokens one step's logits
+# are 0.09 MiB, and a step peaks 0.22 MiB above its start in its kernel
+# call and 0.44 MiB in its scoring. At 8 layers, L 60, d_model 64, beam 1
 # and 8 steps the budget alone admits 64 sets; over 24 sets, peak RSS was
 # 49.2 MiB at GROUP_SETS 4, 51.5 at 8, 54.2 at 12 and 60.8 at 64 (2-core
 # machine, numpy 2.4).
@@ -717,21 +722,23 @@ def generate_sets(
     group enters its sets' recorders when it starts and leaves them,
     together, before its results are yielded, or when it fails. Each step
     calls ``record(step, slices)`` with the float32 slices (beam_size,
-    layers, heads, L) of every slot of every set still decoding, and the
-    group's end calls ``finish(steps)`` with the set's decoded steps; what
-    that returns is the result's ``awd``. By default (``awd.in_memory``)
-    that is an ``AwdTensor`` of the decoded steps, built in memory;
-    ``awd.open_recorder`` writes the tensor file instead.
+    layers, heads, L) of every slot of every set still decoding, in an
+    array that the next step overwrites, so a recorder copies whatever it
+    keeps; the group's end calls ``finish(steps)`` with the set's decoded
+    steps, and what that returns is the result's ``awd``. By default
+    (``awd.in_memory``) that is an ``AwdTensor`` of the decoded steps,
+    built in memory; ``awd.open_recorder`` writes the tensor file instead.
 
     Each step is one ``_decode_block`` call over every set's
     leading slots, as many as the fullest set holds hypotheses: kernel
     and cache row j of a set are its beam slot j, which first takes a
     copy of its parent slot's cache in place: ``_reorder_slots`` gathers
-    only the slots that move. A step's float64 kernel outputs and score
-    grid are dropped before the next kernel call, so a group holds its
-    caches, unit keys, two steps of float32 slices and the beam state,
-    plus at most one step of those. A finished slot rides along until
-    its set ends; only a live slot's outputs are kept. Hypotheses are
+    only the slots that move. The kernel writes the step's betas straight
+    into the group's one step of float32 slices, and the step's logits and
+    score grid are dropped before the next kernel call, so a group holds
+    its caches, unit keys, one step of slices and the beam state, plus at
+    most one step's logits and score grid. A finished slot rides along
+    until its set ends; only a live slot's outputs are kept. Hypotheses are
     ranked by log-probability divided by length to the power of the
     length penalty. Each step fills one (slots, 1 + V) score grid per
     set: column 0 keeps a finished hypothesis at its frozen score,
@@ -796,8 +803,8 @@ def _beam_search(
     group = _prepare(encoded, graphs, weights)
     # Self-attention keys and values by set and slot (zeros: an empty slot stays finite).
     cache = np.zeros((2, cfg.num_layers, G, bs, max_steps, cfg.d_model))
-    # The slices recorded at even and odd steps, by set and slot.
-    recorded = np.empty((2, G, bs, cfg.num_layers, cfg.num_heads, inputs[0].L), dtype=np.float32)
+    # The step's slices by set and slot, recorded, then overwritten by the next step's kernel.
+    now = np.empty((G, bs, cfg.num_layers, cfg.num_heads, inputs[0].L), dtype=np.float32)
     # Per set and slot: <bos> and the token ids (-1 pads a finished slot), log-probability,
     # normalized score and whether it ended.
     seqs = np.full((G, bs, 1 + max_steps), weights.bos_id)
@@ -815,16 +822,18 @@ def _beam_search(
         valid = slots < counts[:, None]
         # Kernel row j of a set is its slot j, which takes its parent slot's cache.
         _reorder_slots(cache, traces[:, step - 1, :n], step)
-        now, last = recorded[step % 2], recorded[1 - step % 2]
-        try:  # the float64 betas die once copied: a finished or empty slot's is replaced below
-            logits, now[:, :n] = _decode_block(seqs[:, :n, step, None], step,
-                                               cache[:, :, :, :n], group, weights)
+        fg, fj = np.nonzero(valid & finished)
+        carried = now[fg, traces[fg, step - 1, fj]]  # read before the kernel overwrites them
+        try:  # a finished or empty slot's slices are replaced below
+            logits = _decode_block(seqs[:, :n, step, None], step, cache[:, :, :, :n], group,
+                                   weights, now[:, :n])
         except ValueError as exc:  # the kernel names the set by its row
             raise ValueError(exc.args[0], first + exc.args[1]) from None
-        fg, fj = np.nonzero(valid & finished)
-        now[fg, fj] = last[fg, traces[fg, step - 1, fj]]
-        eg, ej = np.nonzero(~valid)
-        now[eg, ej] = now[eg, ej % counts[eg]]
+        now[fg, fj] = carried
+        for g in np.flatnonzero(counts < bs):  # slot k copies slot k mod counts[g]
+            c = counts[g]
+            for k in range(c, bs, c):
+                now[g, k:k + c] = now[g, :min(c, bs - k)]
         for g in np.flatnonzero(steps > step):
             recorders[g].record(step, now[g])
 

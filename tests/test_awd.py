@@ -138,6 +138,27 @@ def test_recorder_writes_what_write_awd_writes(tmp_path, steps):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rec.awd", "want.awd"]
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["in_memory", "open_recorder"])
+def test_recorders_copy_the_slices_they_are_given(tmp_path, to_file):
+    """The decoder overwrites the array it hands to ``record`` at its next
+    step, so a recorder copies what it keeps: one array refilled for every
+    step and overwritten after each ``record`` returns still gives the
+    recorded tensor's bytes, in memory and in the tensor file."""
+    tensor = random_tensor(np.random.default_rng(7), bs=3, sl=4, dl=2, mh=2, L=4)
+    path = tmp_path / "rec.awd"
+    slices = np.empty(tensor.values[:, 0].shape, dtype=np.float32)
+    opened = (awdmod.open_recorder(path, tensor.dims) if to_file
+              else awdmod.in_memory(0, tensor.dims))
+    with opened as recorder:
+        for step in range(tensor.dims[1]):
+            slices[...] = tensor.values[:, step]
+            recorder.record(step, slices)
+            slices[...] = np.nan
+        result = recorder.finish(tensor.dims[1])
+    got = ao.read_awd(path) if to_file else result
+    assert got.values.tobytes() == tensor.values.tobytes()
+
+
 def test_recorder_left_unfinished_or_by_an_error_leaves_the_old_file(tmp_path):
     path = tmp_path / "rec.awd"
     path.write_bytes(b"old")

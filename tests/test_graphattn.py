@@ -545,10 +545,13 @@ def test_decode_block_at_bench_shape(shift_form):
     """The kernel at d=64, 8 layers, 8 heads and L=30 with pads.
 
     decode_step (one block over the whole prefix) matches the full-prefix
-    reference within 1e-12 at prefix lengths 1-32. Two sets of two rows
-    advanced together, as one 5-token block and then one token per call
-    through the cache, match decode_step on each row's own prefix and
-    set within 1e-10.
+    reference within 1e-12 at prefix lengths 1-32, and its float64 logits
+    and betas equal the byte oracle ``reference_decode_block``'s. Two sets
+    of two rows advanced together, as one 5-token block and then one token
+    per call through the cache, match decode_step on each row's own prefix
+    and set within 1e-10. The same calls writing into a float32 betas
+    buffer give the same logits and cache and the float64 betas rounded
+    once to float32, bit for bit.
     """
     rng = np.random.default_rng(30)
     inputs = [random_unitized(rng, num_docs=4, paras_per_doc=5, words=12, L=30, T=60,
@@ -570,12 +573,24 @@ def test_decode_block_at_bench_shape(shift_form):
         ref_logits, ref_betas = reference_decode_step(state, weights, graphs[0])
         assert np.max(np.abs(logits - ref_logits)) <= 1e-12, p
         assert np.max(np.abs(betas - ref_betas)) <= 1e-12, p
+        oracle = reference_decode_block(np.array([[state.prefix_ids]]), 0,
+                                        np.empty((2, cfg.num_layers, 1, 1, p, cfg.d_model)),
+                                        state.encoded[None], weights, graphs[:1])
+        assert logits.tobytes() == oracle[0][0, 0].tobytes(), p
+        assert betas.dtype == np.float64 and betas.tobytes() == oracle[1][0, 0].tobytes(), p
 
     cache = np.empty((2, cfg.num_layers, 2, 2, cfg.max_len, cfg.d_model))
+    cache32 = np.empty_like(cache)
     group = _prepare(np.stack([state.encoded for state in states]), graphs, weights)
+    betas = np.empty((2, 2, cfg.num_layers, cfg.num_heads, 30))
+    betas32 = np.empty(betas.shape, dtype=np.float32)
     blocks = [(0, 5)] + [(p, p + 1) for p in range(5, cfg.max_len)]
     for start, end in blocks:
-        logits, betas = _decode_block(rows[:, :, start:end], start, cache, group, weights)
+        logits = _decode_block(rows[:, :, start:end], start, cache, group, weights, betas)
+        logits32 = _decode_block(rows[:, :, start:end], start, cache32, group, weights, betas32)
+        assert logits32.tobytes() == logits.tobytes(), end
+        assert betas32.tobytes() == betas.astype(np.float32).tobytes(), end
+        assert cache32[..., :end, :].tobytes() == cache[..., :end, :].tobytes(), end
         for g, row in itertools.product(range(2), range(2)):
             states[g].prefix_ids = rows[g, row, :end].tolist()
             want_logits, want_betas = decode_step(states[g], weights, graphs[g])
@@ -633,21 +648,25 @@ def reference_kernel(encoded, graphs):
 
     It finds each decoding set of the group by its encoded units among
     ``encoded`` and passes that set's graph. Every call also runs the
-    kernel on a copy of the cache and requires the same logits, betas
-    and cache bytes; the reference's results are returned.
+    kernel on a copy of the cache and a float64 betas buffer and requires
+    the same logits, betas and cache bytes; the reference's betas fill the
+    caller's buffer and its logits are returned.
     """
     kernel = ao.graphattn._decode_block
 
-    def checked(ids, start, cache, group, weights):
+    def checked(ids, start, cache, group, weights, betas):
         x = group.x[:, 0]
         which = [next(i for i, units in enumerate(encoded) if np.array_equal(units, set_x))
                  for set_x in x]
-        kernel_cache = cache.copy()
-        got = kernel(ids, start, kernel_cache, group, weights)
-        want = reference_decode_block(ids, start, cache, x, weights, [graphs[i] for i in which])
-        assert [a.tobytes() for a in got] == [b.tobytes() for b in want], start
+        kernel_cache, kernel_betas = cache.copy(), np.empty(betas.shape)
+        logits = kernel(ids, start, kernel_cache, group, weights, kernel_betas)
+        want_logits, want_betas = reference_decode_block(ids, start, cache, x, weights,
+                                                         [graphs[i] for i in which])
+        assert logits.tobytes() == want_logits.tobytes(), start
+        assert kernel_betas.tobytes() == want_betas.tobytes(), start
         assert kernel_cache.tobytes() == cache.tobytes(), start
-        return want
+        betas[...] = want_betas
+        return want_logits
     return checked
 
 
@@ -773,11 +792,12 @@ def test_decode_block_rejects_nonfinite_units(monkeypatch):
     encoded = np.stack([encode_units(inp, weights, g) for inp, g in zip(inputs, graphs)])
     ids = np.full((2, 1, 1), weights.bos_id)
     cache = np.empty((2, weights.config.num_layers, 2, 1, 1, weights.config.d_model))
-    _decode_block(ids, 0, cache, _prepare(encoded, graphs, weights), weights)
+    betas = np.empty((2, 1, cfg.num_layers, cfg.num_heads, 6))
+    _decode_block(ids, 0, cache, _prepare(encoded, graphs, weights), weights, betas)
     encoded[1, 0, 3] = np.inf
     # numpy flags the invalid arithmetic on the way; the kernel's error is the one that counts
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
-        _decode_block(ids, 0, cache, _prepare(encoded, graphs, weights), weights)
+        _decode_block(ids, 0, cache, _prepare(encoded, graphs, weights), weights, betas)
     monkeypatch.setattr(ao.graphattn, "encode_units",
                         lambda inp, weights, graph: np.full((inp.L, weights.config.d_model),
                                                             np.inf))
@@ -1194,11 +1214,11 @@ def spy_on_kernel(monkeypatch, caches=None):
     calls = []
     kernel = ao.graphattn._decode_block
 
-    def spy(ids, start, cache, group, weights):
+    def spy(ids, start, cache, group, weights, betas):
         calls.append((ids.shape[0], ids.shape[1], group.x.shape[-2], start, ids[..., -1]))
         if caches is not None:
             caches.append(cache)
-        return kernel(ids, start, cache, group, weights)
+        return kernel(ids, start, cache, group, weights, betas)
 
     monkeypatch.setattr(ao.graphattn, "_decode_block", spy)
     return calls
@@ -1398,10 +1418,11 @@ def test_decode_block_gives_each_set_the_bytes_it_gets_alone(n, q, start):
     runs = []
     for which in ([0, 1, 2], [0], [1], [2]):
         cache = np.zeros((2, cfg.num_layers, len(which), n, start + q, cfg.d_model))
+        betas = np.empty((len(which), n, cfg.num_layers, cfg.num_heads, 30))
         group = _prepare(encoded[which], [graphs[g] for g in which], weights)
         if start:
-            _decode_block(ids[which, :, :start], 0, cache, group, weights)
-        logits, betas = _decode_block(ids[which, :, start:], start, cache, group, weights)
+            _decode_block(ids[which, :, :start], 0, cache, group, weights, betas)
+        logits = _decode_block(ids[which, :, start:], start, cache, group, weights, betas)
         runs.append((logits, betas, cache))
     (logits, betas, cache), alone = runs[0], runs[1:]
     for g, (own_logits, own_betas, own_cache) in enumerate(alone):
@@ -1513,7 +1534,7 @@ def test_reorder_slots_allocates_the_moved_rows_of_one_block(parent_rows, moved)
 def test_generate_sets_memory_is_the_group_state():
     """The tracemalloc peak of two beam-4 sets at the benchmark's shape stays
     within the group's cache, AWD tensor and unit keys plus 1 MiB (measured:
-    0.42 MiB; a whole-cache gather per step measured 1.7-2.1 MiB). The
+    0.28 MiB; a whole-cache gather per step measured 1.7-2.1 MiB). The
     weights are allocated before tracing starts."""
     inputs, graphs, weights = bench_shape_pair()
     cfg = weights.config
@@ -1537,37 +1558,74 @@ def test_generate_sets_memory_is_the_group_state():
 ])
 def test_no_kernel_output_outlives_its_step(monkeypatch, mode, L, T, beam, max_len):
     """At both decoder workloads' shapes, one group of four sets, every
-    earlier ``_decode_block`` call's logits and betas are dead when the next
-    call starts: a step's kernel never runs beside the last step's outputs."""
+    earlier ``_decode_block`` call's logits are dead when the next call
+    starts, and every call writes its betas into a view of the group's one
+    float32 (sets, beam, layers, heads, L) slice buffer: a step's kernel
+    never runs beside the last step's outputs or a second step of slices."""
     inputs, graphs, weights = bench_shape_pair(sets=4, mode=mode, L=L, T=T)
     kernel = ao.graphattn._decode_block
-    outputs = []  # weak references to the logits and betas of every call so far
+    outputs = []  # weak references to the logits of every call so far
+    buffers = []  # the array that each call's betas buffer views
 
-    def spy(ids, start, cache, group, weights):
-        alive = [i // 2 for i, ref in enumerate(outputs) if ref() is not None]
-        assert not alive, f"step {start}: outputs of steps {alive} alive"
-        logits, betas = kernel(ids, start, cache, group, weights)
-        outputs.extend([weakref.ref(logits), weakref.ref(betas)])
-        return logits, betas
+    def spy(ids, start, cache, group, weights, betas):
+        alive = [i for i, ref in enumerate(outputs) if ref() is not None]
+        assert not alive, f"step {start}: logits of steps {alive} alive"
+        logits = kernel(ids, start, cache, group, weights, betas)
+        outputs.append(weakref.ref(logits))
+        buffers.append(betas.base)
+        return logits
 
     monkeypatch.setattr(ao.graphattn, "_decode_block", spy)
     gen = ao.GenerationConfig(beam_size=beam, max_len=max_len)
     results = list(ao.graphattn.generate_sets(inputs, weights, graphs, gen))
-    assert len(outputs) == 2 * max_len
+    assert len(outputs) == max_len
     assert [len(result.beam_trace) for result in results] == [max_len] * 4
+    slices = buffers[0]
+    assert slices.dtype == np.float32 and slices.shape == (4, beam, 8, 8, L)
+    assert all(base is slices for base in buffers)
 
 
-def test_each_beam_step_peaks_at_its_kernel_call(monkeypatch):
-    """At the paragraph workload's shape (4 beam-4 sets, L 30, 32 steps) the
-    tracemalloc peak of each step above the group's fixed state, traced from
-    one kernel call to the next, stays within 1.25 times the kernel call's
-    own peak: its betas and logits and its temporaries, nothing left from
-    the step before. Measured: at most 1.02 times, and 1.56 when a step's
-    outputs and score grid lived on through the next kernel call. The
-    kernel's own peak is about twice its outputs (0.23 MiB of (4, 4, 8, 8,
-    30) float64 betas and (4, 4, V) logits), from graph attention's
-    temporaries, so a bound on the outputs' bytes alone would not hold."""
+def test_decode_block_allocates_no_betas_of_its_own():
+    """The kernel writes each layer's betas straight into the caller's
+    buffer. At d 64, 32 layers, 8 heads and L 30, a one-token call over
+    four sets of four rows peaks below half of one float64 (4, 4, 32, 8,
+    30) betas array, 0.94 MiB, which a kernel building its own betas
+    needs whole (tracemalloc; measured: 0.22 MiB, as at 8 layers)."""
     inputs, graphs, weights = bench_shape_pair(sets=4)
+    cfg = dataclasses.replace(weights.config, num_layers=32)
+    weights = ao.make_synthetic_weights(2, cfg, vocab=weights.vocab)
+    encoded = np.stack([encode_units(inp, weights, graph) for inp, graph in zip(inputs, graphs)])
+    group = _prepare(encoded, graphs, weights)
+    ids = np.random.default_rng(3).integers(4, cfg.vocab_size, size=(4, 4, 6))
+    cache = np.zeros((2, cfg.num_layers, 4, 4, 6, cfg.d_model))
+    slices = np.empty((4, 4, cfg.num_layers, cfg.num_heads, 30), dtype=np.float32)
+    _decode_block(ids[..., :5], 0, cache, group, weights, slices)
+    tracemalloc.start()
+    try:
+        _decode_block(ids[..., 5:], 5, cache, group, weights, slices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < slices.size * 8 / 2, peak
+
+
+@pytest.mark.parametrize("mode, L, T, beam, max_len", [
+    ("paragraph", 30, 60, 4, 32),  # paragraph-beam4
+    ("sentence", 60, 30, 1, 8),  # sentence-greedy
+])
+def test_each_beam_step_peaks_at_its_kernel_call(monkeypatch, mode, L, T, beam, max_len):
+    """At the paragraph and sentence workloads' shapes (4 beam-4 sets, L 30,
+    32 steps; 4 beam-1 sets, L 60, 8 steps) the tracemalloc peak of each
+    step above the group's fixed state, traced from one kernel call to the
+    next, stays within 1.25 times the kernel call's own peak: its logits
+    and its temporaries, nothing left from the step before. Measured: at
+    most 1.04 and 1.02 times; at the paragraph shape 1.56 when a step's
+    outputs and score grid lived on through the next kernel call, and 1.65
+    at step 0 when empty slots were filled from a gathered copy. The
+    kernel's own peak (0.22 and 0.11 MiB) is graph attention's temporaries
+    and the (4, beam, V) logits, so a bound on the outputs' bytes alone
+    would not hold."""
+    inputs, graphs, weights = bench_shape_pair(sets=4, mode=mode, L=L, T=T)
     kernel = ao.graphattn._decode_block
     fixed, steps, kernel_peaks = [], [], []  # kernel_peaks: (above its entry, above fixed)
 
@@ -1585,14 +1643,14 @@ def test_each_beam_step_peaks_at_its_kernel_call(monkeypatch):
         return out
 
     monkeypatch.setattr(ao.graphattn, "_decode_block", spy)
-    gen = ao.GenerationConfig(beam_size=4, max_len=32)
+    gen = ao.GenerationConfig(beam_size=beam, max_len=max_len)
     tracemalloc.start()
     try:
         results = list(ao.graphattn.generate_sets(inputs, weights, graphs, gen))
     finally:
         tracemalloc.stop()
-    assert [len(result.beam_trace) for result in results] == [32] * 4
-    assert len(steps) == 31
+    assert [len(result.beam_trace) for result in results] == [max_len] * 4
+    assert len(steps) == max_len - 1
     ratios = [peak / own for peak, (own, _) in zip(steps, kernel_peaks)]
     assert max(ratios) <= 1.25, ratios
 
