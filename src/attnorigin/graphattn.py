@@ -2,9 +2,12 @@
 
 The decoder attends over encoded textual units with logits shifted by a
 penalty derived from the similarity graph and a predicted central unit.
-One kernel advances the hypotheses of several sets through every layer,
-with causal self-attention over a key/value cache and graph attention
-(every set against its own units and graph, all heads as one batch).
+One kernel advances the hypotheses of several sets by one token per
+hypothesis through every layer, with self-attention over a key/value
+cache of the earlier positions (causal by construction, so no mask)
+and graph attention (every set against its own units and graph, all
+heads as one batch). ``decode_step`` feeds a prefix through the same
+kernel one token at a time.
 Each exported primitive checks its inputs; the kernel runs the same
 maths on arrays built once per lockstep group (all layers' unit keys
 and every graph row's shift, +inf on pad units) and checks its logits
@@ -378,6 +381,14 @@ def encode_units(
 # ``unscaled_attention`` and ``central_paragraph`` run a private core after their
 # checks, which the decoder kernel calls on arrays it prepared once per group.
 
+def _finite(*arrays) -> list[np.ndarray]:
+    """``arrays`` as float64; the public primitives' shared check of their inputs."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("non-finite attention input")
+    return arrays
+
+
 def _attention_logits(y: np.ndarray, w_q: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Core of ``unscaled_attention``: ``keys`` are the units' ``x @ w_k`` (..., L, d_head)."""
     return ((y @ w_q) @ np.swapaxes(keys, -1, -2)) / math.sqrt(w_q.shape[-1])
@@ -393,10 +404,7 @@ def unscaled_attention(
     when ``y`` and the units ``x`` (..., L, d) carry a head axis before
     their last two, e.g. (p, d) or (sets, 1, p, d) against (sets, 1, L, d).
     """
-    y = np.asarray(y, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if not (np.isfinite(y).all() and np.isfinite(x).all()):
-        raise ValueError("non-finite attention input")
+    y, x = _finite(y, x)
     e = _attention_logits(y if y.ndim >= 2 else y[None], w_q, x @ w_k)
     return e if y.ndim >= 2 else e[..., 0, :]
 
@@ -422,7 +430,7 @@ def central_paragraph(
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    y = np.asarray(y, dtype=np.float64)
+    y, = _finite(y)
     s = _central_paragraph(y, ffn, L)
     return s if y.ndim == 2 else int(s.reshape(()))
 
@@ -442,6 +450,7 @@ def graph_shifted_attention(
     (zero graph diagonal) are masked out before the softmax; raises if
     every unit is padded.
     """
+    e, = _finite(e)
     _check_sigma(sigma)
     s = np.asarray(s)
     if ((s < 0) | (s >= graph.size)).any():
@@ -457,12 +466,13 @@ def global_context(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     ``beta`` is one distribution over units (L,) or a stack (..., L)
     against units ``x`` (..., L, d) whose leading axes broadcast with
-    it; every row must sum to 1.
+    it; every row must sum to 1, which a non-finite weight fails.
     """
     beta = np.asarray(beta, dtype=np.float64)
     off = np.abs(beta.sum(axis=-1) - 1.0).max()
     if not off <= 1e-6:
         raise ValueError(f"attention weights sum {off:.3g} away from 1")
+    x, = _finite(x)
     return beta @ x
 
 
@@ -478,8 +488,9 @@ def start_state(
 
 
 class _Group(NamedTuple):
-    """What stays fixed while a lockstep group decodes, built once per group
-    and never copied: an ended set's arrays stay until the group ends.
+    """What stays fixed while a lockstep group decodes one token per
+    hypothesis at a time, built once per group and never copied: an ended
+    set's arrays stay until the group ends.
 
     ``x`` holds the encoded units (sets, 1, L, d), the 1 spanning the
     heads, and ``keys`` each layer's unit keys ``x @ w_k`` (layers, sets,
@@ -513,39 +524,37 @@ def _prepare(encoded: np.ndarray, graphs, weights: DecoderWeights) -> _Group:
 # The kernel's sublayers; the central-unit FFN is the core ``_central_paragraph``.
 
 def _self_attention(
-    h: np.ndarray, layer: int, start: int, cache: np.ndarray, causal: np.ndarray,
-    weights: DecoderWeights,
+    h: np.ndarray, layer: int, start: int, cache: np.ndarray, weights: DecoderWeights
 ) -> np.ndarray:
-    """Causal self-attention of each set's rows ``h`` (G, n * q, d) over the cache.
+    """Self-attention of one token per hypothesis, ``h`` (G, n, d), over the cache.
 
-    Writes the new positions' keys and values into the layer's cache
-    (G, n, steps, d) and returns ``h`` plus the projected attention output.
+    Writes the token's key and value into the layer's cache (G, n, steps,
+    d) at position ``start`` and returns ``h`` plus the projected
+    attention output. The token attends to every cached position, so it
+    needs no mask.
     """
     keys, values = cache[0, layer], cache[1, layer]
-    sets, n = keys.shape[:2]
-    q, end = causal.shape
-    keys[..., start:end, :] = (h @ weights.sa_wk[layer]).reshape(sets, n, q, -1)
-    values[..., start:end, :] = (h @ weights.sa_wv[layer]).reshape(sets, n, q, -1)
-    k, v = keys[..., :end, :], values[..., :end, :]
-    queries = (h @ weights.sa_wq[layer]).reshape(sets, n, q, -1)
-    attn = _softmax(queries @ k.transpose(0, 1, 3, 2) / math.sqrt(weights.config.d_model)
-                    + causal)
+    keys[..., start, :] = h @ weights.sa_wk[layer]
+    values[..., start, :] = h @ weights.sa_wv[layer]
+    k, v = keys[..., :start + 1, :], values[..., :start + 1, :]
+    queries = (h @ weights.sa_wq[layer])[:, :, None]
+    attn = _softmax(queries @ k.transpose(0, 1, 3, 2) / math.sqrt(weights.config.d_model))
     return h + (attn @ v).reshape(h.shape) @ weights.sa_wo[layer]
 
 
 def _graph_attention(
     h: np.ndarray, s: np.ndarray, layer: int, group: _Group, weights: DecoderWeights
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Graph attention of every set's rows ``h`` (G, rows per set, d) against its
-    own units, all heads as one batch.
+    """Graph attention of each hypothesis's token ``h`` (G, hypotheses, d)
+    against its set's own units, all heads as one batch.
 
-    ``s`` holds the rows' central units (G, 1, rows per set). Returns ``h``
+    ``s`` holds the tokens' central units (G, 1, hypotheses). Returns ``h``
     plus the concatenated, projected head contexts, and the betas
-    (G, heads, rows per set, L).
+    (G, heads, hypotheses, L).
     """
     e = _attention_logits(h[:, None], weights.w_q[layer], group.keys[layer])
     beta = _softmax(e - group.shift[s + group.offsets], axis=-1)
-    contexts = np.empty((*h.shape[:2], beta.shape[1], h.shape[-1]))  # (G, rows per set, mh, d)
+    contexts = np.empty((*h.shape[:2], beta.shape[1], h.shape[-1]))  # (G, hypotheses, mh, d)
     np.matmul(beta, group.x, out=contexts.transpose(0, 2, 1, 3))  # the heads side by side
     return h + contexts.reshape(h.shape[0], h.shape[1], -1) @ weights.w_g[layer], beta
 
@@ -563,34 +572,32 @@ def _decode_block(
     ids: np.ndarray, start: int, cache: np.ndarray, group: _Group, weights: DecoderWeights,
     betas: np.ndarray,
 ) -> np.ndarray:
-    """Advance n hypotheses of each of G sets by q tokens ``ids`` (G, n, q)
-    at positions start..start+q-1.
+    """Advance n hypotheses of each of G sets by one token per hypothesis,
+    ``ids`` (G, n), at position ``start``.
 
     ``group`` holds each set's encoded units, unit keys and graph shift
     (``_prepare``). ``cache`` holds the self-attention keys and values,
     (2, layers, G, n, steps, d): positions [:start] of every hypothesis,
-    and it receives the new ones. Each layer runs causal self-attention
-    over the cache, the central-unit FFN, graph attention over every set,
-    row and head, then a position-wise feed-forward, all with residual
-    connections. Writes the last position's betas into ``betas`` (G, n,
-    layers, heads, L), a float64 or float32 buffer the caller owns (a
-    float32 one rounds each value once), and returns its (G, n, V) logits.
-    A non-finite state in any layer makes them non-finite: raises
+    and it receives the new one. Each layer runs self-attention over the
+    cache, the central-unit FFN, graph attention over every set,
+    hypothesis and head, then a position-wise feed-forward, all with
+    residual connections. Writes the betas into ``betas`` (G, n, layers,
+    heads, L), a float64 or float32 buffer the caller owns (a float32 one
+    rounds each value once), and returns the (G, n, V) logits. A
+    non-finite state in any layer makes them non-finite: raises
     ``ValueError(message, g)``, g the first such set.
     """
     cfg = weights.config
-    (sets, n, q), end, L = ids.shape, start + ids.shape[2], group.x.shape[-2]
-    h = (weights.embedding[ids] + weights.pos_encoding[start:end]).reshape(sets, n * q, -1)
-    causal = np.triu(np.full((q, end), -np.inf), k=start + 1)
+    h = weights.embedding[ids] + weights.pos_encoding[start]
     for layer in range(cfg.num_layers):
-        h = _self_attention(h, layer, start, cache, causal, weights)
+        h = _self_attention(h, layer, start, cache, weights)
         ffn = (weights.cp_w1[layer], weights.cp_b1[layer], weights.cp_w2[layer],
                weights.cp_b2[layer])
-        s = _central_paragraph(h, ffn, L).reshape(sets, 1, n * q)
+        s = _central_paragraph(h, ffn, group.x.shape[-2])[:, None]
         h, beta = _graph_attention(h, s, layer, group, weights)
-        betas[:, :, layer] = beta.reshape(sets, -1, n, q, L)[..., -1, :].transpose(0, 2, 1, 3)
+        betas[:, :, layer] = beta.swapaxes(1, 2)
         h = _position_ffn(h, layer, weights)
-    logits = _vocab_projection(h.reshape(sets, n, q, -1)[:, :, -1], weights)
+    logits = _vocab_projection(h, weights)
     finite = np.isfinite(logits).all(axis=(1, 2)) & np.isfinite(betas).all(axis=(1, 2, 3, 4))
     if not finite.all():
         raise ValueError("non-finite decoder state", int(np.argmin(finite)))
@@ -603,17 +610,27 @@ def decode_step(
     """Run the decoder over the prefix; return next-token logits and betas.
 
     The betas are the graph-shifted attention distributions of the last
-    prefix position, shape (num_layers, num_heads, L): one
-    ``_decode_block`` call over the whole prefix with an empty cache.
+    prefix position, shape (num_layers, num_heads, L). A prefix of p
+    tokens makes p ``_decode_block`` calls, one token per hypothesis
+    through a cache, the calls a beam slot makes, so the cost grows with
+    p; on the prefix of a beam-1 search's step the logits are that
+    step's, byte for byte. The prefix must be non-empty, its ids
+    integers in [0, V).
     """
     cfg = weights.config
     p = len(state.prefix_ids)
+    if not p:
+        raise ValueError("prefix must be non-empty")
+    for token in state.prefix_ids:
+        if not (isinstance(token, (int, np.integer)) and 0 <= token < cfg.vocab_size):
+            raise ValueError(f"prefix id {token!r} is not an integer in [0, {cfg.vocab_size})")
     if p - 1 >= cfg.max_len:
         raise ValueError(f"decoded length {p - 1} reached max_len {cfg.max_len}")
     cache = np.empty((2, cfg.num_layers, 1, 1, p, cfg.d_model))
     betas = np.empty((1, 1, cfg.num_layers, cfg.num_heads, state.encoded.shape[0]))
-    logits = _decode_block(np.array([[state.prefix_ids]]), 0, cache,
-                           _prepare(state.encoded[None], [graph], weights), weights, betas)
+    group = _prepare(state.encoded[None], [graph], weights)
+    for start, token in enumerate(state.prefix_ids):
+        logits = _decode_block(np.array([[token]]), start, cache, group, weights, betas)
     return logits[0, 0], betas[0, 0]
 
 
@@ -712,10 +729,11 @@ def generate_sets(
     units are its pad units (``_check_units``, which ``encode_units``
     shares). A set's fault raises ``ValueError(message, i)``, i its
     position (``VocabularyError`` for a token). Results equal decoding
-    each set alone byte for byte: the kernel keeps each set's rows apart,
-    (sets, rows, d), so every weight product is a stacked one that runs
-    at the shape a set alone has (batch invariance; H. He and Thinking
-    Machines Lab, "Defeating Nondeterminism in LLM Inference", 2025).
+    each set alone byte for byte: the kernel keeps each set's hypotheses
+    apart, (sets, hypotheses, d), so every weight product is a stacked
+    one that runs at the shape a set alone has (batch invariance; H. He
+    and Thinking Machines Lab, "Defeating Nondeterminism in LLM
+    Inference", 2025).
 
     ``recorder(i, dims)`` gives the context manager of the recorder of the
     set at position i, dims (beam_size, max_steps, layers, heads, L). A
@@ -825,7 +843,7 @@ def _beam_search(
         fg, fj = np.nonzero(valid & finished)
         carried = now[fg, traces[fg, step - 1, fj]]  # read before the kernel overwrites them
         try:  # a finished or empty slot's slices are replaced below
-            logits = _decode_block(seqs[:, :n, step, None], step, cache[:, :, :, :n], group,
+            logits = _decode_block(seqs[:, :n, step], step, cache[:, :, :, :n], group,
                                    weights, now[:, :n])
         except ValueError as exc:  # the kernel names the set by its row
             raise ValueError(exc.args[0], first + exc.args[1]) from None

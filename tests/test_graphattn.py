@@ -434,6 +434,30 @@ def test_global_context_rejects_non_simplex():
         ao.global_context(np.array([[0.5, 0.5], [np.nan, 1.0]]), np.zeros((2, 3)))
 
 
+def nan_at(shape, index=0):
+    a = np.zeros(shape)
+    a.flat[index] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ao.unscaled_attention(np.ones(2), nan_at((3, 2), 4), np.eye(2), np.eye(2)),
+    lambda: ao.central_paragraph(nan_at(4, 2), zero_ffn(4), 5),
+    lambda: ao.central_paragraph(nan_at((2, 4), 5), zero_ffn(4), 5),
+    lambda: ao.graph_shifted_attention(nan_at(3, 1), identity_graph(3), 0, 1.0),
+    lambda: ao.global_context(np.full(3, 1 / 3), nan_at((3, 2), 3)),
+], ids=["unscaled-attention-units", "central-paragraph-state", "central-paragraph-stack",
+        "graph-shifted-attention-logits", "global-context-units"])
+def test_public_primitives_reject_nonfinite_input(call):
+    """Every public primitive raises the one message on a NaN input before
+    numpy warns of it or an index, a NaN row or a NaN context comes out."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            call()
+    assert str(exc.value) == "non-finite attention input"
+
+
 # ---------------------------------------------------------------------------
 # decode_step
 # ---------------------------------------------------------------------------
@@ -544,14 +568,17 @@ def test_decode_step_single_layer_head_composes_primitives(two_doc_input):
 def test_decode_block_at_bench_shape(shift_form):
     """The kernel at d=64, 8 layers, 8 heads and L=30 with pads.
 
-    decode_step (one block over the whole prefix) matches the full-prefix
-    reference within 1e-12 at prefix lengths 1-32, and its float64 logits
-    and betas equal the byte oracle ``reference_decode_block``'s. Two sets
-    of two rows advanced together, as one 5-token block and then one token
-    per call through the cache, match decode_step on each row's own prefix
-    and set within 1e-10. The same calls writing into a float32 betas
-    buffer give the same logits and cache and the float64 betas rounded
-    once to float32, bit for bit.
+    decode_step (one kernel call per prefix token through the cache)
+    matches the full-prefix reference within 1e-11 at prefix lengths
+    1-32, and its float64 logits and betas equal the byte oracle
+    ``reference_decode_block``'s, fed the same tokens one call at a time.
+    Two sets of one hypothesis each advanced together, one token per call
+    through the cache, equal decode_step on each hypothesis's own prefix
+    and set byte for byte. With two hypotheses per set they match it
+    within 1e-10 (measured: 9.8e-12): each weight product then runs over
+    two rows, which BLAS rounds differently from decode_step's one. The
+    same calls writing into a float32 betas buffer give the same logits
+    and cache and the float64 betas rounded once to float32, bit for bit.
     """
     rng = np.random.default_rng(30)
     inputs = [random_unitized(rng, num_docs=4, paras_per_doc=5, words=12, L=30, T=60,
@@ -567,35 +594,41 @@ def test_decode_block_at_bench_shape(shift_form):
     rows = np.concatenate([np.full((2, 2, 1), weights.bos_id),
                            rng.integers(2, len(vocab), size=(2, 2, cfg.max_len - 1))], axis=2)
     state = states[0]
+    oracle_cache = np.empty((2, cfg.num_layers, 1, 1, cfg.max_len, cfg.d_model))
     for p in range(1, cfg.max_len + 1):
         state.prefix_ids = rows[0, 0, :p].tolist()
         logits, betas = decode_step(state, weights, graphs[0])
         ref_logits, ref_betas = reference_decode_step(state, weights, graphs[0])
-        assert np.max(np.abs(logits - ref_logits)) <= 1e-12, p
-        assert np.max(np.abs(betas - ref_betas)) <= 1e-12, p
-        oracle = reference_decode_block(np.array([[state.prefix_ids]]), 0,
-                                        np.empty((2, cfg.num_layers, 1, 1, p, cfg.d_model)),
+        assert np.max(np.abs(logits - ref_logits)) <= 1e-11, p
+        assert np.max(np.abs(betas - ref_betas)) <= 1e-11, p
+        oracle = reference_decode_block(rows[:1, :1, p - 1], p - 1, oracle_cache,
                                         state.encoded[None], weights, graphs[:1])
         assert logits.tobytes() == oracle[0][0, 0].tobytes(), p
         assert betas.dtype == np.float64 and betas.tobytes() == oracle[1][0, 0].tobytes(), p
 
-    cache = np.empty((2, cfg.num_layers, 2, 2, cfg.max_len, cfg.d_model))
-    cache32 = np.empty_like(cache)
     group = _prepare(np.stack([state.encoded for state in states]), graphs, weights)
-    betas = np.empty((2, 2, cfg.num_layers, cfg.num_heads, 30))
-    betas32 = np.empty(betas.shape, dtype=np.float32)
-    blocks = [(0, 5)] + [(p, p + 1) for p in range(5, cfg.max_len)]
-    for start, end in blocks:
-        logits = _decode_block(rows[:, :, start:end], start, cache, group, weights, betas)
-        logits32 = _decode_block(rows[:, :, start:end], start, cache32, group, weights, betas32)
-        assert logits32.tobytes() == logits.tobytes(), end
-        assert betas32.tobytes() == betas.astype(np.float32).tobytes(), end
-        assert cache32[..., :end, :].tobytes() == cache[..., :end, :].tobytes(), end
-        for g, row in itertools.product(range(2), range(2)):
-            states[g].prefix_ids = rows[g, row, :end].tolist()
-            want_logits, want_betas = decode_step(states[g], weights, graphs[g])
-            assert np.max(np.abs(logits[g, row] - want_logits)) <= 1e-10, (end, g, row)
-            assert np.max(np.abs(betas[g, row] - want_betas)) <= 1e-10, (end, g, row)
+    for n in (1, 2):
+        cache = np.empty((2, cfg.num_layers, 2, n, cfg.max_len, cfg.d_model))
+        cache32 = np.empty_like(cache)
+        betas = np.empty((2, n, cfg.num_layers, cfg.num_heads, 30))
+        betas32 = np.empty(betas.shape, dtype=np.float32)
+        for start in range(cfg.max_len):
+            end = start + 1
+            logits = _decode_block(rows[:, :n, start], start, cache, group, weights, betas)
+            logits32 = _decode_block(rows[:, :n, start], start, cache32, group, weights,
+                                     betas32)
+            assert logits32.tobytes() == logits.tobytes(), (n, end)
+            assert betas32.tobytes() == betas.astype(np.float32).tobytes(), (n, end)
+            assert cache32[..., :end, :].tobytes() == cache[..., :end, :].tobytes(), (n, end)
+            for g, row in itertools.product(range(2), range(n)):
+                states[g].prefix_ids = rows[g, row, :end].tolist()
+                want_logits, want_betas = decode_step(states[g], weights, graphs[g])
+                if n == 1:
+                    assert logits[g, row].tobytes() == want_logits.tobytes(), (end, g)
+                    assert betas[g, row].tobytes() == want_betas.tobytes(), (end, g)
+                else:
+                    assert np.max(np.abs(logits[g, row] - want_logits)) <= 1e-10, (end, g, row)
+                    assert np.max(np.abs(betas[g, row] - want_betas)) <= 1e-10, (end, g, row)
 
 
 # ---------------------------------------------------------------------------
@@ -605,42 +638,43 @@ def test_decode_block_at_bench_shape(shift_form):
 def reference_decode_block(ids, start, cache, x, weights, graphs):
     """The kernel as the four public primitives, checks included: the byte oracle.
 
-    ``x`` holds each set's encoded units (G, L, d) and ``graphs`` each
-    set's graph; graph attention runs set by set on that set's own graph,
-    and the unit keys and graph shifts are recomputed at every layer of
-    every call. The states are (G, n * q, d), so every weight product
-    runs set by set at the shape a set decoded alone has, and the
-    central-unit FFN takes one set's (n * q, d) rows at a time.
+    ``ids`` (G, n) holds one token per hypothesis at position ``start``,
+    and ``cache`` the keys and values of positions [:start]. ``x`` holds
+    each set's encoded units (G, L, d) and ``graphs`` each set's graph;
+    graph attention runs set by set on that set's own graph, and the unit
+    keys and graph shifts are recomputed at every layer of every call.
+    The states are (G, n, d), so every weight product runs set by set at
+    the shape a set decoded alone has, and the central-unit FFN takes one
+    set's (n, d) rows at a time.
     """
     cfg = weights.config
-    (sets, n, q), end, L = ids.shape, start + ids.shape[2], x.shape[1]
-    h = (weights.embedding[ids] + weights.pos_encoding[start:end]).reshape(sets, n * q, -1)
-    causal = np.triu(np.full((q, end), -np.inf), k=start + 1)
+    (sets, n), end, L = ids.shape, start + 1, x.shape[1]
+    h = weights.embedding[ids] + weights.pos_encoding[start]
     betas = np.empty((sets, n, cfg.num_layers, cfg.num_heads, L))
     keys, values = cache
     x = x[:, None]  # a head axis: (G, 1, L, d)
     for layer in range(cfg.num_layers):
-        keys[layer, ..., start:end, :] = (h @ weights.sa_wk[layer]).reshape(sets, n, q, -1)
-        values[layer, ..., start:end, :] = (h @ weights.sa_wv[layer]).reshape(sets, n, q, -1)
+        keys[layer, ..., start, :] = h @ weights.sa_wk[layer]
+        values[layer, ..., start, :] = h @ weights.sa_wv[layer]
         k, v = keys[layer, ..., :end, :], values[layer, ..., :end, :]
-        queries = (h @ weights.sa_wq[layer]).reshape(sets, n, q, -1)
-        attn = _softmax(queries @ k.transpose(0, 1, 3, 2) / math.sqrt(cfg.d_model) + causal)
+        queries = (h @ weights.sa_wq[layer]).reshape(sets, n, 1, -1)
+        attn = _softmax(queries @ k.transpose(0, 1, 3, 2) / math.sqrt(cfg.d_model))
         h = h + (attn @ v).reshape(h.shape) @ weights.sa_wo[layer]
 
         ffn = (weights.cp_w1[layer], weights.cp_b1[layer], weights.cp_w2[layer],
                weights.cp_b2[layer])
         s = np.stack([ao.central_paragraph(rows, ffn, L) for rows in h])[:, None]
         e = ao.unscaled_attention(h[:, None], x, weights.w_q[layer],
-                                  weights.w_k[layer])  # (G, mh, n * q, L)
+                                  weights.w_k[layer])  # (G, mh, n, L)
         beta = np.stack([ao.graph_shifted_attention(e[g], graphs[g], s[g, 0], cfg.sigma,
                                                     cfg.shift_form) for g in range(sets)])
-        betas[:, :, layer] = beta.reshape(sets, -1, n, q, L)[..., -1, :].transpose(0, 2, 1, 3)
-        contexts = ao.global_context(beta, x)  # (G, mh, n * q, d)
-        h = h + contexts.transpose(0, 2, 1, 3).reshape(sets, n * q, -1) @ weights.w_g[layer]
+        betas[:, :, layer] = beta.transpose(0, 2, 1, 3)
+        contexts = ao.global_context(beta, x)  # (G, mh, n, d)
+        h = h + contexts.transpose(0, 2, 1, 3).reshape(sets, n, -1) @ weights.w_g[layer]
 
         inner = np.maximum(h @ weights.ff_w1[layer] + weights.ff_b1[layer], 0.0)
         h = h + inner @ weights.ff_w2[layer] + weights.ff_b2[layer]
-    return h.reshape(sets, n, q, -1)[:, :, -1] @ weights.w_out, betas
+    return h @ weights.w_out, betas
 
 
 def reference_kernel(encoded, graphs):
@@ -790,7 +824,7 @@ def test_decode_block_rejects_nonfinite_units(monkeypatch):
                          num_units=6, max_len=4)
     weights = ao.make_synthetic_weights(2, cfg, vocab=vocab)
     encoded = np.stack([encode_units(inp, weights, g) for inp, g in zip(inputs, graphs)])
-    ids = np.full((2, 1, 1), weights.bos_id)
+    ids = np.full((2, 1), weights.bos_id)
     cache = np.empty((2, weights.config.num_layers, 2, 1, 1, weights.config.d_model))
     betas = np.empty((2, 1, cfg.num_layers, cfg.num_heads, 6))
     _decode_block(ids, 0, cache, _prepare(encoded, graphs, weights), weights, betas)
@@ -803,6 +837,53 @@ def test_decode_block_rejects_nonfinite_units(monkeypatch):
                                                             np.inf))
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
         next(ao.graphattn.generate_sets(inputs, weights, graphs))
+
+
+@pytest.mark.parametrize("prefix, message", [
+    ([], "prefix must be non-empty"),
+    ([-1], "prefix id -1 is not an integer in [0, V)"),
+    (["bos", "V"], "prefix id V is not an integer in [0, V)"),
+    (["bos", 2.0], "prefix id 2.0 is not an integer in [0, V)"),
+], ids=["empty", "negative", "past-vocab", "float"])
+def test_decode_step_rejects_a_bad_prefix(two_doc_input, prefix, message):
+    inp, graph = two_doc_input
+    weights = small_weights(inp)
+    V = weights.config.vocab_size
+    state = start_state(inp, weights, graph)
+    state.prefix_ids = [{"bos": weights.bos_id, "V": V}.get(t, t) for t in prefix]
+    with pytest.raises(ValueError) as exc:
+        decode_step(state, weights, graph)
+    assert str(exc.value) == message.replace("V", str(V))
+
+
+def test_decode_step_is_a_beam_slot_byte_for_byte(monkeypatch):
+    """At the benchmark's shape (d 64, 8 layers, 8 heads, L 30, 32 steps) a
+    beam-1 search's kernel logits at every step equal ``decode_step``'s on
+    that step's prefix byte for byte, and its recorded float32 slices are
+    ``decode_step``'s betas cast once: the public step and the beam run
+    one path."""
+    (inp,), (graph,), weights = bench_shape_pair(sets=1)
+    calls = []
+    kernel = ao.graphattn._decode_block
+
+    def spy(ids, start, cache, group, weights, betas):
+        logits = kernel(ids, start, cache, group, weights, betas)
+        calls.append((start, ids.copy(), logits.copy()))
+        return logits
+
+    monkeypatch.setattr(ao.graphattn, "_decode_block", spy)
+    result = ao.generate_with_beam(inp, weights, graph, ao.GenerationConfig(beam_size=1))
+    monkeypatch.undo()
+    prefix = [weights.bos_id] + result.tokens
+    assert [start for start, *_ in calls] == list(range(32))
+    state = start_state(inp, weights, graph)
+    for step, (_, ids, logits) in enumerate(calls):
+        state.prefix_ids = prefix[:step + 1]
+        want_logits, want_betas = decode_step(state, weights, graph)
+        assert logits[0, 0].tobytes() == want_logits.tobytes(), step
+        assert (result.awd.values[0, step].tobytes()
+                == want_betas.astype(np.float32).tobytes()), step
+        assert ids.ravel().tolist() == [prefix[step]], step
 
 
 def test_decode_step_deterministic(two_doc_input):
@@ -1209,13 +1290,13 @@ def test_beam_requires_eos_in_vocab(two_doc_input):
 # ---------------------------------------------------------------------------
 
 def spy_on_kernel(monkeypatch, caches=None):
-    """Record (sets, rows per set, L, start, last token of each row) of every
-    ``_decode_block`` call, and its cache into ``caches`` if given."""
+    """Record (sets, hypotheses per set, L, start, token of each hypothesis) of
+    every ``_decode_block`` call, and its cache into ``caches`` if given."""
     calls = []
     kernel = ao.graphattn._decode_block
 
     def spy(ids, start, cache, group, weights, betas):
-        calls.append((ids.shape[0], ids.shape[1], group.x.shape[-2], start, ids[..., -1]))
+        calls.append((ids.shape[0], ids.shape[1], group.x.shape[-2], start, ids.copy()))
         if caches is not None:
             caches.append(cache)
         return kernel(ids, start, cache, group, weights, betas)
@@ -1402,9 +1483,9 @@ def test_beam_four_pairs_two_sets_per_call(monkeypatch):
         assert result.awd.values.tobytes() == alone.awd.values.tobytes(), i
 
 
-@pytest.mark.parametrize("n, q, start", [(1, 1, 0), (4, 1, 0), (1, 3, 0), (4, 1, 5)],
-                         ids=["bos-one-row", "bos-four-rows", "block", "later-step"])
-def test_decode_block_gives_each_set_the_bytes_it_gets_alone(n, q, start):
+@pytest.mark.parametrize("n, start", [(1, 0), (4, 0), (4, 5)],
+                         ids=["bos-one-row", "bos-four-rows", "later-step"])
+def test_decode_block_gives_each_set_the_bytes_it_gets_alone(n, start):
     """Batch invariance: a set's logits, betas and cache rows from one
     ``_decode_block`` call over three sets equal its own call's byte for
     byte, also with one row per set, where a single 2-D product over every
@@ -1413,16 +1494,16 @@ def test_decode_block_gives_each_set_the_bytes_it_gets_alone(n, q, start):
     cfg = weights.config
     encoded = np.stack([encode_units(inp, weights, graph) for inp, graph in zip(inputs, graphs)])
     rng = np.random.default_rng(5)
-    ids = rng.integers(4, cfg.vocab_size, size=(3, n, start + q))
+    ids = rng.integers(4, cfg.vocab_size, size=(3, n, start + 1))
     ids[..., 0] = weights.bos_id
     runs = []
     for which in ([0, 1, 2], [0], [1], [2]):
-        cache = np.zeros((2, cfg.num_layers, len(which), n, start + q, cfg.d_model))
+        cache = np.zeros((2, cfg.num_layers, len(which), n, start + 1, cfg.d_model))
         betas = np.empty((len(which), n, cfg.num_layers, cfg.num_heads, 30))
         group = _prepare(encoded[which], [graphs[g] for g in which], weights)
-        if start:
-            _decode_block(ids[which, :, :start], 0, cache, group, weights, betas)
-        logits = _decode_block(ids[which, :, start:], start, cache, group, weights, betas)
+        for position in range(start + 1):
+            logits = _decode_block(ids[which, :, position], position, cache, group, weights,
+                                   betas)
         runs.append((logits, betas, cache))
     (logits, betas, cache), alone = runs[0], runs[1:]
     for g, (own_logits, own_betas, own_cache) in enumerate(alone):
@@ -1599,10 +1680,11 @@ def test_decode_block_allocates_no_betas_of_its_own():
     ids = np.random.default_rng(3).integers(4, cfg.vocab_size, size=(4, 4, 6))
     cache = np.zeros((2, cfg.num_layers, 4, 4, 6, cfg.d_model))
     slices = np.empty((4, 4, cfg.num_layers, cfg.num_heads, 30), dtype=np.float32)
-    _decode_block(ids[..., :5], 0, cache, group, weights, slices)
+    for position in range(5):
+        _decode_block(ids[..., position], position, cache, group, weights, slices)
     tracemalloc.start()
     try:
-        _decode_block(ids[..., 5:], 5, cache, group, weights, slices)
+        _decode_block(ids[..., 5], 5, cache, group, weights, slices)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
