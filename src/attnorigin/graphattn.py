@@ -12,15 +12,16 @@ Each exported primitive checks its inputs; the kernel runs the same
 maths on arrays built once per lockstep group (all layers' unit keys
 and every graph row's shift, +inf on pad units) and checks its logits
 and betas once per call. Beam search runs consecutive sets of a file in
-lockstep groups of at most GROUP_SETS sets whose key/value caches fit
-GROUP_BYTES, or one set when its beam alone does not, and between steps
-gives each slot its parent's cache in place, reading the parent from
-the beam trace; a set whose beams have all finished rides along until
-its group ends. Every step records the resulting attention distribution
-(one probability vector over units per layer and head) of every beam
-slot, and hands each set's slices to that set's recorder, beside the
-trace. The recorders come from ``awd``, which owns the recorded tensor;
-a group keeps one step of slices, which the kernel writes its betas into.
+lockstep groups of at most GROUP_SETS (8) sets whose key/value caches
+fit GROUP_BYTES, or one set when its beam alone does not, one kernel
+call per group and step, and between steps gives each slot its parent's
+cache in place, reading the parent from the beam trace; a set whose
+beams have all finished rides along until its group ends. Every step
+records the resulting attention distribution (one probability vector
+over units per layer and head) of every beam slot, and hands each set's
+slices to that set's recorder, beside the trace. The recorders come from
+``awd``, which owns the recorded tensor; a group keeps one step of
+slices, which the kernel writes its betas into.
 
 There is no training loop; weights are loaded from files or built
 synthetically (random, or a "concentrator" construction whose attention
@@ -356,6 +357,13 @@ def encode_units(
     ``generate_sets`` checks it (``_check_units``).
     """
     _check_units(inp, weights, graph)
+    return _encode_units(inp, weights, graph)
+
+
+def _encode_units(
+    inp: UnitizedInput, weights: DecoderWeights, graph: SimilarityGraph
+) -> np.ndarray:
+    """Core of ``encode_units``, for sets ``generate_sets`` has checked."""
     cfg = weights.config
     L = inp.L
     unit_pad = inp.unit_pad
@@ -378,8 +386,9 @@ def encode_units(
     return x
 
 
-# ``unscaled_attention`` and ``central_paragraph`` run a private core after their
-# checks, which the decoder kernel calls on arrays it prepared once per group.
+# ``encode_units``, ``unscaled_attention`` and ``central_paragraph`` run a private
+# core after their checks, which the beam search and its kernel call on sets
+# ``generate_sets`` checked and arrays prepared once per group.
 
 def _finite(*arrays) -> list[np.ndarray]:
     """``arrays`` as float64; the public primitives' shared check of their inputs."""
@@ -649,19 +658,24 @@ def decode_step(
 # next kernel call. What a recorder keeps is not counted: the default one's
 # tensors are the results the caller receives.
 # At d_model 64, 8 layers and 32 steps a hypothesis's cache takes 256 KiB:
-# 16 hypotheses, 4 beam-4 sets, per group. GROUP_SETS bounds what each set
-# holds beside its caches, which the budget does not count: its unit keys,
-# 8 * layers * L * d_model bytes (240 KiB at L 60), its graph shift rows,
-# 8 * L**2, its encoded units, one step of slices and one step's logits
-# and score grid. At L 30 and beam 4 the 4 MiB of caches make 4.7 MiB of
-# fixed state, 0.12 MiB of it the slices; at 770 tokens one step's logits
-# are 0.09 MiB, and a step peaks 0.22 MiB above its start in its kernel
-# call and 0.44 MiB in its scoring. At 8 layers, L 60, d_model 64, beam 1
-# and 8 steps the budget alone admits 64 sets; over 24 sets, peak RSS was
-# 49.2 MiB at GROUP_SETS 4, 51.5 at 8, 54.2 at 12 and 60.8 at 64 (2-core
-# machine, numpy 2.4).
+# 16 hypotheses, 4 beam-4 sets, per group. At L 30 and beam 4 the 4 MiB of
+# caches make 4.7 MiB of fixed state, 0.12 MiB of it the slices; at 770
+# tokens one step's logits are 0.09 MiB, and a step peaks 0.22 MiB above
+# its start in its kernel call and 0.44 MiB in its scoring.
+# GROUP_SETS trades memory for kernel calls: each call pays numpy's fixed
+# dispatch cost once for its whole group, and each set in flight holds
+# what the budget does not count. At 8 layers, L 60, d_model 64, beam 1
+# and 8 steps, where the budget alone admits 64 sets, that is about
+# 0.45 MiB a set: unit keys, 8 * layers * L * d_model bytes (240 KiB), the
+# caches (64 KiB), graph shift rows, 8 * L**2 bytes (28 KiB), encoded units
+# (30 KiB), one step of slices (15 KiB) and step temporaries. Over 24 such
+# sets GROUP_SETS 8 makes 24 kernel calls where 4 made 48: a whole
+# pipeline's peak RSS rose from 48.6 to 50.5 MiB and a warm generate fell
+# from about 138 to 115 ms.
+# At 12, 16 calls, it peaked at 52.7 MiB, 8% above 4, for 3-6% less time
+# than 8 (2-core machine, numpy 2.4, one BLAS thread).
 GROUP_BYTES = 4 << 20
-GROUP_SETS = 4
+GROUP_SETS = 8
 
 
 def _group_size(cfg: ModelConfig, beam_size: int, max_steps: int) -> int:
@@ -721,19 +735,21 @@ def generate_sets(
 
     Yields one ``GenerationResult`` per set, in input order, one lockstep
     group at a time: consecutive sets with the same unit count L, at most
-    ``_group_size`` of them, whichever the recorder. Before anything is
-    decoded, it checks the options, that the vocabulary holds the four
-    special tokens, and then each set in turn: it has at least one unit,
-    its unit tokens are in the vocabulary, its real units fit the model's
-    positions, its graph has its size, and the graph's zero-diagonal
-    units are its pad units (``_check_units``, which ``encode_units``
-    shares). A set's fault raises ``ValueError(message, i)``, i its
-    position (``VocabularyError`` for a token). Results equal decoding
-    each set alone byte for byte: the kernel keeps each set's hypotheses
-    apart, (sets, hypotheses, d), so every weight product is a stacked
-    one that runs at the shape a set alone has (batch invariance; H. He
-    and Thinking Machines Lab, "Defeating Nondeterminism in LLM
-    Inference", 2025).
+    ``_group_size`` of them, whichever the recorder (four beam-4 sets of
+    32 steps, or eight beam-1 sets of 8 steps, at d_model 64 and 8
+    layers). Before anything is decoded, it checks the options, that the
+    vocabulary holds the four special tokens, and then each set in turn,
+    once: it has at least one unit, its unit tokens are in the
+    vocabulary, its real units fit the model's positions, its graph has
+    its size, and the graph's zero-diagonal units are its pad units
+    (``_check_units``, which ``encode_units`` shares; the beam search
+    encodes the checked sets through its core). A set's fault raises
+    ``ValueError(message, i)``, i its position (``VocabularyError`` for
+    a token). Results equal decoding each set alone byte for byte: the
+    kernel keeps each set's hypotheses apart, (sets, hypotheses, d), so
+    every weight product is a stacked one that runs at the shape a set
+    alone has (batch invariance; H. He and Thinking Machines Lab,
+    "Defeating Nondeterminism in LLM Inference", 2025).
 
     ``recorder(i, dims)`` gives the context manager of the recorder of the
     set at position i, dims (beam_size, max_steps, layers, heads, L). A
@@ -817,7 +833,7 @@ def _beam_search(
     cfg = weights.config
     banned_cols = [1 + weights.pad_id, 1 + weights.bos_id]
     G, bs, V = len(inputs), gen.beam_size, cfg.vocab_size
-    encoded = np.stack([encode_units(inp, weights, graph) for inp, graph in zip(inputs, graphs)])
+    encoded = np.stack([_encode_units(inp, weights, graph) for inp, graph in zip(inputs, graphs)])
     group = _prepare(encoded, graphs, weights)
     # Self-attention keys and values by set and slot (zeros: an empty slot stays finite).
     cache = np.zeros((2, cfg.num_layers, G, bs, max_steps, cfg.d_model))

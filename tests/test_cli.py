@@ -46,10 +46,10 @@ GEN_FLAGS = [
 ]
 
 
-def graphs_only(root):
-    """Preprocess and graph the two-set corpus; return the unitized path."""
+def graphs_only(root, num_sets=2):
+    """Preprocess and graph the two-set (or ``num_sets``) corpus; return the unitized path."""
     corpus = root / "corpus.jsonl"
-    write_corpus(corpus)
+    write_corpus(corpus, num_sets)
     units = root / "units.jsonl"
     assert main(["preprocess", "--corpus", str(corpus), "--out", str(units),
                  "--units", "6", "--tokens", "10"]) == 0
@@ -506,26 +506,38 @@ def test_generate_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.splitlines() == [f"error: out of memory: {message}"]
 
 
-@pytest.mark.parametrize("scaled, flags, set_id, alone", [
-    ("all", ["--beam-size", "4"], "set0", False),
-    ("set1", ["--beam-size", "2"], "set1", False),  # both sets in one kernel call: set1's is row 1
+@pytest.mark.parametrize("scaled, flags, set_id, alone, sets", [
+    ("all", ["--beam-size", "4"], "set0", False, 2),
+    ("set1", ["--beam-size", "2"], "set1", False, 2),  # both sets in one kernel call: row 1
     # set1's own group, after set0's files: one step, so set0 never feeds set1's tokens back
-    ("set1", ["--beam-size", "4", "--max-len", "1"], "set1", True),
-], ids=["all-flags0-set0", "set1-flags1-set1", "set1-flags2-set1"])
+    ("set1", ["--beam-size", "4", "--max-len", "1"], "set1", True, 2),
+    # eight beam-1 sets in one kernel call: rows 4 and 7, past a group of four
+    ("set4", ["--beam-size", "1"], "set4", False, 8),
+    ("set7", ["--beam-size", "1"], "set7", False, 8),
+], ids=["all-flags0-set0", "set1-flags1-set1", "set1-flags2-set1", "set4-of-8", "set7-of-8"])
 def test_generate_names_the_set_whose_decoder_state_overflows(tmp_path, capsys, monkeypatch,
-                                                              scaled, flags, set_id, alone):
+                                                              scaled, flags, set_id, alone,
+                                                              sets):
     """Finite weights whose products overflow give one error line naming the
     set, no numpy warnings, and leave numpy's error state as it was. The
     failing group leaves no tensor file, whole or temporary; the groups
     before it keep theirs. ``alone`` puts each set in its own group (a
-    1-byte group budget); otherwise both sets share one."""
+    1-byte group budget); otherwise all ``sets`` share one, and the kernel
+    names the set by its row."""
     if alone:
         monkeypatch.setattr(ao.graphattn, "GROUP_BYTES", 1)
-    units = graphs_only(tmp_path)
+    units = graphs_only(tmp_path, sets)
     records = ao.read_unitized(units)
     weights = ao.read_weights(small_weights_file(tmp_path, records))
+    if not alone:  # one group holds every set, at the weights' 8 steps
+        assert ao.graphattn._group_size(weights.config, int(flags[1]), 8) >= sets
     tokens = [{t for u in r.unitized.units for t in u.tokens} for r in records]
-    rows = slice(None) if scaled == "all" else [weights.token_id(t) for t in tokens[1] - tokens[0]]
+    if scaled == "all":
+        rows = slice(None)
+    else:
+        bad = int(scaled.removeprefix("set"))
+        others = set().union(*(tokens[:bad] + tokens[bad + 1:]))
+        rows = [weights.token_id(t) for t in tokens[bad] - others]
     weights.embedding[rows] *= 1e200
     wpath = tmp_path / "overflow.json"
     ao.write_weights(weights, wpath)

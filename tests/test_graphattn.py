@@ -832,7 +832,7 @@ def test_decode_block_rejects_nonfinite_units(monkeypatch):
     # numpy flags the invalid arithmetic on the way; the kernel's error is the one that counts
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
         _decode_block(ids, 0, cache, _prepare(encoded, graphs, weights), weights, betas)
-    monkeypatch.setattr(ao.graphattn, "encode_units",
+    monkeypatch.setattr(ao.graphattn, "_encode_units",
                         lambda inp, weights, graph: np.full((inp.L, weights.config.d_model),
                                                             np.inf))
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
@@ -1342,10 +1342,10 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
 
     Tokens, traces and winners are exact, scores within 1e-12 and AWD
     bytes equal. GROUP_BYTES is set to eight hypotheses' key/value caches,
-    so at beam sizes 1-5 the groups hold min(4, max(1, GROUP_BYTES //
-    (beam * cache bytes))) = 4, 4, 2, 2 and 1 consecutive sets of one L; a
-    group of four cuts the six 6-unit sets at four and the change to 7
-    units splits a group.
+    so at beam sizes 1-5 the groups hold min(GROUP_SETS, max(1, GROUP_BYTES
+    // (beam * cache bytes))) = 8, 4, 2, 2 and 1 consecutive sets of one L
+    (at GROUP_SETS 8); a group of four cuts the six 6-unit sets at four and
+    the change to 7 units splits a group.
     Scaled-up output weights end some sets early with <eos> while the rest
     of their group runs on. An ended set rides along to its group's end:
     every call of a group carries all its sets and writes into the cache
@@ -1396,14 +1396,14 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
             assert result.awd.values.tobytes() == want.awd.values.tobytes(), (beam, i)
         assert all(sets * rows * hypothesis <= max(budget, beam * hypothesis)
                    for sets, rows, *_ in calls)
-        assert max(sets for sets, *_ in calls) <= 4
+        assert max(sets for sets, *_ in calls) <= ao.graphattn.GROUP_SETS
         assert [rows for _, rows, _, start, _ in calls] == [
             1 if start == 0 else beam for _, _, _, start, _ in calls], beam
         carried += sum(sets > 1 and np.isin(last, [weights.eos_id, -1]).any()
                        for sets, _, _, _, last in calls)
         sizes = [sets for sets, _, _, start, _ in calls if start == 0]
-        size = [4, 4, 2, 2, 1][beam - 1]
-        assert size == min(4, max(1, budget // (beam * hypothesis)))
+        size = min(ao.graphattn.GROUP_SETS, [8, 4, 2, 2, 1][beam - 1])
+        assert size == min(ao.graphattn.GROUP_SETS, max(1, budget // (beam * hypothesis)))
         want_sizes = []
         for run in runs:
             want_sizes += [min(size, run - i) for i in range(0, run, size)]
@@ -1420,19 +1420,27 @@ def test_lockstep_sets_match_the_reference_set_by_set(monkeypatch):
 def test_group_size_keeps_the_hypotheses_state_within_the_byte_budget():
     """At d_model 64, 8 layers and 32 steps a hypothesis holds a 256 KiB
     key/value cache: four beam-4 sets fit the 4 MiB budget, whatever the
-    recorder. Fewer steps give more hypotheses room, a wider model fewer;
-    a beam too wide for the budget still gets a group of its own."""
+    recorder, and GROUP_SETS caps narrower beams. Fewer steps give more
+    hypotheses room, a wider model fewer; a beam too wide for the budget
+    still gets a group of its own."""
     size = ao.graphattn._group_size
+    cap = ao.graphattn.GROUP_SETS
     cfg = ao.ModelConfig(d_model=64, num_layers=8, num_heads=8, max_len=32)
     assert ao.graphattn.GROUP_BYTES == 16 * 16 * 8 * 32 * 64
-    assert [size(cfg, beam, 32) for beam in (1, 4, 5, 8, 9, 17)] == [4, 4, 3, 2, 1, 1]
-    assert [size(cfg, beam, 8) for beam in (4, 16, 17, 64, 65)] == [4, 4, 3, 1, 1]
+    assert [size(cfg, beam, 32) for beam in (1, 4, 5, 8, 9, 17)] == [
+        min(cap, 16), min(cap, 4), min(cap, 3), min(cap, 2), 1, 1]
+    assert [size(cfg, beam, 8) for beam in (1, 4, 16, 17, 64, 65)] == [
+        min(cap, 64), min(cap, 16), min(cap, 4), min(cap, 3), 1, 1]
     wide = ao.ModelConfig(d_model=256, num_layers=8, num_heads=8, max_len=32)
-    assert [size(wide, beam, 32) for beam in (1, 2, 4)] == [4, 2, 1]
+    assert [size(wide, beam, 32) for beam in (1, 2, 4)] == [min(cap, 4), min(cap, 2), 1]
 
 
 def test_lockstep_beam_one_makes_one_call_per_group_step(monkeypatch):
-    """24 beam-1 sets at max_len 8: six groups of four, 6 x 8 = 48 four-row calls."""
+    """24 beam-1 sets at max_len 8: groups of GROUP_SETS sets, one call per
+    group and step; at GROUP_SETS 8, three groups of eight, 3 x 8 = 24
+    eight-row calls (48 four-row calls at a cap of four)."""
+    cap = ao.graphattn.GROUP_SETS
+    assert 24 % cap == 0
     rng = np.random.default_rng(5)
     inputs = [random_unitized(rng, L=6, set_id=f"s{i}") for i in range(24)]
     graphs = [ao.build_graph(inp) for inp in inputs]
@@ -1445,8 +1453,39 @@ def test_lockstep_beam_one_makes_one_call_per_group_step(monkeypatch):
     results = list(ao.graphattn.generate_sets(inputs, weights, graphs,
                                               ao.GenerationConfig(beam_size=1, max_len=8)))
     assert [result.tokens for result in results] == [[4] * 8] * 24
-    assert len(calls) == 48
-    assert all((sets, rows) == (4, 1) for sets, rows, *_ in calls)
+    assert len(calls) == 24 // cap * 8
+    assert all((sets, rows) == (cap, 1) for sets, rows, *_ in calls)
+
+
+def test_generate_sets_checks_each_set_once(monkeypatch):
+    """Ten sets, two groups at GROUP_SETS 8: ``generate_sets`` runs the unit
+    checks once per set, naming it by position, and the beam search encodes
+    the checked sets without checking them again; ``encode_units`` still
+    checks its one set."""
+    rng = np.random.default_rng(6)
+    inputs = [random_unitized(rng, L=6, set_id=f"s{i}") for i in range(10)]
+    graphs = [ao.build_graph(inp) for inp in inputs]
+    vocab = ao.graphattn.build_vocab(t for inp in inputs for u in inp.units for t in u.tokens)
+    cfg = ao.ModelConfig(d_model=8, num_layers=1, num_heads=2, vocab_size=len(vocab),
+                         num_units=6, max_len=3)
+    weights = ao.make_synthetic_weights(4, cfg, vocab=vocab)
+    check = ao.graphattn._check_units
+    checked = []
+
+    def spy(inp, weights, graph, *where):
+        checked.append((inp, where))
+        return check(inp, weights, graph, *where)
+
+    monkeypatch.setattr(ao.graphattn, "_check_units", spy)
+    calls = spy_on_kernel(monkeypatch)
+    results = list(ao.graphattn.generate_sets(inputs, weights, graphs,
+                                              ao.GenerationConfig(beam_size=1)))
+    assert len(results) == 10 and len({sets for sets, *_ in calls}) == 2
+    assert [(id(inp), where) for inp, where in checked] == [
+        (id(inp), (i,)) for i, inp in enumerate(inputs)]
+    checked.clear()
+    encode_units(inputs[3], weights, graphs[3])
+    assert [(id(inp), where) for inp, where in checked] == [(id(inputs[3]), ())]
 
 
 def bench_shape_pair(seed=16, sets=2, mode="paragraph", L=30, T=60):
@@ -1612,25 +1651,48 @@ def test_reorder_slots_allocates_the_moved_rows_of_one_block(parent_rows, moved)
     assert peak <= moved * block_row + 16 * 2**10
 
 
+def traced_generate(inputs, weights, graphs, gen):
+    """``generate_sets``' results and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        results = list(ao.graphattn.generate_sets(inputs, weights, graphs, gen))
+        return results, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_generate_sets_memory_is_the_group_state():
-    """The tracemalloc peak of two beam-4 sets at the benchmark's shape stays
-    within the group's cache, AWD tensor and unit keys plus 1 MiB (measured:
-    0.28 MiB; a whole-cache gather per step measured 1.7-2.1 MiB). The
-    weights are allocated before tracing starts."""
+    """The tracemalloc peak of two beam-4 sets at the paragraph benchmark's
+    shape stays within the group's cache, AWD tensor and unit keys plus
+    1 MiB (measured: 0.28 MiB; a whole-cache gather per step measured
+    1.7-2.1 MiB). At the sentence benchmark's shape (L 60, beam 1, 8 steps)
+    the eight sets of one GROUP_SETS 8 group stay within their caches, AWD
+    tensors, unit keys, graph shift rows, encoded units and one step of
+    slices, 3.88 MiB, plus 0.5 MiB (measured: 0.23 MiB). The weights are
+    allocated before tracing starts."""
     inputs, graphs, weights = bench_shape_pair()
     cfg = weights.config
     cache = 2 * cfg.num_layers * 2 * 4 * 32 * cfg.d_model * 8
     awd = 2 * 4 * 32 * cfg.num_layers * cfg.num_heads * 30 * 4
     keys = cfg.num_layers * 2 * 30 * cfg.d_model * 8
     gen = ao.GenerationConfig(beam_size=4, max_len=32)
-    tracemalloc.start()
-    try:
-        results = list(ao.graphattn.generate_sets(inputs, weights, graphs, gen))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    results, peak = traced_generate(inputs, weights, graphs, gen)
     assert [len(result.beam_trace) for result in results] == [32, 32]
     assert peak < cache + awd + keys + 2**20, peak
+
+    inputs, graphs, weights = bench_shape_pair(sets=8, mode="sentence", L=60, T=30)
+    cache = 2 * cfg.num_layers * 8 * 1 * 8 * cfg.d_model * 8
+    awd = 8 * 1 * 8 * cfg.num_layers * cfg.num_heads * 60 * 4
+    keys = cfg.num_layers * 8 * 60 * cfg.d_model * 8
+    shift = 8 * 60 * 60 * 8
+    encoded = 8 * 60 * cfg.d_model * 8
+    slices = 8 * 1 * cfg.num_layers * cfg.num_heads * 60 * 4
+    state = cache + awd + keys + shift + encoded + slices
+    assert round(state / 2**20, 2) == 3.88
+    results, peak = traced_generate(inputs, weights, graphs,
+                                    ao.GenerationConfig(beam_size=1, max_len=8))
+    assert [len(result.beam_trace) for result in results] == [8] * 8
+    assert peak < state + 2**19, peak
 
 
 @pytest.mark.parametrize("mode, L, T, beam, max_len", [
